@@ -14,6 +14,9 @@ Tiny-n, seconds-long sanity gate (not a benchmark): asserts that
 * ``sample_stratified`` on the sharded facade matches the naive
   per-stratum loop byte-for-byte and is at least as fast (the one-call
   scatter round must amortize, never regress to the loop),
+* ``DynamicIRS.sample_bulk_many`` on a batch of seeded reads matches the
+  per-query ``sample_bulk(seed=)`` loop byte-for-byte and is at least as
+  fast,
 * the mixed-stream runner executes a coalesced read/write stream,
 * the sharded engine agrees with a flat structure and (on multi-core
   hosts) the ``processes`` backend beats ``serial`` on wide-range bulk
@@ -268,6 +271,48 @@ def main() -> int:
         "stratified one-call >= per-stratum loop",
         best_ratio >= 1.0,
         f"best pair: one-call {best_pair[0]:,.0f}/s vs loop {best_pair[1]:,.0f}/s"
+        f" ({best_ratio:.2f}x)",
+    )
+
+    # -- seeded DynamicIRS batches: one vectorized pass, never a loop ---------
+    # A coalesced batch of seeded reads (64 queries, t=16, log-uniform
+    # widths — the served read mix) must cost no more as one
+    # sample_bulk_many call than as per-query sample_bulk(seed=) calls;
+    # per-query work creeping back into the batch path fails here.  Same
+    # best-of-adjacent-pairs protocol as the stratified gate.
+    dyn = DynamicIRS(data, seed=28)
+    flat = sorted(data)
+    wrng = random.Random(29)
+    seeded_queries, seeded_seeds = [], []
+    for k in range(64):
+        width = int(10 ** wrng.uniform(1, 4))
+        at = wrng.randrange(N - width)
+        seeded_queries.append((flat[at], flat[at + width - 1], 16))
+        seeded_seeds.append(1_000 + k)
+
+    def seeded_loop():
+        return [
+            dyn.sample_bulk(q_lo, q_hi, q_t, seed=q_seed)
+            for (q_lo, q_hi, q_t), q_seed in zip(seeded_queries, seeded_seeds)
+        ]
+
+    def seeded_many():
+        return dyn.sample_bulk_many(seeded_queries, seeds=seeded_seeds)
+
+    check(
+        "DynamicIRS seeded sample_bulk_many == per-query sample_bulk",
+        [b.tobytes() for b in seeded_many()] == [b.tobytes() for b in seeded_loop()],
+    )
+    best_ratio, best_pair = 0.0, (0.0, 0.0)
+    for _ in range(4):
+        loop_qps = len(seeded_queries) / time_callable(seeded_loop, repeat=3)
+        many_qps = len(seeded_queries) / time_callable(seeded_many, repeat=3)
+        if loop_qps > 0.0 and many_qps / loop_qps > best_ratio:
+            best_ratio, best_pair = many_qps / loop_qps, (many_qps, loop_qps)
+    check(
+        "DynamicIRS seeded sample_bulk_many >= per-query loop",
+        best_ratio >= 1.0,
+        f"best pair: one-call {best_pair[0]:,.0f} q/s vs loop {best_pair[1]:,.0f} q/s"
         f" ({best_ratio:.2f}x)",
     )
 

@@ -492,12 +492,14 @@ class BatchQueryRunner:
         stream's semantics exactly: no update is reordered across an update
         of the other kind or across a query that could observe it.
 
-        With ``coalesce_reads=True``, runs of consecutive ``sample`` (and
-        ``count``) ops against the same structure are likewise coalesced —
-        into one ``sample_bulk_many`` scatter round (resp. one
-        ``peek_counts`` probe) on structures that expose them.  Reads never
-        cross a write to their structure in either direction, so every
-        query observes exactly the updates that preceded it.  Seeded
+        With ``coalesce_reads=True``, all ``sample`` and ``count`` ops
+        against a structure between two writes to it form one read run,
+        flushed as one ``sample_bulk_many`` scatter round plus one
+        ``peek_counts`` probe on structures that expose them (reads do not
+        change what other reads observe, and the samples keep their order,
+        so this is exactly what executing them one by one returns).  Reads
+        never cross a write to their structure in either direction, so
+        every query observes exactly the updates that preceded it.  Seeded
         sample ops (:attr:`BatchOp.seed`) stay reproducible no matter how
         the runs form; with the default ``coalesce_reads=False``, reads
         execute immediately, exactly as earlier releases did.
@@ -551,7 +553,7 @@ class BatchQueryRunner:
                     raise
                 result.errors[i] = exc
         # Per-structure pending run.  Updates: (kind, values, weights | None,
-        # indices); coalesced reads: (kind, indices).
+        # indices); coalesced reads: ("read", sample indices, count indices).
         pending: dict[str, tuple] = {}
         bulk_calls = 0
         read_bulk_calls = 0
@@ -663,10 +665,13 @@ class BatchQueryRunner:
             kind = run[0]
             if kind in ("insert", "delete"):
                 flush_update(name, sampler, kind, run[1], run[2], run[3])
-            elif kind == "sample":
+                return
+            # A read run: no read changes what another read observes, so
+            # the samples go first, then the counts.
+            if run[1]:
                 flush_samples(name, sampler, run[1])
-            else:
-                flush_counts(name, sampler, run[1])
+            if run[2]:
+                flush_counts(name, sampler, run[2])
 
         def exec_scenario(name: str, i: int, op: BatchOp) -> None:
             """Run one scenario read (stratified / sample_wr / estimate)."""
@@ -727,12 +732,12 @@ class BatchQueryRunner:
                 if op.kind == "count":
                     count_ops += 1
                 if coalesce_reads:
-                    if run is not None and run[0] != op.kind:
+                    if run is not None and run[0] != "read":
                         flush(name)
                         run = None
                     if run is None:
-                        pending[name] = run = (op.kind, [])
-                    run[1].append(i)
+                        pending[name] = run = ("read", [], [])
+                    run[1 if op.kind == "sample" else 2].append(i)
                     continue
                 flush(name)
                 sampler = self._structures[name]

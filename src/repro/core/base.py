@@ -19,6 +19,7 @@ __all__ = [
     "DynamicRangeSampler",
     "validate_query",
     "coerce_query_bounds",
+    "sample_bulk_many_by_rank",
 ]
 
 
@@ -36,6 +37,71 @@ def coerce_query_bounds(queries):
     if np.isnan(los).any() or np.isnan(his).any() or (los > his).any():
         raise InvalidQueryError("peek_counts requires lo <= hi, non-NaN")
     return los, his
+
+
+def sample_bulk_many_by_rank(
+    queries, seeds, sample_bulk, rank_bounds, take_ranks
+) -> list:
+    """Shared body of the rank-addressed ``sample_bulk_many`` methods.
+
+    For samplers whose seeded draw is "``t`` uniform global ranks from
+    :func:`repro.rng.seeded_ranks` over the query's rank interval, mapped
+    to values": :class:`~repro.core.static_irs.StaticIRS` and
+    :class:`~repro.core.dynamic_irs.DynamicIRS`.  The sampler supplies
+    three callables:
+
+    * ``sample_bulk(lo, hi, t)`` — its unseeded bulk path;
+    * ``rank_bounds(los, his)`` — the ``(starts, ends)`` global rank
+      intervals of all ranges at once (float64 bound arrays in);
+    * ``take_ranks(ranks, starts, ends, counts)`` — the float64 values at
+      the concatenated ranks of the seeded queries (their intervals and
+      sample counts alongside).
+
+    This function owns everything else: validation, seed alignment,
+    ``t = 0``, the empty-range check (before any draw, so a failing call
+    consumes no randomness), delegating unseeded queries to
+    ``sample_bulk`` in input order (the side stream advances exactly as
+    per-query calls would), one ``seeded_ranks`` call for all seeded
+    queries, and slicing the values back into per-query results.
+    """
+    import numpy as np
+
+    from ..rng import seeded_ranks
+
+    queries = [(float(lo), float(hi), int(t)) for lo, hi, t in queries]
+    if seeds is None:
+        seeds = [None] * len(queries)
+    elif len(seeds) != len(queries):
+        raise InvalidQueryError("seeds must align with queries")
+    for lo, hi, t in queries:
+        validate_query(lo, hi, t)
+    if not queries:
+        return []
+    starts, ends = rank_bounds(
+        np.asarray([q[0] for q in queries], dtype=float),
+        np.asarray([q[1] for q in queries], dtype=float),
+    )
+    ts = np.asarray([q[2] for q in queries], dtype=np.int64)
+    if ((ts > 0) & (ends <= starts)).any():
+        raise EmptyRangeError("no points inside the query range")
+    results: list = [None] * len(queries)
+    seeded: list[int] = []
+    for i, (lo, hi, t) in enumerate(queries):
+        if t == 0:
+            results[i] = np.empty(0, dtype=float)
+        elif seeds[i] is None:
+            results[i] = sample_bulk(lo, hi, t)
+        else:
+            seeded.append(i)
+    if seeded:
+        starts, ends, counts = starts[seeded], ends[seeded], ts[seeded]
+        ranks = seeded_ranks([seeds[i] for i in seeded], starts, ends - starts, counts)
+        values = take_ranks(ranks, starts, ends, counts)
+        at = 0
+        for i, t in zip(seeded, counts.tolist()):
+            results[i] = values[at : at + t]
+            at += t
+    return results
 
 
 def validate_query(lo: float, hi: float, t: int) -> None:

@@ -15,7 +15,11 @@ arrays in this module.  The engine owns everything that is about the
   min ≤ y" — as one C-level ``searchsorted`` per endpoint;
 * lazily cached prefix sums over counts (and over weights) with bounded
   *pending per-chunk deltas*, so an update→query alternation costs
-  ``O(|pending|)`` instead of an ``O(n/s)`` cumsum rebuild per transition;
+  ``O(|pending|)`` instead of an ``O(n/s)`` cumsum rebuild per transition
+  (count readers fold the deltas into just the entries they read);
+* global rank addressing — the rank interval of a key range and the
+  chunk/offset of a global rank — the layout-independent coordinates the
+  seeded samplers draw in;
 * the structural repair pass: scalar split, borrow-or-merge for
   under-full chunks, the multi-index split assembly behind bulk inserts,
   and the full normalization sweep behind bulk deletes.
@@ -49,7 +53,7 @@ import numpy as _np  # a hard dependency of the package (pyproject.toml)
 
 from . import kernels as _kernels
 
-__all__ = ["Chunk", "WeightedChunk", "ChunkDirectory", "split_sizes"]
+__all__ = ["Chunk", "WeightedChunk", "ChunkDirectory", "FoldedCounts", "split_sizes"]
 
 #: Scalar count/weight changes ride on the cached prefixes as per-chunk
 #: deltas up to this many entries; beyond it the cache is dropped and the
@@ -227,6 +231,62 @@ class WeightedChunk(Chunk):
         return moved
 
 
+class FoldedCounts:
+    """The count prefix with its pending deltas folded in, for one reader.
+
+    The directory keeps scalar count changes as pending per-chunk deltas
+    on its cached prefix (see :meth:`ChunkDirectory.note_delta`), so the
+    true prefix is the cached one plus a step function.  Folding sorts the
+    pending chunk indices and takes a running sum of their deltas once —
+    ``O(|pending| log |pending|)`` — after which every entry a reader
+    needs costs one ``searchsorted`` over at most ``_PENDING_CAP`` keys,
+    never a pass over the whole prefix.  Valid until the directory next
+    changes.
+    """
+
+    __slots__ = ("prefix", "counts", "keys", "sums")
+
+    def __init__(self, prefix, counts, pending: dict) -> None:
+        self.prefix = prefix
+        self.counts = counts
+        keys = sorted(pending)
+        self.keys = _np.asarray(keys, dtype=_np.int64)
+        #: ``sums[j]``: total delta of the first ``j`` pending chunks.
+        self.sums = _np.asarray(
+            list(accumulate((pending[k] for k in keys), initial=0)), dtype=_np.int64
+        )
+
+    def starts_at(self, idx):
+        """Points stored before each chunk in the int array ``idx``."""
+        out = self.prefix[idx] - self.counts[idx]
+        if self.keys.size:
+            out += self.sums[self.keys.searchsorted(idx, side="right")]
+        return out
+
+    def locate(self, ranks):
+        """Chunk index and in-chunk offset of each global rank in ``ranks``.
+
+        One ``search_right`` over the cached prefix resolves every rank.
+        With pending deltas each rank first finds its step (the last
+        pending chunk starting at or before it), searches the cached
+        prefix for the rank minus that step's shift, and is clamped up to
+        the step's first chunk — exact, since the cached prefix is
+        nondecreasing.
+        """
+        search_right = _kernels.get().search_right
+        if not self.keys.size:
+            ci = search_right(self.prefix, ranks)
+        else:
+            keys, sums = self.keys, self.sums
+            key_starts = self.prefix[keys] - self.counts[keys] + sums[1:]
+            step = key_starts.searchsorted(ranks, side="right")
+            ci = _np.maximum(
+                search_right(self.prefix, ranks - sums[step]),
+                _np.concatenate(([0], keys))[step],
+            )
+        return ci, ranks - self.starts_at(ci)
+
+
 class ChunkDirectory:
     """Array-backed directory over an ordered chunk list.
 
@@ -308,18 +368,47 @@ class ChunkDirectory:
             self._pending.clear()
         return self._prefix
 
-    def folded_prefix(self):
-        """Return the count prefix with pending deltas folded in.
+    def folded_counts(self) -> "FoldedCounts":
+        """Fold the pending count deltas once, for a reader of many entries."""
+        return FoldedCounts(self.ensure_prefix(), self.counts, self._pending)
 
-        When no deltas are pending this is the cached array itself
-        (callers must not mutate it); otherwise a query-local copy.
+    def rank_bounds(self, los, his, folded: "FoldedCounts | None" = None):
+        """Global rank interval ``[start, end)`` of each range ``[lo, hi]``.
+
+        ``start`` counts the stored points below ``lo`` and ``end`` those
+        at or below ``hi`` — the numbers two ``searchsorted`` calls over
+        the flat sorted multiset give, whatever the chunk layout — so
+        ``end - start`` is the in-range count and the ranks in between
+        name the in-range points in order.  Boundary chunks of all ranges
+        come from one ``searchsorted`` over ``maxes`` and one over
+        ``mins``; only the two in-chunk searches run per range.  Bounds
+        must already be rounded through the value-plane dtype.  A caller
+        that reads more of the prefix in the same call passes its
+        ``folded`` counts; otherwise they are folded here.
         """
-        prefix = self.ensure_prefix()
-        if self._pending:
-            prefix = prefix.copy()
-            for j, delta in self._pending.items():
-                prefix[j:] += delta
-        return prefix
+        chunks = self.chunks
+        if not chunks:
+            zeros = _np.zeros(len(los), dtype=_np.int64)
+            return zeros, zeros
+        # A bound past either end still lands on its edge chunk, where the
+        # in-chunk search then counts all of it or none of it.
+        a_idx = _np.searchsorted(self.maxes, los, side="left")
+        b_idx = _np.searchsorted(self.mins, his, side="right") - 1
+        _np.minimum(a_idx, len(chunks) - 1, out=a_idx)
+        _np.maximum(b_idx, 0, out=b_idx)
+        kernel = _kernels.get()
+        left = kernel.search_left_scalar
+        right = kernel.search_right_scalar
+        offsets = [
+            left(chunks[a].data, lo) for a, lo in zip(a_idx.tolist(), los.tolist())
+        ]
+        offsets += [
+            right(chunks[b].data, hi) for b, hi in zip(b_idx.tolist(), his.tolist())
+        ]
+        if folded is None:
+            folded = self.folded_counts()
+        bounds = folded.starts_at(_np.concatenate((a_idx, b_idx))) + offsets
+        return bounds[: len(los)], bounds[len(los) :]
 
     def invalidate_prefix(self) -> None:
         """Drop both prefix caches (chunk indices or many rows changed)."""

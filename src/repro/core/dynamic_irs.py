@@ -25,16 +25,21 @@ parallel arrays (``maxes``, ``mins``, ``counts``) describe them —
   chunk list, so "uniform (chunk, slot) pair, accept slot < |chunk|"
   samples an in-range point exactly uniformly with acceptance ≥ 1/2 —
   the density-bounded window the paper gets from a packed-memory array
-  falls out of the directory for free, with no gaps to reject.
+  falls out of the directory for free, with no gaps to reject;
+* seeded sampling (``sample_bulk(seed=)`` and ``sample_bulk_many``)
+  draws global ranks instead and resolves them through the count
+  prefix — the law of ``StaticIRS``, so a seeded reply never depends on
+  the chunk layout (DESIGN.md §5).
 
 Every hot loop dispatches through the kernel tier
 (:mod:`repro.core.kernels`, DESIGN.md §13): scalar splices, bulk
 merge/take-out passes, the middle-rejection accept/reject scan and the
 rank-resolution searches each run as one compiled call under the numba
 backend, with the vectorized NumPy twins as the always-available
-fallback.  All randomness (Philox counter streams, the scalar stream's
-draw order) and all accounting stay in this driver, so the two backends
-consume identical draws and produce byte-identical results.
+fallback.  All randomness (the bulk side stream, the seeded counter-based
+ranks, the scalar stream's draw order) and all accounting stay in this
+driver, so the two backends consume identical draws and produce
+byte-identical results.
 
 Storage planes are dtype-generic (PR 10): ``dtype=float32`` at
 construction halves resident bytes, with every value coerced through the
@@ -52,15 +57,20 @@ per update.
 from __future__ import annotations
 
 import math
+from operator import getitem as _getitem
 from typing import Iterable, Iterator
 
 import numpy as _np
 
 from ..errors import InvalidQueryError, KeyNotFoundError
-from ..rng import RandomSource
-from ..rng import generator as _generator
+from ..rng import RandomSource, seeded_ranks
 from ..types import QueryStats
-from .base import DynamicRangeSampler, coerce_query_bounds, validate_query
+from .base import (
+    DynamicRangeSampler,
+    coerce_query_bounds,
+    sample_bulk_many_by_rank,
+    validate_query,
+)
 from .directory import Chunk as _Chunk
 from .directory import ChunkDirectory
 from .kernels import get as _kernels
@@ -528,45 +538,68 @@ class DynamicIRS(DynamicRangeSampler):
         """Vectorized multi-range count over the chunk directory.
 
         ``queries`` is a sequence of ``(lo, hi)`` pairs; the result is a
-        NumPy ``int64`` array of in-range counts aligned with the input.
-        Boundary-chunk resolution (one ``searchsorted`` over ``maxes`` and
-        one over ``mins`` for *all* bounds at once) and the whole-chunk
-        middle mass (prefix-sum differences) are vectorized; only the two
-        in-chunk boundary searches remain per query, so the total cost is
-        ``O(q log n)`` with the directory passes done in C.
+        NumPy ``int64`` array of in-range counts aligned with the input:
+        the widths of the ranges' global rank intervals
+        (:meth:`ChunkDirectory.rank_bounds
+        <repro.core.directory.ChunkDirectory.rank_bounds>` — one
+        ``searchsorted`` over ``maxes`` and one over ``mins`` for *all*
+        bounds, two in-chunk searches per query, and the pending count
+        deltas folded into just the prefix entries read), ``O(q log n)``
+        in total.
         """
-        los, his = coerce_query_bounds(queries)
+        starts, ends = self._rank_bounds(*coerce_query_bounds(queries))
+        return ends - starts
+
+    def _rank_bounds(self, los, his, folded=None):
+        """Global rank intervals of many ranges (bounds rounded to the plane)."""
         if self._dtype.itemsize == 4:
-            # Round bounds through the plane dtype (see ``_plan``).
             los = los.astype(_np.float32).astype(_np.float64)
             his = his.astype(_np.float32).astype(_np.float64)
-        q = len(los)
-        out = _np.zeros(q, dtype=_np.int64)
+        return self._dir.rank_bounds(los, his, folded)
+
+    def _take_ranks(self, ranks, starts, ends, counts, folded):
+        """Values at the seeded queries' global ranks (see :meth:`sample_bulk`).
+
+        Each query gathers one of two ways, by the rule
+        :meth:`_middle_plan` applies: a query whose range spans at most
+        ``max(_NARROW, 2t)`` chunks reads its ranks out of the
+        concatenation of those chunks (all such queries share one
+        ``concatenate``); a wider one resolves each rank to its
+        ``(chunk, offset)`` through the count prefix and reads the values
+        one by one, so it never copies a chunk it does not sample.
+        ``folded`` is the call's :class:`~repro.core.directory.FoldedCounts`.
+        """
         directory = self._dir
         chunks = directory.chunks
-        if not chunks:
-            return out
-        kernel = _kernels()
-        a_idx = _np.searchsorted(directory.maxes, los, side="left")
-        b_idx = _np.searchsorted(directory.mins, his, side="right") - 1
-        # Fold the pending scalar deltas into a query-local copy so the
-        # middle mass stays one subtraction per query.
-        prefix = directory.folded_prefix()
-        for i in range(q):
-            a, b = int(a_idx[i]), int(b_idx[i])
-            if a >= len(chunks) or b < a:
-                continue
-            data_a = chunks[a].data
-            if a == b:
-                out[i] = kernel.search_right_scalar(
-                    data_a, his[i]
-                ) - kernel.search_left_scalar(data_a, los[i])
-                continue
-            k = data_a.size - int(kernel.search_left_scalar(data_a, los[i]))
-            k += int(kernel.search_right_scalar(chunks[b].data, his[i]))
-            if b - a > 1:
-                k += int(prefix[b - 1] - prefix[a])
-            out[i] = k
+        nq = int(counts.size)
+        self.stats.queries += nq
+        self.stats.samples_returned += int(ranks.size)
+        edge, edge_off = folded.locate(_np.concatenate((starts, ends - 1)))
+        first, last = edge[:nq], edge[nq:]
+        pooled = last - first < _np.maximum(_NARROW, 2 * counts)
+        out = _np.empty(ranks.size, dtype=float)
+        if not pooled.all():
+            scattered = _np.repeat(~pooled, counts)
+            ci, off = folded.locate(ranks[scattered])
+            planes = [chunks[c].data for c in ci.tolist()]
+            out[scattered] = _np.fromiter(
+                map(_getitem, planes, off.tolist()), dtype=float, count=len(planes)
+            )
+        if pooled.any():
+            sel = _np.nonzero(pooled)[0]
+            # Rank of each window's first point and one past its last; a
+            # rank ``g`` of query ``i`` sits at ``g + shift[i]`` in ``flat``.
+            window_lo = starts[sel] - edge_off[sel]
+            window_hi = ends[sel] - edge_off[nq + sel] + directory.counts[last[sel]] - 1
+            sizes = window_hi - window_lo
+            shift = _np.cumsum(sizes) - sizes - window_lo
+            flat = _np.concatenate([
+                chunk.data
+                for a, b in zip(first[sel].tolist(), last[sel].tolist())
+                for chunk in chunks[a : b + 1]
+            ])
+            gathered = _np.repeat(pooled, counts)
+            out[gathered] = flat[ranks[gathered] + _np.repeat(shift, counts[sel])]
         return out
 
     def export_sorted(self):
@@ -680,10 +713,7 @@ class DynamicIRS(DynamicRangeSampler):
         Semantics match :meth:`sample` (``t`` independent uniform samples),
         but the randomness comes from a NumPy side stream spawned once via
         :meth:`RandomSource.spawn_numpy`, so draw accounting differs from
-        the scalar path (bulk draws are not counted per element).  An
-        explicit ``seed`` draws from :func:`repro.rng.generator` instead,
-        decoupling this call's result from the structure's stream position
-        (seed-addressable sampling, the serving layer's contract).
+        the scalar path (bulk draws are not counted per element).
 
         The query plan's three-way split is resolved vectorized: one batch
         of uniform ranks in ``[0, K)``, boolean masks for the left/middle/
@@ -692,22 +722,36 @@ class DynamicIRS(DynamicRangeSampler):
         scalar path, with the accept/reject scan run as one kernel call
         per draw batch — all draws are generated *here*, in draw order,
         so the stream position after the call is backend-invariant.
+
+        An explicit ``seed`` makes the call *seed-addressable* instead:
+        ``t`` uniform global ranks from :func:`repro.rng.seeded_ranks`
+        over the range's rank interval, mapped to values through the
+        directory's count prefix — the law of :meth:`StaticIRS.sample_bulk
+        <repro.core.static_irs.StaticIRS.sample_bulk>`, so the reply is a
+        pure function of the seed and the stored multiset, whatever the
+        chunk layout (:meth:`sample_bulk_many` answers the same draw for
+        many queries at once).
         """
         validate_query(lo, hi, t)
         plan = self._plan(lo, hi)
         if self._require_nonempty(0 if plan is None else plan[0], t):
             return _np.empty(0, dtype=float)
         total, a, la, k_left, k_mid, b, k_right = plan
+        if seed is not None:
+            folded = self._dir.folded_counts()
+            start = int(folded.starts_at(_np.asarray([a]))[0]) + la
+            bounds = _np.asarray([start, start + total])
+            ranks = seeded_ranks([seed], bounds[:1], [total], [t])
+            return self._take_ranks(
+                ranks, bounds[:1], bounds[1:], _np.asarray([t]), folded
+            )
         chunks = self._dir.chunks
         stats = self.stats
         stats.queries += 1
         stats.samples_returned += t
-        if seed is not None:
-            gen = _generator(seed)
-        else:
-            if self._bulk_gen is None:
-                self._bulk_gen = self._rng.spawn_numpy()
-            gen = self._bulk_gen
+        if self._bulk_gen is None:
+            self._bulk_gen = self._rng.spawn_numpy()
+        gen = self._bulk_gen
         ranks = gen.integers(0, total, size=t)
         out = _np.empty(t, dtype=float)
         k_lm = k_left + k_mid
@@ -724,6 +768,31 @@ class DynamicIRS(DynamicRangeSampler):
                 a + 1, b - 1, ranks[mid_mask] - k_left, n_mid, gen, stats
             )
         return out
+
+    def sample_bulk_many(self, queries, *, seeds=None) -> list:
+        """Answer many ``(lo, hi, t)`` queries in one vectorized pass.
+
+        The seeded queries (``seeds[i] is not None``) of the whole batch
+        resolve together: one ``searchsorted`` over ``maxes`` and one over
+        ``mins`` for all bounds, one :func:`repro.rng.seeded_ranks` call,
+        one rank-resolution pass over the count prefix (the pending scalar
+        deltas folded once for the whole call), then grouped gathers.  Unseeded
+        queries delegate to :meth:`sample_bulk` one by one, in input
+        order, preserving the side stream's draw-for-draw behavior.
+
+        Results align with the input order and equal per-query
+        :meth:`sample_bulk` calls exactly — seeded replies are also
+        byte-equal to :class:`~repro.core.static_irs.StaticIRS` over the
+        same multiset.
+        """
+        folded = self._dir.folded_counts()
+        return sample_bulk_many_by_rank(
+            queries,
+            seeds,
+            self.sample_bulk,
+            lambda los, his: self._rank_bounds(los, his, folded),
+            lambda *drawn: self._take_ranks(*drawn, folded),
+        )
 
     def _middle_bulk(
         self,

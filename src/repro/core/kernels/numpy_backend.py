@@ -48,13 +48,18 @@ def splice_delete(arr, pos):
 
 
 def search_left_scalar(arr, value) -> int:
-    """``bisect_left`` over a sorted plane."""
-    return int(_np.searchsorted(arr, value, side="left"))
+    """``bisect_left`` over a sorted plane (an ndarray).
+
+    The array method, not the ``np.searchsorted`` wrapper: same semantics
+    (the wrapper dispatches to it) at a fraction of the call overhead,
+    which matters on the per-update and per-query scalar paths.
+    """
+    return int(arr.searchsorted(value, side="left"))
 
 
 def search_right_scalar(arr, value) -> int:
-    """``bisect_right`` over a sorted plane."""
-    return int(_np.searchsorted(arr, value, side="right"))
+    """``bisect_right`` over a sorted plane (an ndarray)."""
+    return int(arr.searchsorted(value, side="right"))
 
 
 def search_right(arr, targets):

@@ -24,9 +24,14 @@ from typing import Iterable, Sequence
 
 import numpy as _np
 
-from ..errors import EmptyRangeError, InvalidQueryError
+from ..errors import InvalidQueryError
 from ..rng import RandomSource, seeded_ranks
-from .base import RangeSampler, coerce_query_bounds, validate_query
+from .base import (
+    RangeSampler,
+    coerce_query_bounds,
+    sample_bulk_many_by_rank,
+    validate_query,
+)
 from .planes import as_plane, resolve_dtype
 
 __all__ = ["StaticIRS"]
@@ -135,7 +140,11 @@ class StaticIRS(RangeSampler):
         uses for count-only workloads — ``O(q log n)`` total with the two
         binary-search passes done in C.
         """
-        los, his = coerce_query_bounds(queries)
+        starts, ends = self._rank_bounds(*coerce_query_bounds(queries))
+        return ends - starts
+
+    def _rank_bounds(self, los, his):
+        """Rank intervals ``[start, end)`` of many ranges: two ``searchsorted``."""
         if self._dtype.itemsize == 4:
             # Round the bounds through the plane dtype and keep them there:
             # float32 needles against the float32 plane avoid the O(n)
@@ -143,9 +152,14 @@ class StaticIRS(RangeSampler):
             los = los.astype(_np.float32)
             his = his.astype(_np.float32)
         arr = self._data
-        return _np.searchsorted(arr, his, side="right") - _np.searchsorted(
-            arr, los, side="left"
+        return (
+            _np.searchsorted(arr, los, side="left"),
+            _np.searchsorted(arr, his, side="right"),
         )
+
+    def _take_ranks(self, ranks, starts, ends, counts):
+        """Values at global ranks (the seeded batch path's gather)."""
+        return self._data[ranks].astype(_np.float64, copy=False)
 
     def _export_array(self):
         """Return the storage plane itself (read-only by convention)."""
@@ -235,45 +249,9 @@ class StaticIRS(RangeSampler):
         for seeded queries, the exact draws — are identical to calling
         :meth:`sample_bulk` per query.
         """
-        queries = [(float(lo), float(hi), int(t)) for lo, hi, t in queries]
-        if seeds is None:
-            seeds = [None] * len(queries)
-        elif len(seeds) != len(queries):
-            raise InvalidQueryError("seeds must align with queries")
-        for lo, hi, t in queries:
-            validate_query(lo, hi, t)
-        if not queries:
-            return []
-        arr = self._data
-        los = _np.asarray([self._coerce(q[0]) for q in queries], dtype=self._dtype)
-        his = _np.asarray([self._coerce(q[1]) for q in queries], dtype=self._dtype)
-        starts = _np.searchsorted(arr, los, side="left")
-        ends = _np.searchsorted(arr, his, side="right")
-        results: list = [None] * len(queries)
-        seeded: list[int] = []
-        for i, (lo, hi, t) in enumerate(queries):
-            if t == 0:
-                results[i] = _np.empty(0, dtype=float)
-            elif ends[i] <= starts[i]:
-                raise EmptyRangeError("no points inside the query range")
-            elif seeds[i] is None:
-                results[i] = self.sample_bulk(lo, hi, t)
-            else:
-                seeded.append(i)
-        if seeded:
-            counts = [queries[i][2] for i in seeded]
-            ranks = seeded_ranks(
-                [seeds[i] for i in seeded],
-                starts[seeded],
-                ends[seeded] - starts[seeded],
-                counts,
-            )
-            gathered = arr[ranks].astype(_np.float64, copy=False)
-            at = 0
-            for i, t in zip(seeded, counts):
-                results[i] = gathered[at : at + t]
-                at += t
-        return results
+        return sample_bulk_many_by_rank(
+            queries, seeds, self.sample_bulk, self._rank_bounds, self._take_ranks
+        )
 
     def value_at_rank(self, rank: int) -> float:
         """Return the point with the given global rank (0-based)."""

@@ -655,40 +655,16 @@ class WeightedDynamicIRS:
         """Vectorized multi-range count over the chunk directory.
 
         Same machinery as :meth:`DynamicIRS.peek_counts
-        <repro.core.dynamic_irs.DynamicIRS.peek_counts>`: one
-        ``searchsorted`` over ``maxes`` and one over ``mins`` resolve the
-        boundary chunks of *all* queries, the whole-chunk middle mass is a
-        prefix difference, and only the two in-chunk bisects remain per
-        query — ``O(q log n)`` total.
+        <repro.core.dynamic_irs.DynamicIRS.peek_counts>`: the widths of
+        the ranges' global rank intervals from
+        :meth:`ChunkDirectory.rank_bounds
+        <repro.core.directory.ChunkDirectory.rank_bounds>` — one
+        ``searchsorted`` over ``maxes`` and one over ``mins`` for *all*
+        queries, two in-chunk bisects per query, ``O(q log n)`` total.
         """
         los, his = coerce_query_bounds(queries)
-        los, his = self._coerce_bounds_arrays(los, his)
-        q = len(los)
-        out = _np.zeros(q, dtype=_np.int64)
-        directory = self._dir
-        chunks = directory.chunks
-        if not chunks:
-            return out
-        kernel = _kernels()
-        a_idx = _np.searchsorted(directory.maxes, los, side="left")
-        b_idx = _np.searchsorted(directory.mins, his, side="right") - 1
-        prefix = directory.folded_prefix()
-        for i in range(q):
-            a, b = int(a_idx[i]), int(b_idx[i])
-            if a >= len(chunks) or b < a:
-                continue
-            data_a = chunks[a].data
-            if a == b:
-                out[i] = kernel.search_right_scalar(
-                    data_a, his[i]
-                ) - kernel.search_left_scalar(data_a, los[i])
-                continue
-            k = data_a.size - int(kernel.search_left_scalar(data_a, los[i]))
-            k += int(kernel.search_right_scalar(chunks[b].data, his[i]))
-            if b - a > 1:
-                k += int(prefix[b - 1] - prefix[a])
-            out[i] = k
-        return out
+        starts, ends = self._dir.rank_bounds(*self._coerce_bounds_arrays(los, his))
+        return ends - starts
 
     def peek_weights(self, queries):
         """Vectorized multi-range mass probe (``w(P ∩ [lo, hi])`` each).
