@@ -1,27 +1,23 @@
-"""F20 — kernel-tier ablation: compiled (numba) vs vectorized (numpy) backends.
+"""F20 — kernel costs: updates and bulk sampling by plane dtype and n.
 
-The claim under test: expressing the chunk directory's hot loops as pure
-array kernels (`repro.core.kernels`) lets a compiled backend remove the
-remaining Python-interpreter cost at exactly the paper's constant-overhead
-points — scalar insert/delete, the bulk splice passes, and the middle
-window of `sample_bulk` — while the vectorized backend keeps the same
-numbers available everywhere.  Both backends draw byte-identically under
-a fixed seed (tests/test_kernels.py), so this table is a pure constants
-comparison.
-
-Rows cover every available backend (the `backend` column records what
-this host could run — on a numpy-only host the table documents the
-fallback tier honestly, like F14's single-CPU rows), n = 10⁴ and 10⁶,
-and float32 vs float64 planes at the large size.  `µs/op` is the
-inverse-throughput view used by the DESIGN.md §5 scalar-cost table.
+The chunk directory's hot loops run as pure NumPy array kernels
+(`repro.core.kernels`) at exactly the paper's constant-overhead points —
+scalar insert/delete, the bulk splice passes, and the middle window of
+`sample_bulk`.  This table records what those points cost at n = 10⁴ and
+10⁶, and float32 vs float64 planes at the large size; the title records
+the host (CPU count, Python and NumPy versions) the rows came from.
+`µs/op` is the inverse-throughput view used by the DESIGN.md §5
+scalar-cost table.
 """
 
 from __future__ import annotations
 
+import os
+import platform
+
 import pytest
 
 from repro import DynamicIRS, WeightedDynamicIRS
-from repro.core import kernels
 from repro.bench import time_callable, update_throughput
 from repro.workloads import uniform_points
 
@@ -30,20 +26,12 @@ try:
 except ImportError:  # pragma: no cover - numpy is installed in CI
     np = None
 
-BACKENDS = kernels.available_backends()
 SIZES = [10_000, 1_000_000]
 SCALAR_OPS = 2_000
 BULK_BATCH = 10_000
 T_WIDE = 65_536
 T_NARROW = 256
 NARROW_QUERIES = 64
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    previous = kernels.set_backend(request.param)
-    yield request.param
-    kernels.set_backend(previous)
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +43,10 @@ def datasets():
 def rec(experiment):
     return experiment(
         "F20",
-        "kernel backends (scalar ops x2000, bulk batch=10k, wide t=65536): "
-        "rate by op, backend, dtype and n",
-        ["op", "backend", "dtype", "n", "rate/s", "us/op"],
+        "kernel costs (scalar ops x2000, bulk batch=10k, wide t=65536): "
+        f"rate by op, dtype and n; host: {os.cpu_count()} CPUs, "
+        f"Python {platform.python_version()}, NumPy {np.__version__}",
+        ["op", "dtype", "n", "rate/s", "us/op"],
     )
 
 
@@ -68,10 +57,9 @@ def _dtypes_for(n):
     return [np.float64, np.float32] if n == SIZES[-1] else [np.float64]
 
 
-def _row(rec, op, backend_name, dtype, n, rate):
+def _row(rec, op, dtype, n, rate):
     rec.row(
         op,
-        backend_name,
         np.dtype(dtype).name,
         n,
         round(rate),
@@ -81,7 +69,7 @@ def _row(rec, op, backend_name, dtype, n, rate):
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.benchmark(group="F20 kernels")
-def test_scalar_updates(datasets, rec, backend, n):
+def test_scalar_updates(datasets, rec, n):
     data = datasets[n]
     inserts = uniform_points(SCALAR_OPS, seed=202)
     for dtype in _dtypes_for(n):
@@ -96,12 +84,12 @@ def test_scalar_updates(datasets, rec, backend, n):
             scalar_churn,
             2 * SCALAR_OPS,
         )
-        _row(rec, "scalar-insert+delete", backend, dtype, n, rate)
+        _row(rec, "scalar-insert+delete", dtype, n, rate)
 
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.benchmark(group="F20 kernels")
-def test_bulk_updates(datasets, rec, backend, n):
+def test_bulk_updates(datasets, rec, n):
     data = datasets[n]
     batch = uniform_points(BULK_BATCH, seed=204)
     for dtype in _dtypes_for(n):
@@ -110,18 +98,18 @@ def test_bulk_updates(datasets, rec, backend, n):
             lambda d: (d.insert_bulk(batch), d.delete_bulk(batch)),
             2 * BULK_BATCH,
         )
-        _row(rec, "bulk-insert+delete", backend, dtype, n, rate)
+        _row(rec, "bulk-insert+delete", dtype, n, rate)
 
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.benchmark(group="F20 kernels")
-def test_bulk_sampling(datasets, rec, backend, n):
+def test_bulk_sampling(datasets, rec, n):
     data = datasets[n]
     for dtype in _dtypes_for(n):
         d = DynamicIRS(data, seed=206, dtype=dtype)
         d.sample_bulk(0.05, 0.95, T_WIDE)  # warm the side stream
         best = time_callable(lambda: d.sample_bulk(0.05, 0.95, T_WIDE), repeat=3)
-        _row(rec, "sample-wide", backend, dtype, n, T_WIDE / best)
+        _row(rec, "sample-wide", dtype, n, T_WIDE / best)
 
         narrow = [
             (0.4 + 0.001 * i, 0.4 + 0.001 * i + 0.002, T_NARROW)
@@ -134,18 +122,18 @@ def test_bulk_sampling(datasets, rec, backend, n):
 
         best = time_callable(run_narrow, repeat=3)
         _row(
-            rec, "sample-narrow", backend, dtype, n,
+            rec, "sample-narrow", dtype, n,
             NARROW_QUERIES * T_NARROW / best,
         )
 
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.benchmark(group="F20 kernels")
-def test_weighted_bulk_sampling(datasets, rec, backend, n):
+def test_weighted_bulk_sampling(datasets, rec, n):
     data = datasets[n]
     weights = [1.0 + (i % 7) for i in range(n)]
     for dtype in _dtypes_for(n):
         w = WeightedDynamicIRS(data, weights, seed=207, dtype=dtype)
         w.sample_bulk(0.05, 0.95, T_WIDE)
         best = time_callable(lambda: w.sample_bulk(0.05, 0.95, T_WIDE), repeat=3)
-        _row(rec, "weighted-sample-wide", backend, dtype, n, T_WIDE / best)
+        _row(rec, "weighted-sample-wide", dtype, n, T_WIDE / best)

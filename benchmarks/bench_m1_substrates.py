@@ -3,8 +3,7 @@
 Per-draw cost of the weighted-sampling primitives every structure is built
 from.  These numbers explain the constants seen in F1/F3/T2: a Walker alias
 draw is two primitive draws; the cumulative-bisect used by the dynamic
-middle plan is one draw plus a C-level binary search; the dynamic weighted
-sampler pays its bucket scan.
+middle plan is one draw plus a C-level binary search.
 
 The last two rows benchmark the *retired* directory substrates explicitly
 (imported from their ``repro.baselines`` homes — they are out of the
@@ -21,7 +20,7 @@ from itertools import accumulate
 
 import pytest
 
-from repro.alias import AliasTable, DynamicWeightedSampler
+from repro.alias import AliasTable
 from repro.baselines.pma import PackedMemoryArray
 from repro.baselines.treap import ChunkTreap
 from repro.rng import RandomSource
@@ -65,21 +64,6 @@ def test_cumulative_bisect(benchmark, weights, rec):
 
     benchmark(run)
     rec.row("cumulative + bisect", benchmark.stats["mean"] / DRAWS * 1e9)
-
-
-@pytest.mark.benchmark(group="M1 substrates")
-def test_dynamic_weighted_sampler(benchmark, weights, rec):
-    sampler = DynamicWeightedSampler()
-    for i, w in enumerate(weights):
-        sampler.insert(i, w)
-    rng = RandomSource(3)
-
-    def run():
-        sample = sampler.sample
-        return [sample(rng) for _ in range(DRAWS)]
-
-    benchmark(run)
-    rec.row("DynamicWeightedSampler (HMM buckets)", benchmark.stats["mean"] / DRAWS * 1e9)
 
 
 @pytest.mark.benchmark(group="M1 substrates")

@@ -427,67 +427,6 @@ def main() -> int:
         f"best on/off ratio {obs_ratio:.3f}",
     )
 
-    # -- kernel tier: compiled must never lose to vectorized -------------------
-    # The numba backend exists purely for constants; if it cannot at least
-    # match the numpy fallback on the hot paths the dispatch default is
-    # wrong.  Same adjacent-pairs protocol as the gates above: measure
-    # vectorized/compiled back-to-back and judge the best pair, so a real
-    # inversion (every pair compiled-slower) fails while scheduler noise
-    # does not.  Skips cleanly when numba is not installed — the core CI
-    # jobs stay numba-free and only the `compiled` job runs this gate.
-    from repro.core import kernels
-
-    if "numba" in kernels.available_backends():
-        kd = DynamicIRS(data, seed=51)
-        churn = uniform_points(1_000, seed=52)
-
-        def kernel_rates() -> tuple[float, float]:
-            def scalar_churn(d):
-                for v in churn:
-                    d.insert(v)
-                for v in churn:
-                    d.delete(v)
-
-            ups = update_throughput(
-                lambda: DynamicIRS(data, seed=53), scalar_churn, 2_000
-            )
-            kd.sample_bulk(0.1, 0.9, 512)  # warm plans and, once, the JIT
-            sps = 16_384 / time_callable(
-                lambda: kd.sample_bulk(0.1, 0.9, 16_384), repeat=3
-            )
-            return ups, sps
-
-        best_up, best_sp = 0.0, 0.0
-        pair_up, pair_sp = (0.0, 0.0), (0.0, 0.0)
-        kernels.set_backend("numba")
-        kernel_rates()  # pay JIT warm-up outside the timed pairs
-        for _ in range(3):
-            kernels.set_backend("numpy")
-            np_up, np_sp = kernel_rates()
-            kernels.set_backend("numba")
-            nb_up, nb_sp = kernel_rates()
-            if np_up > 0 and nb_up / np_up > best_up:
-                best_up, pair_up = nb_up / np_up, (nb_up, np_up)
-            if np_sp > 0 and nb_sp / np_sp > best_sp:
-                best_sp, pair_sp = nb_sp / np_sp, (nb_sp, np_sp)
-        check(
-            "compiled kernels >= vectorized on scalar updates",
-            best_up >= 1.0,
-            f"best pair: numba {pair_up[0]:,.0f}/s vs numpy {pair_up[1]:,.0f}/s"
-            f" ({best_up:.2f}x)",
-        )
-        check(
-            "compiled kernels >= vectorized on bulk sampling",
-            best_sp >= 1.0,
-            f"best pair: numba {pair_sp[0]:,.0f}/s vs numpy {pair_sp[1]:,.0f}/s"
-            f" ({best_sp:.2f}x)",
-        )
-    else:
-        print(
-            "[skip] compiled >= vectorized kernel gate: numba unavailable "
-            "(numpy fallback is the active backend)"
-        )
-
     # -- mixed stream through the batch engine ---------------------------------
     runner = BatchQueryRunner(DynamicIRS(data, seed=26))
     stream = UpdateStream(data, insert_fraction=0.5, seed=27).take(2_000)

@@ -1,7 +1,5 @@
-"""Weighted-sampling substrates: static Walker/Vose alias tables and a
-dynamic weighted sampler with power-of-two grouping."""
+"""Weighted-sampling substrate: static Walker/Vose alias tables."""
 
 from .walker import AliasTable
-from .dynamic import DynamicWeightedSampler
 
-__all__ = ["AliasTable", "DynamicWeightedSampler"]
+__all__ = ["AliasTable"]

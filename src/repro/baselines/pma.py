@@ -26,8 +26,7 @@ array-directory rewrite of :class:`~repro.core.dynamic_irs.DynamicIRS`
 ``baselines`` as a standalone, tested ablation substrate (benchmarked by
 ``bench_m1_substrates``) for directory designs that need stable
 density-bounded cell addressing, with :meth:`PackedMemoryArray.bulk_load`
-as its one-shot construction primitive.  ``repro.trees`` re-exports it
-with a deprecation warning.
+as its one-shot construction primitive.
 """
 
 from __future__ import annotations

@@ -5,8 +5,7 @@ samplers once stored their chunk sequences here; since the array-backed
 :mod:`repro.core.directory` engine (DESIGN.md §5/§8) neither does, and the
 treap lives on under ``baselines`` as a tested ablation substrate — the
 pointer-machine design the directory benchmarks are compared against
-(``bench_m1_substrates``).  ``repro.trees`` re-exports it with a
-deprecation warning.
+(``bench_m1_substrates``).
 
 Ordering by *position* rather than by key makes the structure immune
 to duplicate keys: chunk boundaries are located with monotone descent on the

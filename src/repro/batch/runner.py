@@ -802,47 +802,3 @@ class BatchQueryRunner:
             else:  # pragma: no cover - numpy is installed in CI
                 means.append(sum(samples) / len(samples))
         return means
-
-    def run_stratified(
-        self, strata: Sequence, t: int, *, structure: str = DEFAULT_STRUCTURE,
-        seed=None,
-    ) -> list:
-        """One stratified draw: ``t`` split exactly across ``strata``.
-
-        Thin wrapper over :func:`repro.scenarios.sample_stratified` against
-        a registered structure; returns the per-stratum sample blocks.
-        """
-        result = self.run_mixed(
-            [BatchOp.stratified(strata, t, structure=structure, seed=seed)]
-        )
-        return result.samples[0]
-
-    def run_without_replacement(
-        self, lo: float, hi: float, t: int, *,
-        structure: str = DEFAULT_STRUCTURE, seed=None,
-    ):
-        """One without-replacement bulk draw (``t`` distinct in-range points).
-
-        Thin wrapper over
-        :func:`repro.core.sample_without_replacement_bulk` against a
-        registered structure.
-        """
-        result = self.run_mixed(
-            [BatchOp.sample_wr(lo, hi, t, structure=structure, seed=seed)]
-        )
-        return result.samples[0]
-
-    def run_estimate(
-        self, lo: float, hi: float, *, target: float, confidence: float = 0.95,
-        batch: int = 256, max_draws: int = 65536,
-        structure: str = DEFAULT_STRUCTURE, seed=None,
-    ):
-        """One adaptive mean estimate; returns the
-        :class:`~repro.scenarios.EstimateResult`."""
-        result = self.run_mixed([
-            BatchOp.estimate(
-                lo, hi, target=target, confidence=confidence, batch=batch,
-                max_draws=max_draws, structure=structure, seed=seed,
-            )
-        ])
-        return result.samples[0]

@@ -318,38 +318,12 @@ def _parser() -> argparse.ArgumentParser:
             )
         if command in ("sample", "mean", "batch"):
             p.add_argument("-t", "--samples", type=int, default=10)
-    sub.add_parser(
-        "info",
-        help="print version and kernel-backend information as JSON",
-        description="Print the installed version, the selected compiled-"
-        "kernel backend (see REPRO_KERNELS) and the backends available "
-        "in this environment, as one JSON object.",
-    )
     return parser
-
-
-def _cmd_info() -> int:
-    """Print version + kernel-backend information as one JSON object."""
-    import json
-    import platform
-
-    from . import __version__
-    from .core import backend_info
-
-    payload = {
-        "version": __version__,
-        "python": platform.python_version(),
-        "kernels": backend_info(),
-    }
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     args = _parser().parse_args(argv)
-    if args.command == "info":
-        return _cmd_info()
     values = read_floats(args.data)
     weights = read_floats(args.weights) if args.weights else None
     structure = build_structure(

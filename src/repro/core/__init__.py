@@ -13,10 +13,8 @@ from .without_replacement import (
     sample_without_replacement_bulk,
 )
 from .em_irs import ExternalIRS
-from .kernels import backend_info
 
 __all__ = [
-    "backend_info",
     "RangeSampler",
     "DynamicRangeSampler",
     "StaticIRS",

@@ -18,6 +18,7 @@ __all__ = [
     "RangeSampler",
     "DynamicRangeSampler",
     "validate_query",
+    "validate_point",
     "coerce_query_bounds",
     "sample_bulk_many_by_rank",
 ]
@@ -119,6 +120,17 @@ def validate_query(lo: float, hi: float, t: int) -> None:
         raise InvalidQueryError(f"sample count must be an int, got {t!r}")
     if t < 0:
         raise InvalidQueryError(f"sample count must be >= 0, got {t}")
+
+
+def validate_point(value: float) -> None:
+    """Raise :class:`InvalidQueryError` if a point about to be stored is NaN.
+
+    NaN compares false against everything, so a stored NaN could never be
+    counted, sampled by range or deleted again.  NaN sorts last, so for a
+    sorted batch checking its last element is enough.
+    """
+    if value != value:
+        raise InvalidQueryError("points must not be NaN")
 
 
 class RangeSampler(ABC):

@@ -30,7 +30,7 @@ array in the structure's value dtype (float32 or float64), and a
 lazy cumulative table.  Two rules make this safe and fast:
 
 * **copy-on-write** — no chunk op ever mutates a plane in place; splices
-  and merges go through the kernel tier (:mod:`repro.core.kernels`) and
+  and merges go through the kernels (:mod:`repro.core.kernels`) and
   return fresh arrays.  Structural cuts produce *views*, so a structure
   built over an adopted caller array (``from_sorted(..., copy=False)``)
   stays zero-copy until an update actually touches a chunk;
@@ -51,7 +51,7 @@ from itertools import accumulate
 
 import numpy as _np  # a hard dependency of the package (pyproject.toml)
 
-from . import kernels as _kernels
+from . import kernels
 
 __all__ = ["Chunk", "WeightedChunk", "ChunkDirectory", "FoldedCounts", "split_sizes"]
 
@@ -144,8 +144,8 @@ class WeightedChunk(Chunk):
     :meth:`cum_table` is the in-chunk inclusive cumulative weight table —
     the second pass of the weighted two-pass draw bisects it.  The table
     is *lazy*: any mutation just drops it via :meth:`touch` (``O(1)``),
-    and the first read that needs it rebuilds it through the kernel tier
-    (a strictly sequential sum on both backends) — so bulk updates never
+    and the first read that needs it rebuilds it with one kernel call
+    (a strictly sequential sum) — so bulk updates never
     pay table work for chunks nobody queries.
     """
 
@@ -165,7 +165,7 @@ class WeightedChunk(Chunk):
     def cum_table(self):
         """Return (building if stale) the inclusive cumulative weight table."""
         if self.cum is None:
-            self.cum = _kernels.get().cum_table(self.weights)
+            self.cum = kernels.cum_table(self.weights)
         return self.cum
 
     def np_arrays(self):
@@ -184,7 +184,7 @@ class WeightedChunk(Chunk):
 
     def locate(self, target: float) -> int:
         """Index of the point owning cumulative mass position ``target``."""
-        i = _kernels.get().search_right_scalar(self.cum_table(), target)
+        i = kernels.search_right_scalar(self.cum_table(), target)
         return min(int(i), self.data.size - 1)
 
     # -- structural protocol -----------------------------------------------
@@ -273,7 +273,7 @@ class FoldedCounts:
         the step's first chunk — exact, since the cached prefix is
         nondecreasing.
         """
-        search_right = _kernels.get().search_right
+        search_right = kernels.search_right
         if not self.keys.size:
             ci = search_right(self.prefix, ranks)
         else:
@@ -396,9 +396,8 @@ class ChunkDirectory:
         b_idx = _np.searchsorted(self.mins, his, side="right") - 1
         _np.minimum(a_idx, len(chunks) - 1, out=a_idx)
         _np.maximum(b_idx, 0, out=b_idx)
-        kernel = _kernels.get()
-        left = kernel.search_left_scalar
-        right = kernel.search_right_scalar
+        left = kernels.search_left_scalar
+        right = kernels.search_right_scalar
         offsets = [
             left(chunks[a].data, lo) for a, lo in zip(a_idx.tolist(), los.tolist())
         ]

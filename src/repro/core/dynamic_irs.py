@@ -31,15 +31,12 @@ parallel arrays (``maxes``, ``mins``, ``counts``) describe them —
   prefix — the law of ``StaticIRS``, so a seeded reply never depends on
   the chunk layout (DESIGN.md §5).
 
-Every hot loop dispatches through the kernel tier
-(:mod:`repro.core.kernels`, DESIGN.md §13): scalar splices, bulk
-merge/take-out passes, the middle-rejection accept/reject scan and the
-rank-resolution searches each run as one compiled call under the numba
-backend, with the vectorized NumPy twins as the always-available
-fallback.  All randomness (the bulk side stream, the seeded counter-based
-ranks, the scalar stream's draw order) and all accounting stay in this
-driver, so the two backends consume identical draws and produce
-byte-identical results.
+Every hot loop is one call into :mod:`repro.core.kernels` (DESIGN.md
+§13): scalar splices, bulk merge/take-out passes, the middle-rejection
+accept/reject scan and the rank-resolution searches.  All randomness (the
+bulk side stream, the seeded counter-based ranks, the scalar stream's
+draw order) and all accounting stay in this driver; the kernels are pure
+array functions.
 
 Storage planes are dtype-generic (PR 10): ``dtype=float32`` at
 construction halves resident bytes, with every value coerced through the
@@ -69,11 +66,12 @@ from .base import (
     DynamicRangeSampler,
     coerce_query_bounds,
     sample_bulk_many_by_rank,
+    validate_point,
     validate_query,
 )
 from .directory import Chunk as _Chunk
 from .directory import ChunkDirectory
-from .kernels import get as _kernels
+from . import kernels
 from .planes import as_plane, resolve_dtype
 
 __all__ = ["DynamicIRS"]
@@ -104,15 +102,14 @@ class _MiddlePlan:
       probes; used for wide middles where gathering would break the
       ``O(log n + t)`` budget.
 
-    The mode decision depends only on structure content and ``t`` — never
-    on the active kernel backend — so draw consumption is backend-free.
+    The mode decision depends only on structure content and ``t``.
     """
 
     __slots__ = ("mode", "window_lo", "window_hi", "cap", "chunks", "cum")
 
     def sample_rank(self, rank: int) -> float:
         """cumulative mode: map an in-range middle rank to its value."""
-        i = int(_kernels().search_right_scalar(self.cum, rank))
+        i = int(kernels.search_right_scalar(self.cum, rank))
         prev = int(self.cum[i - 1]) if i else 0
         return float(self.chunks[i].data[rank - prev])
 
@@ -166,7 +163,10 @@ class DynamicIRS(DynamicRangeSampler):
         self._init_common(seed, chunk_scale, resolve_dtype(values, dtype))
         if not isinstance(values, _np.ndarray):
             values = _np.asarray(list(values), dtype=self._dtype)
-        self._build(_np.sort(values.astype(self._dtype, copy=False)))
+        data = _np.sort(values.astype(self._dtype, copy=False))
+        if data.size:
+            validate_point(data[-1])
+        self._build(data)
 
     @classmethod
     def from_sorted(
@@ -287,12 +287,11 @@ class DynamicIRS(DynamicRangeSampler):
 
     def __contains__(self, value: float) -> bool:
         value = self._coerce(value)
-        kernel = _kernels()
-        i = int(kernel.search_left_scalar(self._dir.maxes, value))
+        i = int(kernels.search_left_scalar(self._dir.maxes, value))
         if i >= len(self._dir.chunks):
             return False
         data = self._dir.chunks[i].data
-        j = int(kernel.search_left_scalar(data, value))
+        j = int(kernels.search_left_scalar(data, value))
         return j < data.size and data[j] == value
 
     # -- scalar updates --------------------------------------------------------------
@@ -301,23 +300,22 @@ class DynamicIRS(DynamicRangeSampler):
         """Insert one point in ``O(log n)`` amortized time.
 
         The route (one binary search over ``maxes``), the in-chunk
-        position search, and the splice are three kernel calls; under the
-        compiled backend each is a single Python→native transition with
-        the splice allocating exactly one fresh ``s``-element plane.
+        position search, and the splice are three kernel calls, the
+        splice allocating exactly one fresh ``s``-element plane.
         """
         value = self._coerce(value)
+        validate_point(value)
         directory = self._dir
         chunks = directory.chunks
         if not chunks:
             self._build(_np.asarray([value], dtype=self._dtype))
             return
-        kernel = _kernels()
-        i = int(kernel.search_left_scalar(directory.maxes, value))
+        i = int(kernels.search_left_scalar(directory.maxes, value))
         if i >= len(chunks):
             i = len(chunks) - 1
         chunk = chunks[i]
-        pos = kernel.search_right_scalar(chunk.data, value)
-        chunk.data = kernel.splice_insert(chunk.data, pos, value)
+        pos = kernels.search_right_scalar(chunk.data, value)
+        chunk.data = kernels.splice_insert(chunk.data, pos, value)
         chunk.touch()
         directory.refresh_entry(i)
         self._n += 1
@@ -331,18 +329,17 @@ class DynamicIRS(DynamicRangeSampler):
         value = self._coerce(value)
         directory = self._dir
         chunks = directory.chunks
-        kernel = _kernels()
-        i = int(kernel.search_left_scalar(directory.maxes, value))
+        i = int(kernels.search_left_scalar(directory.maxes, value))
         j = -1
         if i < len(chunks):
             data = chunks[i].data
-            j = int(kernel.search_left_scalar(data, value))
+            j = int(kernels.search_left_scalar(data, value))
             if j >= data.size or data[j] != value:
                 j = -1
         if j < 0:
             raise KeyNotFoundError(f"value not present: {value!r}")
         chunk = chunks[i]
-        chunk.data = kernel.splice_delete(chunk.data, j)
+        chunk.data = kernels.splice_delete(chunk.data, j)
         chunk.touch()
         self._n -= 1
         directory.note_delta(i, -1)
@@ -377,9 +374,12 @@ class DynamicIRS(DynamicRangeSampler):
             # Below the cutoff the vectorized prelude (array round trip,
             # searchsorted, unique) costs more than the scalar loop.
             for value in values:
+                validate_point(value)
+            for value in values:
                 self.insert(float(value))
             return
         batch = _np.sort(_np.asarray(values, dtype=self._dtype))
+        validate_point(batch[-1])
         m = int(batch.size)
         if self._n == 0:
             self._build(batch)
@@ -404,12 +404,11 @@ class DynamicIRS(DynamicRangeSampler):
         directory.counts[uniq] += ends - starts
         directory.maxes[uniq] = _np.maximum(directory.maxes[uniq], batch[ends - 1])
         directory.mins[uniq] = _np.minimum(directory.mins[uniq], batch[starts])
-        kernel = _kernels()
         cap = self._cap
         oversized: list[int] = []
         for p, g0, g1 in zip(uniq.tolist(), starts.tolist(), ends.tolist()):
             chunk = chunks[p]
-            chunk.data = kernel.merge_runs(chunk.data, batch[g0:g1])
+            chunk.data = kernels.merge_runs(chunk.data, batch[g0:g1])
             chunk.touch()
             if chunk.data.size > cap:
                 oversized.append(p)
@@ -435,7 +434,6 @@ class DynamicIRS(DynamicRangeSampler):
         directory = self._dir
         chunks = directory.chunks
         n_chunks = len(chunks)
-        kernel = _kernels()
         if m <= _BULK_CUTOFF:
             # Small batch: skip the vectorized prelude but keep the shared
             # verify/apply path (and with it the atomicity guarantee).
@@ -481,7 +479,7 @@ class DynamicIRS(DynamicRangeSampler):
             for g in range(g0, g1):
                 value = bulk_list[g]
                 while True:
-                    i = int(kernel.search_left_scalar(data, value))
+                    i = int(kernels.search_left_scalar(data, value))
                     if i < at:
                         i = at
                     if i < size and data[i] == value:
@@ -507,7 +505,7 @@ class DynamicIRS(DynamicRangeSampler):
         s = self._s
         for p, hits in plan.items():
             chunk = chunks[p]
-            chunk.data = kernel.take_out(
+            chunk.data = kernels.take_out(
                 chunk.data, _np.asarray(hits, dtype=_np.int64)
             )
             chunk.touch()
@@ -619,13 +617,12 @@ class DynamicIRS(DynamicRangeSampler):
         hi = self._coerce(hi)
         out: list[float] = []
         chunks = self._dir.chunks
-        kernel = _kernels()
         i = self._dir.first_max_ge(lo)
         while i < len(chunks) and chunks[i].data[0] <= hi:
             data = chunks[i].data
-            a = int(kernel.search_left_scalar(data, lo)) if data[0] < lo else 0
+            a = int(kernels.search_left_scalar(data, lo)) if data[0] < lo else 0
             b = (
-                int(kernel.search_right_scalar(data, hi))
+                int(kernels.search_right_scalar(data, hi))
                 if data[-1] > hi
                 else data.size
             )
@@ -643,8 +640,9 @@ class DynamicIRS(DynamicRangeSampler):
 
         Bounds are coerced through the plane dtype first (identity for
         float64): every in-chunk comparison then runs against values that
-        are exactly representable in the plane, which is what keeps the
-        two kernel backends' searches bit-identical on float32 planes.
+        are exactly representable in the plane, so routing over the
+        float64 directory arrays and the searches inside a float32 plane
+        agree on which points are in range.
         """
         lo = self._coerce(lo)
         hi = self._coerce(hi)
@@ -656,18 +654,17 @@ class DynamicIRS(DynamicRangeSampler):
         b = directory.last_min_le(hi)
         if b < a:
             return None
-        kernel = _kernels()
         if a == b:
             data = chunks[a].data
-            la = int(kernel.search_left_scalar(data, lo))
-            ra = int(kernel.search_right_scalar(data, hi))
+            la = int(kernels.search_left_scalar(data, lo))
+            ra = int(kernels.search_right_scalar(data, hi))
             if ra <= la:
                 return None
             return ra - la, a, la, ra - la, 0, b, 0
         data_a = chunks[a].data
-        la = int(kernel.search_left_scalar(data_a, lo))
+        la = int(kernels.search_left_scalar(data_a, lo))
         k_left = data_a.size - la
-        k_right = int(kernel.search_right_scalar(chunks[b].data, hi))
+        k_right = int(kernels.search_right_scalar(chunks[b].data, hi))
         k_mid = directory.points_between(a, b)
         total = k_left + k_mid + k_right
         if total == 0:
@@ -721,7 +718,7 @@ class DynamicIRS(DynamicRangeSampler):
         middles fall back to the same index-window rejection scheme as the
         scalar path, with the accept/reject scan run as one kernel call
         per draw batch — all draws are generated *here*, in draw order,
-        so the stream position after the call is backend-invariant.
+        so the stream position after the call is the scalar loop's.
 
         An explicit ``seed`` makes the call *seed-addressable* instead:
         ``t`` uniform global ranks from :func:`repro.rng.seeded_ranks`
@@ -806,11 +803,10 @@ class DynamicIRS(DynamicRangeSampler):
         """Resolve middle-run ranks (cumulative mode) or draw fresh middle
         elements (rejection mode) for :meth:`sample_bulk`."""
         plan = self._middle_plan(mid_lo, mid_hi, count)
-        kernel = _kernels()
         out = _np.empty(count, dtype=float)
         if plan.mode == "cumulative":
             cum = plan.cum
-            idx = kernel.search_right(cum, mid_ranks)
+            idx = kernels.search_right(cum, mid_ranks)
             starts = _np.concatenate(([0], cum[:-1]))
             offsets = mid_ranks - starts[idx]
             # Group samples by chunk via one sort, then assign contiguous
@@ -837,7 +833,7 @@ class DynamicIRS(DynamicRangeSampler):
         filled = 0
         while filled < count:
             codes = gen.integers(0, span, size=2 * (count - filled) + 8)
-            cells, slots, consumed = kernel.rejection_split(
+            cells, slots, consumed = kernels.rejection_split(
                 codes, counts, window_lo, cap, count - filled
             )
             got = int(cells.size)

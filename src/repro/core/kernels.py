@@ -1,12 +1,18 @@
-"""Vectorized NumPy reference implementation of the kernel op set.
+"""Kernels: the chunk directory's hot loops as pure NumPy array functions.
 
-Always importable (NumPy is a hard dependency); the numba backend
-compiles *twins* of exactly these functions.  Every op is a deterministic
+Scalar splice-and-repair, bulk merge/take-out splices, the
+middle-rejection and rank-resolution sampling passes, and the weighted
+two-level cumulative draw (DESIGN.md §13).  Every op is a deterministic
 pure function of its array arguments — no RNG, no float reductions beyond
-the sequential cumulative sum — which is what makes cross-backend
-byte-identity structural (see the package docstring).
+the sequential cumulative sum.  **All randomness and all float reductions
+stay in the samplers**: Philox streams are generated there and *consumed*
+here, and boundary-run masses stay ``math.fsum`` in the drivers.
 
-Conventions shared by both backends:
+The structures call every kernel through this module
+(``kernels.splice_insert(...)``), never through a name bound at import
+time, so wrapping a module attribute reaches every call site.
+
+Conventions:
 
 * value planes are 1-D and sorted; weight/cumulative planes are float64;
 * splice and merge ops are **copy-on-write**: they return fresh arrays
@@ -21,7 +27,19 @@ from __future__ import annotations
 
 import numpy as _np
 
-NAME = "numpy"
+__all__ = [
+    "splice_insert",
+    "splice_delete",
+    "search_left_scalar",
+    "search_right_scalar",
+    "search_right",
+    "merge_runs",
+    "merge_pair_runs",
+    "take_out",
+    "cum_table",
+    "rejection_split",
+    "flat_pick",
+]
 
 
 # -- scalar splice ops -------------------------------------------------------
@@ -124,7 +142,7 @@ def rejection_split(codes, counts, window_lo, cap, needed):
     the first ``min(needed, accepted)`` accepted pairs in draw order and
     the number of codes consumed to produce them — the exact sequential
     semantics of the scalar loop, so rejection accounting and stream
-    position are backend-invariant.
+    position match it exactly.
     """
     cells = codes // cap
     slots = codes - cells * cap

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as _np
 
-from ..errors import ZeroCopyError
+from ..errors import InvalidQueryError, ZeroCopyError
 
 __all__ = ["PLANE_DTYPES", "resolve_dtype", "as_plane"]
 
@@ -50,13 +50,14 @@ def resolve_dtype(values, dtype) -> _np.dtype:
     return PLANE_DTYPES[1]
 
 
-def as_plane(values, *, dtype=None, copy: bool = True, sort_check: bool = True):
+def as_plane(values, *, dtype=None, copy: bool = True):
     """Materialize ``values`` as a sorted 1-D storage plane.
 
     Returns a NumPy array of the resolved dtype.  With ``copy=False`` the
     returned array *is* ``values`` (zero-copy adoption — strict contract,
     see module docstring); with ``copy=True`` it is always freshly owned.
-    Raises :class:`ValueError` if the input is not nondecreasing.
+    Raises :class:`~repro.errors.InvalidQueryError` if the input holds a
+    NaN and :class:`ValueError` if it is not nondecreasing.
     """
     resolved = resolve_dtype(values, dtype)
     if copy:
@@ -83,6 +84,10 @@ def as_plane(values, *, dtype=None, copy: bool = True, sort_check: bool = True):
                 "copy=False requires a C-contiguous array (strided views "
                 "cannot be adopted; pass copy=True)"
             )
-    if sort_check and arr.size > 1 and bool((arr[1:] < arr[:-1]).any()):
+    # Written so that NaN fails it too: every comparison with a NaN is
+    # False, and the first element covers the one-point plane.
+    if arr.size and not ((arr[1:] >= arr[:-1]).all() and arr[0] == arr[0]):
+        if _np.isnan(arr).any():
+            raise InvalidQueryError("points must not be NaN")
         raise ValueError("from_sorted requires nondecreasing input")
     return arr

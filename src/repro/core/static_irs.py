@@ -24,12 +24,12 @@ from typing import Iterable, Sequence
 
 import numpy as _np
 
-from ..errors import InvalidQueryError
 from ..rng import RandomSource, seeded_ranks
 from .base import (
     RangeSampler,
     coerce_query_bounds,
     sample_bulk_many_by_rank,
+    validate_point,
     validate_query,
 )
 from .planes import as_plane, resolve_dtype
@@ -58,7 +58,10 @@ class StaticIRS(RangeSampler):
         resolved = resolve_dtype(values, dtype)
         if not isinstance(values, _np.ndarray):
             values = _np.asarray(list(values), dtype=resolved)
-        self._init_from_sorted(_np.sort(values.astype(resolved, copy=False)), seed)
+        data = _np.sort(values.astype(resolved, copy=False))
+        if data.size:
+            validate_point(data[-1])
+        self._init_from_sorted(data, seed)
 
     @classmethod
     def from_sorted(
@@ -117,8 +120,7 @@ class StaticIRS(RangeSampler):
 
     def rank_range(self, lo: float, hi: float) -> tuple[int, int]:
         """Return the half-open rank interval ``[a, b)`` of points in range."""
-        if lo > hi:
-            raise InvalidQueryError(f"invalid interval: {lo!r} > {hi!r}")
+        validate_query(lo, hi, 0)
         lo = self._coerce(lo)
         hi = self._coerce(hi)
         return (
@@ -256,12 +258,3 @@ class StaticIRS(RangeSampler):
     def value_at_rank(self, rank: int) -> float:
         """Return the point with the given global rank (0-based)."""
         return float(self._data[rank])
-
-
-def _checked_sorted_list(values: Iterable[float]) -> list[float]:
-    """Materialize ``values`` as a sorted-verified list of floats.
-
-    Retained for back-compat with earlier consumers; new code should use
-    :func:`repro.core.planes.as_plane`.
-    """
-    return as_plane(values, dtype=_np.float64, copy=True).tolist()

@@ -39,15 +39,13 @@ count prefix).  A query:
    (one ``searchsorted`` over the weight prefix), then point by the
    chunk's own weight table.
 
-Hot loops dispatch through the kernel tier (:mod:`repro.core.kernels`,
-DESIGN.md §13): scalar splices, the two-plane bulk merge, bulk take-out,
-cumulative tables and every cumulative-search draw are single kernel
-calls, compiled under the numba backend with vectorized NumPy fallbacks.
-All randomness and all float *accounting* (``fsum`` run masses, the
-sequential removed-mass sums) stay in this driver so both backends are
-byte-identical.  Query bounds and stored values are coerced through the
-value-plane dtype on entry, so every comparison runs against exactly the
-stored representation on either backend.
+Hot loops are calls into :mod:`repro.core.kernels` (DESIGN.md §13):
+scalar splices, the two-plane bulk merge, bulk take-out, cumulative
+tables and every cumulative-search draw are single kernel calls.  All
+randomness and all float *accounting* (``fsum`` run masses, the
+sequential removed-mass sums) stay in this driver.  Query bounds and
+stored values are coerced through the value-plane dtype on entry, so
+every comparison runs against exactly the stored representation.
 
 ``sample_bulk`` vectorizes both passes, and for heavy batches flattens the
 per-chunk tables into one *global* cumulative-weight array (cached across
@@ -67,10 +65,10 @@ from ..errors import EmptyRangeError, InvalidWeightError, KeyNotFoundError
 from ..rng import RandomSource
 from ..rng import generator as _generator
 from ..types import QueryStats
-from .base import coerce_query_bounds, validate_query
+from .base import coerce_query_bounds, validate_point, validate_query
 from .directory import ChunkDirectory
 from .directory import WeightedChunk as _WChunk
-from .kernels import get as _kernels
+from . import kernels
 from .planes import as_plane, resolve_dtype
 
 __all__ = ["WeightedDynamicIRS"]
@@ -111,7 +109,10 @@ class WeightedDynamicIRS:
         # Stable sort keeps weight alignment deterministic among duplicate
         # values (including values made equal by float32 rounding).
         order = _np.argsort(vals, kind="stable")
-        self._build(vals[order], warr[order])
+        vals = vals[order]
+        if vals.size:
+            validate_point(vals[-1])
+        self._build(vals, warr[order])
 
     @classmethod
     def from_sorted(
@@ -288,6 +289,7 @@ class WeightedDynamicIRS:
         """Insert one weighted point in ``O(log n)`` amortized time."""
         self._check_weight(weight)
         value = self._coerce(value)
+        validate_point(value)
         weight = float(weight)
         directory = self._dir
         chunks = directory.chunks
@@ -299,10 +301,9 @@ class WeightedDynamicIRS:
             return
         i = min(directory.first_max_ge(value), len(chunks) - 1)
         chunk = chunks[i]
-        kernel = _kernels()
-        j = kernel.search_left_scalar(chunk.data, value)
-        chunk.data = kernel.splice_insert(chunk.data, j, value)
-        chunk.weights = kernel.splice_insert(chunk.weights, j, weight)
+        j = kernels.search_left_scalar(chunk.data, value)
+        chunk.data = kernels.splice_insert(chunk.data, j, value)
+        chunk.weights = kernels.splice_insert(chunk.weights, j, weight)
         chunk.touch()
         directory.refresh_entry(i)
         self._n += 1
@@ -316,20 +317,19 @@ class WeightedDynamicIRS:
         value = self._coerce(value)
         directory = self._dir
         chunks = directory.chunks
-        kernel = _kernels()
         i = directory.first_max_ge(value)
         j = -1
         if i < len(chunks):
             data = chunks[i].data
-            j = int(kernel.search_left_scalar(data, value))
+            j = int(kernels.search_left_scalar(data, value))
             if j >= data.size or data[j] != value:
                 j = -1
         if j < 0:
             raise KeyNotFoundError(f"value not present: {value!r}")
         chunk = chunks[i]
         weight = float(chunk.weights[j])
-        chunk.data = kernel.splice_delete(chunk.data, j)
-        chunk.weights = kernel.splice_delete(chunk.weights, j)
+        chunk.data = kernels.splice_delete(chunk.data, j)
+        chunk.weights = kernels.splice_delete(chunk.weights, j)
         chunk.touch()
         self._n -= 1
         directory.note_delta(i, -1, -weight)
@@ -358,7 +358,7 @@ class WeightedDynamicIRS:
         if i >= len(chunks):
             raise KeyNotFoundError(f"value not present: {value!r}")
         chunk = chunks[i]
-        j = int(_kernels().search_left_scalar(chunk.data, value))
+        j = int(kernels.search_left_scalar(chunk.data, value))
         if j >= chunk.data.size or chunk.data[j] != value:
             raise KeyNotFoundError(f"value not present: {value!r}")
         old = float(chunk.weights[j])
@@ -405,6 +405,8 @@ class WeightedDynamicIRS:
                 weights = [1.0] * m
             for w in weights:
                 self._check_weight(float(w))
+            for value in values:
+                validate_point(value)
             for value, weight in zip(values, weights):
                 self.insert(float(value), float(weight))
             return
@@ -412,6 +414,7 @@ class WeightedDynamicIRS:
         warr = self._coerced_weights(m, weights)
         order = _np.argsort(batch, kind="stable")
         batch = batch[order]
+        validate_point(batch[-1])
         warr = warr[order]
         directory = self._dir
         if not directory.chunks:
@@ -437,12 +440,11 @@ class WeightedDynamicIRS:
         directory.maxes[uniq] = _np.maximum(directory.maxes[uniq], batch[ends - 1])
         directory.mins[uniq] = _np.minimum(directory.mins[uniq], batch[starts])
         directory.wtotals[uniq] += _np.add.reduceat(warr, starts)
-        kernel = _kernels()
         cap = self._cap
         oversized: list[int] = []
         for p, g0, g1 in zip(uniq.tolist(), starts.tolist(), ends.tolist()):
             chunk = chunks[p]
-            chunk.data, chunk.weights = kernel.merge_pair_runs(
+            chunk.data, chunk.weights = kernels.merge_pair_runs(
                 chunk.data, chunk.weights, batch[g0:g1], warr[g0:g1]
             )
             chunk.touch()
@@ -474,7 +476,6 @@ class WeightedDynamicIRS:
         directory = self._dir
         chunks = directory.chunks
         n_chunks = len(chunks)
-        kernel = _kernels()
         order = sorted(range(m), key=values.__getitem__)
         bulk_list = [values[k] for k in order]
         if n_chunks == 0:
@@ -522,7 +523,7 @@ class WeightedDynamicIRS:
             for g in range(g0, g1):
                 value = bulk_list[g]
                 while True:
-                    i = int(kernel.search_left_scalar(data, value))
+                    i = int(kernels.search_left_scalar(data, value))
                     if i < at:
                         i = at
                     if i < size and data[i] == value:
@@ -547,8 +548,7 @@ class WeightedDynamicIRS:
                         at = hits[-1] + 1
         # Apply phase: splice out the recorded offsets from both planes
         # with one kernel take-out per plane.  The removed mass per chunk
-        # is summed *sequentially* (accounting stays in the driver, so it
-        # is backend-invariant by construction).
+        # is summed *sequentially* (accounting stays in the driver).
         violation = False
         s = self._s
         removed_mass: list[float] = []
@@ -559,8 +559,8 @@ class WeightedDynamicIRS:
             for i in hits:
                 removed += float(weights[i])
             hidx = _np.asarray(hits, dtype=_np.int64)
-            chunk.data = kernel.take_out(chunk.data, hidx)
-            chunk.weights = kernel.take_out(weights, hidx)
+            chunk.data = kernels.take_out(chunk.data, hidx)
+            chunk.weights = kernels.take_out(weights, hidx)
             chunk.touch()
             removed_mass.append(removed)
             if chunk.data.size < s:
@@ -611,18 +611,17 @@ class WeightedDynamicIRS:
         b = directory.last_min_le(hi)
         if b < a:
             return None
-        kernel = _kernels()
         ca = chunks[a]
         if a == b:
-            la = int(kernel.search_left_scalar(ca.data, lo))
-            ra = int(kernel.search_right_scalar(ca.data, hi))
+            la = int(kernels.search_left_scalar(ca.data, lo))
+            ra = int(kernels.search_right_scalar(ca.data, hi))
             if ra <= la:
                 return None
             w = math.fsum(ca.weights[la:ra])
             return ra - la, w, (a, la, ra, w, 0.0, b, ra, 0.0)
         cb = chunks[b]
-        la = int(kernel.search_left_scalar(ca.data, lo))
-        rb = int(kernel.search_right_scalar(cb.data, hi))
+        la = int(kernels.search_left_scalar(ca.data, lo))
+        rb = int(kernels.search_right_scalar(cb.data, hi))
         w_left = math.fsum(ca.weights[la:])
         w_right = math.fsum(cb.weights[:rb])
         k_left = ca.data.size - la
@@ -683,7 +682,6 @@ class WeightedDynamicIRS:
         chunks = directory.chunks
         if not chunks:
             return out
-        kernel = _kernels()
         a_idx = _np.searchsorted(directory.maxes, los, side="left")
         b_idx = _np.searchsorted(directory.mins, his, side="right") - 1
         wprefix = directory.folded_wprefix()
@@ -692,16 +690,16 @@ class WeightedDynamicIRS:
             if a >= len(chunks) or b < a:
                 continue
             ca = chunks[a]
-            la = int(kernel.search_left_scalar(ca.data, los[i]))
+            la = int(kernels.search_left_scalar(ca.data, los[i]))
             # Boundary-run masses are direct fsum sums, mirroring _plan
             # (a prefix diff can round a positive run's mass to 0.0).
             if a == b:
-                ra = int(kernel.search_right_scalar(ca.data, his[i]))
+                ra = int(kernels.search_right_scalar(ca.data, his[i]))
                 out[i] = math.fsum(ca.weights[la:ra])
                 continue
             cb = chunks[b]
             w = math.fsum(ca.weights[la:])
-            rb = int(kernel.search_right_scalar(cb.data, his[i]))
+            rb = int(kernels.search_right_scalar(cb.data, his[i]))
             w += math.fsum(cb.weights[:rb])
             if b - a > 1:
                 w += float(wprefix[b - 1] - wprefix[a])
@@ -715,12 +713,11 @@ class WeightedDynamicIRS:
         hi = self._coerce(hi)
         out: list[tuple[float, float]] = []
         chunks = self._dir.chunks
-        kernel = _kernels()
         i = self._dir.first_max_ge(lo)
         while i < len(chunks) and chunks[i].data[0] <= hi:
             chunk = chunks[i]
-            a = int(kernel.search_left_scalar(chunk.data, lo))
-            b = int(kernel.search_right_scalar(chunk.data, hi))
+            a = int(kernels.search_left_scalar(chunk.data, lo))
+            b = int(kernels.search_right_scalar(chunk.data, hi))
             out.extend(
                 zip(chunk.data[a:b].tolist(), chunk.weights[a:b].tolist())
             )
@@ -810,7 +807,6 @@ class WeightedDynamicIRS:
         left_mask = u < w_left
         mid_mask = (~left_mask) & (u < w_left + w_mid)
         right_mask = ~(left_mask | mid_mask)
-        kernel = _kernels()
         # Boundary gathers are clamped into their runs ([la, ra) of chunk
         # a, [0, rb) of chunk b): round-off between the fsum run masses
         # and the cumulative tables must never surface an out-of-range
@@ -818,13 +814,13 @@ class WeightedDynamicIRS:
         if left_mask.any():
             vals, cum = chunks[a].np_arrays()
             base_left = chunks[a].prefix(la)
-            out[left_mask] = kernel.flat_pick(
+            out[left_mask] = kernels.flat_pick(
                 vals, cum, base_left + u[left_mask], la, ra - 1
             )
         if right_mask.any():
             vals, cum = chunks[b].np_arrays()
             residual = u[right_mask] - (w_left + w_mid)
-            out[right_mask] = kernel.flat_pick(vals, cum, residual, 0, rb - 1)
+            out[right_mask] = kernels.flat_pick(vals, cum, residual, 0, rb - 1)
         n_mid = int(mid_mask.sum())
         if n_mid:
             out[mid_mask] = self._middle_bulk(a, b, u[mid_mask] - w_left, n_mid)
@@ -844,16 +840,15 @@ class WeightedDynamicIRS:
         descent.
         """
         directory = self._dir
-        kernel = _kernels()
         if self._flat_stamp == directory.mutations or count >= _FLAT_MIN:
             vals, gcum, offsets, base = self._ensure_flat()
             o1 = int(offsets[a + 1])
             o2 = int(offsets[b])
-            return kernel.flat_pick(vals, gcum, base[a + 1] + residuals, o1, o2 - 1)
+            return kernels.flat_pick(vals, gcum, base[a + 1] + residuals, o1, o2 - 1)
         chunks = directory.chunks
         wprefix = directory.folded_wprefix()
         targets = float(wprefix[a]) + residuals
-        ci = kernel.search_right(wprefix, targets)
+        ci = kernels.search_right(wprefix, targets)
         ci = _np.clip(ci, a + 1, b - 1)
         inner = targets - wprefix[ci - 1]
         out = _np.empty(count, dtype=float)
@@ -865,7 +860,7 @@ class WeightedDynamicIRS:
         for chunk_i, g0, g1 in zip(uniq, group_starts, group_ends):
             chunk = chunks[chunk_i]
             vals, cum = chunk.np_arrays()
-            out[order[g0:g1]] = kernel.flat_pick(
+            out[order[g0:g1]] = kernels.flat_pick(
                 vals, cum, grouped_inner[g0:g1], 0, vals.size - 1
             )
         return out

@@ -16,7 +16,6 @@ __all__ = [
     "KeyNotFoundError",
     "CapacityError",
     "ZeroCopyError",
-    "KernelBackendError",
     "StorageError",
     "BlockNotAllocatedError",
     "CorruptRecordError",
@@ -72,15 +71,6 @@ class ZeroCopyError(ReproError, ValueError):
     plain list) raises this error instead of silently falling back to a
     copy — a silent copy would defeat the caller's memory budget and hide
     the aliasing semantics the contract documents.
-    """
-
-
-class KernelBackendError(ReproError, RuntimeError):
-    """Raised when a requested kernel backend cannot be activated.
-
-    ``REPRO_KERNELS=numba`` (or ``set_backend("numba")``) with no importable
-    ``numba`` raises this instead of silently serving the NumPy fallback:
-    an explicit request for the compiled tier must not degrade quietly.
     """
 
 

@@ -118,17 +118,6 @@ class ServerStats:
         reg.gauge(
             "repro_serve_coalesce_factor", "Mean requests per executed batch."
         ).set_function(lambda: self.coalesce_factor)
-        from ..core import kernels as _kernels
-
-        backend = reg.gauge(
-            "repro_core_kernel_backend",
-            "Selected core kernel backend (1 on the active label).",
-            ("backend",),
-        )
-        for name in ("numpy", "numba"):
-            backend.labels(backend=name).set_function(
-                lambda name=name: 1.0 if _kernels.backend_name() == name else 0.0
-            )
         self.latency_hist = reg.histogram(
             "repro_serve_request_latency_seconds",
             "Admission-to-reply latency of served requests.",

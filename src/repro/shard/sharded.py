@@ -41,7 +41,7 @@ from bisect import bisect_right
 from itertools import count as _counter
 from typing import Iterable, Sequence
 
-from ..core.base import DynamicRangeSampler, validate_query
+from ..core.base import DynamicRangeSampler, validate_point, validate_query
 from ..core.dynamic_irs import DynamicIRS
 from ..core.em_irs import ExternalIRS
 from ..core.planes import resolve_dtype
@@ -1042,6 +1042,7 @@ class ShardedIRS(DynamicRangeSampler):
         batch = _np.sort(_np.asarray(list(values), dtype=self._dtype))
         if not batch.size:
             return
+        validate_point(batch[-1])  # before any shard takes its group
         for i, g0, g1 in self._route_groups(batch):
             shard = self._shards[i]
             bulk = getattr(shard, "insert_bulk", None)
@@ -1070,6 +1071,7 @@ class ShardedIRS(DynamicRangeSampler):
             return
         order = _np.argsort(batch, kind="stable")
         batch, wbatch = batch[order], wbatch[order]
+        validate_point(batch[-1])
         for i, g0, g1 in self._route_groups(batch):
             self._shards[i].insert_bulk(batch[g0:g1], wbatch[g0:g1])
             self._mark_dirty(i)

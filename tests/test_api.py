@@ -25,6 +25,7 @@ def test_version():
         "repro.core.static_irs",
         "repro.core.dynamic_irs",
         "repro.core.directory",
+        "repro.core.kernels",
         "repro.core.weighted_irs",
         "repro.core.weighted_dynamic",
         "repro.core.em_irs",
@@ -32,7 +33,6 @@ def test_version():
         "repro.cli",
         "repro.stats.estimators",
         "repro.alias.walker",
-        "repro.alias.dynamic",
         "repro.baselines.treap",
         "repro.baselines.pma",
         "repro.em.device",
@@ -65,37 +65,6 @@ def test_public_items_are_documented(module_name):
                     getattr(obj.__mro__[1], meth_name, None)
                 )
                 assert doc, f"{module_name}.{name}.{meth_name} undocumented"
-
-
-def test_trees_shim_warns_and_reexports():
-    """The retired ``repro.trees`` package still resolves, with a warning."""
-    import importlib
-    import sys
-    import warnings
-
-    saved = {
-        name: sys.modules.pop(name, None)
-        for name in ("repro.trees", "repro.trees.treap", "repro.trees.pma")
-    }
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            trees = importlib.import_module("repro.trees")
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        from repro.baselines.pma import PackedMemoryArray
-        from repro.baselines.treap import ChunkTreap
-
-        assert trees.ChunkTreap is ChunkTreap
-        assert trees.PackedMemoryArray is PackedMemoryArray
-        assert importlib.import_module("repro.trees.treap").ChunkTreap is ChunkTreap
-        assert (
-            importlib.import_module("repro.trees.pma").PackedMemoryArray
-            is PackedMemoryArray
-        )
-    finally:
-        for name, module in saved.items():
-            if module is not None:
-                sys.modules[name] = module
 
 
 class TestInterval:

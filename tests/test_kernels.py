@@ -1,111 +1,23 @@
-"""Kernel tier (PR 10): dispatch seam, backend parity, dtype planes, zero-copy.
+"""Kernels, dtype planes and zero-copy adoption.
 
-The compiled (numba) and vectorized (numpy) backends must be *byte-identical*
-under a fixed seed — parity here is a hard equality, not a statistical gate.
-Without numba installed the cross-backend tests skip and the suite still
-exercises the numpy backend's semantics against independent oracles, the
-dtype-generic storage planes, and the strict zero-copy adoption contract.
+Each kernel is checked against an independent pure-Python/NumPy oracle,
+and the structures must reach every kernel through the module at call
+time.  The rest of the file covers the dtype-generic storage planes and
+the strict zero-copy adoption contract.
 """
 
 from __future__ import annotations
 
 import bisect
-import json
-import os
-import subprocess
-import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro import DynamicIRS, ShardedIRS, StaticIRS, WeightedDynamicIRS
-from repro.core import backend_info, kernels
+from repro.core import kernels
 from repro.core.planes import as_plane, resolve_dtype
-from repro.errors import KernelBackendError, ZeroCopyError
-
-BACKENDS = kernels.available_backends()
-
-needs_both = pytest.mark.skipif(
-    len(BACKENDS) < 2, reason="numba backend unavailable"
-)
-
-_HERE = os.path.dirname(os.path.abspath(__file__))
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    """Force one kernel backend for the duration of a test."""
-    previous = kernels.set_backend(request.param)
-    yield kernels.get()
-    kernels.set_backend(previous)
-
-
-# -- dispatch seam ---------------------------------------------------------------
-
-
-class TestDispatch:
-    def test_backend_info_shape(self):
-        info = backend_info()
-        assert info["backend"] in ("numpy", "numba")
-        assert "numpy" in info["available"]
-        assert info["backend"] in info["available"]
-        assert info["numpy_version"] == np.__version__
-        if info["numba_version"] is None:
-            assert info["numba_error"]
-        json.dumps(info)  # JSON-safe by contract
-
-    def test_set_backend_roundtrip(self):
-        previous = kernels.set_backend("numpy")
-        try:
-            assert kernels.backend_name() == "numpy"
-        finally:
-            kernels.set_backend(previous)
-        assert kernels.backend_name() == previous
-
-    def test_set_backend_unknown_raises(self):
-        with pytest.raises(KernelBackendError):
-            kernels.set_backend("cython")
-
-    @pytest.mark.skipif("numba" in BACKENDS, reason="numba is installed")
-    def test_set_backend_numba_unavailable_raises(self):
-        with pytest.raises(KernelBackendError):
-            kernels.set_backend("numba")
-
-    def test_env_override_selects_numpy(self):
-        out = self._subprocess_backend({"REPRO_KERNELS": "numpy"})
-        assert out == "numpy"
-
-    @needs_both
-    def test_env_override_selects_numba(self):
-        out = self._subprocess_backend({"REPRO_KERNELS": "numba"})
-        assert out == "numba"
-
-    def test_env_override_unknown_fails(self):
-        proc = self._run_subprocess({"REPRO_KERNELS": "fortran"})
-        assert proc.returncode != 0
-        assert "KernelBackendError" in proc.stderr
-
-    @staticmethod
-    def _run_subprocess(extra_env):
-        env = dict(os.environ, **extra_env)
-        src = os.path.join(os.path.dirname(_HERE), "src")
-        env["PYTHONPATH"] = src + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        code = "from repro.core import kernels; print(kernels.backend_name())"
-        return subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-
-    @classmethod
-    def _subprocess_backend(cls, extra_env) -> str:
-        proc = cls._run_subprocess(extra_env)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout.strip()
+from repro.errors import ZeroCopyError
 
 
 # -- kernel-op semantics against independent oracles -----------------------------
@@ -116,68 +28,68 @@ def _rng(seed=0):
 
 
 class TestKernelOps:
-    """Each op checked against a pure-Python/NumPy oracle, per backend."""
+    """Each op checked against a pure-Python/NumPy oracle."""
 
-    def test_splices(self, backend):
+    def test_splices(self):
         arr = np.sort(_rng(1).uniform(0, 100, 33))
         pos = int(np.searchsorted(arr, 42.0))
-        inserted = backend.splice_insert(arr, pos, 42.0)
+        inserted = kernels.splice_insert(arr, pos, 42.0)
         assert inserted.tolist() == sorted(arr.tolist() + [42.0])
-        removed = backend.splice_delete(inserted, pos)
+        removed = kernels.splice_delete(inserted, pos)
         assert removed.tolist() == arr.tolist()
         assert inserted.dtype == removed.dtype == arr.dtype
 
-    def test_scalar_searches(self, backend):
+    def test_scalar_searches(self):
         arr = np.asarray([1.0, 2.0, 2.0, 2.0, 5.0])
         for v in (0.0, 1.0, 2.0, 3.0, 5.0, 9.0):
-            assert backend.search_left_scalar(arr, v) == bisect.bisect_left(
+            assert kernels.search_left_scalar(arr, v) == bisect.bisect_left(
                 arr.tolist(), v
             )
-            assert backend.search_right_scalar(arr, v) == bisect.bisect_right(
+            assert kernels.search_right_scalar(arr, v) == bisect.bisect_right(
                 arr.tolist(), v
             )
 
-    def test_search_right_vector(self, backend):
+    def test_search_right_vector(self):
         arr = np.sort(_rng(2).integers(0, 50, 40).astype(float))
         targets = _rng(3).integers(-5, 55, 25).astype(float)
-        got = np.asarray(backend.search_right(arr, targets))
+        got = np.asarray(kernels.search_right(arr, targets))
         assert got.tolist() == [
             bisect.bisect_right(arr.tolist(), t) for t in targets
         ]
 
-    def test_merge_runs_is_stable_chunk_first(self, backend):
+    def test_merge_runs_is_stable_chunk_first(self):
         # On ties the chunk's occurrences must precede the batch's: tag
         # equal keys by provenance through a parallel argsort oracle.
         chunk = np.asarray([1.0, 3.0, 3.0, 7.0])
         batch = np.asarray([0.0, 3.0, 3.0, 9.0])
-        merged = backend.merge_runs(chunk, batch)
+        merged = kernels.merge_runs(chunk, batch)
         assert merged.tolist() == sorted(chunk.tolist() + batch.tolist())
         # Positional oracle: chunk-first means searchsorted-right placement.
         ins = np.searchsorted(chunk, batch, side="right")
         expect = np.insert(chunk, ins, batch)
         assert merged.tolist() == expect.tolist()
 
-    def test_merge_pair_runs_carries_weights(self, backend):
+    def test_merge_pair_runs_carries_weights(self):
         cdata = np.asarray([1.0, 4.0, 4.0])
         cweights = np.asarray([10.0, 11.0, 12.0])
         bdata = np.asarray([0.0, 4.0, 8.0])
         bweights = np.asarray([20.0, 21.0, 22.0])
-        mdata, mweights = backend.merge_pair_runs(cdata, cweights, bdata, bweights)
+        mdata, mweights = kernels.merge_pair_runs(cdata, cweights, bdata, bweights)
         assert mdata.tolist() == [0.0, 1.0, 4.0, 4.0, 4.0, 8.0]
         # chunk-first on the tie at 4.0: chunk weights 11, 12 precede 21.
         assert mweights.tolist() == [20.0, 10.0, 11.0, 12.0, 21.0, 22.0]
 
-    def test_take_out(self, backend):
+    def test_take_out(self):
         arr = np.asarray([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
         hits = np.asarray([1, 4], dtype=np.int64)
-        assert backend.take_out(arr, hits).tolist() == [0.0, 2.0, 3.0, 5.0]
+        assert kernels.take_out(arr, hits).tolist() == [0.0, 2.0, 3.0, 5.0]
 
-    def test_cum_table(self, backend):
+    def test_cum_table(self):
         weights = np.asarray([0.5, 1.5, 2.0, 0.25])
-        got = np.asarray(backend.cum_table(weights))
+        got = np.asarray(kernels.cum_table(weights))
         assert got.tolist() == np.cumsum(weights).tolist()
 
-    def test_rejection_split(self, backend):
+    def test_rejection_split(self):
         # Oracle: walk the codes sequentially, keeping draws whose slot
         # falls under the chunk's true count, until `needed` are kept.
         counts = np.asarray([3, 5, 2, 4], dtype=np.int64)
@@ -187,7 +99,7 @@ class TestKernelOps:
             _rng(4).integers(0, len(counts) * cap, 64), dtype=np.int64
         )
         needed = 6
-        cells, slots, consumed = backend.rejection_split(
+        cells, slots, consumed = kernels.rejection_split(
             codes, counts, window_lo, cap, needed
         )
         kept = []
@@ -202,12 +114,12 @@ class TestKernelOps:
         assert consumed == used
         assert list(zip(np.asarray(cells).tolist(), np.asarray(slots).tolist())) == kept
 
-    def test_flat_pick(self, backend):
+    def test_flat_pick(self):
         vals = np.sort(_rng(5).uniform(0, 10, 20))
         gcum = np.concatenate(([0.0], np.cumsum(_rng(6).uniform(0.1, 1.0, 20))))
         targets = _rng(7).uniform(0, gcum[-1], 16)
         lo, hi = 3, 17
-        got = np.asarray(backend.flat_pick(vals, gcum, targets, lo, hi))
+        got = np.asarray(kernels.flat_pick(vals, gcum, targets, lo, hi))
         expect = [
             float(vals[min(max(int(np.searchsorted(gcum, t, side="right")), lo), hi)])
             for t in targets
@@ -216,127 +128,39 @@ class TestKernelOps:
         assert got.tolist() == expect
 
 
-# -- cross-backend parity: ops, stateful machines, seed audit --------------------
+# -- call convention -------------------------------------------------------------
 
 
-def _op_fingerprints(backend):
-    """Deterministic results of every kernel op on shared inputs."""
-    arr = np.sort(_rng(11).uniform(0, 100, 64))
-    batch = np.sort(_rng(12).uniform(0, 100, 16))
-    weights = _rng(13).uniform(0.1, 2.0, arr.size)
-    hits = np.asarray(sorted(_rng(14).choice(arr.size, 8, replace=False)), dtype=np.int64)
-    counts = np.asarray(_rng(15).integers(1, 9, 12), dtype=np.int64)
-    codes = np.asarray(_rng(16).integers(0, 12 * 9, 80), dtype=np.int64)
-    gcum = np.concatenate(([0.0], np.cumsum(weights)))
-    targets = _rng(17).uniform(0, gcum[-1], 24)
-    mp = backend.merge_pair_runs(arr[:16], weights[:16], batch, weights[16:32])
-    rj = backend.rejection_split(codes, counts, 0, 9, 10)
-    return [
-        backend.splice_insert(arr, 10, 50.5).tolist(),
-        backend.splice_delete(arr, 3).tolist(),
-        backend.search_left_scalar(arr, float(arr[20])),
-        backend.search_right_scalar(arr, float(arr[20])),
-        np.asarray(backend.search_right(arr, batch)).tolist(),
-        backend.merge_runs(arr, batch).tolist(),
-        [mp[0].tolist(), mp[1].tolist()],
-        backend.take_out(arr, hits).tolist(),
-        np.asarray(backend.cum_table(weights)).tolist(),
-        [np.asarray(x).tolist() for x in rj[:2]] + [rj[2]],
-        np.asarray(backend.flat_pick(arr, gcum, targets, 2, arr.size - 3)).tolist(),
-    ]
+def test_structures_reach_kernels_through_the_module(monkeypatch):
+    """Every call site looks its kernel up on the module at call time.
 
+    Wrapping a module attribute (as a per-layer tracer does) must reach
+    the structures' scalar updates and wide bulk samples; a kernel bound
+    to a name at import time would bypass the wrapper.
+    """
+    calls = Counter()
+    for name in ("search_left_scalar", "splice_insert", "rejection_split", "flat_pick"):
 
-@needs_both
-def test_every_op_identical_across_backends():
-    results = {}
-    for name in BACKENDS:
-        previous = kernels.set_backend(name)
-        try:
-            results[name] = _op_fingerprints(kernels.get())
-        finally:
-            kernels.set_backend(previous)
-    first, second = (results[name] for name in BACKENDS[:2])
-    assert first == second
+        def counted(*args, _fn=getattr(kernels, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
 
-
-def _drive_dynamic(dtype):
-    data = [float((i * 37) % 101) for i in range(220)]
-    s = DynamicIRS(data, seed=42, dtype=dtype)
-    s.insert_bulk([0.5 * i + 0.125 for i in range(48)])
-    s.delete_bulk([float((i * 37) % 101) for i in range(0, 60, 3)])
-    for i in range(25):
-        s.insert(float((i * 13) % 47) + 0.25)
-        if i % 5 == 0:
-            s.delete(float((i * 13) % 47) + 0.25)
-    s.check_invariants()
-    return [
-        s.sample(5.0, 90.0, 32),
-        list(s.sample_bulk(2.0, 80.0, 64, seed=9)),
-        s.sample_without_replacement(10.0, 60.0, 12),
-        s.export_sorted().tolist(),
-    ]
-
-
-def _drive_weighted(dtype):
-    data = [float((i * 53) % 97) for i in range(180)]
-    weights = [1.0 + (i % 7) for i in range(180)]
-    s = WeightedDynamicIRS(data, weights, seed=7, dtype=dtype)
-    s.insert_bulk([0.25 * i for i in range(40)], [1.5] * 40)
-    s.delete_bulk([float((i * 53) % 97) for i in range(0, 40, 4)])
-    for i in range(20):
-        s.insert(float(i) + 0.5, 2.0 + i % 3)
-        if i % 4 == 0:
-            s.update_weight(float(i) + 0.5, 5.0)
-    s.check_invariants()
-    return [
-        s.sample(5.0, 90.0, 32),
-        list(s.sample_bulk(2.0, 80.0, 64, seed=11)),
-        [list(p) for p in zip(*s.export_sorted_pairs())],
-    ]
-
-
-@needs_both
-def test_stateful_machines_identical_across_backends():
-    """The full update/sample workload draws byte-identically per backend."""
-    results = {}
-    for name in BACKENDS:
-        previous = kernels.set_backend(name)
-        try:
-            results[name] = [
-                _drive_dynamic(np.float64),
-                _drive_dynamic(np.float32),
-                _drive_weighted(np.float64),
-                _drive_weighted(np.float32),
-            ]
-        finally:
-            kernels.set_backend(previous)
-    first, second = (results[name] for name in BACKENDS[:2])
-    assert first == second
-
-
-@needs_both
-def test_seedaudit_identical_across_backends():
-    """The full sampler×path audit fingerprints agree across backends."""
-    script = os.path.join(_HERE, "seedaudit.py")
-    src = os.path.join(os.path.dirname(_HERE), "src")
-
-    def run(backend_name):
-        env = dict(os.environ, REPRO_KERNELS=backend_name)
-        env["PYTHONPATH"] = src + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        proc = subprocess.run(
-            [sys.executable, script],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-            timeout=300,
-        )
-        return json.loads(proc.stdout)
-
-    audits = [run(name) for name in BACKENDS[:2]]
-    assert audits[0] == audits[1]
+        monkeypatch.setattr(kernels, name, counted)
+    data = np.sort(_rng(41).uniform(0, 1, 20_000))
+    dynamic = DynamicIRS.from_sorted(data, seed=1)
+    weighted = WeightedDynamicIRS.from_sorted(
+        data, _rng(42).uniform(0.5, 2.0, data.size), seed=2
+    )
+    insert = {"search_left_scalar", "splice_insert"}
+    for op, expected in (
+        (lambda: dynamic.insert(0.5), insert),
+        (lambda: weighted.insert(0.5, 1.0), insert),
+        (lambda: dynamic.sample_bulk(0.01, 0.99, 64), {"rejection_split"}),
+        (lambda: weighted.sample_bulk(0.01, 0.99, 64), {"flat_pick"}),
+    ):
+        calls.clear()
+        op()
+        assert expected <= set(calls)
 
 
 # -- dtype-generic storage planes ------------------------------------------------
@@ -478,27 +302,3 @@ class TestZeroCopy:
         arr = np.sort(_rng(36).uniform(0, 1, 256)).astype(np.float32)
         s = StaticIRS.from_sorted(arr, seed=1, copy=False)
         assert structure_bytes(s) == arr.nbytes == 256 * 4
-
-
-# -- observability surfaces ------------------------------------------------------
-
-
-class TestObservability:
-    def test_cli_info(self, capsys):
-        from repro.cli import main
-
-        assert main(["info"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["kernels"]["backend"] == kernels.backend_name()
-        assert "numpy" in payload["kernels"]["available"]
-        assert payload["version"]
-
-    def test_backend_gauge_marks_the_active_backend(self):
-        from repro.serve.stats import ServerStats
-
-        text = ServerStats().registry.render()
-        active = kernels.backend_name()
-        assert f'repro_core_kernel_backend{{backend="{active}"}} 1' in text
-        for name in ("numpy", "numba"):
-            if name != active:
-                assert f'repro_core_kernel_backend{{backend="{name}"}} 0' in text

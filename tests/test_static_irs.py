@@ -43,6 +43,10 @@ class TestQueries:
             s.sample(float("nan"), 0.6, 1)
         with pytest.raises(InvalidQueryError):
             s.sample(0.3, 0.6, 1.5)  # type: ignore[arg-type]
+        with pytest.raises(InvalidQueryError):
+            s.count(float("nan"), 0.5)
+        with pytest.raises(InvalidQueryError):
+            s.count(0.5, float("nan"))
 
     def test_empty_structure(self):
         s = StaticIRS([], seed=6)

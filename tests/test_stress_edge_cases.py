@@ -10,9 +10,17 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from repro import DynamicIRS, ExternalIRS, StaticIRS
+from repro import (
+    DynamicIRS,
+    ExternalIRS,
+    InvalidQueryError,
+    ShardedIRS,
+    StaticIRS,
+    WeightedDynamicIRS,
+)
 from repro.stats import uniformity_test
 from repro.workloads import UpdateStream
 
@@ -66,6 +74,44 @@ class TestExtremeValues:
         d = DynamicIRS([1.0, 2.0, 3.0], seed=8)
         assert d.count(float("-inf"), float("inf")) == 3
         assert len(d.sample(float("-inf"), float("inf"), 5)) == 5
+
+    def test_nan_points_are_refused(self):
+        """A stored NaN could never be counted or deleted again, so every
+        constructor and insert path refuses one before anything mutates."""
+        nan, inf = float("nan"), float("inf")
+        base = [float(i) for i in range(1000)]
+        for build in (
+            lambda v: StaticIRS(v, seed=1),
+            lambda v: StaticIRS.from_sorted(v, seed=1),
+            lambda v: DynamicIRS(v, seed=1),
+            lambda v: DynamicIRS.from_sorted(v, seed=1),
+            lambda v: WeightedDynamicIRS(v, seed=1),
+            lambda v: WeightedDynamicIRS.from_sorted(v, seed=1),
+            lambda v: ShardedIRS(v, num_shards=4, seed=1),
+            lambda v: ShardedIRS.from_sorted(v, num_shards=4, seed=1),
+        ):
+            for bad in ([nan], [nan] + base, base[:500] + [nan] + base[500:], base + [nan]):
+                with pytest.raises(InvalidQueryError):
+                    build(bad)
+        small = [0.5, nan, 1.5]  # the scalar loop below the bulk cutoff
+        big = [0.5 + i for i in range(20)] + [nan] + [20.5 + i for i in range(20)]
+        for s in (
+            DynamicIRS(base, seed=2),
+            WeightedDynamicIRS(base, seed=3),
+            ShardedIRS(base, num_shards=4, seed=4),
+            ShardedIRS(base, num_shards=4, seed=5, shard_kind="weighted-dynamic"),
+        ):
+            for refused in (
+                lambda: s.insert(nan),
+                lambda: s.insert_bulk(small),
+                lambda: s.insert_bulk(big),
+                lambda: s.insert_bulk(np.asarray(big)),
+            ):
+                with pytest.raises(InvalidQueryError):
+                    refused()
+                assert s.export_sorted().tolist() == base
+                assert len(s) == s.count(-inf, inf) == len(base)
+            s.check_invariants()
 
 
 class TestAdversarialChurn:
