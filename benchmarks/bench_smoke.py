@@ -5,6 +5,8 @@ Tiny-n, seconds-long sanity gate (not a benchmark): asserts that
 
 * ``DynamicIRS.insert_bulk`` / ``delete_bulk`` beat the scalar loops,
 * ``WeightedDynamicIRS.insert_bulk`` beats its scalar loop,
+* on both dynamic kinds, a 64-value ``insert_bulk``/``delete_bulk`` pair
+  beats 64 scalar insert/delete pairs (the served write batch size),
 * ``WeightedDynamicIRS.sample_bulk`` beats scalar sampling, and both the
   bulk sampling and the bulk update paths stay at or above the frozen
   PR-4 treap-backed baselines committed in ``BENCH_F16.json`` —
@@ -130,6 +132,49 @@ def main() -> int:
         bulk > scalar * MARGIN,
         f"bulk {bulk:,.0f}/s vs scalar {scalar:,.0f}/s",
     )
+
+    # -- 64-value bulk pairs vs scalar pairs ------------------------------------
+    # Served writes arrive as 64-value batches, where the bulk path's fixed
+    # per-call cost decides rather than its per-value work, so the batch
+    # size gets its own gate: one insert_bulk+delete_bulk pair of 64 values
+    # must beat 64 scalar insert+delete pairs by MARGIN, on each dynamic
+    # kind.  Same best-of-adjacent-pairs protocol as the stratified gate.
+    small = uniform_points(64, seed=30)
+    small_w = [1.0 + (i % 5) for i in range(64)]
+    pair_kinds = (
+        ("DynamicIRS", DynamicIRS(data, seed=31), False),
+        ("WeightedDynamicIRS", WeightedDynamicIRS(data, weights, seed=32), True),
+    )
+    for name, structure, weighted in pair_kinds:
+
+        def scalar_pairs(structure=structure, weighted=weighted):
+            for v, wt in zip(small, small_w):
+                if weighted:
+                    structure.insert(v, wt)
+                else:
+                    structure.insert(v)
+                structure.delete(v)
+
+        def bulk_pair(structure=structure, weighted=weighted):
+            if weighted:
+                structure.insert_bulk(small, small_w)
+            else:
+                structure.insert_bulk(small)
+            structure.delete_bulk(small)
+
+        best_ratio, best_pair = 0.0, (0.0, 0.0)
+        for _ in range(4):
+            scalar_vps = 2 * len(small) / time_callable(scalar_pairs, repeat=3)
+            bulk_vps = 2 * len(small) / time_callable(bulk_pair, repeat=3)
+            if scalar_vps > 0.0 and bulk_vps / scalar_vps > best_ratio:
+                best_ratio, best_pair = bulk_vps / scalar_vps, (bulk_vps, scalar_vps)
+        check(
+            f"{name} 64-value bulk pair beats scalar pairs",
+            best_ratio > MARGIN,
+            f"best pair: bulk {best_pair[0]:,.0f}/s vs scalar {best_pair[1]:,.0f}/s"
+            f" ({best_ratio:.2f}x)",
+        )
+        structure.check_invariants()
 
     # -- weighted-dynamic: bulk sampling vs scalar and vs the treap baseline ---
     # BENCH_F16.json freezes the PR-4 treap-backed WeightedDynamicIRS numbers

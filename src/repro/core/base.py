@@ -12,6 +12,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Iterable
 
+import numpy as _np
+
 from ..errors import EmptyRangeError, InvalidQueryError
 
 __all__ = [
@@ -19,9 +21,17 @@ __all__ = [
     "DynamicRangeSampler",
     "validate_query",
     "validate_point",
+    "round_to_plane",
     "coerce_query_bounds",
     "sample_bulk_many_by_rank",
 ]
+
+_INF = float("inf")
+#: The largest finite float32, and the smallest float64 magnitude that
+#: rounds past it to infinity (half an ulp above; the tie rounds to even,
+#: which is infinity).
+_F32_MAX = float(_np.finfo(_np.float32).max)
+_F32_OVERFLOW = _F32_MAX + 2.0**103
 
 
 def coerce_query_bounds(queries):
@@ -31,11 +41,9 @@ def coerce_query_bounds(queries):
     a sequence of ``(lo, hi)`` pairs, coerced to two float arrays with the
     same NaN / ``lo <= hi`` rules as :func:`validate_query`.
     """
-    import numpy as np
-
-    bounds = np.asarray(queries, dtype=float).reshape(-1, 2)
+    bounds = _np.asarray(queries, dtype=float).reshape(-1, 2)
     los, his = bounds[:, 0], bounds[:, 1]
-    if np.isnan(los).any() or np.isnan(his).any() or (los > his).any():
+    if _np.isnan(los).any() or _np.isnan(his).any() or (los > his).any():
         raise InvalidQueryError("peek_counts requires lo <= hi, non-NaN")
     return los, his
 
@@ -65,8 +73,6 @@ def sample_bulk_many_by_rank(
     per-query calls would), one ``seeded_ranks`` call for all seeded
     queries, and slicing the values back into per-query results.
     """
-    import numpy as np
-
     from ..rng import seeded_ranks
 
     queries = [(float(lo), float(hi), int(t)) for lo, hi, t in queries]
@@ -79,17 +85,17 @@ def sample_bulk_many_by_rank(
     if not queries:
         return []
     starts, ends = rank_bounds(
-        np.asarray([q[0] for q in queries], dtype=float),
-        np.asarray([q[1] for q in queries], dtype=float),
+        _np.asarray([q[0] for q in queries], dtype=float),
+        _np.asarray([q[1] for q in queries], dtype=float),
     )
-    ts = np.asarray([q[2] for q in queries], dtype=np.int64)
+    ts = _np.asarray([q[2] for q in queries], dtype=_np.int64)
     if ((ts > 0) & (ends <= starts)).any():
         raise EmptyRangeError("no points inside the query range")
     results: list = [None] * len(queries)
     seeded: list[int] = []
     for i, (lo, hi, t) in enumerate(queries):
         if t == 0:
-            results[i] = np.empty(0, dtype=float)
+            results[i] = _np.empty(0, dtype=float)
         elif seeds[i] is None:
             results[i] = sample_bulk(lo, hi, t)
         else:
@@ -131,6 +137,65 @@ def validate_point(value: float) -> None:
     """
     if value != value:
         raise InvalidQueryError("points must not be NaN")
+
+
+def round_to_plane(values, dtype, bound: str | None = None):
+    """Round points or query bounds through a value-plane dtype.
+
+    Every value entering a structure goes through here before routing or
+    comparison, so searches run against exactly the stored bits.  A
+    scalar comes back as a Python float (float32 widens exactly); a list,
+    tuple or array comes back as an array of the plane dtype.  A float64
+    plane is a plain conversion.
+
+    On a float32 plane a finite value beyond its range would round to
+    ``±inf``, which is a legal point of its own:
+
+    * a point (``bound=None``) raises :class:`InvalidQueryError`, before
+      the caller mutates anything;
+    * an upper bound (``bound="hi"``) above the range becomes the largest
+      finite float32 and a lower bound (``"lo"``) below it the smallest,
+      so a finite bound never selects an infinite point.  A lower bound
+      above the range rounds to ``+inf`` and an upper bound below it to
+      ``-inf``, which select exactly the infinite points a float64 plane
+      would.
+
+    NaN and ``±inf`` pass through unchanged.
+    """
+    if isinstance(values, (_np.ndarray, list, tuple)):
+        if dtype.itemsize == 8:
+            return _np.asarray(values, dtype=_np.float64)
+        src = _np.asarray(values)
+        if src.dtype == _np.float32:
+            return src
+        src = src.astype(_np.float64, copy=False)
+        over = ~(_np.abs(src) < _F32_OVERFLOW) & _np.isfinite(src)
+        if over.any():
+            if bound is None:
+                _overflowed(float(src[over][0]), None)
+            up = src > 0
+            fix = _np.where(up, _F32_MAX, -_INF) if bound == "hi" else _np.where(
+                up, _INF, -_F32_MAX
+            )
+            src = _np.where(over, fix, src)
+        return src.astype(_np.float32)
+    value = float(values)
+    if dtype.itemsize == 8:
+        return value
+    if -_F32_OVERFLOW < value < _F32_OVERFLOW:
+        return float(_np.float32(value))
+    if value != value or value in (_INF, -_INF):
+        return value
+    return _overflowed(value, bound)
+
+
+def _overflowed(value: float, bound: str | None) -> float:
+    """The float32 stand-in for a finite ``value`` beyond its range."""
+    if bound is None:
+        raise InvalidQueryError(f"point {value!r} overflows the float32 plane")
+    if bound == "hi":
+        return _F32_MAX if value > 0 else -_INF
+    return _INF if value > 0 else -_F32_MAX
 
 
 class RangeSampler(ABC):

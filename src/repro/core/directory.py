@@ -1,16 +1,35 @@
-"""Shared array-backed chunk directory engine (DESIGN.md §8, §13).
+"""Shared slab-backed chunk directory engine (DESIGN.md §8, §13).
 
 Both dynamic samplers — :class:`~repro.core.dynamic_irs.DynamicIRS`
 (uniform) and :class:`~repro.core.weighted_dynamic.WeightedDynamicIRS`
 (weight-proportional) — store their points in sorted *chunks* of
-``Θ(log n)`` values and describe the chunk sequence with the parallel
-arrays in this module.  The engine owns everything that is about the
-*directory* and nothing that is about the *sampling policy*:
+``Θ(log n)`` values.  This module owns the chunks' storage and geometry;
+the samplers own the sampling policy.
 
-* parallel ``maxes`` / ``mins`` / ``counts`` arrays (plus a ``wtotals``
-  weight plane for weighted chunk kinds), repaired with vectorized array
-  ops so bulk updates touch the directory once per batch, not once per
-  element;
+Storage is one **slab**: a 2-D array of shape ``(rows, cap)`` in the
+structure's value dtype (float32 or float64), plus an aligned float64
+weight slab for weighted directories.  Every chunk is one row: its
+``counts[i]`` live values fill the row's first cells in sorted order and
+the cells after them are padding.  This is the paper's density-bounded
+packed array (R2) with one block of cells per chunk.  In chunk order the
+directory keeps
+
+* ``row_of`` — each chunk's slab row.  A split or merge shifts it with
+  the other columns; a freed row goes on a free list and is handed out
+  again before the slab grows;
+* ``maxes`` / ``mins`` (float64) and ``counts`` (int64), plus ``wtotals``
+  (float64) for weighted directories.  They are dtype-invariant — float32
+  values widen exactly — so routing is the same under either plane dtype.
+
+Two rules keep the padding harmless:
+
+* ``±inf`` are legal points, so padding is never read as data: every
+  search or compare over a row is clamped to the row's live count;
+* weight padding holds ``0.0``, so a cumulative sum over a whole row is
+  exact on its live prefix.
+
+The engine provides:
+
 * boundary routing — "first chunk whose max ≥ x" / "last chunk whose
   min ≤ y" — as one C-level ``searchsorted`` per endpoint;
 * lazily cached prefix sums over counts (and over weights) with bounded
@@ -20,26 +39,15 @@ arrays in this module.  The engine owns everything that is about the
 * global rank addressing — the rank interval of a key range and the
   chunk/offset of a global rank — the layout-independent coordinates the
   seeded samplers draw in;
-* the structural repair pass: scalar split, borrow-or-merge for
-  under-full chunks, the multi-index split assembly behind bulk inserts,
-  and the full normalization sweep behind bulk deletes.
+* every update, none of them a Python loop over chunks: a scalar insert
+  or delete shifts one row in place; a bulk insert merges the sorted
+  batch into all touched rows in one pass; a bulk delete resolves every
+  value to a global rank and takes the hits out of the touched rows in
+  one pass; and one re-cut primitive (:meth:`ChunkDirectory.recut`)
+  replaces chunk runs by balanced pieces — the scalar split, the merge of
+  an under-full chunk, the bulk split, the removal of an emptied chunk
+  and the normalization after a bulk delete.
 
-Chunk payloads are **NumPy array planes** (PR 10): ``data`` is a 1-D
-array in the structure's value dtype (float32 or float64), and a
-:class:`WeightedChunk` adds an aligned float64 ``weights`` plane with a
-lazy cumulative table.  Two rules make this safe and fast:
-
-* **copy-on-write** — no chunk op ever mutates a plane in place; splices
-  and merges go through the kernels (:mod:`repro.core.kernels`) and
-  return fresh arrays.  Structural cuts produce *views*, so a structure
-  built over an adopted caller array (``from_sorted(..., copy=False)``)
-  stays zero-copy until an update actually touches a chunk;
-* the directory's own arrays (``maxes``/``mins`` float64, ``counts``
-  int64, ``wtotals`` float64) are dtype-invariant — float32 values
-  widen exactly, so routing is identical under either plane dtype.
-
-The directory never looks inside a payload except through the chunk
-protocol — which is exactly what lets one engine serve both samplers.
 ``mutations`` is a monotone version stamp bumped by every mutating call;
 samplers key their own derived caches (e.g. the weighted sampler's
 flattened global cumulative-weight array) off it.
@@ -51,9 +59,10 @@ from itertools import accumulate
 
 import numpy as _np  # a hard dependency of the package (pyproject.toml)
 
+from ..errors import KeyNotFoundError
 from . import kernels
 
-__all__ = ["Chunk", "WeightedChunk", "ChunkDirectory", "FoldedCounts", "split_sizes"]
+__all__ = ["ChunkDirectory", "FoldedCounts", "build_sizes"]
 
 #: Scalar count/weight changes ride on the cached prefixes as per-chunk
 #: deltas up to this many entries; beyond it the cache is dropped and the
@@ -61,174 +70,53 @@ __all__ = ["Chunk", "WeightedChunk", "ChunkDirectory", "FoldedCounts", "split_si
 _PENDING_CAP = 64
 
 
-def split_sizes(n: int, cap: int) -> list[int]:
-    """Balanced piece sizes cutting a run of ``n`` into pieces ≤ ``cap``.
+def build_sizes(n: int, s: int, cap: int):
+    """Chunk sizes of a fresh build over ``n`` points (an int64 array).
 
-    Used by every split path (scalar, bulk, normalize): the run is cut
-    into ``ceil(n / cap)`` pieces whose sizes differ by at most one, so
-    every piece lands within ``[s, 2s]`` whenever ``n > cap = 2s``.
+    Runs of ``3s/2`` points, the midpoint of the ``[s, 2s]`` window, so
+    fresh chunks have slack on both sides: deletes can borrow instead of
+    merging and inserts absorb ``s/2`` points before the first split.  A
+    tail shorter than ``s`` joins the run before it, halved again if that
+    overflows ``cap``.
     """
-    k = -(-n // cap)
-    base, extra = divmod(n, k)
-    return [base + 1 if i < extra else base for i in range(k)]
+    step = (3 * s) // 2
+    whole, tail = divmod(n, step)
+    sizes = _np.full(whole + (tail > 0), step, dtype=_np.int64)
+    if tail:
+        sizes[-1] = tail
+    if sizes.size > 1 and tail and tail < s:
+        merged = step + tail
+        sizes = sizes[:-1]
+        if merged > cap:
+            sizes[-1] = merged // 2
+            sizes = _np.append(sizes, merged - merged // 2)
+        else:
+            sizes[-1] = merged
+    return sizes
 
 
-class Chunk:
-    """A sorted run of points stored as one NumPy array plane.
-
-    Directory information (key extent, size, position) lives in the owning
-    :class:`ChunkDirectory`'s parallel arrays, not on the chunk, so bulk
-    repairs can touch it with vectorized array ops.  ``data`` may be a
-    view into a larger plane (the build path slices one array; adopted
-    caller arrays stay zero-copy) — every mutation replaces it with a
-    fresh array, never writes through it.
-    """
-
-    __slots__ = ("data",)
-
-    #: Class-level flag: the directory maintains a weight plane iff True.
-    weighted = False
-
-    def __init__(self, data) -> None:
-        self.data = data
-
-    def array(self):
-        """Return the chunk's value plane (the bulk-sampling gather view)."""
-        return self.data
-
-    def touch(self) -> None:
-        """Invalidate derived per-chunk caches after a ``data`` swap."""
-
-    @property
-    def mass(self) -> float:
-        """The chunk's directory weight (its size, for uniform sampling)."""
-        return float(self.data.size)
-
-    # -- structural protocol (used by the directory's repair passes) -------
-
-    def cut(self, sizes: list[int]) -> list["Chunk"]:
-        """Keep the first ``sizes[0]`` points; return the rest as new chunks.
-
-        The pieces are views — cutting never copies the plane.
-        """
-        data = self.data
-        out: list[Chunk] = []
-        at = sizes[0]
-        for size in sizes[1:]:
-            out.append(Chunk(data[at : at + size]))
-            at += size
-        self.data = data[: sizes[0]]
-        return out
-
-    def absorb(self, other: "Chunk") -> None:
-        """Append ``other``'s run (adjacent in key order) onto this one."""
-        self.data = _np.concatenate((self.data, other.data))
-
-    def borrow_from_next(self, right: "Chunk") -> float:
-        """Move the right neighbor's first point here; return moved mass."""
-        self.data = _np.concatenate((self.data, right.data[:1]))
-        right.data = right.data[1:]
-        return 1.0
-
-    def borrow_from_prev(self, left: "Chunk") -> float:
-        """Move the left neighbor's last point here; return moved mass."""
-        self.data = _np.concatenate((left.data[-1:], self.data))
-        left.data = left.data[:-1]
-        return 1.0
+def _spans(first, last):
+    """Chunk indices of the runs ``first[g] .. last[g]``, concatenated."""
+    runs = last - first + 1
+    return (first - (runs.cumsum() - runs)).repeat(runs) + _np.arange(runs.sum())
 
 
-class WeightedChunk(Chunk):
-    """A sorted run of points with an aligned float64 weight plane.
+def _runs(keys):
+    """Start index and length of each run of equal entries of sorted ``keys``."""
+    m = keys.size
+    edges = _np.empty(m + 1, dtype=bool)
+    edges[0] = edges[m] = True
+    _np.not_equal(keys[1:], keys[:-1], out=edges[1:m])
+    edges = edges.nonzero()[0]
+    return edges[:-1], edges[1:] - edges[:-1]
 
-    ``data`` holds the values, ``weights`` aligns with it, and
-    :meth:`cum_table` is the in-chunk inclusive cumulative weight table —
-    the second pass of the weighted two-pass draw bisects it.  The table
-    is *lazy*: any mutation just drops it via :meth:`touch` (``O(1)``),
-    and the first read that needs it rebuilds it with one kernel call
-    (a strictly sequential sum) — so bulk updates never
-    pay table work for chunks nobody queries.
-    """
 
-    __slots__ = ("weights", "cum")
-
-    weighted = True
-
-    def __init__(self, data, weights) -> None:
-        self.data = data
-        self.weights = weights
-        self.cum = None
-
-    def touch(self) -> None:
-        """Drop the cumulative table (rebuilt lazily on next read)."""
-        self.cum = None
-
-    def cum_table(self):
-        """Return (building if stale) the inclusive cumulative weight table."""
-        if self.cum is None:
-            self.cum = kernels.cum_table(self.weights)
-        return self.cum
-
-    def np_arrays(self):
-        """Return the ``(values, cum)`` planes for the bulk sampling path."""
-        return self.data, self.cum_table()
-
-    @property
-    def mass(self) -> float:
-        """Total weight stored in this chunk."""
-        cum = self.cum_table()
-        return float(cum[-1]) if cum.size else 0.0
-
-    def prefix(self, count: int) -> float:
-        """Weight of the first ``count`` points."""
-        return float(self.cum_table()[count - 1]) if count > 0 else 0.0
-
-    def locate(self, target: float) -> int:
-        """Index of the point owning cumulative mass position ``target``."""
-        i = kernels.search_right_scalar(self.cum_table(), target)
-        return min(int(i), self.data.size - 1)
-
-    # -- structural protocol -----------------------------------------------
-
-    def cut(self, sizes: list[int]) -> list["WeightedChunk"]:
-        """Keep the first piece; return the rest as new weighted chunks."""
-        data, weights = self.data, self.weights
-        out: list[WeightedChunk] = []
-        at = sizes[0]
-        for size in sizes[1:]:
-            out.append(WeightedChunk(data[at : at + size], weights[at : at + size]))
-            at += size
-        self.data = data[: sizes[0]]
-        self.weights = weights[: sizes[0]]
-        self.touch()
-        return out
-
-    def absorb(self, other: "WeightedChunk") -> None:
-        """Append ``other``'s run (adjacent in key order) onto this one."""
-        self.data = _np.concatenate((self.data, other.data))
-        self.weights = _np.concatenate((self.weights, other.weights))
-        self.touch()
-
-    def borrow_from_next(self, right: "WeightedChunk") -> float:
-        """Move the right neighbor's first point here; return moved mass."""
-        moved = float(right.weights[0])
-        self.data = _np.concatenate((self.data, right.data[:1]))
-        self.weights = _np.concatenate((self.weights, right.weights[:1]))
-        right.data = right.data[1:]
-        right.weights = right.weights[1:]
-        self.touch()
-        right.touch()
-        return moved
-
-    def borrow_from_prev(self, left: "WeightedChunk") -> float:
-        """Move the left neighbor's last point here; return moved mass."""
-        moved = float(left.weights[-1])
-        self.data = _np.concatenate((left.data[-1:], self.data))
-        self.weights = _np.concatenate((left.weights[-1:], self.weights))
-        left.data = left.data[:-1]
-        left.weights = left.weights[:-1]
-        self.touch()
-        left.touch()
-        return moved
+def _copy_rank(keys):
+    """Each entry's rank among the equal entries before it in sorted ``keys``."""
+    heads, sizes = _runs(keys)
+    if heads.size == keys.size:
+        return 0
+    return _np.arange(keys.size) - heads.repeat(sizes)
 
 
 class FoldedCounts:
@@ -288,18 +176,24 @@ class FoldedCounts:
 
 
 class ChunkDirectory:
-    """Array-backed directory over an ordered chunk list.
+    """Slab-backed directory over an ordered chunk sequence.
 
     The owning sampler holds the chunk *policy* (how to draw from a plan);
-    the directory holds the chunk *geometry*: which chunks exist, their key
-    extents, their counts (and masses), and every repair pass that keeps
-    the ``[s, 2s]`` size invariant.  All mutating entry points bump
+    the directory holds the chunk *storage and geometry*: the slab rows,
+    their key extents, counts (and masses), and every repair pass that
+    keeps the ``[s, 2s]`` size invariant.  All mutating entry points bump
     :attr:`mutations` so samplers can invalidate derived caches.
     """
 
     __slots__ = (
-        "chunks",
         "weighted",
+        "cap",
+        "slab",
+        "wslab",
+        "_prefixes",
+        "row_of",
+        "free",
+        "top",
         "maxes",
         "mins",
         "counts",
@@ -311,53 +205,129 @@ class ChunkDirectory:
         "_wpending",
     )
 
-    def __init__(self, weighted: bool = False) -> None:
+    def __init__(self, dtype, weighted: bool = False) -> None:
         self.weighted = weighted
         self.mutations = 0
-        self.load([])
+        self.load(_np.empty(0, dtype=dtype), _np.empty(0), 1, 2)
 
     # -- (re)construction --------------------------------------------------
 
-    def load(self, chunks: list) -> None:
-        """Install ``chunks`` as the directory's ordered sequence."""
-        self.chunks = chunks
-        self.rebuild()
+    def load(self, values, weights, s: int, cap: int) -> None:
+        """Install sorted ``values`` (and aligned ``weights``) as fresh chunks.
 
-    def rebuild(self) -> None:
-        """Recompute every parallel array from the chunk list."""
-        maxes: list[float] = []
-        mins: list[float] = []
-        counts: list[int] = []
-        wtotals: list[float] = []
-        for chunk in self.chunks:
-            data = chunk.data
-            maxes.append(data[-1])
-            mins.append(data[0])
-            counts.append(data.size)
-            if self.weighted:
-                wtotals.append(chunk.mass)
-        self.maxes = _np.asarray(maxes, dtype=float)
-        self.mins = _np.asarray(mins, dtype=float)
-        self.counts = _np.asarray(counts, dtype=_np.int64)
-        self.wtotals = _np.asarray(wtotals, dtype=float) if self.weighted else None
-        self._prefix = None
-        self._pending = {}
-        self._wprefix = None
-        self._wpending = {}
-        self.mutations += 1
+        One row per piece of :func:`build_sizes`, in chunk order, in a slab
+        sized to fit exactly (it grows on demand).  The values are copied
+        once, straight into the slab.
+        """
+        sizes = build_sizes(int(values.size), s, cap)
+        k = int(sizes.size)
+        self.cap = cap
+        #: ``_prefixes[c]`` masks the first ``c`` cells of a row.
+        self._prefixes = _np.tri(cap + 1, cap, -1, dtype=bool)
+        live = self._live(sizes)
+        self.slab = _np.zeros((k, cap), dtype=values.dtype)
+        self.slab[live] = values
+        self.row_of = _np.arange(k, dtype=_np.int64)
+        self.free: list[int] = []
+        self.top = k
+        self.counts = sizes
+        ends = _np.cumsum(sizes)
+        self.mins = values[ends - sizes].astype(float)
+        self.maxes = values[ends - 1].astype(float)
+        self.wslab = self.wtotals = None
+        if self.weighted:
+            self.wslab = _np.zeros((k, cap))
+            self.wslab[live] = weights
+            self.wtotals = kernels.cum_table(self.wslab)[:, -1]
+        self.invalidate_prefix()
 
     def __len__(self) -> int:
-        return len(self.chunks)
+        return int(self.counts.size)
+
+    # -- rows --------------------------------------------------------------
+
+    def _live(self, counts):
+        """Mask of the live cells of rows holding ``counts`` points each."""
+        return self._prefixes.take(counts, axis=0)
+
+    def row(self, i: int):
+        """Chunk ``i``'s live values: a view of its slab row."""
+        return self.slab[self.row_of[i], : self.counts[i]]
+
+    def wrow(self, i: int):
+        """Chunk ``i``'s live weights: a view of its weight-slab row."""
+        return self.wslab[self.row_of[i], : self.counts[i]]
+
+    def gather(self, idx=slice(None)):
+        """Live cells of the chunks ``idx`` (ascending), in chunk order.
+
+        Returns fresh ``(values, weights)`` arrays — ``weights`` is ``None``
+        for an unweighted directory.  With the default ``idx`` this is the
+        whole sorted multiset.
+        """
+        rows = self.row_of[idx]
+        live = self._live(self.counts[idx])
+        weights = self.wslab[rows][live] if self.weighted else None
+        return self.slab[rows][live], weights
+
+    def cells(self, ranks, folded: "FoldedCounts | None" = None):
+        """Slab coordinates ``(rows, offsets)`` of the global ``ranks``."""
+        if folded is None:
+            folded = self.folded_counts()
+        ci, off = folded.locate(ranks)
+        return self.row_of[ci], off
+
+    def _alloc(self, k: int):
+        """Hand out ``k`` rows: freed rows first, then fresh ones."""
+        free = self.free
+        reuse = min(k, len(free))
+        rows = free[len(free) - reuse :]
+        del free[len(free) - reuse :]
+        fresh = k - reuse
+        if fresh:
+            top = self.top
+            if top + fresh > self.slab.shape[0]:
+                self._grow(top + fresh)
+            rows += range(top, top + fresh)
+            self.top = top + fresh
+        return _np.asarray(rows, dtype=_np.int64)
+
+    def _grow(self, need: int) -> None:
+        """Reallocate the slabs with room for at least ``need`` rows."""
+        size = max(need, self.slab.shape[0] * 5 // 4 + 8)
+        slab = _np.zeros((size, self.cap), dtype=self.slab.dtype)
+        slab[: self.top] = self.slab[: self.top]
+        self.slab = slab
+        if self.weighted:
+            wslab = _np.zeros((size, self.cap))
+            wslab[: self.top] = self.wslab[: self.top]
+            self.wslab = wslab
+
+    def _release(self, rows) -> None:
+        """Put rows on the free list (weight rows zeroed first)."""
+        if self.weighted:
+            self.wslab[rows] = 0.0
+        self.free += rows.tolist()
 
     # -- boundary routing --------------------------------------------------
 
-    def first_max_ge(self, x: float) -> int:
-        """Index of the first chunk whose max ≥ ``x`` (``len`` if none)."""
-        return int(_np.searchsorted(self.maxes, x, side="left"))
+    def edges(self, lo: float, hi: float):
+        """Boundary chunks of ``[lo, hi]`` and the in-row offsets of its ends.
 
-    def last_min_le(self, y: float) -> int:
-        """Index of the last chunk whose min ≤ ``y`` (``-1`` if none)."""
-        return int(_np.searchsorted(self.mins, y, side="right")) - 1
+        Returns ``(a, la, b, rb)`` — the range starts at offset ``la`` of
+        chunk ``a`` (the first chunk whose max ≥ ``lo``) and ends before
+        offset ``rb`` of chunk ``b`` (the last chunk whose min ≤ ``hi``) —
+        or ``None`` when ``b < a``.  Bounds must already be rounded
+        through the value-plane dtype.
+        """
+        a = kernels.search_left_scalar(self.maxes, lo)
+        b = kernels.search_right_scalar(self.mins, hi) - 1
+        if b < a or a == self.maxes.size:
+            return None
+        slab, row_of, counts = self.slab, self.row_of, self.counts
+        la = kernels.search_left_scalar(slab[row_of[a], : counts[a]], lo)
+        rb = kernels.search_right_scalar(slab[row_of[b], : counts[b]], hi)
+        return a, la, b, rb
 
     # -- lazy count prefix -------------------------------------------------
 
@@ -381,40 +351,41 @@ class ChunkDirectory:
         ``end - start`` is the in-range count and the ranks in between
         name the in-range points in order.  Boundary chunks of all ranges
         come from one ``searchsorted`` over ``maxes`` and one over
-        ``mins``; only the two in-chunk searches run per range.  Bounds
-        must already be rounded through the value-plane dtype.  A caller
-        that reads more of the prefix in the same call passes its
-        ``folded`` counts; otherwise they are folded here.
+        ``mins``, and every in-chunk offset from one ``k × cap`` compare
+        over the boundary rows.  Bounds must already be rounded through
+        the value-plane dtype.  A caller that reads more of the prefix in
+        the same call passes its ``folded`` counts; otherwise they are
+        folded here.
         """
-        chunks = self.chunks
-        if not chunks:
+        k = len(self)
+        if not k:
             zeros = _np.zeros(len(los), dtype=_np.int64)
             return zeros, zeros
         # A bound past either end still lands on its edge chunk, where the
         # in-chunk search then counts all of it or none of it.
         a_idx = _np.searchsorted(self.maxes, los, side="left")
         b_idx = _np.searchsorted(self.mins, his, side="right") - 1
-        _np.minimum(a_idx, len(chunks) - 1, out=a_idx)
+        _np.minimum(a_idx, k - 1, out=a_idx)
         _np.maximum(b_idx, 0, out=b_idx)
-        left = kernels.search_left_scalar
-        right = kernels.search_right_scalar
-        offsets = [
-            left(chunks[a].data, lo) for a, lo in zip(a_idx.tolist(), los.tolist())
-        ]
-        offsets += [
-            right(chunks[b].data, hi) for b, hi in zip(b_idx.tolist(), his.tolist())
-        ]
+        q = len(los)
+        idx = _np.concatenate((a_idx, b_idx))
+        block = self.slab[self.row_of[idx]]
+        counts = self.counts[idx]
+        offsets = _np.concatenate((
+            kernels.search_rows(block[:q], counts[:q], los, False),
+            kernels.search_rows(block[q:], counts[q:], his, True),
+        ))
         if folded is None:
             folded = self.folded_counts()
-        bounds = folded.starts_at(_np.concatenate((a_idx, b_idx))) + offsets
-        return bounds[: len(los)], bounds[len(los) :]
+        bounds = folded.starts_at(idx) + offsets
+        return bounds[:q], bounds[q:]
 
     def invalidate_prefix(self) -> None:
         """Drop both prefix caches (chunk indices or many rows changed)."""
         self._prefix = None
-        self._pending.clear()
+        self._pending = {}
         self._wprefix = None
-        self._wpending.clear()
+        self._wpending = {}
         self.mutations += 1
 
     def note_delta(self, i: int, dcount: int, dweight: float = 0.0) -> None:
@@ -491,7 +462,7 @@ class ChunkDirectory:
     @property
     def total_weight(self) -> float:
         """Sum of all chunk masses (0.0 for an empty directory)."""
-        if not self.chunks:
+        if not len(self):
             return 0.0
         wprefix = self.ensure_wprefix()
         total = float(wprefix[-1])
@@ -499,209 +470,405 @@ class ChunkDirectory:
             total += delta
         return total
 
-    # -- single-row repairs ------------------------------------------------
+    # -- scalar updates ------------------------------------------------------
 
-    def refresh_entry(self, i: int) -> None:
-        """Repair one chunk's directory row after a data mutation."""
-        chunk = self.chunks[i]
-        data = chunk.data
-        self.maxes[i] = data[-1]
-        self.mins[i] = data[0]
-        self.counts[i] = data.size
+    def _refresh(self, i: int, row, c: int) -> None:
+        """Repair chunk ``i``'s key extents (and mass) from its ``c``-cell row."""
+        self.maxes[i] = row[c - 1]
+        self.mins[i] = row[0]
         if self.weighted:
-            self.wtotals[i] = chunk.mass
-        self.mutations += 1
+            self.wtotals[i] = kernels.cum_table(self.wslab[self.row_of[i]])[-1]
 
-    def insert_entry(self, i: int, chunk) -> None:
-        """Insert one chunk's directory row at index ``i``."""
-        data = chunk.data
-        self.maxes = _np.insert(self.maxes, i, data[-1])
-        self.mins = _np.insert(self.mins, i, data[0])
-        self.counts = _np.insert(self.counts, i, data.size)
+    def locate(self, value: float) -> tuple[int, int]:
+        """Chunk and offset of the first stored occurrence of ``value``.
+
+        Raises :class:`~repro.errors.KeyNotFoundError` if it is absent.
+        """
+        i = kernels.search_left_scalar(self.maxes, value)
+        if i < self.counts.size:
+            row = self.row(i)
+            j = kernels.search_left_scalar(row, value)
+            if j < row.size and row[j] == value:
+                return i, j
+        raise KeyNotFoundError(f"value not present: {value!r}")
+
+    def insert(
+        self, value: float, weight: float = 0.0, before_equal: bool = False
+    ) -> None:
+        """Insert one point into a nonempty directory.
+
+        One search over ``maxes`` routes it (past the global max: the last
+        chunk), one search places it in its row — after equal points, or
+        before them with ``before_equal`` — and the row's tail shifts one
+        cell right in place.  A full row instead re-cuts into two balanced
+        chunks.
+        """
+        i = min(kernels.search_left_scalar(self.maxes, value), self.counts.size - 1)
+        r = int(self.row_of[i])
+        c = int(self.counts[i])
+        row = self.slab[r]
+        if before_equal:
+            pos = kernels.search_left_scalar(row[:c], value)
+        else:
+            pos = kernels.search_right_scalar(row[:c], value)
+        if c == self.cap:
+            weights = _np.insert(self.wslab[r], pos, weight) if self.weighted else None
+            self.recut([i], [i], _np.insert(row, pos, value), weights, [c + 1])
+            return
+        row[pos + 1 : c + 1] = row[pos:c]
+        row[pos] = value
         if self.weighted:
-            self.wtotals = _np.insert(self.wtotals, i, chunk.mass)
-        self.mutations += 1
+            wrow = self.wslab[r]
+            wrow[pos + 1 : c + 1] = wrow[pos:c]
+            wrow[pos] = weight
+        self.counts[i] = c + 1
+        self._refresh(i, row, c + 1)
+        self.note_delta(i, 1, weight)
 
-    def delete_entry(self, i: int) -> None:
-        """Remove one chunk's directory row."""
-        self.maxes = _np.delete(self.maxes, i)
-        self.mins = _np.delete(self.mins, i)
-        self.counts = _np.delete(self.counts, i)
+    def delete(self, value: float, s: int) -> float:
+        """Delete the first stored occurrence of ``value``; return its weight.
+
+        The row's tail shifts one cell left in place; an emptied chunk is
+        dropped and an under-full one repaired.  Raises
+        :class:`~repro.errors.KeyNotFoundError` if ``value`` is absent.
+        """
+        i, j = self.locate(value)
+        r = int(self.row_of[i])
+        c = int(self.counts[i]) - 1
+        row = self.slab[r]
+        row[j:c] = row[j + 1 : c + 1]
+        weight = 0.0
         if self.weighted:
-            self.wtotals = _np.delete(self.wtotals, i)
-        self.mutations += 1
+            wrow = self.wslab[r]
+            weight = float(wrow[j])
+            wrow[j:c] = wrow[j + 1 : c + 1]
+            wrow[c] = 0.0
+        self.counts[i] = c
+        self.note_delta(i, -1, -weight)
+        if c == 0:
+            self.recut([i], [i], row[:0], _np.empty(0), [0])
+            return weight
+        self._refresh(i, row, c)
+        if c < s and self.counts.size > 1:
+            self._repair_underfull(i, s)
+        return weight
 
-    # -- structural repairs ------------------------------------------------
+    def set_weight(self, i: int, j: int, weight: float) -> float:
+        """Re-weight the point at offset ``j`` of chunk ``i`` in place.
 
-    def split_chunk(self, i: int, cap: int) -> None:
-        """Split an over-full chunk into balanced pieces in place."""
-        chunk = self.chunks[i]
-        pieces = chunk.cut(split_sizes(chunk.data.size, cap))
-        self.refresh_entry(i)
-        for j, piece in enumerate(pieces, start=i + 1):
-            self.chunks.insert(j, piece)
-            self.insert_entry(j, piece)
-        self.invalidate_prefix()
+        Returns the old weight; the chunk's mass is recomputed and the
+        difference rides on the weight prefix as a pending delta.
+        """
+        r = self.row_of[i]
+        old = float(self.wslab[r, j])
+        self.wslab[r, j] = weight
+        self._refresh(i, self.slab[r], int(self.counts[i]))
+        self.note_delta(i, 0, weight - old)
+        return old
 
-    def remove_chunk(self, i: int) -> None:
-        """Drop an emptied chunk and its directory row."""
-        self.chunks.pop(i)
-        self.delete_entry(i)
-        self.invalidate_prefix()
-
-    def repair_underfull(self, i: int, s: int) -> None:
+    def _repair_underfull(self, i: int, s: int) -> None:
         """Restore the size invariant of an under-full chunk.
 
-        Borrowing one boundary element from a neighbor with slack is
-        ``O(s)`` and leaves the directory structure untouched (two row
-        refreshes, no array insert/delete); only when both neighbors sit
-        at exactly ``s`` does the chunk concatenate with one — the result
-        is ``2s - 1 ≤ cap``, so a merge can never cascade into a split.
+        Borrowing one boundary element from a neighbor with slack is two
+        row shifts and leaves the directory's shape untouched; only when
+        both neighbors sit at exactly ``s`` does the chunk merge with one
+        — the result is ``2s - 1 ≤ cap``, so a merge can never cascade
+        into a split.
         """
-        chunks = self.chunks
-        chunk = chunks[i]
-        right = chunks[i + 1] if i + 1 < len(chunks) else None
-        if right is not None and right.data.size > s:
-            moved = chunk.borrow_from_next(right)
-            self.refresh_entry(i)
-            self.refresh_entry(i + 1)
-            self.note_delta(i, 1, moved)
-            self.note_delta(i + 1, -1, -moved)
-            return
-        left = chunks[i - 1] if i > 0 else None
-        if left is not None and left.data.size > s:
-            moved = chunk.borrow_from_prev(left)
-            self.refresh_entry(i)
-            self.refresh_entry(i - 1)
-            self.note_delta(i, 1, moved)
-            self.note_delta(i - 1, -1, -moved)
-            return
-        j = i + 1 if right is not None else i - 1
-        lo, hi = (i, j) if j > i else (j, i)
-        # Adjacent chunks are consecutive in sorted order, so concatenation
-        # preserves sortedness — no merge pass needed.
-        chunks[lo].absorb(chunks[hi])
-        chunks.pop(hi)
-        self.delete_entry(hi)
-        self.refresh_entry(lo)
-        self.invalidate_prefix()
+        counts = self.counts
+        k = counts.size
+        if i + 1 < k and counts[i + 1] > s:
+            self._borrow(i, i + 1)
+        elif i > 0 and counts[i - 1] > s:
+            self._borrow(i, i - 1)
+        else:
+            lo = i if i + 1 < k else i - 1
+            values, weights = self.gather(slice(lo, lo + 2))
+            self.recut([lo], [lo + 1], values, weights, [values.size])
 
-    def bulk_split(self, positions: list[int], cap: int) -> None:
-        """Re-split every over-full chunk with one directory assembly.
-
-        ``positions`` must be ascending.  Each over-full chunk keeps its
-        first piece in place; the remaining pieces become new chunks
-        spliced into the list with slice concatenation and into the
-        directory with one multi-index array insert per column —
-        ``O(n/s + new)`` C-level work total, independent of how many
-        chunks split.
-        """
-        chunks = self.chunks
-        inserts: list[tuple[int, object]] = []
-        for p in positions:
-            chunk = chunks[p]
-            pieces = chunk.cut(split_sizes(chunk.data.size, cap))
-            self.refresh_entry(p)
-            for piece in pieces:
-                inserts.append((p + 1, piece))
-        out: list = []
-        at = 0
-        for idx, chunk in inserts:
-            out.extend(chunks[at:idx])
-            out.append(chunk)
-            at = idx
-        out.extend(chunks[at:])
-        self.chunks = out
-        idxs = [idx for idx, _ in inserts]
-        self.maxes = _np.insert(self.maxes, idxs, [c.data[-1] for _, c in inserts])
-        self.mins = _np.insert(self.mins, idxs, [c.data[0] for _, c in inserts])
-        self.counts = _np.insert(self.counts, idxs, [c.data.size for _, c in inserts])
-        if self.weighted:
-            self.wtotals = _np.insert(self.wtotals, idxs, [c.mass for _, c in inserts])
-        self.invalidate_prefix()
-
-    def normalize(self, s: int, cap: int) -> None:
-        """Restore chunk-size invariants with one sweep over the list.
-
-        Empty chunks are dropped; an under-full chunk is folded into its
-        successor (concatenation preserves sortedness); over-full results
-        are re-split.  Rebuilds the directory arrays once at the end.
-        """
-        out: list = []
-        pending = None
-        for chunk in self.chunks:
-            if chunk.data.size == 0:
-                continue
-            if pending is not None:
-                pending.absorb(chunk)
-                chunk = pending
-                pending = None
-            if chunk.data.size < s:
-                pending = chunk
-                continue
-            out.append(chunk)
-            if chunk.data.size > cap:
-                out.extend(chunk.cut(split_sizes(chunk.data.size, cap)))
-        if pending is not None:
-            if out:
-                tail = out.pop()
-                tail.absorb(pending)
-                out.append(tail)
-                if tail.data.size > cap:
-                    out.extend(tail.cut(split_sizes(tail.data.size, cap)))
+    def _borrow(self, i: int, j: int) -> None:
+        """Move neighbor ``j``'s element next to chunk ``i`` into ``i``."""
+        ri, rj = int(self.row_of[i]), int(self.row_of[j])
+        ci, cj = int(self.counts[i]), int(self.counts[j])
+        at = 0 if j > i else cj - 1  # the neighbor's cell that moves
+        moved = float(self.wslab[rj, at]) if self.weighted else 0.0
+        for plane in (self.slab, self.wslab) if self.weighted else (self.slab,):
+            mine, theirs = plane[ri], plane[rj]
+            if j > i:
+                mine[ci] = theirs[0]
+                theirs[: cj - 1] = theirs[1:cj]
             else:
-                out.append(pending)
-        self.load(out)
+                mine[1 : ci + 1] = mine[:ci]
+                mine[0] = theirs[at]
+        if self.weighted:
+            self.wslab[rj, cj - 1] = 0.0
+        self.counts[i] = ci + 1
+        self.counts[j] = cj - 1
+        self._refresh(i, self.slab[ri], ci + 1)
+        self._refresh(j, self.slab[rj], cj - 1)
+        self.note_delta(i, 1, moved)
+        self.note_delta(j, -1, -moved)
+
+    # -- bulk updates --------------------------------------------------------
+
+    def _rows(self, touched):
+        """Gather the rows of chunks ``touched`` (ascending) for a bulk pass.
+
+        Returns ``(rows, counts, block, wblock, live)``: the slab rows, the
+        live counts, fresh copies of the value (and weight) rows and the
+        mask of their live cells.
+        """
+        rows = self.row_of[touched]
+        counts = self.counts[touched]
+        wblock = self.wslab.take(rows, axis=0) if self.weighted else None
+        return rows, counts, self.slab.take(rows, axis=0), wblock, self._live(counts)
+
+    def _write(self, touched, rows, block, wblock, counts, values, weights) -> None:
+        """Write new contents into the rows of chunks ``touched``.
+
+        ``block`` (and ``wblock``) are the rows' cells, gathered or fresh;
+        the new contents fill their first ``counts`` cells and the weight
+        padding is zeroed before the rows go back into the slab.
+        """
+        live = self._live(counts)
+        block[live] = values
+        self.slab[rows] = block
+        ends = counts.cumsum()
+        self.counts[touched] = counts
+        self.mins[touched] = values[ends - counts]
+        self.maxes[touched] = values[ends - 1]
+        if self.weighted:
+            wblock[live] = weights
+            wblock[~live] = 0.0
+            self.wslab[rows] = wblock
+            self.wtotals[touched] = kernels.cum_table(wblock)[:, -1]
+        self.invalidate_prefix()
+
+    def merge(self, batch, weights=None) -> None:
+        """Merge a sorted batch into the chunks: one pass over the touched rows.
+
+        One ``searchsorted`` over ``maxes`` routes every value (values past
+        the global max join the last chunk).  The touched rows' live cells
+        are gathered, the batch is merged into them — stored elements
+        first on ties, the weights riding along — and the rows are written
+        back; if one overflows its row, :meth:`recut` splits it instead.
+        """
+        pos = self.maxes.searchsorted(batch)
+        _np.minimum(pos, len(self) - 1, out=pos)
+        touched, added = _runs(pos)
+        touched = pos[touched]
+        rows, counts, block, wblock, live = self._rows(touched)
+        flat = block[live]
+        slots = kernels.merge_slots(flat, batch, counts.cumsum().repeat(added))
+        merged = kernels.interleave(flat, batch, slots)
+        wmerged = None
+        if self.weighted:
+            wmerged = kernels.interleave(wblock[live], weights, slots)
+        counts += added
+        if (counts > self.cap).any():
+            self.recut(touched, touched, merged, wmerged, counts)
+        else:
+            self._write(touched, rows, block, wblock, counts, merged, wmerged)
+
+    def remove(self, batch, s: int):
+        """Remove one stored occurrence per value of a sorted batch, atomically.
+
+        Equal batch values take consecutive occurrences, starting with the
+        first in key order — the ones a loop of scalar deletes would take.
+        Each value is routed like an insert and found in the concatenated
+        live cells of the touched rows; the whole batch is verified before
+        anything changes, and a value with too few stored copies raises
+        :class:`~repro.errors.KeyNotFoundError` (the smallest such value is
+        named).  The hits then leave the rows in one pass.  A chunk that
+        empties or falls under ``s`` is dropped or folded by
+        :meth:`normalize`.  Returns the removed weights in batch order
+        (``None`` when unweighted).
+        """
+        if not len(self):
+            raise KeyNotFoundError(f"value not present: {float(batch[0])!r}")
+        pos = self.maxes.searchsorted(batch)
+        _np.minimum(pos, len(self) - 1, out=pos)
+        touched, hits = _runs(pos)
+        touched = pos[touched]
+        rows, counts, block, wblock, live = self._rows(touched)
+        flat = block[live]
+        at = flat.searchsorted(batch) + _copy_rank(batch)
+        if (at >= counts.cumsum().repeat(hits)).any():
+            # A run of copies continues past its chunk (or a value lies
+            # past the global max): resolve by global rank instead.
+            ci, off = self._find(batch)
+            touched, hits = _runs(ci)
+            touched = ci[touched]
+            rows, counts, block, wblock, live = self._rows(touched)
+            flat = block[live]
+            at = (counts.cumsum() - counts).repeat(hits) + off
+        else:
+            missing = flat[at] != batch
+            if missing.any():
+                raise KeyNotFoundError(
+                    f"value not present: {float(batch[missing][0])!r}"
+                )
+        kept = kernels.take_out(flat, at)
+        removed = wkept = None
+        if self.weighted:
+            wflat = wblock[live]
+            removed = wflat[at]
+            wkept = kernels.take_out(wflat, at)
+        counts -= hits
+        if (counts < s).any():
+            self.recut(touched, touched, kept, wkept, counts)
+            self.normalize(s)
+        else:
+            self._write(touched, rows, block, wblock, counts, kept, wkept)
+        return removed
+
+    def _find(self, batch):
+        """Global-rank twin of :meth:`remove`'s search, for runs of copies
+        that cross a chunk boundary: ascending ``(chunk, offset)`` arrays."""
+        folded = self.folded_counts()
+        heads, sizes = _runs(batch)
+        starts, ends = self.rank_bounds(batch[heads], batch[heads], folded)
+        run = _np.arange(heads.size).repeat(sizes)
+        ranks = starts[run] + _copy_rank(batch)
+        short = ranks >= ends[run]
+        if short.any():
+            raise KeyNotFoundError(f"value not present: {float(batch[short][0])!r}")
+        return folded.locate(ranks)
+
+    def normalize(self, s: int) -> None:
+        """Fold every chunk under ``s`` into a neighbor, in one pass.
+
+        Each maximal run of under-full chunks joins the chunk after it —
+        at the end of the list, the chunk before it — and :meth:`recut`
+        re-cuts each such group into balanced pieces.  A lone under-full
+        chunk that is the whole structure stays as it is.
+        """
+        under = self.counts < s
+        if not under.any():
+            return
+        k = len(self)
+        opens = _np.ones(k, dtype=bool)
+        opens[1:] = ~under[:-1]
+        heads = _np.flatnonzero(opens)
+        if under[-1] and heads.size > 1:
+            heads = heads[:-1]  # the trailing run has no chunk after it
+        tails = _np.append(heads[1:], k) - 1
+        grouped = tails > heads
+        first, last = heads[grouped], tails[grouped]
+        members = _spans(first, last)
+        values, weights = self.gather(members)
+        runs = last - first + 1
+        totals = _np.add.reduceat(self.counts[members], _np.cumsum(runs) - runs)
+        self.recut(first, last, values, weights, totals)
+
+    def recut(self, first, last, values, weights, totals) -> None:
+        """Replace chunk runs by balanced pieces of their new contents.
+
+        Run ``g`` is chunks ``first[g] .. last[g]`` (runs ascending and
+        disjoint); its new sorted contents are the next ``totals[g]``
+        entries of ``values`` (and ``weights``).  Each run becomes
+        ``ceil(totals[g] / cap)`` pieces whose sizes differ by at most one
+        — none for an empty run — so every piece lands within ``[s, 2s]``
+        whenever the run holds more than ``cap = 2s`` points.  A run's
+        rows are reused for its pieces in order; extra pieces take rows
+        from the free list and unused rows go back to it.  Whole rows are
+        written, padding included.  When every run keeps its chunk count
+        the directory columns are patched in place; otherwise they are
+        reassembled once, ``O(n/s)``, before the pieces are written.
+        """
+        cap = self.cap
+        first = _np.asarray(first, dtype=_np.int64)
+        last = _np.asarray(last, dtype=_np.int64)
+        totals = _np.asarray(totals, dtype=_np.int64)
+        runs = last - first + 1
+        pieces = -(-totals // cap)
+        base, extra = _np.divmod(totals, _np.maximum(pieces, 1))
+        grp = _np.repeat(_np.arange(pieces.size), pieces)
+        nth = _np.arange(grp.size) - _np.repeat(_np.cumsum(pieces) - pieces, pieces)
+        sizes = base[grp] + (nth < extra[grp])
+        # Rows: each run's own rows in order, then fresh ones.
+        members = _spans(first, last)
+        own = self.row_of[members]
+        run_at = _np.cumsum(runs) - runs
+        spare = members - _np.repeat(first, runs) >= _np.repeat(pieces, runs)
+        self._release(own[spare])
+        reused = nth < runs[grp]
+        rows = _np.empty(grp.size, dtype=_np.int64)
+        rows[reused] = own[(run_at[grp] + nth)[reused]]
+        rows[~reused] = self._alloc(grp.size - int(reused.sum()))
+        if (pieces == runs).all():
+            at = members
+        else:
+            slots = _np.ones(len(self), dtype=_np.int64)  # new chunks per old one
+            slots[members] = 0
+            slots[first] = pieces
+            starts = _np.cumsum(slots) - slots
+            outside = slots.astype(bool)
+            outside[first] = False
+            at = starts[first][grp] + nth
+            names = ("row_of", "counts", "mins", "maxes")
+            for name in names + (("wtotals",) if self.weighted else ()):
+                old = getattr(self, name)
+                col = _np.empty(int(slots.sum()), dtype=old.dtype)
+                col[starts[outside]] = old[outside]
+                setattr(self, name, col)
+        self.row_of[at] = rows
+        shape = (rows.size, cap)
+        wblock = _np.zeros(shape) if self.weighted else None
+        block = _np.zeros(shape, dtype=self.slab.dtype)
+        self._write(at, rows, block, wblock, sizes, values, weights)
 
     # -- validation (used by the samplers' check_invariants) ---------------
 
-    def check(self, s: int, cap: int, n: int) -> None:
+    def check(self, s: int, n: int) -> None:
         """Assert every directory invariant; ``O(n)``, tests only."""
-        chunks = self.chunks
-        assert (len(chunks) == 0) == (n == 0)
-        assert len(self.maxes) == len(self.mins) == len(self.counts) == len(chunks)
+        k = len(self)
+        cap = self.cap
+        counts = self.counts
+        assert (k == 0) == (n == 0)
+        columns = [self.row_of, self.mins, self.maxes] + (
+            [self.wtotals] if self.weighted else []
+        )
+        assert all(col.size == k for col in columns), "directory columns misaligned"
+        held = set(self.row_of.tolist())
+        assert len(held) == k and not held & set(self.free), "a row is shared"
+        assert len(held) + len(self.free) == self.top <= self.slab.shape[0], (
+            "a row leaked"
+        )
+        assert bool((counts >= 1).all()), "empty chunk"
+        assert bool((counts <= cap).all()), "chunk over its row"
+        if n > cap:
+            assert bool((counts >= s).all()), f"chunk size outside [{s}, {cap}]"
+        values, weights = self.gather()
+        assert values.size == n, f"size mismatch: {values.size} != {n}"
+        assert not bool((values[1:] < values[:-1]).any()), "chunks not sorted"
+        ends = _np.cumsum(counts)
+        assert bool((self.mins == values[ends - counts]).all()), "mins stale"
+        assert bool((self.maxes == values[ends - 1]).all()), "maxes stale"
         if self.weighted:
-            assert len(self.wtotals) == len(chunks)
-        seen = 0
-        prev_value = float("-inf")
-        for i, chunk in enumerate(chunks):
-            data = chunk.data
-            assert data.size, "empty chunk"
-            assert data.ndim == 1, "plane not 1-D"
-            assert not bool((data[1:] < data[:-1]).any()), "chunk not sorted"
-            assert data[0] >= prev_value, "chunks out of order"
-            if n > cap:
-                assert s <= data.size <= cap, (
-                    f"chunk size {data.size} outside [{s}, {cap}]"
-                )
-            assert self.maxes[i] == data[-1], "maxes stale"
-            assert self.mins[i] == data[0], "mins stale"
-            assert self.counts[i] == data.size, "counts stale"
-            if self.weighted:
-                assert abs(self.wtotals[i] - chunk.mass) <= 1e-9 * max(
-                    1.0, abs(chunk.mass)
-                ), "wtotals stale"
-            prev_value = data[-1]
-            seen += data.size
-        assert seen == n, f"size mismatch: {seen} != {n}"
+            assert bool((weights > 0.0).all()), "weight not positive"
+            rows = self.wslab[self.row_of]
+            padding = _np.arange(cap) >= counts[:, None]
+            assert not rows[padding].any(), "weight padding not zero"
+            assert not self.wslab[self.free].any(), "free weight row not zero"
+            masses = kernels.cum_table(rows)[:, -1] if k else _np.empty(0)
+            assert bool(
+                (_np.abs(self.wtotals - masses) <= 1e-9 * _np.maximum(1.0, masses)).all()
+            ), "wtotals stale"
         if self._prefix is not None:
-            expect = list(accumulate(c.data.size for c in chunks))
-            folded = list(self._prefix)
+            folded = self._prefix.copy()
             for j, delta in self._pending.items():
-                for k in range(j, len(folded)):
-                    folded[k] += delta
-            assert folded == expect, "prefix cache (with pending deltas) stale"
+                folded[j:] += delta
+            assert folded.tolist() == ends.tolist(), (
+                "prefix cache (with pending deltas) stale"
+            )
         else:
             assert not self._pending, "pending deltas without a prefix cache"
         if self.weighted and self._wprefix is not None:
-            expect_w = list(accumulate(c.mass for c in chunks))
-            folded_w = list(self._wprefix)
-            for j, delta in self._wpending.items():
-                for k in range(j, len(folded_w)):
-                    folded_w[k] += delta
-            assert all(
-                abs(x - y) <= 1e-6 * max(1.0, abs(y))
-                for x, y in zip(folded_w, expect_w)
+            folded_w = self.folded_wprefix()
+            expect_w = _np.cumsum(masses)
+            assert bool(
+                (_np.abs(folded_w - expect_w) <= 1e-6 * _np.maximum(1.0, expect_w)).all()
             ), "weight prefix cache (with pending deltas) stale"
         elif self.weighted:
             assert not self._wpending, "pending weight deltas without a cache"

@@ -9,9 +9,10 @@ Guarantees (matching the published bounds of Hu–Qiao–Tao, PODS 2014):
 
 Design (see DESIGN.md §2.2 for the full analysis).  Points live in sorted
 *chunks* of size ``s .. 2s`` with ``s = Θ(log n)``.  The chunk directory is
-the shared **array-backed engine** of :mod:`repro.core.directory`
-(DESIGN.md §8): chunks hold NumPy array planes in key order and three
-parallel arrays (``maxes``, ``mins``, ``counts``) describe them —
+the shared **slab-backed engine** of :mod:`repro.core.directory`
+(DESIGN.md §8): every chunk is one row of a 2-D slab, and parallel arrays
+(``row_of``, ``maxes``, ``mins``, ``counts``) describe the chunks in key
+order —
 
 * boundary chunks of a query are found with one C-level ``searchsorted``
   per endpoint (the ``maxes`` array is nondecreasing, so "first chunk whose
@@ -25,26 +26,27 @@ parallel arrays (``maxes``, ``mins``, ``counts``) describe them —
   chunk list, so "uniform (chunk, slot) pair, accept slot < |chunk|"
   samples an in-range point exactly uniformly with acceptance ≥ 1/2 —
   the density-bounded window the paper gets from a packed-memory array
-  falls out of the directory for free, with no gaps to reject;
+  is the slab itself, and an accepted pair is one gather out of it;
 * seeded sampling (``sample_bulk(seed=)`` and ``sample_bulk_many``)
   draws global ranks instead and resolves them through the count
   prefix — the law of ``StaticIRS``, so a seeded reply never depends on
   the chunk layout (DESIGN.md §5).
 
-Every hot loop is one call into :mod:`repro.core.kernels` (DESIGN.md
-§13): scalar splices, bulk merge/take-out passes, the middle-rejection
-accept/reject scan and the rank-resolution searches.  All randomness (the
-bulk side stream, the seeded counter-based ranks, the scalar stream's
-draw order) and all accounting stay in this driver; the kernels are pure
-array functions.
+No read or update path loops over chunks in Python: a scalar update
+shifts one row in place, a bulk update is one pass over the touched rows,
+and every multi-chunk read is one gather or one ``k × cap`` compare over
+the slab, with the hot loops in :mod:`repro.core.kernels` (DESIGN.md
+§13).  All randomness (the bulk side stream, the seeded counter-based
+ranks, the scalar stream's draw order) and all accounting stay in this
+driver; the kernels are pure array functions.
 
-Storage planes are dtype-generic (PR 10): ``dtype=float32`` at
-construction halves resident bytes, with every value coerced through the
-plane dtype on the way in so routing, equality, and sortedness are
-computed on exactly the stored representation.  Sampling and export
-surfaces return float64 (float32 values widen exactly).  With
-``from_sorted(..., copy=False)`` the caller's array is adopted without a
-copy (see :mod:`repro.core.planes` for the strict contract).
+Storage is dtype-generic: ``dtype=float32`` at construction halves
+resident bytes, with every value coerced through the plane dtype on the
+way in (:func:`~repro.core.base.round_to_plane`) so routing, equality,
+and sortedness are computed on exactly the stored representation.
+Sampling and export surfaces return float64 (float32 values widen
+exactly).  ``from_sorted`` validates its input and copies it once,
+straight into the slab.
 
 Global rebuilds keep ``s`` in step with ``log n``: the structure is rebuilt
 whenever ``n`` drifts outside ``[n0/2, 2·n0]``, which is amortized ``O(1)``
@@ -54,8 +56,7 @@ per update.
 from __future__ import annotations
 
 import math
-from operator import getitem as _getitem
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as _np
 
@@ -65,11 +66,11 @@ from ..types import QueryStats
 from .base import (
     DynamicRangeSampler,
     coerce_query_bounds,
+    round_to_plane,
     sample_bulk_many_by_rank,
     validate_point,
     validate_query,
 )
-from .directory import Chunk as _Chunk
 from .directory import ChunkDirectory
 from . import kernels
 from .planes import as_plane, resolve_dtype
@@ -77,61 +78,27 @@ from .planes import as_plane, resolve_dtype
 __all__ = ["DynamicIRS"]
 
 _MIN_CHUNK = 8
-#: Middle runs at most this many chunks wide are gathered behind a
-#: prefix-sum table instead of sampled by rejection (see ``_middle_plan``).
+#: Middle runs at most this many chunks wide are resolved through a
+#: prefix-sum table instead of sampled by rejection (see ``_narrow``).
 _NARROW = 24
 #: Batches at or below this size take the scalar update loop — the
 #: vectorized prelude's fixed cost only amortizes above it.
 _BULK_CUTOFF = 16
 
 
-class _MiddlePlan:
-    """Query-local sampler over the middle run of whole chunks.
+def _narrow(width: int, t: int) -> bool:
+    """Whether a middle run of ``width`` chunks is resolved by rank.
 
-    Two modes (chosen by :meth:`DynamicIRS._middle_plan`):
-
-    * ``cumulative`` — the chunks are gathered once and a prefix-sum table
-      maps the caller's in-range rank ``r ∈ [0, K_mid)`` straight to
-      ``(chunk, offset)`` with one C-level bisect.  Exactly uniform, zero
-      extra random draws, worst-case ``O(log)`` per sample; used whenever
-      gathering is affordable (``m = O(log n + t)`` chunks).
-    * ``rejection`` — uniform over the ``(chunk, slot)`` grid of the middle
-      index window: accept slot ``i`` of chunk ``c`` iff ``i < |c|``.  Every
-      chunk holds ``s .. 2s`` points, so acceptance is at least 1/2 and each
-      accepted pair is an exactly uniform middle point in ``O(1)`` expected
-      probes; used for wide middles where gathering would break the
-      ``O(log n + t)`` budget.
-
-    The mode decision depends only on structure content and ``t``.
+    A prefix-sum table over the run costs ``O(width)`` once and makes
+    every middle sample one C-level bisect, so it is used whenever the
+    run fits the query's ``O(log n + t)`` budget — the run is narrow or
+    ``width <= 2t`` (the table is amortized by the samples themselves).
+    Wider middles are sampled by ``O(1)``-expected rejection over the
+    ``(chunk, slot)`` grid of the index window.  The rule decides how many
+    draws the scalar and bulk streams consume, so it depends only on the
+    structure and ``t``.
     """
-
-    __slots__ = ("mode", "window_lo", "window_hi", "cap", "chunks", "cum")
-
-    def sample_rank(self, rank: int) -> float:
-        """cumulative mode: map an in-range middle rank to its value."""
-        i = int(kernels.search_right_scalar(self.cum, rank))
-        prev = int(self.cum[i - 1]) if i else 0
-        return float(self.chunks[i].data[rank - prev])
-
-    def sample_draw(self, randbelow, stats: QueryStats) -> float:
-        """rejection mode: draw a fresh uniform middle element.
-
-        One draw per probe: a uniform integer over ``window × cap`` encodes
-        the chunk (quotient) and the acceptance/element index (remainder) at
-        once — per-element probability is ``1/(window·cap)``, exactly
-        uniform conditional on acceptance.
-        """
-        window_lo = self.window_lo
-        cap = self.cap
-        span = (self.window_hi - window_lo + 1) * cap
-        chunks = self.chunks
-        while True:
-            draw = randbelow(span)
-            data = chunks[window_lo + draw // cap].data
-            idx = draw % cap
-            if idx < data.size:
-                return float(data[idx])
-            stats.rejections += 1
+    return width <= max(_NARROW, 2 * t)
 
 
 class DynamicIRS(DynamicRangeSampler):
@@ -162,8 +129,8 @@ class DynamicIRS(DynamicRangeSampler):
     ) -> None:
         self._init_common(seed, chunk_scale, resolve_dtype(values, dtype))
         if not isinstance(values, _np.ndarray):
-            values = _np.asarray(list(values), dtype=self._dtype)
-        data = _np.sort(values.astype(self._dtype, copy=False))
+            values = list(values)
+        data = _np.sort(round_to_plane(values, self._dtype))
         if data.size:
             validate_point(data[-1])
         self._build(data)
@@ -176,71 +143,39 @@ class DynamicIRS(DynamicRangeSampler):
         chunk_scale: float = 1.0,
         *,
         dtype=None,
-        copy: bool = True,
     ) -> "DynamicIRS":
         """O(n) fast constructor over already-sorted input.
 
         Skips the ``O(n log n)`` sort of ``__init__``; the input is verified
         nondecreasing in ``O(n)`` (one vectorized pass) and a
-        :class:`ValueError` is raised otherwise.  ``copy=False`` adopts a
-        caller ndarray zero-copy under the strict contract of
-        :func:`repro.core.planes.as_plane` (chunks become views of it;
-        mutating it afterwards is undefined behavior).
+        :class:`ValueError` is raised otherwise.  The points are copied
+        once, straight into the slab, so the structure never aliases the
+        caller's array.
         """
         self = cls.__new__(cls)
-        arr = as_plane(values, dtype=dtype, copy=copy)
+        arr = as_plane(values, dtype=dtype, copy=None)
         self._init_common(seed, chunk_scale, arr.dtype)
         self._build(arr)
         return self
 
-    def _init_common(self, seed: int | None, chunk_scale: float, dtype=None) -> None:
+    def _init_common(self, seed: int | None, chunk_scale: float, dtype) -> None:
         self._rng = RandomSource(seed)
         self._chunk_scale = chunk_scale
         self.stats = QueryStats()
         self._bulk_gen = None  # lazily-spawned NumPy side stream (sample_bulk)
-        self._dtype = _np.dtype(dtype) if dtype is not None else _np.dtype(_np.float64)
-        self._dir = ChunkDirectory(weighted=False)
-
-    def _coerce(self, value) -> float:
-        """Round ``value`` through the plane dtype (identity for float64).
-
-        Every scalar entering the structure is coerced *before* routing or
-        comparison, so searches run against exactly the stored bits.
-        float32→float64 widening is exact, so the result is still a plain
-        Python float.
-        """
-        if self._dtype.itemsize == 8:
-            return float(value)
-        return float(self._dtype.type(value))
+        self._dtype = _np.dtype(dtype)
+        self._dir = ChunkDirectory(self._dtype)
 
     # -- construction / rebuild ------------------------------------------------
 
     def _build(self, data) -> None:
-        """(Re)build the chunk list and directory from sorted points."""
-        if not isinstance(data, _np.ndarray) or data.dtype != self._dtype:
-            data = _np.asarray(data, dtype=self._dtype)
+        """(Re)build the slab and directory from sorted points."""
         self._n = int(data.size)
         self._n0 = max(self._n, 1)
         raw = self._chunk_scale * max(1.0, math.log2(self._n0 + 2))
         self._s = max(_MIN_CHUNK, int(raw))
         self._cap = 2 * self._s
-        # Build at the midpoint of the [s, 2s] window so fresh chunks have
-        # slack on both sides: deletes can borrow instead of merging and
-        # inserts absorb s/2 points before the first split.  Pieces are
-        # views — building over an adopted array allocates no planes.
-        s = self._s
-        step = (3 * s) // 2
-        pieces = [data[i : i + step] for i in range(0, self._n, step)]
-        if len(pieces) > 1 and pieces[-1].size < s:
-            tail = pieces.pop()
-            merged = _np.concatenate((pieces.pop(), tail))
-            if merged.size > self._cap:
-                half = merged.size // 2
-                pieces.append(merged[:half])
-                pieces.append(merged[half:])
-            else:
-                pieces.append(merged)
-        self._dir.load([_Chunk(piece) for piece in pieces])
+        self._dir.load(data, None, self._s, self._cap)
 
     def _maybe_rebuild(self) -> None:
         if self._n > 2 * self._n0 or (self._n0 > _MIN_CHUNK and 2 * self._n < self._n0):
@@ -258,7 +193,7 @@ class DynamicIRS(DynamicRangeSampler):
 
     @property
     def plane_nbytes(self) -> int:
-        """Logical bytes of the stored value plane (``n × itemsize``)."""
+        """Logical bytes of the stored values (``n × itemsize``)."""
         return self._n * self._dtype.itemsize
 
     @property
@@ -266,89 +201,40 @@ class DynamicIRS(DynamicRangeSampler):
         """Current ``(s, 2s)`` chunk-size window (changes on rebuilds)."""
         return self._s, self._cap
 
-    @property
-    def _chunks(self) -> list[_Chunk]:
-        """The directory's ordered chunk list (tests and debugging)."""
-        return self._dir.chunks
-
-    def _iter_chunks(self) -> Iterator[_Chunk]:
-        return iter(self._dir.chunks)
-
-    def _iter_values(self) -> Iterator[float]:
-        for chunk in self._dir.chunks:
-            yield from chunk.data.tolist()
-
     def values(self) -> list[float]:
         """Return every stored point in sorted order (``O(n)``)."""
-        out: list[float] = []
-        for chunk in self._dir.chunks:
-            out.extend(chunk.data.tolist())
-        return out
+        return self.export_sorted().tolist()
 
     def __contains__(self, value: float) -> bool:
-        value = self._coerce(value)
-        i = int(kernels.search_left_scalar(self._dir.maxes, value))
-        if i >= len(self._dir.chunks):
+        try:
+            self._dir.locate(round_to_plane(value, self._dtype))
+        except (InvalidQueryError, KeyNotFoundError):  # beyond the plane, or absent
             return False
-        data = self._dir.chunks[i].data
-        j = int(kernels.search_left_scalar(data, value))
-        return j < data.size and data[j] == value
+        return True
 
     # -- scalar updates --------------------------------------------------------------
 
     def insert(self, value: float) -> None:
         """Insert one point in ``O(log n)`` amortized time.
 
-        The route (one binary search over ``maxes``), the in-chunk
-        position search, and the splice are three kernel calls, the
-        splice allocating exactly one fresh ``s``-element plane.
+        The route (one binary search over ``maxes``) and the in-row
+        position search are two kernel calls; the row's tail then shifts
+        one cell in place (:meth:`ChunkDirectory.insert
+        <repro.core.directory.ChunkDirectory.insert>`).
         """
-        value = self._coerce(value)
+        value = round_to_plane(value, self._dtype)
         validate_point(value)
-        directory = self._dir
-        chunks = directory.chunks
-        if not chunks:
+        if not self._n:
             self._build(_np.asarray([value], dtype=self._dtype))
             return
-        i = int(kernels.search_left_scalar(directory.maxes, value))
-        if i >= len(chunks):
-            i = len(chunks) - 1
-        chunk = chunks[i]
-        pos = kernels.search_right_scalar(chunk.data, value)
-        chunk.data = kernels.splice_insert(chunk.data, pos, value)
-        chunk.touch()
-        directory.refresh_entry(i)
+        self._dir.insert(value)
         self._n += 1
-        directory.note_delta(i, 1)
-        if chunk.data.size > self._cap:
-            directory.split_chunk(i, self._cap)
         self._maybe_rebuild()
 
     def delete(self, value: float) -> None:
         """Delete one occurrence of ``value`` in ``O(log n)`` amortized time."""
-        value = self._coerce(value)
-        directory = self._dir
-        chunks = directory.chunks
-        i = int(kernels.search_left_scalar(directory.maxes, value))
-        j = -1
-        if i < len(chunks):
-            data = chunks[i].data
-            j = int(kernels.search_left_scalar(data, value))
-            if j >= data.size or data[j] != value:
-                j = -1
-        if j < 0:
-            raise KeyNotFoundError(f"value not present: {value!r}")
-        chunk = chunks[i]
-        chunk.data = kernels.splice_delete(chunk.data, j)
-        chunk.touch()
+        self._dir.delete(round_to_plane(value, self._dtype), self._s)
         self._n -= 1
-        directory.note_delta(i, -1)
-        if chunk.data.size == 0:
-            directory.remove_chunk(i)
-            return
-        directory.refresh_entry(i)
-        if chunk.data.size < self._s and len(chunks) > 1:
-            directory.repair_underfull(i, self._s)
         self._maybe_rebuild()
 
     # -- bulk updates -----------------------------------------------------------------
@@ -357,172 +243,65 @@ class DynamicIRS(DynamicRangeSampler):
         """Insert a whole batch with one deferred directory repair.
 
         The batch is sorted once, routed to its target chunks with a
-        single vectorized ``searchsorted``, and each touched chunk absorbs
-        its segment with one kernel merge (stable, chunk-first on ties).
-        Directory counts and key extents are then repaired with three
-        vectorized array ops and over-full chunks are re-split in one
-        assembly pass — ``O(b log b + touched·s)`` for a batch of ``b``
-        instead of ``b`` separate ``O(log n)`` update paths.  The
-        global-rebuild check is hoisted: a batch that would push ``n``
-        past ``2·n0`` rebuilds wholesale *before* routing (the only way an
-        insert batch can trip it), so no trailing ``_maybe_rebuild`` is
-        needed.
+        single vectorized ``searchsorted``, and merged into all touched
+        rows in one pass (stable, stored elements first on ties); the rows
+        are written back and over-full ones re-split in one assembly pass
+        (:meth:`ChunkDirectory.merge
+        <repro.core.directory.ChunkDirectory.merge>`) —
+        ``O(b log b + touched·s)`` for a batch of ``b`` instead of ``b``
+        separate ``O(log n)`` update paths.  The global-rebuild check is
+        hoisted: a batch that would push ``n`` past ``2·n0`` rebuilds
+        wholesale *before* routing (the only way an insert batch can trip
+        it), so no trailing ``_maybe_rebuild`` is needed.
         """
         if not isinstance(values, _np.ndarray):
             values = list(values)
-        if len(values) <= _BULK_CUTOFF:
-            # Below the cutoff the vectorized prelude (array round trip,
-            # searchsorted, unique) costs more than the scalar loop.
-            for value in values:
+        batch = round_to_plane(values, self._dtype)
+        if batch.size <= _BULK_CUTOFF:
+            # Below the cutoff the vectorized prelude (searchsorted, row
+            # gather, write-back) costs more than the scalar loop.
+            for value in batch.tolist():
                 validate_point(value)
-            for value in values:
-                self.insert(float(value))
+            for value in batch.tolist():
+                self.insert(value)
             return
-        batch = _np.sort(_np.asarray(values, dtype=self._dtype))
+        # Stable sorts: equal values keep their input order, and stored
+        # points stay before new ones (``-0.0 == 0.0`` differ in bytes).
+        batch = _np.sort(batch, kind="stable")
         validate_point(batch[-1])
-        m = int(batch.size)
         if self._n == 0:
             self._build(batch)
             return
-        if self._n + m > 2 * self._n0:
+        if self._n + batch.size > 2 * self._n0:
             # The batch alone crosses the global-rebuild threshold: merge
             # into one sorted array and rebuild wholesale — amortized O(1)
             # per element, and it picks the right chunk size for the new n
             # immediately.
-            merged = _np.sort(_np.concatenate((self.export_sorted(), batch)))
-            self._build(merged)
+            merged = _np.concatenate((self.export_sorted(), batch))
+            self._build(_np.sort(merged, kind="stable"))
             return
-        directory = self._dir
-        chunks = directory.chunks
-        last = len(chunks) - 1
-        pos = _np.searchsorted(directory.maxes, batch, side="left")
-        if int(pos[-1]) > last:  # values beyond the global max join the tail
-            pos = _np.minimum(pos, last)
-        uniq, starts = _np.unique(pos, return_index=True)
-        ends = _np.append(starts[1:], m)
-        # Directory repair for counts and key extents is fully vectorized.
-        directory.counts[uniq] += ends - starts
-        directory.maxes[uniq] = _np.maximum(directory.maxes[uniq], batch[ends - 1])
-        directory.mins[uniq] = _np.minimum(directory.mins[uniq], batch[starts])
-        cap = self._cap
-        oversized: list[int] = []
-        for p, g0, g1 in zip(uniq.tolist(), starts.tolist(), ends.tolist()):
-            chunk = chunks[p]
-            chunk.data = kernels.merge_runs(chunk.data, batch[g0:g1])
-            chunk.touch()
-            if chunk.data.size > cap:
-                oversized.append(p)
-        self._n += m
-        directory.invalidate_prefix()
-        if oversized:
-            directory.bulk_split(oversized, cap)
+        self._dir.merge(batch)
+        self._n += int(batch.size)
 
     def delete_bulk(self, values: Iterable[float]) -> None:
         """Delete one occurrence per batch value with one deferred repair.
 
         Atomic: if any value is absent the structure is left untouched and
         :class:`~repro.errors.KeyNotFoundError` is raised.  The batch is
-        sorted once, routed with one vectorized ``searchsorted``, each
-        touched chunk gives up its whole segment in one kernel take-out
-        pass; empty and under-full chunks are then repaired in a single
-        normalization sweep followed by one ``_maybe_rebuild`` check.
+        sorted once, routed with one vectorized ``searchsorted`` and found
+        in the touched rows — all before anything changes
+        (:meth:`ChunkDirectory.remove
+        <repro.core.directory.ChunkDirectory.remove>`); the hits then leave
+        the rows in one pass, under-full chunks are repaired in one
+        normalization pass, and one ``_maybe_rebuild`` check follows.
         """
-        values = [self._coerce(v) for v in values]
-        m = len(values)
-        if m == 0:
+        if not isinstance(values, _np.ndarray):
+            values = list(values)
+        batch = _np.sort(round_to_plane(values, self._dtype))
+        if not batch.size:
             return
-        directory = self._dir
-        chunks = directory.chunks
-        n_chunks = len(chunks)
-        if m <= _BULK_CUTOFF:
-            # Small batch: skip the vectorized prelude but keep the shared
-            # verify/apply path (and with it the atomicity guarantee).
-            bulk_list = sorted(values)
-            groups: list[tuple[int, int, int]] = []
-            for g, value in enumerate(bulk_list):
-                p = directory.first_max_ge(value)
-                if p >= n_chunks:
-                    raise KeyNotFoundError(f"value not present: {value!r}")
-                if groups and groups[-1][0] == p:
-                    groups[-1] = (p, groups[-1][1], g + 1)
-                else:
-                    groups.append((p, g, g + 1))
-        else:
-            batch = _np.sort(_np.asarray(values, dtype=self._dtype))
-            pos = (
-                _np.searchsorted(directory.maxes, batch, side="left")
-                if n_chunks
-                else None
-            )
-            if n_chunks == 0 or int(pos[-1]) >= n_chunks:
-                missing = batch[-1] if n_chunks == 0 else float(batch[pos >= n_chunks][0])
-                raise KeyNotFoundError(f"value not present: {float(missing)!r}")
-            uniq, starts = _np.unique(pos, return_index=True)
-            ends = _np.append(starts[1:], m)
-            bulk_list = batch.tolist()
-            groups = list(zip(uniq.tolist(), starts.tolist(), ends.tolist()))
-        # Verify phase: resolve every target to its (chunk, offset) without
-        # mutating anything, so a missing value aborts atomically.  Only
-        # C-level searches and integer appends — no plane copies.
-        plan: dict[int, list[int]] = {}
-        mins = directory.mins
-        for p, g0, g1 in groups:
-            j = p
-            data = chunks[p].data
-            size = data.size
-            hits = plan.get(p)
-            if hits is None:
-                hits = plan[p] = []
-                at = 0  # search floor inside chunk j
-            else:
-                at = hits[-1] + 1
-            for g in range(g0, g1):
-                value = bulk_list[g]
-                while True:
-                    i = int(kernels.search_left_scalar(data, value))
-                    if i < at:
-                        i = at
-                    if i < size and data[i] == value:
-                        hits.append(i)
-                        at = i + 1
-                        break
-                    # Spill into the next chunk: possible only when the
-                    # value ties this chunk's max and duplicates continue.
-                    j += 1
-                    if j >= n_chunks or mins[j] > value:
-                        raise KeyNotFoundError(f"value not present: {value!r}")
-                    data = chunks[j].data
-                    size = data.size
-                    hits = plan.get(j)
-                    if hits is None:
-                        hits = plan[j] = []
-                        at = 0
-                    else:
-                        at = hits[-1] + 1
-        # Apply phase: splice out the recorded offsets (ascending per
-        # chunk) with one kernel take-out per touched chunk.
-        violation = False
-        s = self._s
-        for p, hits in plan.items():
-            chunk = chunks[p]
-            chunk.data = kernels.take_out(
-                chunk.data, _np.asarray(hits, dtype=_np.int64)
-            )
-            chunk.touch()
-            if chunk.data.size < s:
-                violation = True
-        self._n -= m
-        directory.invalidate_prefix()
-        if violation:
-            directory.normalize(s, self._cap)
-        else:
-            # All touched chunks stayed within bounds: repair their
-            # directory rows with three vectorized assignments.
-            changed = list(plan)
-            idx = _np.asarray(changed, dtype=_np.int64)
-            directory.counts[idx] = [chunks[p].data.size for p in changed]
-            directory.maxes[idx] = [chunks[p].data[-1] for p in changed]
-            directory.mins[idx] = [chunks[p].data[0] for p in changed]
+        self._dir.remove(batch, self._s)
+        self._n -= int(batch.size)
         self._maybe_rebuild()
 
     # -- queries ------------------------------------------------------------------------
@@ -541,94 +320,50 @@ class DynamicIRS(DynamicRangeSampler):
         (:meth:`ChunkDirectory.rank_bounds
         <repro.core.directory.ChunkDirectory.rank_bounds>` — one
         ``searchsorted`` over ``maxes`` and one over ``mins`` for *all*
-        bounds, two in-chunk searches per query, and the pending count
-        deltas folded into just the prefix entries read), ``O(q log n)``
-        in total.
+        bounds, one ``k × cap`` compare for every in-chunk offset, and the
+        pending count deltas folded into just the prefix entries read),
+        ``O(q log n)`` in total.
         """
         starts, ends = self._rank_bounds(*coerce_query_bounds(queries))
         return ends - starts
 
     def _rank_bounds(self, los, his, folded=None):
         """Global rank intervals of many ranges (bounds rounded to the plane)."""
-        if self._dtype.itemsize == 4:
-            los = los.astype(_np.float32).astype(_np.float64)
-            his = his.astype(_np.float32).astype(_np.float64)
-        return self._dir.rank_bounds(los, his, folded)
+        return self._dir.rank_bounds(
+            round_to_plane(los, self._dtype, "lo"),
+            round_to_plane(his, self._dtype, "hi"),
+            folded,
+        )
 
     def _take_ranks(self, ranks, starts, ends, counts, folded):
         """Values at the seeded queries' global ranks (see :meth:`sample_bulk`).
 
-        Each query gathers one of two ways, by the rule
-        :meth:`_middle_plan` applies: a query whose range spans at most
-        ``max(_NARROW, 2t)`` chunks reads its ranks out of the
-        concatenation of those chunks (all such queries share one
-        ``concatenate``); a wider one resolves each rank to its
-        ``(chunk, offset)`` through the count prefix and reads the values
-        one by one, so it never copies a chunk it does not sample.
-        ``folded`` is the call's :class:`~repro.core.directory.FoldedCounts`.
+        Each rank resolves to its ``(chunk, offset)`` through the count
+        prefix (``folded`` is the call's
+        :class:`~repro.core.directory.FoldedCounts`), and all values come
+        out of the slab in one gather.
         """
-        directory = self._dir
-        chunks = directory.chunks
-        nq = int(counts.size)
-        self.stats.queries += nq
+        self.stats.queries += int(counts.size)
         self.stats.samples_returned += int(ranks.size)
-        edge, edge_off = folded.locate(_np.concatenate((starts, ends - 1)))
-        first, last = edge[:nq], edge[nq:]
-        pooled = last - first < _np.maximum(_NARROW, 2 * counts)
-        out = _np.empty(ranks.size, dtype=float)
-        if not pooled.all():
-            scattered = _np.repeat(~pooled, counts)
-            ci, off = folded.locate(ranks[scattered])
-            planes = [chunks[c].data for c in ci.tolist()]
-            out[scattered] = _np.fromiter(
-                map(_getitem, planes, off.tolist()), dtype=float, count=len(planes)
-            )
-        if pooled.any():
-            sel = _np.nonzero(pooled)[0]
-            # Rank of each window's first point and one past its last; a
-            # rank ``g`` of query ``i`` sits at ``g + shift[i]`` in ``flat``.
-            window_lo = starts[sel] - edge_off[sel]
-            window_hi = ends[sel] - edge_off[nq + sel] + directory.counts[last[sel]] - 1
-            sizes = window_hi - window_lo
-            shift = _np.cumsum(sizes) - sizes - window_lo
-            flat = _np.concatenate([
-                chunk.data
-                for a, b in zip(first[sel].tolist(), last[sel].tolist())
-                for chunk in chunks[a : b + 1]
-            ])
-            gathered = _np.repeat(pooled, counts)
-            out[gathered] = flat[ranks[gathered] + _np.repeat(shift, counts[sel])]
-        return out
+        return self._values_at(ranks, folded)
 
     def export_sorted(self):
         """Return every stored point as a sorted NumPy array (shard hook).
 
-        ``O(n)`` — one concatenation of the per-chunk planes in the
-        structure's dtype; the result is freshly assembled, so callers
-        own it.
+        ``O(n)`` — one gather of the slab's live cells in the structure's
+        dtype; the result is freshly assembled, so callers own it.
         """
-        if not self._dir.chunks:
-            return _np.empty(0, dtype=self._dtype)
-        return _np.concatenate([chunk.data for chunk in self._dir.chunks])
+        return self._dir.gather()[0]
 
     def report(self, lo: float, hi: float) -> list[float]:
         validate_query(lo, hi, 0)
-        lo = self._coerce(lo)
-        hi = self._coerce(hi)
-        out: list[float] = []
-        chunks = self._dir.chunks
-        i = self._dir.first_max_ge(lo)
-        while i < len(chunks) and chunks[i].data[0] <= hi:
-            data = chunks[i].data
-            a = int(kernels.search_left_scalar(data, lo)) if data[0] < lo else 0
-            b = (
-                int(kernels.search_right_scalar(data, hi))
-                if data[-1] > hi
-                else data.size
-            )
-            out.extend(data[a:b].tolist())
-            i += 1
-        return out
+        starts, ends = self._rank_bounds(_np.asarray([lo]), _np.asarray([hi]))
+        return self._values_at(_np.arange(starts[0], ends[0])).tolist()
+
+    def _values_at(self, ranks, folded=None):
+        """float64 values at global ``ranks``: one locate, one slab gather."""
+        rows, off = self._dir.cells(ranks, folded)
+        return self._dir.slab[rows, off].astype(float)
 
     def _plan(self, lo: float, hi: float):
         """Resolve a range into ``(K, a, la, k_left, k_mid, b, k_right)``.
@@ -644,27 +379,18 @@ class DynamicIRS(DynamicRangeSampler):
         float64 directory arrays and the searches inside a float32 plane
         agree on which points are in range.
         """
-        lo = self._coerce(lo)
-        hi = self._coerce(hi)
         directory = self._dir
-        chunks = directory.chunks
-        a = directory.first_max_ge(lo)
-        if a >= len(chunks):
+        edges = directory.edges(
+            round_to_plane(lo, self._dtype, "lo"), round_to_plane(hi, self._dtype, "hi")
+        )
+        if edges is None:
             return None
-        b = directory.last_min_le(hi)
-        if b < a:
-            return None
+        a, la, b, k_right = edges
         if a == b:
-            data = chunks[a].data
-            la = int(kernels.search_left_scalar(data, lo))
-            ra = int(kernels.search_right_scalar(data, hi))
-            if ra <= la:
+            if k_right <= la:
                 return None
-            return ra - la, a, la, ra - la, 0, b, 0
-        data_a = chunks[a].data
-        la = int(kernels.search_left_scalar(data_a, lo))
-        k_left = data_a.size - la
-        k_right = int(kernels.search_right_scalar(chunks[b].data, hi))
+            return k_right - la, a, la, k_right - la, 0, b, 0
+        k_left = int(directory.counts[a]) - la
         k_mid = directory.points_between(a, b)
         total = k_left + k_mid + k_right
         if total == 0:
@@ -678,31 +404,56 @@ class DynamicIRS(DynamicRangeSampler):
         if self._require_nonempty(0 if plan is None else plan[0], t):
             return []
         total, a, la, k_left, k_mid, b, k_right = plan
-        chunks = self._dir.chunks
+        directory = self._dir
         stats = self.stats
         stats.queries += 1
         stats.samples_returned += t
         randbelow = self._rng.randbelow_fn(t)
         out: list[float] = []
         append = out.append
-        middle: _MiddlePlan | None = None
-        left_data = chunks[a].data
-        right_data = chunks[b].data if b != a else None
+        narrow = None  # the middle's mode, decided on its first draw
+        left = directory.row(a)
+        right = directory.row(b) if b != a else None
         k_lm = k_left + k_mid
         for _ in range(t):
             r = randbelow(total)
             if r < k_left:
-                append(float(left_data[la + r]))
+                append(float(left[la + r]))
             elif r < k_lm:
-                if middle is None:
-                    middle = self._middle_plan(a + 1, b - 1, t)
-                if middle.mode == "cumulative":
-                    append(middle.sample_rank(r - k_left))
+                if narrow is None:
+                    narrow = _narrow(b - a - 1, t)
+                    if narrow:
+                        cum = _np.cumsum(directory.counts[a + 1 : b])
+                if narrow:
+                    rank = r - k_left
+                    i = kernels.search_right_scalar(cum, rank)
+                    prev = int(cum[i - 1]) if i else 0
+                    append(float(directory.row(a + 1 + i)[rank - prev]))
                 else:
-                    append(middle.sample_draw(randbelow, stats))
+                    append(self._reject_draw(a + 1, b - 1, randbelow))
             else:
-                append(float(right_data[r - k_lm]))
+                append(float(right[r - k_lm]))
         return out
+
+    def _reject_draw(self, mid_lo: int, mid_hi: int, randbelow) -> float:
+        """Draw one uniform point of the middle run by rejection.
+
+        One draw per probe: a uniform integer over ``window × cap`` encodes
+        the chunk (quotient) and the slot (remainder) at once — per-point
+        probability is ``1/(window·cap)``, exactly uniform conditional on
+        acceptance, which is at least 1/2.
+        """
+        cap = self._cap
+        span = (mid_hi - mid_lo + 1) * cap
+        directory = self._dir
+        counts = directory.counts
+        while True:
+            draw = randbelow(span)
+            c = mid_lo + draw // cap
+            slot = draw % cap
+            if slot < counts[c]:
+                return float(directory.slab[directory.row_of[c], slot])
+            self.stats.rejections += 1
 
     def sample_bulk(self, lo: float, hi: float, t: int, *, seed=None):
         """Vectorized :meth:`sample` returning a float64 NumPy array.
@@ -714,11 +465,11 @@ class DynamicIRS(DynamicRangeSampler):
 
         The query plan's three-way split is resolved vectorized: one batch
         of uniform ranks in ``[0, K)``, boolean masks for the left/middle/
-        right parts, and gathers against the chunks' array planes.  Wide
-        middles fall back to the same index-window rejection scheme as the
-        scalar path, with the accept/reject scan run as one kernel call
-        per draw batch — all draws are generated *here*, in draw order,
-        so the stream position after the call is the scalar loop's.
+        right parts, and gathers out of the slab.  Wide middles fall back
+        to the same index-window rejection scheme as the scalar path, with
+        the accept/reject scan run as one kernel call per draw batch — all
+        draws are generated *here*, in draw order, so the stream position
+        after the call is the scalar loop's.
 
         An explicit ``seed`` makes the call *seed-addressable* instead:
         ``t`` uniform global ranks from :func:`repro.rng.seeded_ranks`
@@ -742,7 +493,7 @@ class DynamicIRS(DynamicRangeSampler):
             return self._take_ranks(
                 ranks, bounds[:1], bounds[1:], _np.asarray([t]), folded
             )
-        chunks = self._dir.chunks
+        directory = self._dir
         stats = self.stats
         stats.queries += 1
         stats.samples_returned += t
@@ -755,9 +506,9 @@ class DynamicIRS(DynamicRangeSampler):
         left_mask = ranks < k_left
         right_mask = ranks >= k_lm
         if left_mask.any():
-            out[left_mask] = chunks[a].data[la + ranks[left_mask]]
+            out[left_mask] = directory.row(a)[la + ranks[left_mask]]
         if right_mask.any():
-            out[right_mask] = chunks[b].data[ranks[right_mask] - k_lm]
+            out[right_mask] = directory.row(b)[ranks[right_mask] - k_lm]
         mid_mask = ~(left_mask | right_mask)
         n_mid = int(mid_mask.sum())
         if n_mid:
@@ -773,9 +524,9 @@ class DynamicIRS(DynamicRangeSampler):
         resolve together: one ``searchsorted`` over ``maxes`` and one over
         ``mins`` for all bounds, one :func:`repro.rng.seeded_ranks` call,
         one rank-resolution pass over the count prefix (the pending scalar
-        deltas folded once for the whole call), then grouped gathers.  Unseeded
-        queries delegate to :meth:`sample_bulk` one by one, in input
-        order, preserving the side stream's draw-for-draw behavior.
+        deltas folded once for the whole call), then one slab gather.
+        Unseeded queries delegate to :meth:`sample_bulk` one by one, in
+        input order, preserving the side stream's draw-for-draw behavior.
 
         Results align with the input order and equal per-query
         :meth:`sample_bulk` calls exactly — seeded replies are also
@@ -800,121 +551,60 @@ class DynamicIRS(DynamicRangeSampler):
         gen,
         stats: QueryStats,
     ):
-        """Resolve middle-run ranks (cumulative mode) or draw fresh middle
-        elements (rejection mode) for :meth:`sample_bulk`."""
-        plan = self._middle_plan(mid_lo, mid_hi, count)
-        out = _np.empty(count, dtype=float)
-        if plan.mode == "cumulative":
-            cum = plan.cum
+        """Resolve middle-run ranks (narrow runs) or draw fresh middle
+        points by rejection (wide runs) for :meth:`sample_bulk`."""
+        directory = self._dir
+        slab, row_of, counts = directory.slab, directory.row_of, directory.counts
+        if _narrow(mid_hi - mid_lo + 1, count):
+            cum = _np.cumsum(counts[mid_lo : mid_hi + 1])
             idx = kernels.search_right(cum, mid_ranks)
-            starts = _np.concatenate(([0], cum[:-1]))
-            offsets = mid_ranks - starts[idx]
-            # Group samples by chunk via one sort, then assign contiguous
-            # slices — a boolean mask per distinct chunk would be
-            # O(chunks × samples), quadratic for wide cumulative middles.
-            order = _np.argsort(idx, kind="stable")
-            grouped_idx = idx[order]
-            grouped_off = offsets[order]
-            uniq, group_starts = _np.unique(grouped_idx, return_index=True)
-            group_ends = _np.append(group_starts[1:], count)
-            for chunk_i, g0, g1 in zip(uniq, group_starts, group_ends):
-                out[order[g0:g1]] = plan.chunks[chunk_i].data[grouped_off[g0:g1]]
-            return out
-        # rejection mode: the in-range rank of a middle sample is irrelevant
-        # (each middle hit just needs a fresh uniform middle element), so
+            offsets = mid_ranks - (cum[idx] - counts[mid_lo + idx])
+            return slab[row_of[mid_lo + idx], offsets]
+        # Rejection: the in-range rank of a middle sample is irrelevant
+        # (each middle hit just needs a fresh uniform middle point), so
         # draw batches of chunk/slot codes and keep the accepted ones.  The
         # accept/reject scan is one kernel call per batch with the exact
-        # sequential consumed/rejected accounting of the scalar loop.
-        window_lo = plan.window_lo
-        cap = plan.cap
-        span = (plan.window_hi - window_lo + 1) * cap
-        chunks = plan.chunks
-        counts = self._dir.counts
+        # sequential consumed/rejected accounting of the scalar loop, and
+        # the accepted pairs come out of the slab in one gather.
+        cap = self._cap
+        span = (mid_hi - mid_lo + 1) * cap
+        out = _np.empty(count, dtype=float)
         filled = 0
         while filled < count:
             codes = gen.integers(0, span, size=2 * (count - filled) + 8)
             cells, slots, consumed = kernels.rejection_split(
-                codes, counts, window_lo, cap, count - filled
+                codes, counts, mid_lo, cap, count - filled
             )
             got = int(cells.size)
             stats.rejections += consumed - got
-            if not got:
-                continue
-            # Gather the accepted (chunk, slot) pairs grouped by chunk,
-            # scattering back into draw order.
-            order = _np.argsort(cells, kind="stable")
-            grouped_cells = cells[order]
-            grouped_slots = slots[order]
-            uniq, group_starts = _np.unique(grouped_cells, return_index=True)
-            group_ends = _np.append(group_starts[1:], got)
-            slot_base = filled + order
-            for cell, g0, g1 in zip(uniq, group_starts, group_ends):
-                data = chunks[window_lo + int(cell)].data
-                out[slot_base[g0:g1]] = data[grouped_slots[g0:g1]]
+            out[filled : filled + got] = slab[row_of[mid_lo + cells], slots]
             filled += got
         return out
-
-    def _middle_plan(self, mid_lo: int, mid_hi: int, t: int) -> _MiddlePlan:
-        """Build the query-local sampler over the middle chunk window.
-
-        Gathering the chunks behind a prefix-sum table costs ``O(m)`` once
-        and makes every middle sample a single C-level bisect, so it is used
-        whenever ``m`` fits the query's ``O(log n + t)`` budget — i.e. when
-        the window is narrow or ``m <= t`` (the gather is amortized by the
-        samples themselves).  Wider middles fall back to ``O(1)``-expected
-        rejection over the ``(chunk, slot)`` grid of the index window.
-        """
-        plan = _MiddlePlan()
-        if mid_hi - mid_lo + 1 <= max(_NARROW, 2 * t):
-            plan.mode = "cumulative"
-            plan.chunks = self._dir.chunks[mid_lo : mid_hi + 1]
-            plan.cum = _np.cumsum(self._dir.counts[mid_lo : mid_hi + 1])
-            return plan
-        plan.mode = "rejection"
-        plan.window_lo = mid_lo
-        plan.window_hi = mid_hi
-        plan.cap = self._cap
-        plan.chunks = self._dir.chunks
-        return plan
 
     def select_in_range(self, lo: float, hi: float, ranks: list[int]) -> list[float]:
         """Return the values at the given in-range ranks (0 = smallest).
 
-        ``ranks`` need not be sorted or distinct.  Cost is ``O(log n + t +
-        c)`` where ``c`` is the number of chunks the requested ranks touch —
-        one ordered walk resolves all of them.  This is the primitive behind
-        exact without-replacement sampling on the dynamic structure: ranks
+        ``ranks`` need not be sorted or distinct.  Cost is ``O(log n + t
+        log(n/s))``: the range's first global rank comes from the plan,
+        and all requested ranks resolve through the count prefix and come
+        out of the slab in one gather.  This is the primitive behind exact
+        without-replacement sampling on the dynamic structure: ranks
         identify points uniquely even when values repeat.
         """
         validate_query(lo, hi, 0)
         plan = self._plan(lo, hi)
         total = plan[0] if plan is not None else 0
-        out: list[float | None] = [None] * len(ranks)
-        order = sorted(range(len(ranks)), key=ranks.__getitem__)
-        for i in order:
-            if not 0 <= ranks[i] < total:
+        for rank in ranks:
+            if not 0 <= rank < total:
                 raise InvalidQueryError(
-                    f"rank {ranks[i]} outside [0, {total}) for this range"
+                    f"rank {rank} outside [0, {total}) for this range"
                 )
         if not ranks:
             return []
-        _, a, la, k_left, _k_mid, b, k_right = plan
-        chunks = self._dir.chunks
-        index = a
-        chunk_start = 0  # in-range rank of the chunk's first in-range point
-        chunk_offset = la
-        chunk_len = k_left
-        for i in order:
-            rank = ranks[i]
-            while rank >= chunk_start + chunk_len:
-                chunk_start += chunk_len
-                index += 1
-                if index == b:
-                    chunk_offset, chunk_len = 0, k_right
-                else:
-                    chunk_offset, chunk_len = 0, chunks[index].data.size
-            out[i] = float(chunks[index].data[chunk_offset + (rank - chunk_start)])
-        return out  # type: ignore[return-value]
+        folded = self._dir.folded_counts()
+        start = int(folded.starts_at(_np.asarray([plan[1]]))[0]) + plan[2]
+        wanted = start + _np.asarray(ranks, dtype=_np.int64)
+        return self._values_at(wanted, folded).tolist()
 
     def kth_in_range(self, lo: float, hi: float, k: int) -> float:
         """Return the ``k``-th smallest point of ``P ∩ [lo, hi]`` (0-based)."""
@@ -924,7 +614,7 @@ class DynamicIRS(DynamicRangeSampler):
         """Return a uniform ``t``-subset of ``P ∩ [lo, hi]`` (random order).
 
         Exact for multisets: Floyd's algorithm draws distinct in-range
-        *ranks*, which :meth:`select_in_range` resolves in one chunk walk.
+        *ranks*, which :meth:`select_in_range` resolves in one gather.
         """
         from .without_replacement import sample_ranks_without_replacement
 
@@ -939,6 +629,6 @@ class DynamicIRS(DynamicRangeSampler):
 
     def check_invariants(self) -> None:
         """Assert every structural invariant; ``O(n)``, tests only."""
-        self._dir.check(self._s, self._cap, self._n)
-        for chunk in self._dir.chunks:
-            assert chunk.data.dtype == self._dtype, "plane dtype drift"
+        self._dir.check(self._s, self._n)
+        assert self._dir.slab.dtype == self._dtype, "plane dtype drift"
+        assert self._dir.cap == self._cap, "slab rows not cap wide"

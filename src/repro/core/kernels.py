@@ -1,24 +1,26 @@
 """Kernels: the chunk directory's hot loops as pure NumPy array functions.
 
-Scalar splice-and-repair, bulk merge/take-out splices, the
-middle-rejection and rank-resolution sampling passes, and the weighted
-two-level cumulative draw (DESIGN.md §13).  Every op is a deterministic
-pure function of its array arguments — no RNG, no float reductions beyond
-the sequential cumulative sum.  **All randomness and all float reductions
-stay in the samplers**: Philox streams are generated there and *consumed*
-here, and boundary-run masses stay ``math.fsum`` in the drivers.
+Searches over sorted planes and over slab rows, the bulk merge and
+take-out passes over the touched rows of a batch, the middle-rejection
+and rank-resolution sampling passes, and the weighted cumulative draw
+(DESIGN.md §13).  Every op is a deterministic pure function of its array
+arguments — no RNG, no float reductions beyond the sequential cumulative
+sum — and returns fresh arrays; writing results back into the slab is
+the directory's job.  **All randomness and all float reductions stay in
+the samplers**: Philox streams are generated there and *consumed* here,
+and boundary-run masses stay ``math.fsum`` in the drivers.
 
 The structures call every kernel through this module
-(``kernels.splice_insert(...)``), never through a name bound at import
+(``kernels.merge_slots(...)``), never through a name bound at import
 time, so wrapping a module attribute reaches every call site.
 
 Conventions:
 
-* value planes are 1-D and sorted; weight/cumulative planes are float64;
-* splice and merge ops are **copy-on-write**: they return fresh arrays
-  and never mutate an input (chunk payloads may be views into an adopted
-  caller array — see :mod:`repro.core.planes`);
-* merges are *stable with chunk elements first* on value ties, matching
+* value planes are sorted; weight/cumulative planes are float64;
+* a slab row is sorted on its first ``count`` cells and padding after
+  them, and ``±inf`` are legal points, so every row search is clamped to
+  the row's live count rather than trusting the padding;
+* merges are *stable with live elements first* on value ties, matching
   the historical Timsort-merge semantics of the list-based engine;
 * all searches are ``searchsorted`` semantics (``left``/``right``).
 """
@@ -28,13 +30,12 @@ from __future__ import annotations
 import numpy as _np
 
 __all__ = [
-    "splice_insert",
-    "splice_delete",
     "search_left_scalar",
     "search_right_scalar",
     "search_right",
-    "merge_runs",
-    "merge_pair_runs",
+    "search_rows",
+    "merge_slots",
+    "interleave",
     "take_out",
     "cum_table",
     "rejection_split",
@@ -42,27 +43,7 @@ __all__ = [
 ]
 
 
-# -- scalar splice ops -------------------------------------------------------
-
-
-def splice_insert(arr, pos, value):
-    """Return ``arr`` with ``value`` spliced in at ``pos`` (fresh array)."""
-    out = _np.empty(arr.size + 1, dtype=arr.dtype)
-    out[:pos] = arr[:pos]
-    out[pos] = value
-    out[pos + 1 :] = arr[pos:]
-    return out
-
-
-def splice_delete(arr, pos):
-    """Return ``arr`` without the element at ``pos`` (fresh array)."""
-    out = _np.empty(arr.size - 1, dtype=arr.dtype)
-    out[:pos] = arr[:pos]
-    out[pos:] = arr[pos + 1 :]
-    return out
-
-
-# -- scalar searches ---------------------------------------------------------
+# -- searches ----------------------------------------------------------------
 
 
 def search_left_scalar(arr, value) -> int:
@@ -85,34 +66,43 @@ def search_right(arr, targets):
     return _np.searchsorted(arr, targets, side="right").astype(_np.int64, copy=False)
 
 
-# -- bulk splice ops ---------------------------------------------------------
+def search_rows(block, counts, targets, right: bool):
+    """Search each row of ``block`` for its own target: one ``k × cap`` compare.
+
+    Row ``i`` is sorted on its first ``counts[i]`` cells; the result is
+    ``bisect_left`` (or ``bisect_right`` with ``right``) of ``targets[i]``
+    over exactly those cells.  The padding after them is never counted.
+    """
+    column = targets[:, None]
+    hit = block <= column if right else block < column
+    hit &= _np.arange(block.shape[1]) < counts[:, None]
+    return _np.count_nonzero(hit, axis=1)
 
 
-def merge_runs(chunk, batch):
-    """Merge two sorted runs, chunk elements first on ties (fresh array)."""
-    idx = _np.searchsorted(chunk, batch, side="right")
-    out = _np.empty(chunk.size + batch.size, dtype=chunk.dtype)
-    slots = idx + _np.arange(batch.size)
+# -- bulk merge and take-out ---------------------------------------------------
+
+
+def merge_slots(live, batch, ends):
+    """Slots of a sorted batch in its merge with the concatenated live runs.
+
+    ``live`` concatenates the live cells of the touched rows in chunk
+    order, so it is sorted; ``batch`` is sorted and ``ends[j]`` is the end
+    in ``live`` of the run batch value ``j`` goes into.  Each value lands
+    after every live element of its run that it does not precede — live
+    elements first on ties — and after every earlier batch value.
+    """
+    idx = _np.minimum(_np.searchsorted(live, batch, side="right"), ends)
+    return idx + _np.arange(batch.size)
+
+
+def interleave(live, batch, slots):
+    """Place ``batch`` at ``slots`` and ``live``, in order, everywhere else."""
+    out = _np.empty(live.size + batch.size, dtype=live.dtype)
     keep = _np.ones(out.size, dtype=bool)
     keep[slots] = False
     out[slots] = batch
-    out[keep] = chunk
+    out[keep] = live
     return out
-
-
-def merge_pair_runs(cdata, cweights, bdata, bweights):
-    """Two-plane :func:`merge_runs`: merge by value, weights riding along."""
-    idx = _np.searchsorted(cdata, bdata, side="right")
-    slots = idx + _np.arange(bdata.size)
-    keep = _np.ones(cdata.size + bdata.size, dtype=bool)
-    keep[slots] = False
-    data = _np.empty(keep.size, dtype=cdata.dtype)
-    data[slots] = bdata
-    data[keep] = cdata
-    weights = _np.empty(keep.size, dtype=cweights.dtype)
-    weights[slots] = bweights
-    weights[keep] = cweights
-    return data, weights
 
 
 def take_out(arr, hits):
@@ -126,8 +116,12 @@ def take_out(arr, hits):
 
 
 def cum_table(weights):
-    """Inclusive cumulative sum of a weight plane (sequential, float64)."""
-    return _np.cumsum(weights)
+    """Inclusive cumulative sum along the last axis (sequential, float64).
+
+    On a block of weight rows each row gets its own table; the zero
+    padding after a row's live cells leaves its live prefix exact.
+    """
+    return _np.cumsum(weights, axis=-1)
 
 
 # -- sampling kernels --------------------------------------------------------

@@ -28,6 +28,7 @@ from ..rng import RandomSource, seeded_ranks
 from .base import (
     RangeSampler,
     coerce_query_bounds,
+    round_to_plane,
     sample_bulk_many_by_rank,
     validate_point,
     validate_query,
@@ -57,8 +58,8 @@ class StaticIRS(RangeSampler):
     ) -> None:
         resolved = resolve_dtype(values, dtype)
         if not isinstance(values, _np.ndarray):
-            values = _np.asarray(list(values), dtype=resolved)
-        data = _np.sort(values.astype(resolved, copy=False))
+            values = list(values)
+        data = _np.sort(round_to_plane(values, resolved))
         if data.size:
             validate_point(data[-1])
         self._init_from_sorted(data, seed)
@@ -92,12 +93,6 @@ class StaticIRS(RangeSampler):
         # sample_bulk call so scalar-only users never pay for it.
         self._bulk_gen = None
 
-    def _coerce(self, value) -> float:
-        """Round a query bound through the plane dtype (see DynamicIRS)."""
-        if self._dtype.itemsize == 8:
-            return float(value)
-        return float(self._dtype.type(value))
-
     # -- bookkeeping -----------------------------------------------------------
 
     def __len__(self) -> int:
@@ -121,8 +116,8 @@ class StaticIRS(RangeSampler):
     def rank_range(self, lo: float, hi: float) -> tuple[int, int]:
         """Return the half-open rank interval ``[a, b)`` of points in range."""
         validate_query(lo, hi, 0)
-        lo = self._coerce(lo)
-        hi = self._coerce(hi)
+        lo = round_to_plane(lo, self._dtype, "lo")
+        hi = round_to_plane(hi, self._dtype, "hi")
         return (
             int(_np.searchsorted(self._data, lo, side="left")),
             int(_np.searchsorted(self._data, hi, side="right")),
@@ -147,12 +142,11 @@ class StaticIRS(RangeSampler):
 
     def _rank_bounds(self, los, his):
         """Rank intervals ``[start, end)`` of many ranges: two ``searchsorted``."""
-        if self._dtype.itemsize == 4:
-            # Round the bounds through the plane dtype and keep them there:
-            # float32 needles against the float32 plane avoid the O(n)
-            # promotion copy a float64 needle array would force.
-            los = los.astype(_np.float32)
-            his = his.astype(_np.float32)
+        # Round the bounds through the plane dtype and keep them there:
+        # float32 needles against the float32 plane avoid the O(n)
+        # promotion copy a float64 needle array would force.
+        los = round_to_plane(los, self._dtype, "lo")
+        his = round_to_plane(his, self._dtype, "hi")
         arr = self._data
         return (
             _np.searchsorted(arr, los, side="left"),

@@ -22,33 +22,32 @@ machinery per canonical range.  ``O(log n)`` per sample matches what the
 point; experiment T2's dynamic column tracks it.
 
 Design (DESIGN.md §8).  Points live in sorted chunks of ``Θ(log n)``
-values with an aligned *weight plane*: each
-:class:`~repro.core.directory.WeightedChunk` keeps a NumPy value plane
-(float32 or float64, chosen at construction — weights are always
-float64), an aligned weight plane, and a lazy in-chunk cumulative weight
-table; the shared :class:`~repro.core.directory.ChunkDirectory` adds a
-per-chunk total-mass array (``wtotals``) with a lazily cached
-cumulative-weight prefix (pending per-chunk deltas, exactly like the
-count prefix).  A query:
+values stored as rows of the shared slab of
+:class:`~repro.core.directory.ChunkDirectory`: a value slab (float32 or
+float64, chosen at construction) and an aligned float64 weight slab, one
+row per chunk.  The directory adds a per-chunk total-mass array
+(``wtotals``) with a lazily cached cumulative-weight prefix (pending
+per-chunk deltas, exactly like the count prefix).  A query:
 
-1. resolves boundary runs and their masses from the chunks' cumulative
-   tables and the whole-chunk middle mass from the weight prefix;
+1. resolves boundary runs and their masses from the boundary rows and
+   the whole-chunk middle mass from the weight prefix;
 2. draws ``u`` uniform in ``[0, w(range))``;
 3. routes ``u`` to the left run, the middle, or the right run; a middle
    draw is **two** cumulative binary searches — chunk by cumulative mass
    (one ``searchsorted`` over the weight prefix), then point by the
-   chunk's own weight table.
+   row's own cumulative weight table, a sequential sum taken when it is
+   needed.
 
-Hot loops are calls into :mod:`repro.core.kernels` (DESIGN.md §13):
-scalar splices, the two-plane bulk merge, bulk take-out, cumulative
-tables and every cumulative-search draw are single kernel calls.  All
-randomness and all float *accounting* (``fsum`` run masses, the
-sequential removed-mass sums) stay in this driver.  Query bounds and
-stored values are coerced through the value-plane dtype on entry, so
-every comparison runs against exactly the stored representation.
+Hot loops are calls into :mod:`repro.core.kernels` (DESIGN.md §13): the
+bulk merge and take-out passes over the touched rows, cumulative tables
+and every cumulative-search draw.  All randomness and all float
+*accounting* (``fsum`` run masses, the sequential row sums) stay in the
+drivers.  Query bounds and stored values are coerced through the
+value-plane dtype on entry, so every comparison runs against exactly the
+stored representation.
 
 ``sample_bulk`` vectorizes both passes, and for heavy batches flattens the
-per-chunk tables into one *global* cumulative-weight array (cached across
+rows' tables into one *global* cumulative-weight array (cached across
 queries, invalidated by the directory's mutation stamp) so every middle
 draw is one fused cumulative-search kernel call — no per-sample descent
 of any kind.
@@ -57,17 +56,16 @@ of any kind.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as _np
 
-from ..errors import EmptyRangeError, InvalidWeightError, KeyNotFoundError
+from ..errors import EmptyRangeError, InvalidWeightError
 from ..rng import RandomSource
 from ..rng import generator as _generator
 from ..types import QueryStats
-from .base import coerce_query_bounds, validate_point, validate_query
+from .base import coerce_query_bounds, round_to_plane, validate_point, validate_query
 from .directory import ChunkDirectory
-from .directory import WeightedChunk as _WChunk
 from . import kernels
 from .planes import as_plane, resolve_dtype
 
@@ -101,8 +99,8 @@ class WeightedDynamicIRS:
     ) -> None:
         self._init_common(seed, resolve_dtype(values, dtype))
         if not isinstance(values, _np.ndarray):
-            values = _np.asarray(list(values), dtype=self._dtype)
-        vals = values.astype(self._dtype, copy=False)
+            values = list(values)
+        vals = round_to_plane(values, self._dtype)
         if vals.ndim != 1:
             raise ValueError(f"values must be 1-D, got shape {vals.shape}")
         warr = self._coerced_weights(int(vals.size), weights)
@@ -122,37 +120,28 @@ class WeightedDynamicIRS:
         seed: int | None = None,
         *,
         dtype=None,
-        copy: bool = True,
     ) -> "WeightedDynamicIRS":
         """O(n) fast constructor over value-sorted input (skips the sort).
 
         ``values`` must be nondecreasing (verified in ``O(n)``, raising
-        :class:`ValueError` otherwise); ``weights`` aligns with it.
-        ``copy=False`` adopts a caller value array zero-copy under the
-        strict contract of :func:`repro.core.planes.as_plane`; the weight
-        plane is always copied (it is float64 working storage).
+        :class:`ValueError` otherwise); ``weights`` aligns with it.  Both
+        planes are copied once, straight into the slabs.
         """
         self = cls.__new__(cls)
-        arr = as_plane(values, dtype=dtype, copy=copy)
+        arr = as_plane(values, dtype=dtype, copy=None)
         self._init_common(seed, arr.dtype)
         warr = self._coerced_weights(int(arr.size), weights)
         self._build(arr, warr)
         return self
 
-    def _init_common(self, seed: int | None, dtype=None) -> None:
+    def _init_common(self, seed: int | None, dtype) -> None:
         self._rng = RandomSource(seed)
         self.stats = QueryStats()
         self._bulk_gen = None  # lazily-spawned NumPy side stream (sample_bulk)
-        self._dtype = _np.dtype(dtype) if dtype is not None else _np.dtype(_np.float64)
-        self._dir = ChunkDirectory(weighted=True)
+        self._dtype = _np.dtype(dtype)
+        self._dir = ChunkDirectory(self._dtype, weighted=True)
         self._flat = None  # (values, global cum, offsets, chunk bases)
         self._flat_stamp = -1
-
-    def _coerce(self, value) -> float:
-        """Round ``value`` through the value-plane dtype (see DynamicIRS)."""
-        if self._dtype.itemsize == 8:
-            return float(value)
-        return float(self._dtype.type(value))
 
     def _coerced_weights(self, n: int, weights):
         """Materialize and validate a float64 weight plane of length ``n``."""
@@ -184,33 +173,12 @@ class WeightedDynamicIRS:
     # -- construction / rebuild ----------------------------------------------
 
     def _build(self, vals, warr) -> None:
-        if not isinstance(vals, _np.ndarray) or vals.dtype != self._dtype:
-            vals = _np.asarray(vals, dtype=self._dtype)
-        if not isinstance(warr, _np.ndarray) or warr.dtype != _np.float64:
-            warr = _np.asarray(warr, dtype=_np.float64)
+        """(Re)build the slabs and directory from value-sorted pairs."""
         self._n = int(vals.size)
         self._n0 = max(self._n, 1)
         self._s = max(_MIN_CHUNK, int(math.log2(self._n0 + 2)))
         self._cap = 2 * self._s
-        # Build at the midpoint of the [s, 2s] window so fresh chunks have
-        # slack on both sides (same policy as the unweighted structure).
-        # Pieces are views of the two planes — no per-chunk copies.
-        step = (3 * self._s) // 2
-        pieces = [
-            (vals[i : i + step], warr[i : i + step]) for i in range(0, self._n, step)
-        ]
-        if len(pieces) > 1 and pieces[-1][0].size < self._s:
-            tv, tw = pieces.pop()
-            pv, pw = pieces.pop()
-            mv = _np.concatenate((pv, tv))
-            mw = _np.concatenate((pw, tw))
-            if mv.size > self._cap:
-                half = mv.size // 2
-                pieces.append((mv[:half], mw[:half]))
-                pieces.append((mv[half:], mw[half:]))
-            else:
-                pieces.append((mv, mw))
-        self._dir.load([_WChunk(v, w) for v, w in pieces])
+        self._dir.load(vals, warr, self._s, self._cap)
 
     def _maybe_rebuild(self) -> None:
         if self._n > 2 * self._n0 or (self._n0 > _MIN_CHUNK and 2 * self._n < self._n0):
@@ -232,39 +200,19 @@ class WeightedDynamicIRS:
         """Logical bytes of the value and weight planes combined."""
         return self._n * (self._dtype.itemsize + 8)
 
-    @property
-    def _chunks(self) -> list[_WChunk]:
-        """The directory's ordered chunk list (tests and debugging)."""
-        return self._dir.chunks
-
-    def _iter_chunks(self) -> Iterator[_WChunk]:
-        return iter(self._dir.chunks)
-
-    def _iter_pairs(self) -> Iterator[tuple[float, float]]:
-        for chunk in self._dir.chunks:
-            yield from zip(chunk.data.tolist(), chunk.weights.tolist())
-
     def items(self) -> list[tuple[float, float]]:
         """Return all ``(value, weight)`` pairs in sorted value order."""
-        return list(self._iter_pairs())
+        vals, weights = self.export_sorted_pairs()
+        return list(zip(vals.tolist(), weights.tolist()))
 
     def export_sorted_pairs(self):
         """Return ``(values, weights)`` sorted by value (shard-engine hook).
 
-        ``O(n)`` — one concatenation per plane into two fresh NumPy arrays
-        (values in the structure's dtype, weights float64), which the
-        caller owns.
+        ``O(n)`` — one gather of the live cells per slab into two fresh
+        NumPy arrays (values in the structure's dtype, weights float64),
+        which the caller owns.
         """
-        chunks = self._dir.chunks
-        if not chunks:
-            return (
-                _np.empty(0, dtype=self._dtype),
-                _np.empty(0, dtype=_np.float64),
-            )
-        return (
-            _np.concatenate([chunk.data for chunk in chunks]),
-            _np.concatenate([chunk.weights for chunk in chunks]),
-        )
+        return self._dir.gather()
 
     def export_sorted(self):
         """Return the sorted points as a NumPy array (values plane only).
@@ -274,9 +222,7 @@ class WeightedDynamicIRS:
         :meth:`export_sorted_pairs`, which is what the snapshot store
         actually persists for them.
         """
-        if not self._dir.chunks:
-            return _np.empty(0, dtype=self._dtype)
-        return _np.concatenate([chunk.data for chunk in self._dir.chunks])
+        return self._dir.gather()[0]
 
     @property
     def total_weight(self) -> float:
@@ -288,89 +234,38 @@ class WeightedDynamicIRS:
     def insert(self, value: float, weight: float = 1.0) -> None:
         """Insert one weighted point in ``O(log n)`` amortized time."""
         self._check_weight(weight)
-        value = self._coerce(value)
+        value = round_to_plane(value, self._dtype)
         validate_point(value)
         weight = float(weight)
-        directory = self._dir
-        chunks = directory.chunks
-        if not chunks:
+        if not self._n:
             self._build(
                 _np.asarray([value], dtype=self._dtype),
                 _np.asarray([weight], dtype=_np.float64),
             )
             return
-        i = min(directory.first_max_ge(value), len(chunks) - 1)
-        chunk = chunks[i]
-        j = kernels.search_left_scalar(chunk.data, value)
-        chunk.data = kernels.splice_insert(chunk.data, j, value)
-        chunk.weights = kernels.splice_insert(chunk.weights, j, weight)
-        chunk.touch()
-        directory.refresh_entry(i)
+        # A new point goes before its equals (a later delete takes it first).
+        self._dir.insert(value, weight, before_equal=True)
         self._n += 1
-        directory.note_delta(i, 1, weight)
-        if chunk.data.size > self._cap:
-            directory.split_chunk(i, self._cap)
         self._maybe_rebuild()
 
     def delete(self, value: float) -> float:
         """Delete one occurrence of ``value``; returns its weight."""
-        value = self._coerce(value)
-        directory = self._dir
-        chunks = directory.chunks
-        i = directory.first_max_ge(value)
-        j = -1
-        if i < len(chunks):
-            data = chunks[i].data
-            j = int(kernels.search_left_scalar(data, value))
-            if j >= data.size or data[j] != value:
-                j = -1
-        if j < 0:
-            raise KeyNotFoundError(f"value not present: {value!r}")
-        chunk = chunks[i]
-        weight = float(chunk.weights[j])
-        chunk.data = kernels.splice_delete(chunk.data, j)
-        chunk.weights = kernels.splice_delete(chunk.weights, j)
-        chunk.touch()
+        weight = self._dir.delete(round_to_plane(value, self._dtype), self._s)
         self._n -= 1
-        directory.note_delta(i, -1, -weight)
-        if chunk.data.size == 0:
-            directory.remove_chunk(i)
-            return weight
-        directory.refresh_entry(i)
-        if chunk.data.size < self._s and len(chunks) > 1:
-            directory.repair_underfull(i, self._s)
         self._maybe_rebuild()
         return weight
 
     def update_weight(self, value: float, weight: float) -> float:
         """Re-weight one occurrence of ``value``; returns the old weight.
 
-        ``O(log n)`` — one directory search, one in-chunk bisect, one
-        copy-on-write weight-plane swap and one pending weight delta; the
-        chunk list's shape is untouched, so no structural repair can
-        trigger.  Raises :class:`~repro.errors.KeyNotFoundError` if absent.
+        ``O(log n)`` — one directory search, one in-row bisect, one weight
+        written in place and one pending weight delta; the chunk list's
+        shape is untouched, so no structural repair can trigger.  Raises
+        :class:`~repro.errors.KeyNotFoundError` if absent.
         """
         self._check_weight(weight)
-        value = self._coerce(value)
-        directory = self._dir
-        chunks = directory.chunks
-        i = directory.first_max_ge(value)
-        if i >= len(chunks):
-            raise KeyNotFoundError(f"value not present: {value!r}")
-        chunk = chunks[i]
-        j = int(kernels.search_left_scalar(chunk.data, value))
-        if j >= chunk.data.size or chunk.data[j] != value:
-            raise KeyNotFoundError(f"value not present: {value!r}")
-        old = float(chunk.weights[j])
-        # Copy-on-write: the plane may be a view shared with an adopted
-        # caller array's lineage — never write through it.
-        weights = chunk.weights.copy()
-        weights[j] = float(weight)
-        chunk.weights = weights
-        chunk.touch()
-        directory.refresh_entry(i)
-        directory.note_delta(i, 0, float(weight) - old)
-        return old
+        i, j = self._dir.locate(round_to_plane(value, self._dtype))
+        return self._dir.set_weight(i, j, float(weight))
 
     # -- bulk updates -------------------------------------------------------------
 
@@ -379,14 +274,13 @@ class WeightedDynamicIRS:
     ) -> None:
         """Insert a weighted batch with one deferred directory repair.
 
-        The batch is sorted once and routed to its target chunks with a
-        single vectorized ``searchsorted`` over the directory ``maxes``;
-        each touched chunk absorbs its whole segment with one two-plane
-        kernel merge (stable, chunk elements first on value ties), and
-        over-full chunks are re-split with the shared multi-index
-        directory assembly — the exact machinery of
+        The batch is sorted once (stably, so equal values keep their
+        weights' input order) and merged into all touched rows in one
+        pass, the weights riding along (stable, stored elements first on
+        value ties); over-full chunks are re-split with the shared
+        assembly — the exact machinery of
         :meth:`~repro.core.dynamic_irs.DynamicIRS.insert_bulk`, plus the
-        aligned weight plane.
+        aligned weight slab.
         """
         if not isinstance(values, _np.ndarray):
             values = list(values)
@@ -400,60 +294,34 @@ class WeightedDynamicIRS:
                 )
         if m == 0:
             return
+        batch = round_to_plane(values, self._dtype)
         if m <= _BULK_CUTOFF:  # scalar loop below the cutoff
             if weights is None:
                 weights = [1.0] * m
             for w in weights:
                 self._check_weight(float(w))
-            for value in values:
+            for value in batch.tolist():
                 validate_point(value)
-            for value, weight in zip(values, weights):
-                self.insert(float(value), float(weight))
+            for value, weight in zip(batch.tolist(), weights):
+                self.insert(value, float(weight))
             return
-        batch = _np.asarray(values, dtype=self._dtype)
         warr = self._coerced_weights(m, weights)
         order = _np.argsort(batch, kind="stable")
         batch = batch[order]
         validate_point(batch[-1])
         warr = warr[order]
-        directory = self._dir
-        if not directory.chunks:
+        if not len(self._dir):
             self._build(batch, warr)
             return
         if self._n + m > 2 * self._n0:
             vals, ws = self.export_sorted_pairs()
-            allv = _np.concatenate((vals, batch.astype(self._dtype, copy=False)))
+            allv = _np.concatenate((vals, batch))
             allw = _np.concatenate((ws, warr))
             merged = _np.argsort(allv, kind="stable")
             self._build(allv[merged], allw[merged])
             return
-        chunks = directory.chunks
-        last = len(chunks) - 1
-        pos = _np.searchsorted(directory.maxes, batch, side="left")
-        if int(pos[-1]) > last:  # values beyond the global max join the tail
-            pos = _np.minimum(pos, last)
-        uniq, starts = _np.unique(pos, return_index=True)
-        ends = _np.append(starts[1:], m)
-        # Directory repair for counts, key extents and the weight plane is
-        # fully vectorized (one segment-sum per touched chunk's new mass).
-        directory.counts[uniq] += ends - starts
-        directory.maxes[uniq] = _np.maximum(directory.maxes[uniq], batch[ends - 1])
-        directory.mins[uniq] = _np.minimum(directory.mins[uniq], batch[starts])
-        directory.wtotals[uniq] += _np.add.reduceat(warr, starts)
-        cap = self._cap
-        oversized: list[int] = []
-        for p, g0, g1 in zip(uniq.tolist(), starts.tolist(), ends.tolist()):
-            chunk = chunks[p]
-            chunk.data, chunk.weights = kernels.merge_pair_runs(
-                chunk.data, chunk.weights, batch[g0:g1], warr[g0:g1]
-            )
-            chunk.touch()
-            if chunk.data.size > cap:
-                oversized.append(p)
+        self._dir.merge(batch, warr)
         self._n += m
-        directory.invalidate_prefix()
-        if oversized:
-            directory.bulk_split(oversized, cap)
 
     def delete_bulk(self, values: Iterable[float]) -> list[float]:
         """Delete one occurrence per batch value; returns their weights.
@@ -464,122 +332,22 @@ class WeightedDynamicIRS:
         Atomic: if any value is absent the structure is left untouched and
         :class:`~repro.errors.KeyNotFoundError` is raised.  Identical
         machinery to :meth:`~repro.core.dynamic_irs.DynamicIRS.delete_bulk`
-        — one sort, one vectorized routing pass, a verify-then-apply plan —
-        plus the aligned weight plane: hits record their weights for the
-        return value and the directory's mass column is repaired with one
-        vectorized subtraction.
+        — one stable sort, one vectorized verify pass, one take-out pass
+        over the touched rows — plus the aligned weight slab, whose
+        removed cells become the return value.
         """
-        values = [self._coerce(v) for v in values]
-        m = len(values)
+        if not isinstance(values, _np.ndarray):
+            values = list(values)
+        arr = round_to_plane(values, self._dtype)
+        m = int(arr.size)
         if m == 0:
             return []
-        directory = self._dir
-        chunks = directory.chunks
-        n_chunks = len(chunks)
-        order = sorted(range(m), key=values.__getitem__)
-        bulk_list = [values[k] for k in order]
-        if n_chunks == 0:
-            raise KeyNotFoundError(f"value not present: {bulk_list[-1]!r}")
-        if m <= _BULK_CUTOFF:
-            # Small batch: skip the vectorized prelude but keep the shared
-            # verify/apply path (and with it the atomicity guarantee).
-            groups: list[tuple[int, int, int]] = []
-            for g, value in enumerate(bulk_list):
-                p = directory.first_max_ge(value)
-                if p >= n_chunks:
-                    raise KeyNotFoundError(f"value not present: {value!r}")
-                if groups and groups[-1][0] == p:
-                    groups[-1] = (p, groups[-1][1], g + 1)
-                else:
-                    groups.append((p, g, g + 1))
-        else:
-            batch = _np.asarray(bulk_list, dtype=self._dtype)
-            pos = _np.searchsorted(directory.maxes, batch, side="left")
-            if int(pos[-1]) >= n_chunks:
-                missing = float(batch[pos >= n_chunks][0])
-                raise KeyNotFoundError(f"value not present: {missing!r}")
-            uniq, starts = _np.unique(pos, return_index=True)
-            ends = _np.append(starts[1:], m)
-            groups = list(zip(uniq.tolist(), starts.tolist(), ends.tolist()))
-        # Verify phase: resolve every target to its (chunk, offset) without
-        # mutating anything, so a missing value aborts atomically.  ``out``
-        # is filled as hits resolve (sorted position ``g`` maps back to the
-        # caller's order through ``order[g]``).
-        out: list[float] = [0.0] * m
-        plan: dict[int, list[int]] = {}
-        mins = directory.mins
-        for p, g0, g1 in groups:
-            j = p
-            chunk = chunks[p]
-            data = chunk.data
-            weights = chunk.weights
-            size = data.size
-            hits = plan.get(p)
-            if hits is None:
-                hits = plan[p] = []
-                at = 0  # search floor inside chunk j
-            else:
-                at = hits[-1] + 1
-            for g in range(g0, g1):
-                value = bulk_list[g]
-                while True:
-                    i = int(kernels.search_left_scalar(data, value))
-                    if i < at:
-                        i = at
-                    if i < size and data[i] == value:
-                        hits.append(i)
-                        out[order[g]] = float(weights[i])
-                        at = i + 1
-                        break
-                    # Spill into the next chunk: possible only when the
-                    # value ties this chunk's max and duplicates continue.
-                    j += 1
-                    if j >= n_chunks or mins[j] > value:
-                        raise KeyNotFoundError(f"value not present: {value!r}")
-                    chunk = chunks[j]
-                    data = chunk.data
-                    weights = chunk.weights
-                    size = data.size
-                    hits = plan.get(j)
-                    if hits is None:
-                        hits = plan[j] = []
-                        at = 0
-                    else:
-                        at = hits[-1] + 1
-        # Apply phase: splice out the recorded offsets from both planes
-        # with one kernel take-out per plane.  The removed mass per chunk
-        # is summed *sequentially* (accounting stays in the driver).
-        violation = False
-        s = self._s
-        removed_mass: list[float] = []
-        for p, hits in plan.items():
-            chunk = chunks[p]
-            weights = chunk.weights
-            removed = 0.0
-            for i in hits:
-                removed += float(weights[i])
-            hidx = _np.asarray(hits, dtype=_np.int64)
-            chunk.data = kernels.take_out(chunk.data, hidx)
-            chunk.weights = kernels.take_out(weights, hidx)
-            chunk.touch()
-            removed_mass.append(removed)
-            if chunk.data.size < s:
-                violation = True
+        order = arr.argsort(kind="stable")
+        out = _np.empty(m)
+        out[order] = self._dir.remove(arr[order], self._s)
         self._n -= m
-        directory.invalidate_prefix()
-        if violation:
-            directory.normalize(s, self._cap)
-        else:
-            # All touched chunks stayed within bounds: repair their
-            # directory rows with four vectorized assignments.
-            changed = list(plan)
-            idx = _np.asarray(changed, dtype=_np.int64)
-            directory.counts[idx] = [chunks[p].data.size for p in changed]
-            directory.maxes[idx] = [chunks[p].data[-1] for p in changed]
-            directory.mins[idx] = [chunks[p].data[0] for p in changed]
-            directory.wtotals[idx] -= _np.asarray(removed_mass, dtype=float)
         self._maybe_rebuild()
-        return out
+        return out.tolist()
 
     # -- queries ---------------------------------------------------------------------
 
@@ -601,35 +369,27 @@ class WeightedDynamicIRS:
         their runs — but is the float-cancellation caveat recorded in
         DESIGN.md §8.)
         """
-        lo = self._coerce(lo)
-        hi = self._coerce(hi)
         directory = self._dir
-        chunks = directory.chunks
-        a = directory.first_max_ge(lo)
-        if a >= len(chunks):
+        edges = directory.edges(
+            round_to_plane(lo, self._dtype, "lo"), round_to_plane(hi, self._dtype, "hi")
+        )
+        if edges is None:
             return None
-        b = directory.last_min_le(hi)
-        if b < a:
-            return None
-        ca = chunks[a]
+        a, la, b, rb = edges
+        wleft = directory.wrow(a)
         if a == b:
-            la = int(kernels.search_left_scalar(ca.data, lo))
-            ra = int(kernels.search_right_scalar(ca.data, hi))
-            if ra <= la:
+            if rb <= la:
                 return None
-            w = math.fsum(ca.weights[la:ra])
-            return ra - la, w, (a, la, ra, w, 0.0, b, ra, 0.0)
-        cb = chunks[b]
-        la = int(kernels.search_left_scalar(ca.data, lo))
-        rb = int(kernels.search_right_scalar(cb.data, hi))
-        w_left = math.fsum(ca.weights[la:])
-        w_right = math.fsum(cb.weights[:rb])
-        k_left = ca.data.size - la
+            w = math.fsum(wleft[la:rb])
+            return rb - la, w, (a, la, rb, w, 0.0, b, rb, 0.0)
+        w_left = math.fsum(wleft[la:])
+        w_right = math.fsum(directory.wrow(b)[:rb])
+        ra = wleft.size
         k_mid = directory.points_between(a, b)
         w_mid = directory.weight_between(a, b) if k_mid else 0.0
-        count = k_left + k_mid + rb
+        count = ra - la + k_mid + rb
         weight = w_left + w_mid + w_right
-        return count, weight, (a, la, ca.data.size, w_left, w_mid, b, rb, w_right)
+        return count, weight, (a, la, ra, w_left, w_mid, b, rb, w_right)
 
     def count(self, lo: float, hi: float) -> int:
         """Return ``|P ∩ [lo, hi]|``."""
@@ -643,12 +403,11 @@ class WeightedDynamicIRS:
         plan = self._plan(lo, hi)
         return plan[1] if plan is not None else 0.0
 
-    def _coerce_bounds_arrays(self, los, his):
+    def _round_bounds(self, los, his):
         """Round query-bound arrays through the value-plane dtype."""
-        if self._dtype.itemsize == 4:
-            los = los.astype(_np.float32).astype(_np.float64)
-            his = his.astype(_np.float32).astype(_np.float64)
-        return los, his
+        return round_to_plane(los, self._dtype, "lo"), round_to_plane(
+            his, self._dtype, "hi"
+        )
 
     def peek_counts(self, queries):
         """Vectorized multi-range count over the chunk directory.
@@ -659,10 +418,11 @@ class WeightedDynamicIRS:
         :meth:`ChunkDirectory.rank_bounds
         <repro.core.directory.ChunkDirectory.rank_bounds>` — one
         ``searchsorted`` over ``maxes`` and one over ``mins`` for *all*
-        queries, two in-chunk bisects per query, ``O(q log n)`` total.
+        queries, one ``k × cap`` compare for every in-chunk offset,
+        ``O(q log n)`` total.
         """
         los, his = coerce_query_bounds(queries)
-        starts, ends = self._dir.rank_bounds(*self._coerce_bounds_arrays(los, his))
+        starts, ends = self._dir.rank_bounds(*self._round_bounds(los, his))
         return ends - starts
 
     def peek_weights(self, queries):
@@ -671,36 +431,34 @@ class WeightedDynamicIRS:
         The weight-plane twin of :meth:`peek_counts`: boundary chunks for
         all queries from two directory ``searchsorted`` calls, whole-chunk
         middle mass from the cumulative weight prefix, boundary masses
-        from the chunks' own tables.  Returns a float array aligned with
-        the input.
+        from the boundary rows.  Returns a float array aligned with the
+        input.
         """
-        los, his = coerce_query_bounds(queries)
-        los, his = self._coerce_bounds_arrays(los, his)
+        los, his = self._round_bounds(*coerce_query_bounds(queries))
         q = len(los)
         out = _np.zeros(q, dtype=float)
         directory = self._dir
-        chunks = directory.chunks
-        if not chunks:
+        k = len(directory)
+        if not k:
             return out
         a_idx = _np.searchsorted(directory.maxes, los, side="left")
         b_idx = _np.searchsorted(directory.mins, his, side="right") - 1
         wprefix = directory.folded_wprefix()
         for i in range(q):
             a, b = int(a_idx[i]), int(b_idx[i])
-            if a >= len(chunks) or b < a:
+            if a >= k or b < a:
                 continue
-            ca = chunks[a]
-            la = int(kernels.search_left_scalar(ca.data, los[i]))
+            left, wleft = directory.row(a), directory.wrow(a)
+            la = kernels.search_left_scalar(left, los[i])
             # Boundary-run masses are direct fsum sums, mirroring _plan
             # (a prefix diff can round a positive run's mass to 0.0).
             if a == b:
-                ra = int(kernels.search_right_scalar(ca.data, his[i]))
-                out[i] = math.fsum(ca.weights[la:ra])
+                ra = kernels.search_right_scalar(left, his[i])
+                out[i] = math.fsum(wleft[la:ra])
                 continue
-            cb = chunks[b]
-            w = math.fsum(ca.weights[la:])
-            rb = int(kernels.search_right_scalar(cb.data, his[i]))
-            w += math.fsum(cb.weights[:rb])
+            w = math.fsum(wleft[la:])
+            rb = kernels.search_right_scalar(directory.row(b), his[i])
+            w += math.fsum(directory.wrow(b)[:rb])
             if b - a > 1:
                 w += float(wprefix[b - 1] - wprefix[a])
             out[i] = w
@@ -709,20 +467,14 @@ class WeightedDynamicIRS:
     def report(self, lo: float, hi: float) -> list[tuple[float, float]]:
         """Return the in-range ``(value, weight)`` pairs in sorted order."""
         validate_query(lo, hi, 0)
-        lo = self._coerce(lo)
-        hi = self._coerce(hi)
-        out: list[tuple[float, float]] = []
-        chunks = self._dir.chunks
-        i = self._dir.first_max_ge(lo)
-        while i < len(chunks) and chunks[i].data[0] <= hi:
-            chunk = chunks[i]
-            a = int(kernels.search_left_scalar(chunk.data, lo))
-            b = int(kernels.search_right_scalar(chunk.data, hi))
-            out.extend(
-                zip(chunk.data[a:b].tolist(), chunk.weights[a:b].tolist())
-            )
-            i += 1
-        return out
+        directory = self._dir
+        starts, ends = directory.rank_bounds(
+            *self._round_bounds(_np.asarray([lo]), _np.asarray([hi]))
+        )
+        rows, off = directory.cells(_np.arange(starts[0], ends[0]))
+        return list(
+            zip(directory.slab[rows, off].tolist(), directory.wslab[rows, off].tolist())
+        )
 
     def sample(self, lo: float, hi: float, t: int) -> list[float]:
         """Return ``t`` independent weight-proportional samples."""
@@ -733,14 +485,16 @@ class WeightedDynamicIRS:
         if plan is None or plan[1] <= 0.0:
             raise EmptyRangeError("query range is empty or has zero weight")
         _count, weight, (a, la, ra, w_left, w_mid, b, rb, w_right) = plan
-        chunks = self._dir.chunks
-        ca = chunks[a]
-        cb = chunks[b]
+        directory = self._dir
         self.stats.queries += 1
         self.stats.samples_returned += t
         rng = self._rng
         out: list[float] = []
-        base_left = ca.prefix(la)
+        search = kernels.search_right_scalar
+        left, right = directory.row(a), directory.row(b)
+        left_cum = kernels.cum_table(directory.wrow(a))
+        right_cum = kernels.cum_table(directory.wrow(b))
+        base_left = float(left_cum[la - 1]) if la else 0.0
         w_lm = w_left + w_mid
         wprefix = None
         for _ in range(t):
@@ -748,27 +502,27 @@ class WeightedDynamicIRS:
             if u < w_left:
                 # Clamp into the run [la, ra): round-off between the fsum
                 # mass and the cumulative table must not leave the range.
-                out.append(
-                    float(ca.data[min(max(ca.locate(base_left + u), la), ra - 1)])
-                )
+                i = min(search(left_cum, base_left + u), left.size - 1)
+                out.append(float(left[min(max(i, la), ra - 1)]))
             elif u < w_lm:
                 # Two cumulative binary searches: chunk by the directory's
-                # weight prefix, then point by the chunk's own table.  The
+                # weight prefix, then point by the row's own table.  The
                 # chunk index is clamped into the middle window, so float
                 # round-off at a boundary (probability ~ulp) stays exact
                 # to the same fidelity as the boundary draws themselves.
                 if wprefix is None:
-                    wprefix = self._dir.folded_wprefix()
+                    wprefix = directory.folded_wprefix()
                     base_mid = float(wprefix[a])
                 target = base_mid + (u - w_left)
                 ci = int(_np.searchsorted(wprefix, target, side="right"))
                 ci = min(max(ci, a + 1), b - 1)
-                chunk = chunks[ci]
-                out.append(
-                    float(chunk.data[chunk.locate(target - float(wprefix[ci - 1]))])
-                )
+                row = directory.row(ci)
+                cum = kernels.cum_table(directory.wrow(ci))
+                i = search(cum, target - float(wprefix[ci - 1]))
+                out.append(float(row[min(i, row.size - 1)]))
             else:
-                out.append(float(cb.data[min(cb.locate(u - w_lm), rb - 1)]))
+                i = min(search(right_cum, u - w_lm), right.size - 1)
+                out.append(float(right[min(i, rb - 1)]))
         return out
 
     def sample_bulk(self, lo: float, hi: float, t: int, *, seed=None):
@@ -780,10 +534,10 @@ class WeightedDynamicIRS:
         differs from the scalar path by design); an explicit ``seed``
         overrides the side stream (seed-addressable draws).  The three-way
         mass split is resolved vectorized: one batch of uniform mass
-        positions, boundary parts gathered against the chunks' cumulative
-        tables, and middle draws resolved by the two-pass cumulative-
-        ``searchsorted`` scheme of :meth:`_middle_bulk` — zero per-sample
-        descents of any kind.
+        positions, boundary parts gathered against the boundary rows'
+        cumulative tables, and middle draws resolved by the two-pass
+        cumulative-``searchsorted`` scheme of :meth:`_middle_bulk` — zero
+        per-sample descents of any kind.
         """
         validate_query(lo, hi, t)
         if t == 0:
@@ -792,7 +546,7 @@ class WeightedDynamicIRS:
         if plan is None or plan[1] <= 0.0:
             raise EmptyRangeError("query range is empty or has zero weight")
         _count, weight, (a, la, ra, w_left, w_mid, b, rb, w_right) = plan
-        chunks = self._dir.chunks
+        directory = self._dir
         stats = self.stats
         stats.queries += 1
         stats.samples_returned += t
@@ -812,15 +566,17 @@ class WeightedDynamicIRS:
         # and the cumulative tables must never surface an out-of-range
         # point.
         if left_mask.any():
-            vals, cum = chunks[a].np_arrays()
-            base_left = chunks[a].prefix(la)
+            cum = kernels.cum_table(directory.wrow(a))
+            base_left = float(cum[la - 1]) if la else 0.0
             out[left_mask] = kernels.flat_pick(
-                vals, cum, base_left + u[left_mask], la, ra - 1
+                directory.row(a), cum, base_left + u[left_mask], la, ra - 1
             )
         if right_mask.any():
-            vals, cum = chunks[b].np_arrays()
+            cum = kernels.cum_table(directory.wrow(b))
             residual = u[right_mask] - (w_left + w_mid)
-            out[right_mask] = kernels.flat_pick(vals, cum, residual, 0, rb - 1)
+            out[right_mask] = kernels.flat_pick(
+                directory.row(b), cum, residual, 0, rb - 1
+            )
         n_mid = int(mid_mask.sum())
         if n_mid:
             out[mid_mask] = self._middle_bulk(a, b, u[mid_mask] - w_left, n_mid)
@@ -834,10 +590,10 @@ class WeightedDynamicIRS:
         fused cumulative-search kernel call against the global table,
         clamped into the middle window.  Otherwise: pass 1 routes all
         draws to chunks with one ``searchsorted`` over the directory
-        weight prefix; pass 2 groups the draws per distinct chunk (one
-        stable argsort) and bisects each chunk's own cumulative table —
-        ``O(t log n)`` total with both passes in C, never a per-sample
-        descent.
+        weight prefix; pass 2 gathers the drawn rows, takes their
+        cumulative tables and bisects each draw's own row with one
+        ``k × cap`` compare — ``O(t log n)`` total with both passes in C,
+        never a per-sample descent.
         """
         directory = self._dir
         if self._flat_stamp == directory.mutations or count >= _FLAT_MIN:
@@ -845,25 +601,16 @@ class WeightedDynamicIRS:
             o1 = int(offsets[a + 1])
             o2 = int(offsets[b])
             return kernels.flat_pick(vals, gcum, base[a + 1] + residuals, o1, o2 - 1)
-        chunks = directory.chunks
         wprefix = directory.folded_wprefix()
         targets = float(wprefix[a]) + residuals
         ci = kernels.search_right(wprefix, targets)
         ci = _np.clip(ci, a + 1, b - 1)
         inner = targets - wprefix[ci - 1]
-        out = _np.empty(count, dtype=float)
-        order = _np.argsort(ci, kind="stable")
-        grouped_ci = ci[order]
-        grouped_inner = inner[order]
-        uniq, group_starts = _np.unique(grouped_ci, return_index=True)
-        group_ends = _np.append(group_starts[1:], count)
-        for chunk_i, g0, g1 in zip(uniq, group_starts, group_ends):
-            chunk = chunks[chunk_i]
-            vals, cum = chunk.np_arrays()
-            out[order[g0:g1]] = kernels.flat_pick(
-                vals, cum, grouped_inner[g0:g1], 0, vals.size - 1
-            )
-        return out
+        rows = directory.row_of[ci]
+        counts = directory.counts[ci]
+        cum = kernels.cum_table(directory.wslab[rows])
+        idx = kernels.search_rows(cum, counts, inner, True)
+        return directory.slab[rows, _np.minimum(idx, counts - 1)].astype(float)
 
     def _ensure_flat(self):
         """Return the flattened ``(values, global cum, offsets, bases)``.
@@ -871,20 +618,20 @@ class WeightedDynamicIRS:
         One array per plane over *all* points, rebuilt only when the
         directory's mutation stamp moved: ``values`` is the full sorted
         point array (structure dtype), ``global cum`` the strictly
-        increasing global cumulative weight (per-chunk tables shifted by
-        the chunk's cumulative base mass), ``offsets[i]`` the flat
-        position of chunk ``i``'s first point, and ``bases[i]`` the total
-        mass before chunk ``i``.  ``O(n)`` to build, cached across
+        increasing global cumulative weight (each row's sequential table
+        shifted by the chunk's cumulative base mass), ``offsets[i]`` the
+        flat position of chunk ``i``'s first point, and ``bases[i]`` the
+        total mass before chunk ``i``.  ``O(n)`` to build, cached across
         queries.
         """
         directory = self._dir
         if self._flat is not None and self._flat_stamp == directory.mutations:
             return self._flat
-        chunks = directory.chunks
-        pairs = [c.np_arrays() for c in chunks]
-        vals = _np.concatenate([p[0] for p in pairs])
-        cums = _np.concatenate([p[1] for p in pairs])
         counts = directory.counts
+        rows = directory.row_of
+        live = _np.arange(directory.cap) < counts[:, None]
+        vals = directory.slab[rows][live]
+        cums = kernels.cum_table(directory.wslab[rows])[live]
         offsets = _np.concatenate(([0], _np.cumsum(counts)))
         base = _np.concatenate(([0.0], _np.cumsum(directory.wtotals)))
         gcum = cums + _np.repeat(base[:-1], counts)
@@ -912,7 +659,7 @@ class WeightedDynamicIRS:
             raise InvalidQueryError("seeds must align with queries")
         for lo, hi, t in queries:
             validate_query(lo, hi, t)
-        if sum(t for _lo, _hi, t in queries) >= _FLAT_MIN and self._dir.chunks:
+        if sum(t for _lo, _hi, t in queries) >= _FLAT_MIN and len(self._dir):
             self._ensure_flat()  # one shared build for the whole batch
         return [
             self.sample_bulk(lo, hi, t, seed=seed)
@@ -922,17 +669,11 @@ class WeightedDynamicIRS:
     # -- validation (tests) ----------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Assert chunk and directory invariants (``O(n)``, tests only)."""
-        self._dir.check(self._s, self._cap, self._n)
-        total = 0.0
-        for chunk in self._dir.chunks:
-            assert chunk.data.size == chunk.weights.size
-            assert chunk.data.dtype == self._dtype, "value plane dtype drift"
-            assert chunk.weights.dtype == _np.float64, "weight plane not float64"
-            assert bool((chunk.weights > 0.0).all())
-            if chunk.cum is not None:
-                assert chunk.cum.size == chunk.weights.size
-                expect = _np.cumsum(chunk.weights)
-                assert bool((_np.abs(expect - chunk.cum) < 1e-9).all())
-            total += chunk.mass
+        """Assert slab and directory invariants (``O(n)``, tests only)."""
+        directory = self._dir
+        directory.check(self._s, self._n)
+        assert directory.slab.dtype == self._dtype, "value plane dtype drift"
+        assert directory.wslab.dtype == _np.float64, "weight plane not float64"
+        assert directory.cap == self._cap, "slab rows not cap wide"
+        total = float(directory.wtotals.sum())
         assert abs(total - self.total_weight) <= 1e-6 * max(1.0, total)

@@ -63,7 +63,7 @@ class CapacityError(ReproError):
 
 
 class ZeroCopyError(ReproError, ValueError):
-    """Raised when ``from_sorted(..., copy=False)`` cannot adopt the input.
+    """Raised when ``StaticIRS.from_sorted(..., copy=False)`` cannot adopt the input.
 
     Zero-copy adoption is a contract, not a hint: the caller's array must
     already be a one-dimensional, C-contiguous NumPy array of exactly the

@@ -24,6 +24,8 @@ backend that failed over to serial; ``ok`` is everything else.
 
 from __future__ import annotations
 
+import weakref
+
 HEALTH_CODES = {"ok": 0, "degraded": 1, "overloaded": 2}
 
 __all__ = ["ServerObservability", "HEALTH_CODES"]
@@ -33,7 +35,10 @@ class ServerObservability:
     """Registry wiring, health derivation, change-only publication."""
 
     def __init__(self, server) -> None:
-        self.server = server
+        # Weak: the server owns this object, and a strong back-reference
+        # would form a cycle that keeps a discarded server, and every
+        # structure it served, alive until the next full collection.
+        self.server = weakref.proxy(server)
         self.registry = server.stats.registry
         self._published: dict[str, object] = {}
         self._wire_serve()

@@ -363,6 +363,9 @@ class ReproServer:
         if self._tcp is not None:
             self._tcp.close()
             await self._tcp.wait_closed()
+            # The listener's protocol factory is a bound method of this
+            # server: dropping the closed listener breaks that cycle.
+            self._tcp = None
         for writer in list(self._connections):
             writer.close()
         for task in self._tasks:

@@ -41,7 +41,12 @@ from bisect import bisect_right
 from itertools import count as _counter
 from typing import Iterable, Sequence
 
-from ..core.base import DynamicRangeSampler, validate_point, validate_query
+from ..core.base import (
+    DynamicRangeSampler,
+    round_to_plane,
+    validate_point,
+    validate_query,
+)
 from ..core.dynamic_irs import DynamicIRS
 from ..core.em_irs import ExternalIRS
 from ..core.planes import resolve_dtype
@@ -198,10 +203,9 @@ class ShardedIRS(DynamicRangeSampler):
         if _np is None:  # pragma: no cover - numpy is installed in CI
             raise RuntimeError("ShardedIRS requires NumPy")
         resolved = _resolve_shard_dtype(values, dtype, shard_kind)
-        if isinstance(values, _np.ndarray):
-            values = values.astype(resolved, copy=False)
-        else:
-            values = _np.asarray(list(values), dtype=resolved)
+        if not isinstance(values, _np.ndarray):
+            values = list(values)
+        values = round_to_plane(values, resolved)
         if weights is None:
             order = _np.argsort(values, kind="stable")
             sorted_weights = None
@@ -239,9 +243,8 @@ class ShardedIRS(DynamicRangeSampler):
     ) -> "ShardedIRS":
         """O(n) constructor over already-sorted input (skips the sort)."""
         resolved = _resolve_shard_dtype(values, dtype, shard_kind)
-        values = _np.asarray(
-            values if isinstance(values, _np.ndarray) else list(values),
-            dtype=resolved,
+        values = round_to_plane(
+            values if isinstance(values, _np.ndarray) else list(values), resolved
         )
         if values.size > 1 and bool((values[1:] < values[:-1]).any()):
             raise ValueError("from_sorted requires nondecreasing input")
@@ -399,18 +402,18 @@ class ShardedIRS(DynamicRangeSampler):
         """The shard value-plane dtype (``float32`` or ``float64``)."""
         return self._dtype
 
-    def _coerce(self, value) -> float:
-        """Round a value through the plane dtype before routing.
+    def _round_range(self, lo, hi) -> tuple[float, float]:
+        """Round a query range through the plane dtype before routing.
 
-        Routing must see exactly the value the shard stores and compares:
-        a float64 routed raw but stored float32-rounded could land on the
-        wrong side of a shard bound, and a query bound compared raw
-        against float64 snapshots would disagree with the shards' own
-        dtype-coerced range membership.
+        Routing must see exactly the values the shards compare: a query
+        bound compared raw against float64 snapshots would disagree with
+        the shards' own dtype-coerced range membership
+        (:func:`~repro.core.base.round_to_plane`).
         """
-        if self._dtype.itemsize == 8:
-            return float(value)
-        return float(self._dtype.type(value))
+        return (
+            round_to_plane(lo, self._dtype, "lo"),
+            round_to_plane(hi, self._dtype, "hi"),
+        )
 
     @property
     def num_shards(self) -> int:
@@ -566,7 +569,7 @@ class ShardedIRS(DynamicRangeSampler):
         validate_query(lo, hi, 0)
         # Coerce the bounds through the plane dtype before windowing so
         # the shard window agrees with the shards' own coerced membership.
-        lo, hi = self._coerce(lo), self._coerce(hi)
+        lo, hi = self._round_range(lo, hi)
         return sum(self._shards[i].count(lo, hi) for i in self._window(lo, hi))
 
     def peek_counts(self, queries):
@@ -590,7 +593,7 @@ class ShardedIRS(DynamicRangeSampler):
     def report(self, lo: float, hi: float) -> list:
         """Return every in-range point in sorted order (shards are ordered)."""
         validate_query(lo, hi, 0)
-        lo, hi = self._coerce(lo), self._coerce(hi)
+        lo, hi = self._round_range(lo, hi)
         out: list = []
         for i in self._window(lo, hi):
             out.extend(self._shards[i].report(lo, hi))
@@ -601,7 +604,7 @@ class ShardedIRS(DynamicRangeSampler):
         if not self._weighted:
             raise InvalidQueryError("range_weight requires weighted shards")
         validate_query(lo, hi, 0)
-        lo, hi = self._coerce(lo), self._coerce(hi)
+        lo, hi = self._round_range(lo, hi)
         return sum(
             self._shards[i].range_weight(lo, hi) for i in self._window(lo, hi)
         )
@@ -643,7 +646,7 @@ class ShardedIRS(DynamicRangeSampler):
         independent and each has its shard's conditional distribution.
         """
         validate_query(lo, hi, t)
-        lo, hi = self._coerce(lo), self._coerce(hi)
+        lo, hi = self._round_range(lo, hi)
         window = list(self._window(lo, hi))
         counts = [self._shards[i].count(lo, hi) for i in window]
         if self._require_nonempty(sum(counts), t):
@@ -705,7 +708,7 @@ class ShardedIRS(DynamicRangeSampler):
         # probes float64 snapshots, and the coerced bounds make those
         # probes agree exactly with the shards' own range membership.
         queries = [
-            (self._coerce(lo), self._coerce(hi), int(ti)) for lo, hi, ti in queries
+            (*self._round_range(lo, hi), int(ti)) for lo, hi, ti in queries
         ]
         for lo, hi, ti in queries:
             validate_query(lo, hi, ti)
@@ -927,7 +930,7 @@ class ShardedIRS(DynamicRangeSampler):
         ranks with its own rank machinery in one call.
         """
         validate_query(lo, hi, 0)
-        lo, hi = self._coerce(lo), self._coerce(hi)
+        lo, hi = self._round_range(lo, hi)
         window = list(self._window(lo, hi))
         counts = [self._shards[i].count(lo, hi) for i in window]
         total = sum(counts)
@@ -1025,21 +1028,21 @@ class ShardedIRS(DynamicRangeSampler):
 
     def _insert_plain(self, value: float) -> None:
         self._require_updatable()
-        value = self._coerce(value)
+        value = round_to_plane(value, self._dtype)
         i = self._route_one(value)
         self._shards[i].insert(value)
         self._after_update(i, 1)
 
     def _insert_weighted(self, value: float, weight: float = 1.0) -> None:
         self._require_updatable()
-        value = self._coerce(value)
+        value = round_to_plane(value, self._dtype)
         i = self._route_one(value)
         self._shards[i].insert(value, weight)
         self._after_update(i, 1)
 
     def _insert_bulk_plain(self, values) -> None:
         self._require_updatable()
-        batch = _np.sort(_np.asarray(list(values), dtype=self._dtype))
+        batch = _np.sort(round_to_plane(list(values), self._dtype))
         if not batch.size:
             return
         validate_point(batch[-1])  # before any shard takes its group
@@ -1057,7 +1060,7 @@ class ShardedIRS(DynamicRangeSampler):
 
     def _insert_bulk_weighted(self, values, weights=None) -> None:
         self._require_updatable()
-        batch = _np.asarray(list(values), dtype=self._dtype)
+        batch = round_to_plane(list(values), self._dtype)
         if weights is None:
             wbatch = _np.ones(batch.size, dtype=float)
         else:
@@ -1081,7 +1084,7 @@ class ShardedIRS(DynamicRangeSampler):
     def delete(self, value: float):
         """Delete one occurrence of ``value`` (routed by the partition)."""
         self._require_updatable()
-        value = self._coerce(value)
+        value = round_to_plane(value, self._dtype)
         i = self._route_one(value)
         result = self._shards[i].delete(value)
         self._after_update(i, -1)
@@ -1097,7 +1100,7 @@ class ShardedIRS(DynamicRangeSampler):
         nothing contract of the single-structure bulk path.
         """
         self._require_updatable()
-        batch = _np.sort(_np.asarray(list(values), dtype=self._dtype))
+        batch = _np.sort(round_to_plane(list(values), self._dtype))
         if not batch.size:
             return
         applied: list[tuple[int, object, object]] = []
@@ -1285,13 +1288,13 @@ class ShardedIRS(DynamicRangeSampler):
         assert list(self._bounds) == sorted(self._bounds)
         assert len(self._bounds) == len(self._shards) - 1 or not self._shards
         total = 0
-        prev_max = float("-inf")
+        prev_max = None  # the last point of the previous nonempty shard
         for i in range(len(self._shards)):
             values = self._export_shard(i)[0]
             total += len(values)
             if len(values):
                 assert list(values) == sorted(values), "shard not sorted"
-                assert values[0] > prev_max, "shards overlap"
+                assert prev_max is None or values[0] > prev_max, "shards overlap"
                 routed = route_values(self._bounds_arr, values)
                 assert routed.min() == routed.max() == i, "routing invariant broken"
                 prev_max = values[-1]

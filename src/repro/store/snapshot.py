@@ -18,8 +18,9 @@ temporary directory, the manifest is written last, and one atomic
 
 Recovery is the O(n) inverse: :func:`build_from_sorted` feeds each plane
 pair to the recorded kind's ``from_sorted`` constructor, skipping the
-sort entirely — for the array-plane kinds the decoded plane is *adopted*
-zero-copy (``copy=False``), so recovery allocates no second value plane —
+sort entirely — a ``static`` structure *adopts* its decoded plane
+zero-copy (``copy=False``), so its recovery allocates no second value
+plane, and the dynamic kinds copy theirs once, straight into their slab —
 and the caller then replays the WAL suffix with ``seq > wal_seq``.
 """
 
@@ -133,24 +134,22 @@ def build_from_sorted(spec: dict, values, weights=None, *, seed=None):
     kind = spec.get("kind")
     params = spec.get("params", {})
     dtype = params.get("dtype")
-    # Adopt the decoded plane zero-copy when it already has the target
-    # dtype (the common case: planes are stored in the structure's own
-    # dtype) — recovery then allocates no second value plane.
-    adopt = (
-        _np is not None
-        and isinstance(values, _np.ndarray)
-        and (dtype is None or _np.dtype(dtype) == values.dtype)
-    )
     if kind == "static":
+        # Adopt the decoded plane zero-copy when it already has the target
+        # dtype (the common case: planes are stored in the structure's own
+        # dtype) — recovery then allocates no second value plane.
+        adopt = (
+            _np is not None
+            and isinstance(values, _np.ndarray)
+            and (dtype is None or _np.dtype(dtype) == values.dtype)
+        )
         return StaticIRS.from_sorted(values, seed=seed, dtype=dtype, copy=not adopt)
     if kind == "dynamic":
-        return DynamicIRS.from_sorted(values, seed=seed, dtype=dtype, copy=not adopt)
+        return DynamicIRS.from_sorted(values, seed=seed, dtype=dtype)
     if kind == "weighted":
         return WeightedStaticIRS.from_sorted(values, weights, seed=seed)
     if kind == "weighted-dynamic":
-        return WeightedDynamicIRS.from_sorted(
-            values, weights, seed=seed, dtype=dtype, copy=not adopt
-        )
+        return WeightedDynamicIRS.from_sorted(values, weights, seed=seed, dtype=dtype)
     if kind == "external":
         data = values.tolist() if hasattr(values, "tolist") else list(values)
         return ExternalIRS.from_sorted(

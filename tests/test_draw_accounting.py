@@ -9,6 +9,7 @@ paths.
 from __future__ import annotations
 
 from repro import DynamicIRS, ExternalIRS, StaticIRS, WeightedStaticIRS
+from repro.core.dynamic_irs import _narrow
 from repro.rng import ScriptedSource
 
 
@@ -74,14 +75,13 @@ class TestScriptedPaths:
         assert plan is not None
         _total, a, _la, _k_left, k_mid, b, _k_r = plan
         assert k_mid > 0
-        middle = d._middle_plan(a + 1, b - 1, 1)
-        assert middle.mode == "rejection"
+        assert not _narrow(b - a - 1, 1), "a wide middle samples by rejection"
         # Script: the first probes land on slots past the chunk fill and are
         # rejected, then the fallback RNG takes over and terminates the loop.
         rng = ScriptedSource([0.999999] * 3, seed=7)
-        value = middle.sample_draw(rng.randbelow_fn(), d.stats)
-        mid_lo = d._chunks[a + 1].data[0]
-        mid_hi = d._chunks[b - 1].data[-1]
+        value = d._reject_draw(a + 1, b - 1, rng.randbelow_fn())
+        mid_lo = d._dir.mins[a + 1]
+        mid_hi = d._dir.maxes[b - 1]
         assert mid_lo <= value <= mid_hi
 
     def test_static_scripted_is_deterministic(self):

@@ -32,8 +32,8 @@ class TestConstruction:
     def test_chunk_bounds_hold_after_build(self, uniform_data):
         d = DynamicIRS(uniform_data, seed=4)
         s, cap = d.chunk_size_bounds
-        for chunk in d._iter_chunks():
-            assert s <= len(chunk.data) <= cap
+        for count in d._dir.counts.tolist():
+            assert s <= count <= cap
 
 
 class TestUpdates:

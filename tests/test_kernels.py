@@ -30,15 +30,6 @@ def _rng(seed=0):
 class TestKernelOps:
     """Each op checked against a pure-Python/NumPy oracle."""
 
-    def test_splices(self):
-        arr = np.sort(_rng(1).uniform(0, 100, 33))
-        pos = int(np.searchsorted(arr, 42.0))
-        inserted = kernels.splice_insert(arr, pos, 42.0)
-        assert inserted.tolist() == sorted(arr.tolist() + [42.0])
-        removed = kernels.splice_delete(inserted, pos)
-        assert removed.tolist() == arr.tolist()
-        assert inserted.dtype == removed.dtype == arr.dtype
-
     def test_scalar_searches(self):
         arr = np.asarray([1.0, 2.0, 2.0, 2.0, 5.0])
         for v in (0.0, 1.0, 2.0, 3.0, 5.0, 9.0):
@@ -57,26 +48,49 @@ class TestKernelOps:
             bisect.bisect_right(arr.tolist(), t) for t in targets
         ]
 
-    def test_merge_runs_is_stable_chunk_first(self):
-        # On ties the chunk's occurrences must precede the batch's: tag
-        # equal keys by provenance through a parallel argsort oracle.
-        chunk = np.asarray([1.0, 3.0, 3.0, 7.0])
-        batch = np.asarray([0.0, 3.0, 3.0, 9.0])
-        merged = kernels.merge_runs(chunk, batch)
-        assert merged.tolist() == sorted(chunk.tolist() + batch.tolist())
-        # Positional oracle: chunk-first means searchsorted-right placement.
-        ins = np.searchsorted(chunk, batch, side="right")
-        expect = np.insert(chunk, ins, batch)
-        assert merged.tolist() == expect.tolist()
+    def test_search_rows_clamps_to_live_counts(self):
+        # Oracle: bisect each row's live prefix alone.  The padding holds
+        # values (-inf, +inf) that would count if it were searched.
+        block = np.asarray(
+            [[1.0, 2.0, 2.0, -np.inf], [0.0, 5.0, np.inf, np.inf], [3.0, 0, 0, 0]]
+        )
+        counts = np.asarray([3, 3, 1])
+        targets = np.asarray([2.0, np.inf, 9.0])
+        for right, bisect_fn in (
+            (False, bisect.bisect_left), (True, bisect.bisect_right)
+        ):
+            got = kernels.search_rows(block, counts, targets, right=right)
+            assert got.tolist() == [
+                bisect_fn(row[:c], t)
+                for row, c, t in zip(block.tolist(), counts.tolist(), targets.tolist())
+            ]
 
-    def test_merge_pair_runs_carries_weights(self):
+    def test_merge_slots_is_stable_live_first(self):
+        # Two touched rows' live runs, concatenated.  On ties the stored
+        # occurrences must precede the batch's, and a batch value tying
+        # the next run's first element stays in its own run.
+        live = np.asarray([1.0, 3.0, 3.0, 7.0, 7.0, 9.0])
+        batch = np.asarray([0.0, 3.0, 3.0, 7.0, 9.0])
+        ends = np.asarray([4, 4, 4, 4, 6])  # run 0 is live[:4], run 1 live[4:]
+        slots = kernels.merge_slots(live, batch, ends)
+        merged = kernels.interleave(live, batch, slots)
+        assert merged.tolist() == sorted(live.tolist() + batch.tolist())
+        # Positional oracle: searchsorted-right placement inside each run.
+        at = np.minimum(np.searchsorted(live, batch, "right"), ends)
+        expect = np.insert(live, at, batch)
+        assert merged.tolist() == expect.tolist()
+        assert slots.tolist() == [0, 4, 5, 7, 10]
+
+    def test_interleave_carries_weights(self):
         cdata = np.asarray([1.0, 4.0, 4.0])
         cweights = np.asarray([10.0, 11.0, 12.0])
         bdata = np.asarray([0.0, 4.0, 8.0])
         bweights = np.asarray([20.0, 21.0, 22.0])
-        mdata, mweights = kernels.merge_pair_runs(cdata, cweights, bdata, bweights)
+        slots = kernels.merge_slots(cdata, bdata, np.full(3, 3))
+        mdata = kernels.interleave(cdata, bdata, slots)
+        mweights = kernels.interleave(cweights, bweights, slots)
         assert mdata.tolist() == [0.0, 1.0, 4.0, 4.0, 4.0, 8.0]
-        # chunk-first on the tie at 4.0: chunk weights 11, 12 precede 21.
+        # live-first on the tie at 4.0: stored weights 11, 12 precede 21.
         assert mweights.tolist() == [20.0, 10.0, 11.0, 12.0, 21.0, 22.0]
 
     def test_take_out(self):
@@ -88,6 +102,11 @@ class TestKernelOps:
         weights = np.asarray([0.5, 1.5, 2.0, 0.25])
         got = np.asarray(kernels.cum_table(weights))
         assert got.tolist() == np.cumsum(weights).tolist()
+        # A block of rows gets one table per row.
+        block = np.stack([weights, weights[::-1]])
+        assert kernels.cum_table(block).tolist() == [
+            np.cumsum(weights).tolist(), np.cumsum(weights[::-1]).tolist()
+        ]
 
     def test_rejection_split(self):
         # Oracle: walk the codes sequentially, keeping draws whose slot
@@ -139,7 +158,11 @@ def test_structures_reach_kernels_through_the_module(monkeypatch):
     to a name at import time would bypass the wrapper.
     """
     calls = Counter()
-    for name in ("search_left_scalar", "splice_insert", "rejection_split", "flat_pick"):
+    names = (
+        "search_left_scalar", "search_right_scalar", "search_rows",
+        "merge_slots", "rejection_split",
+    )
+    for name in names:
 
         def counted(*args, _fn=getattr(kernels, name), _name=name):
             calls[_name] += 1
@@ -151,12 +174,14 @@ def test_structures_reach_kernels_through_the_module(monkeypatch):
     weighted = WeightedDynamicIRS.from_sorted(
         data, _rng(42).uniform(0.5, 2.0, data.size), seed=2
     )
-    insert = {"search_left_scalar", "splice_insert"}
+    batch = _rng(43).uniform(0, 1, 64)
     for op, expected in (
-        (lambda: dynamic.insert(0.5), insert),
-        (lambda: weighted.insert(0.5, 1.0), insert),
+        (lambda: dynamic.insert(0.5), {"search_left_scalar", "search_right_scalar"}),
+        (lambda: weighted.insert(0.5, 1.0), {"search_left_scalar"}),
+        (lambda: dynamic.insert_bulk(batch), {"merge_slots"}),
+        (lambda: weighted.insert_bulk(batch), {"merge_slots"}),
         (lambda: dynamic.sample_bulk(0.01, 0.99, 64), {"rejection_split"}),
-        (lambda: weighted.sample_bulk(0.01, 0.99, 64), {"flat_pick"}),
+        (lambda: weighted.sample_bulk(0.01, 0.99, 64), {"search_rows"}),
     ):
         calls.clear()
         op()
@@ -260,23 +285,15 @@ class TestZeroCopy:
         s = StaticIRS.from_sorted(arr, seed=1, copy=False)
         assert s.export_sorted() is arr
 
-    def test_dynamic_chunks_are_views_of_the_caller_array(self):
-        arr = np.sort(_rng(32).uniform(0, 1, 512))
-        d = DynamicIRS.from_sorted(arr, seed=1, copy=False)
-        # Every chunk except a possibly-merged tail pair is a view of the
-        # adopted plane (the tail merge below the size floor concatenates).
-        shared = [np.shares_memory(chunk.data, arr) for chunk in d._dir.chunks]
-        assert all(shared[:-2]) and any(shared)
-        # Read-only buffers adopt too (the snapshot-recovery path).
-        ro = np.frombuffer(arr.tobytes())
-        assert not ro.flags.writeable
-        d2 = DynamicIRS.from_sorted(ro, seed=1, copy=False)
-        assert np.shares_memory(d2._dir.chunks[0].data, ro)
-
     def test_copy_true_never_aliases(self):
         arr = np.sort(_rng(33).uniform(0, 1, 64))
+        s = StaticIRS.from_sorted(arr, seed=1, copy=True)
+        assert not np.shares_memory(s.export_sorted(), arr)
+        # The dynamic kinds copy into their slab whatever the input.
         d = DynamicIRS.from_sorted(arr, seed=1)
-        assert not any(np.shares_memory(chunk.data, arr) for chunk in d._dir.chunks)
+        w = WeightedDynamicIRS.from_sorted(arr, np.ones(arr.size), seed=1)
+        assert not np.shares_memory(d._dir.slab, arr)
+        assert not np.shares_memory(w._dir.slab, arr)
 
     def test_adoption_contract_is_strict(self):
         arr = np.sort(_rng(34).uniform(0, 1, 64))

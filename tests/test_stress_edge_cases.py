@@ -8,6 +8,7 @@ alternating build/teardown cycles.
 
 from __future__ import annotations
 
+import bisect
 import random
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro import (
     StaticIRS,
     WeightedDynamicIRS,
 )
+from repro.errors import KeyNotFoundError
 from repro.stats import uniformity_test
 from repro.workloads import UpdateStream
 
@@ -52,6 +54,27 @@ class TestAllEqualValues:
         d.check_invariants()
         assert d.count(1.0, 1.0) == 3000
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_delete_bulk_through_equal_chunks(self, weighted):
+        """Runs of equal copies cross chunk boundaries; a bulk delete takes
+        the first copies in key order, or refuses the whole batch."""
+        weights = [1.0 + i for i in range(2000)]
+        if weighted:
+            s = WeightedDynamicIRS([7.0] * 2000, weights, seed=3)
+        else:
+            s = DynamicIRS([7.0] * 2000, seed=3)
+        removed = s.delete_bulk([7.0] * 150)
+        assert len(s) == s.count(7.0, 7.0) == 1850
+        if weighted:
+            assert removed == weights[:150]
+        s.check_invariants()
+        before = s.export_sorted().tobytes()
+        for refused in ([7.0] * 1851, [7.0] * 10 + [8.0], [6.0] + [7.0] * 10):
+            with pytest.raises(KeyNotFoundError):
+                s.delete_bulk(refused)
+            assert s.export_sorted().tobytes() == before
+        s.check_invariants()
+
     def test_external(self):
         e = ExternalIRS([7.0] * 4096, block_size=64, seed=5)
         assert e.count(7.0, 7.0) == 4096
@@ -74,6 +97,130 @@ class TestExtremeValues:
         d = DynamicIRS([1.0, 2.0, 3.0], seed=8)
         assert d.count(float("-inf"), float("inf")) == 3
         assert len(d.sample(float("-inf"), float("inf"), 5)) == 5
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_signed_zeros_keep_stored_first_order(self, weighted):
+        """``-0.0 == 0.0`` but their bytes differ, so the update paths'
+        tie order shows in the export: stored points stay before new ones
+        (a weighted scalar insert goes before its equals) and deletes take
+        the first equal copy."""
+        base = [-0.0, 0.0] + [float(i) for i in range(1, 1000)]
+        model = list(base)
+        s = (WeightedDynamicIRS if weighted else DynamicIRS).from_sorted(base, seed=1)
+
+        def insert(v):
+            s.insert(v)
+            (bisect.insort_left if weighted else bisect.insort_right)(model, v)
+
+        def insert_bulk(zeros):
+            batch = [500.5 + i for i in range(20)] + zeros
+            s.insert_bulk(batch)
+            for v in sorted(batch):  # stable: equal values keep batch order
+                bisect.insort_right(model, v)
+
+        def delete_bulk(values):
+            s.delete_bulk(values)
+            for v in values:
+                model.remove(v)
+
+        for step in (
+            lambda: insert(-0.0),
+            lambda: insert(0.0),
+            lambda: insert_bulk([0.0]),
+            lambda: insert_bulk([-0.0, 0.0, -0.0]),
+            lambda: s.delete(0.0) if model.remove(0.0) is None else None,
+            lambda: delete_bulk([0.0, -0.0, 3.0] + [500.5 + i for i in range(20)]),
+        ):
+            step()
+            assert s.export_sorted().tobytes() == np.asarray(model).tobytes()
+            s.check_invariants()
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_infinite_points_next_to_row_padding(self, weighted):
+        """``±inf`` are legal points that sit right beside a row's padding:
+        every update path must keep counting them exactly."""
+        inf = float("inf")
+        model = [-inf] * 3 + [float(i) for i in range(500)] + [inf] * 3
+        s = (WeightedDynamicIRS if weighted else DynamicIRS)(model, seed=2)
+
+        def apply(op, values):
+            getattr(s, op)(values)
+            for v in values if op.endswith("_bulk") else [values]:
+                if op.startswith("insert"):
+                    model.append(v)
+                else:
+                    model.remove(v)
+            model.sort()
+
+        for op, values in (
+            ("insert", inf),
+            ("insert", -inf),
+            ("insert_bulk", [inf] * 10 + [-inf] * 10 + [250.5]),
+            ("delete", inf),
+            ("delete", -inf),
+            ("delete_bulk", [inf] * 8 + [-inf] * 9),
+            ("delete_bulk", [inf] * 5 + [-inf] * 4 + [250.5]),
+        ):
+            apply(op, values)
+            s.check_invariants()
+            n_neg, n_pos = model.count(-inf), model.count(inf)
+            assert len(s) == s.count(-inf, inf) == len(model)
+            assert s.count(inf, inf) == n_pos and s.count(-inf, -inf) == n_neg
+            peeked = s.peek_counts([(-inf, -inf), (inf, inf), (-inf, inf)])
+            assert peeked.tolist() == [n_neg, n_pos, len(model)]
+            report = s.report(inf, inf)
+            if weighted:
+                report = [value for value, _weight in report]
+            assert report == [inf] * n_pos
+            assert s.export_sorted().tolist() == model
+
+    @pytest.mark.parametrize("kind", ["static", "dynamic", "weighted-dynamic", "sharded"])
+    def test_f32_overflow_is_refused_or_clamped(self, kind):
+        """A finite value beyond float32's range must not become ``±inf``.
+
+        As a point it is refused before anything mutates; as a query bound
+        it never selects an infinite point, so every count matches the
+        float64 twin's.
+        """
+        inf = float("inf")
+        f32 = np.float32
+
+        def build(values, dtype):
+            if kind == "static":
+                return StaticIRS.from_sorted(values, seed=1, dtype=dtype)
+            if kind == "dynamic":
+                return DynamicIRS.from_sorted(values, seed=1, dtype=dtype)
+            if kind == "weighted-dynamic":
+                return WeightedDynamicIRS.from_sorted(values, seed=1, dtype=dtype)
+            return ShardedIRS.from_sorted(values, num_shards=2, seed=1, dtype=dtype)
+
+        with pytest.raises(InvalidQueryError):
+            build([1.0, 1e300], f32)
+        stored = [-inf, 1.0, 2.0, inf]
+        narrow, wide = build(stored, f32), build(stored, np.float64)
+        bounds = [
+            (0.0, 1e300), (-1e300, 0.0), (1e300, inf), (-inf, -1e300), (-1e300, 1e300)
+        ]
+        for lo, hi in bounds:
+            assert narrow.count(lo, hi) == wide.count(lo, hi), (lo, hi)
+        assert narrow.count(0.0, 1e300) == 2 and narrow.count(-1e300, 0.0) == 0
+        if kind != "sharded":
+            peeked = narrow.peek_counts(bounds).tolist()
+            assert peeked == wide.peek_counts(bounds).tolist()
+        if kind == "static":
+            return
+        for refused in (
+            lambda: narrow.insert(1e300),
+            lambda: narrow.insert(-1e300),
+            lambda: narrow.insert_bulk([-1e300] * 20),
+            lambda: narrow.insert_bulk([0.5] * 20 + [1e300]),
+            lambda: narrow.delete(1e300),  # must not remove the stored +inf
+            lambda: narrow.delete_bulk([1.0, -1e300]),
+        ):
+            with pytest.raises(InvalidQueryError):
+                refused()
+            assert narrow.export_sorted().tolist() == stored
+        narrow.check_invariants()
 
     def test_nan_points_are_refused(self):
         """A stored NaN could never be counted or deleted again, so every
@@ -134,6 +281,29 @@ class TestAdversarialChurn:
         samples = d.sample(0.4, 0.6, 15_000)
         _stat, p = uniformity_test(samples, population)
         assert p > 1e-4
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_churn_reuses_freed_rows(self, weighted):
+        """Splits take slab rows and merges give them back: a grow-and-shrink
+        loop never hands out more rows than it ever holds chunks."""
+        rng = random.Random(14)
+        s = (WeightedDynamicIRS if weighted else DynamicIRS)(
+            [rng.random() for _ in range(6000)], seed=5
+        )
+        directory = s._dir
+        peak = len(directory)
+        for _ in range(12):
+            lo = rng.random() * 0.9
+            hot = [lo + rng.random() * 0.05 for _ in range(1500)]
+            s.insert_bulk(hot)
+            peak = max(peak, len(directory))
+            for value in hot[:100]:
+                s.delete(value)
+            s.delete_bulk(hot[100:])
+            peak = max(peak, len(directory))
+        s.check_invariants()
+        assert len(s) == 6000
+        assert directory.top <= peak
 
     def test_sawtooth_grow_shrink_cycles(self):
         d = DynamicIRS(seed=11)
