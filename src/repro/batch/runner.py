@@ -21,6 +21,11 @@ Design notes
   its ``coalesce_reads`` and ``capture_errors`` options (both default
   off, preserving historical semantics exactly) are documented on the
   method and in DESIGN.md §3/§7.
+* Every ``sample`` and ``count`` read, in ``run``, ``run_counts`` and both
+  ``run_mixed`` modes, goes through ``_sample_run`` / ``_count_run``;
+  their ``coalesce`` argument picks one ``sample_bulk_many`` /
+  ``peek_counts`` call per run or the per-query calls.  Scenario reads
+  run one at a time through the ``_EXECUTORS`` table.
 """
 
 from __future__ import annotations
@@ -30,7 +35,10 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from ..core.base import RangeSampler
+from ..core.without_replacement import sample_without_replacement_bulk
 from ..errors import InvalidQueryError, KeyNotFoundError, ReproError
+from ..scenarios.estimate import adaptive_estimate
+from ..scenarios.stratified import sample_stratified
 from ..types import QueryStats
 
 try:  # NumPy is optional at runtime; scalar fallbacks return lists.
@@ -185,9 +193,10 @@ class MixedResult:
     ``samples[i]`` aligns with the ``i``-th input op: the samples of a
     ``sample`` op, the integer result of a ``count`` op, ``None`` for
     updates.  ``stats.extra`` records ``"updates"`` (total update ops),
-    ``"bulk_update_calls"`` (how many coalesced bulk calls served them)
-    and, with read coalescing on, ``"read_bulk_calls"`` — alongside the
-    per-structure ``"queries:<name>"`` counters.
+    ``"bulk_update_calls"`` (how many coalesced bulk calls served them),
+    ``"counts"`` (count ops, when there are any) and, with read
+    coalescing on, ``"read_bulk_calls"`` — alongside the per-structure
+    ``"queries:<name>"`` counters.
 
     ``errors`` is ``None`` unless the stream ran with
     ``capture_errors=True``; it then aligns with the ops — ``None`` for an
@@ -202,8 +211,9 @@ class MixedResult:
 
     @property
     def operations(self) -> int:
-        """Total operations executed (updates + queries)."""
-        return self.stats.queries + self.stats.extra.get("updates", 0)
+        """Total operations executed (updates + counts + other queries)."""
+        extra = self.stats.extra
+        return self.stats.queries + extra.get("updates", 0) + extra.get("counts", 0)
 
     @property
     def ops_per_second(self) -> float:
@@ -279,13 +289,35 @@ def _accepts_weights(sampler) -> bool:
         return False
 
 
-_SCENARIO_KINDS = ("stratified", "sample_wr", "estimate")
+def _stratified(sampler, op: BatchOp):
+    blocks = sample_stratified(sampler, op.strata, op.t, seed=op.seed)
+    return blocks, sum(len(b) for b in blocks)
+
+
+def _sample_wr(sampler, op: BatchOp):
+    block = sample_without_replacement_bulk(sampler, op.lo, op.hi, op.t, seed=op.seed)
+    return block, len(block)
+
+
+def _estimate(sampler, op: BatchOp):
+    outcome = adaptive_estimate(
+        sampler, op.lo, op.hi, target_half_width=op.target,
+        confidence=op.confidence, batch=op.batch_draws, max_draws=op.max_draws,
+        seed=op.seed,
+    )
+    return outcome, outcome.draws
+
+
+#: Scenario read kind -> ``executor(sampler, op) -> (result, samples drawn)``.
+_EXECUTORS = {"stratified": _stratified, "sample_wr": _sample_wr, "estimate": _estimate}
+
+_KINDS = ("insert", "delete", "sample", "count", *_EXECUTORS)
 
 
 def _normalize_op(op) -> BatchOp:
     """Coerce a :class:`BatchOp` or shorthand tuple to a validated op."""
     if isinstance(op, BatchOp):
-        if op.kind not in ("insert", "delete", "sample", "count") + _SCENARIO_KINDS:
+        if op.kind not in _KINDS:
             raise InvalidQueryError(f"unknown op kind: {op.kind!r}")
         return op
     try:
@@ -313,13 +345,14 @@ def _normalize_op(op) -> BatchOp:
     )
 
 
-def _exec_sample(sampler, bulk, lo: float, hi: float, t: int, seed: int | None):
+def _exec_sample(sampler, bulk, query):
     """Run one sampling query, honoring an optional per-query seed.
 
     Seeded queries require a ``sample_bulk`` that accepts ``seed`` (every
     sampler in this library does); a structure without one fails as a
     typed :class:`~repro.errors.InvalidQueryError`.
     """
+    lo, hi, t, seed = query.lo, query.hi, query.t, query.seed
     if seed is None:
         if bulk is not None:
             return bulk(lo, hi, t)
@@ -351,6 +384,14 @@ def _call_many(sampler, many, group: list, seeds: list):
             f"{type(sampler).__name__}.sample_bulk_many does not accept "
             "per-query seeds; seeded queries need seeds= support"
         ) from exc
+
+
+def _tally(stats: QueryStats, name: str, queries: int, samples: int) -> None:
+    """Account ``queries`` answered by structure ``name`` on ``stats``."""
+    stats.queries += queries
+    stats.samples_returned += samples
+    key = f"queries:{name}"
+    stats.extra[key] = stats.extra.get(key, 0) + queries
 
 
 class BatchQueryRunner:
@@ -399,35 +440,15 @@ class BatchQueryRunner:
         """Execute the batch and return order-aligned samples plus stats."""
         batch = [_normalize(q) for q in queries]
         result = BatchResult(samples=[None] * len(batch))
-        stats = result.stats
         groups = self._group(batch)
         clock = time.perf_counter
         start = clock()
         for name, indices in groups.items():
-            sampler = self._structures[name]
-            many = getattr(sampler, "sample_bulk_many", None)
-            if many is not None:
-                # Scatter-gather structures take the whole group in one
-                # call, so worker dispatch is amortized across the batch.
-                group = [(batch[i].lo, batch[i].hi, batch[i].t) for i in indices]
-                if any(batch[i].seed is not None for i in indices):
-                    seeds = [batch[i].seed for i in indices]
-                    group_results = _call_many(sampler, many, group, seeds)
-                else:
-                    group_results = many(group)
-                for i, samples in zip(indices, group_results):
-                    result.samples[i] = samples
-                    stats.samples_returned += len(samples)
-            else:
-                bulk = getattr(sampler, "sample_bulk", None)
-                for i in indices:
-                    q = batch[i]
-                    samples = _exec_sample(sampler, bulk, q.lo, q.hi, q.t, q.seed)
-                    result.samples[i] = samples
-                    stats.samples_returned += len(samples)
-            stats.queries += len(indices)
-            key = f"queries:{name}"
-            stats.extra[key] = stats.extra.get(key, 0) + len(indices)
+            # Scatter-gather structures take the whole group in one call,
+            # so worker dispatch is amortized across the batch.
+            self._sample_run(
+                name, batch, indices, result.samples, result.stats, None, True
+            )
         result.elapsed_seconds = clock() - start
         return result
 
@@ -442,38 +463,94 @@ class BatchQueryRunner:
         """
         batch: list[BatchQuery] = []
         for query in queries:
-            if isinstance(query, BatchQuery):
-                batch.append(query)
-            else:
-                try:
-                    if len(query) == 2:
-                        lo, hi = query
-                        batch.append(BatchQuery(float(lo), float(hi), 0))
-                        continue
-                    if len(query) == 3 and isinstance(query[2], str):
-                        lo, hi, structure = query
-                        batch.append(BatchQuery(float(lo), float(hi), 0, structure))
-                        continue
+            try:
+                if not isinstance(query, BatchQuery) and (
+                    len(query) == 2 or (len(query) == 3 and isinstance(query[2], str))
+                ):
+                    batch.append(_normalize((query[0], query[1], 0, *query[2:])))
+                else:
                     batch.append(_normalize(query))
-                    continue
-                except (TypeError, ValueError, InvalidQueryError):
-                    pass
+            except (TypeError, InvalidQueryError):
                 raise InvalidQueryError(
                     f"expected (lo, hi[, structure]) or BatchQuery, got {query!r}"
-                )
+                ) from None
         groups = self._group(batch)
         out: list[int] = [0] * len(batch)
         for name, indices in groups.items():
-            sampler = self._structures[name]
-            peek = getattr(sampler, "peek_counts", None)
-            if peek is not None:
-                counts = peek([(batch[i].lo, batch[i].hi) for i in indices])
+            self._count_run(name, batch, indices, out, None, True)
+        return out
+
+    def _sample_run(self, name, queries, indices, out, stats, errors, coalesce) -> int:
+        """Draw ``queries[i]``'s samples into ``out[i]`` for ``i`` in ``indices``.
+
+        With ``coalesce``, one ``sample_bulk_many`` call answers the run
+        where the structure has it; otherwise, or when that call fails in
+        capture mode (``errors`` given), each query runs alone through
+        ``sample_bulk``/``sample``.  Returns the bulk calls made (0 or 1).
+        """
+        sampler = self._structures[name]
+        many = getattr(sampler, "sample_bulk_many", None) if coalesce else None
+        drawn = None
+        if many is not None:
+            group = [(queries[i].lo, queries[i].hi, queries[i].t) for i in indices]
+            seeds = [queries[i].seed for i in indices]
+            try:
+                if any(s is not None for s in seeds):
+                    drawn = zip(indices, _call_many(sampler, many, group, seeds))
+                else:
+                    drawn = zip(indices, many(group))
+            except ReproError:
+                if errors is None:
+                    raise
+                # Replay per op below so errors attach per query.  Seeded
+                # ops re-derive their generators from their seeds, so the
+                # replay returns exactly what a lone call would have.
+        calls = int(drawn is not None)
+        if drawn is None:
+            bulk = getattr(sampler, "sample_bulk", None)
+            drawn = []
+            for i in indices:
+                try:
+                    drawn.append((i, _exec_sample(sampler, bulk, queries[i])))
+                except ReproError as exc:
+                    if errors is None:
+                        raise
+                    errors[i] = exc
+        answered = samples = 0
+        for i, block in drawn:
+            out[i] = block
+            answered += 1
+            samples += len(block)
+        if answered:
+            _tally(stats, name, answered, samples)
+        return calls
+
+    def _count_run(self, name, queries, indices, out, errors, coalesce) -> int:
+        """Count ``queries[i]``'s range into ``out[i]`` for ``i`` in ``indices``.
+
+        Like :meth:`_sample_run`, with one ``peek_counts`` probe as the
+        coalesced call and ``count`` per query otherwise.
+        """
+        sampler = self._structures[name]
+        peek = getattr(sampler, "peek_counts", None) if coalesce else None
+        if peek is not None:
+            try:
+                counts = peek([(queries[i].lo, queries[i].hi) for i in indices])
+            except ReproError:
+                if errors is None:
+                    raise
+            else:
                 for i, k in zip(indices, counts):
                     out[i] = int(k)
-            else:
-                for i in indices:
-                    out[i] = sampler.count(batch[i].lo, batch[i].hi)
-        return out
+                return 1
+        for i in indices:
+            try:
+                out[i] = sampler.count(queries[i].lo, queries[i].hi)
+            except ReproError as exc:
+                if errors is None:
+                    raise
+                errors[i] = exc
+        return 0
 
     def run_mixed(
         self,
@@ -521,7 +598,7 @@ class BatchQueryRunner:
         result = MixedResult(samples=[None] * len(stream))
         if capture_errors:
             result.errors = [None] * len(stream)
-        stats = result.stats
+        out, stats, errors = result.samples, result.stats, result.errors
         weight_ok: dict[str, bool] = {}  # signature inspection, once per structure
         for i, op in enumerate(stream):
             try:
@@ -551,7 +628,7 @@ class BatchQueryRunner:
                 # error and the op is skipped (its batch-mates still run).
                 if not capture_errors:
                     raise
-                result.errors[i] = exc
+                errors[i] = exc
         # Per-structure pending run.  Updates: (kind, values, weights | None,
         # indices); coalesced reads: ("read", sample indices, count indices).
         pending: dict[str, tuple] = {}
@@ -560,173 +637,72 @@ class BatchQueryRunner:
         updates = 0
         count_ops = 0
 
-        def record_samples(name: str, i: int, samples) -> None:
-            result.samples[i] = samples
-            stats.queries += 1
-            stats.samples_returned += len(samples)
-            key = f"queries:{name}"
-            stats.extra[key] = stats.extra.get(key, 0) + 1
-
-        def scalar_updates(sampler, kind, values, weights, indices) -> None:
-            for j, value in enumerate(values):
-                try:
-                    if kind == "delete":
-                        sampler.delete(value)
-                    elif weights is not None:
-                        sampler.insert(value, weights[j])
-                    else:
-                        sampler.insert(value)
-                except ReproError as exc:
-                    if not capture_errors:
-                        raise
-                    result.errors[indices[j]] = exc
-
-        def flush_update(name, sampler, kind, values, weights, indices) -> None:
+        def flush_update(sampler, kind, values, weights, indices) -> None:
             nonlocal bulk_calls
             bulk = getattr(sampler, kind + "_bulk", None)
             if bulk is not None:
                 bulk_calls += 1
                 args = (values,) if weights is None else (values, weights)
-                if not capture_errors:
-                    bulk(*args)
-                    return
                 try:
                     bulk(*args)
                     return
                 except ReproError:
+                    if not capture_errors:
+                        raise
                     # The bulk paths validate before mutating, so nothing
                     # was applied; replay scalar-wise to attribute the
                     # failure to the exact offending ops.
-                    pass
-            scalar_updates(sampler, kind, values, weights, indices)
-
-        def flush_samples(name, sampler, indices) -> None:
-            nonlocal read_bulk_calls
-            many = getattr(sampler, "sample_bulk_many", None)
-            if many is not None:
-                group = [(stream[i].lo, stream[i].hi, stream[i].t) for i in indices]
-                seeds = [stream[i].seed for i in indices]
+            scalar = getattr(sampler, kind)
+            for j, value in enumerate(values):
                 try:
-                    if any(s is not None for s in seeds):
-                        group_results = _call_many(sampler, many, group, seeds)
+                    if weights is None:
+                        scalar(value)
                     else:
-                        group_results = many(group)
-                except ReproError:
-                    if not capture_errors:
-                        raise
-                else:
-                    read_bulk_calls += 1
-                    for i, samples in zip(indices, group_results):
-                        record_samples(name, i, samples)
-                    return
-                # Fall through: replay per op so errors attach per request.
-                # Seeded ops re-derive their generators from their seeds, so
-                # the replay returns exactly what a lone call would have.
-            bulk = getattr(sampler, "sample_bulk", None)
-            for i in indices:
-                op = stream[i]
-                try:
-                    samples = _exec_sample(sampler, bulk, op.lo, op.hi, op.t, op.seed)
+                        scalar(value, weights[j])
                 except ReproError as exc:
                     if not capture_errors:
                         raise
-                    result.errors[i] = exc
-                else:
-                    record_samples(name, i, samples)
-
-        def flush_counts(name, sampler, indices) -> None:
-            nonlocal read_bulk_calls
-            peek = getattr(sampler, "peek_counts", None)
-            if peek is not None:
-                try:
-                    counts = peek([(stream[i].lo, stream[i].hi) for i in indices])
-                except ReproError:
-                    if not capture_errors:
-                        raise
-                else:
-                    read_bulk_calls += 1
-                    for i, k in zip(indices, counts):
-                        result.samples[i] = int(k)
-                    return
-            for i in indices:
-                op = stream[i]
-                try:
-                    result.samples[i] = sampler.count(op.lo, op.hi)
-                except ReproError as exc:
-                    if not capture_errors:
-                        raise
-                    result.errors[i] = exc
+                    errors[indices[j]] = exc
 
         def flush(name: str) -> None:
+            nonlocal read_bulk_calls
             run = pending.pop(name, None)
             if run is None:
                 return
-            sampler = self._structures[name]
-            kind = run[0]
-            if kind in ("insert", "delete"):
-                flush_update(name, sampler, kind, run[1], run[2], run[3])
+            if run[0] != "read":  # (kind, values, weights, indices)
+                flush_update(self._structures[name], *run)
                 return
             # A read run: no read changes what another read observes, so
             # the samples go first, then the counts.
             if run[1]:
-                flush_samples(name, sampler, run[1])
+                read_bulk_calls += self._sample_run(
+                    name, stream, run[1], out, stats, errors, True
+                )
             if run[2]:
-                flush_counts(name, sampler, run[2])
-
-        def exec_scenario(name: str, i: int, op: BatchOp) -> None:
-            """Run one scenario read (stratified / sample_wr / estimate)."""
-            sampler = self._structures[name]
-            try:
-                if op.kind == "stratified":
-                    from ..scenarios.stratified import sample_stratified
-
-                    blocks = sample_stratified(
-                        sampler, op.strata, op.t, seed=op.seed
-                    )
-                    result.samples[i] = blocks
-                    stats.samples_returned += sum(len(b) for b in blocks)
-                elif op.kind == "sample_wr":
-                    from ..core.without_replacement import (
-                        sample_without_replacement_bulk,
-                    )
-
-                    block = sample_without_replacement_bulk(
-                        sampler, op.lo, op.hi, op.t, seed=op.seed
-                    )
-                    result.samples[i] = block
-                    stats.samples_returned += len(block)
-                else:  # estimate
-                    from ..scenarios.estimate import adaptive_estimate
-
-                    outcome = adaptive_estimate(
-                        sampler, op.lo, op.hi,
-                        target_half_width=op.target, confidence=op.confidence,
-                        batch=op.batch_draws, max_draws=op.max_draws,
-                        seed=op.seed,
-                    )
-                    result.samples[i] = outcome
-                    stats.samples_returned += outcome.draws
-            except ReproError as exc:
-                if not capture_errors:
-                    raise
-                result.errors[i] = exc
-                return
-            stats.queries += 1
-            key = f"queries:{name}"
-            stats.extra[key] = stats.extra.get(key, 0) + 1
+                read_bulk_calls += self._count_run(
+                    name, stream, run[2], out, errors, True
+                )
 
         clock = time.perf_counter
         start = clock()
         for i, op in enumerate(stream):
-            if capture_errors and result.errors[i] is not None:
+            if capture_errors and errors[i] is not None:
                 continue  # refused upfront; its batch-mates still run
             name = op.structure
             run = pending.get(name)
-            if op.kind in _SCENARIO_KINDS:
+            execute = _EXECUTORS.get(op.kind)
+            if execute is not None:
                 # Scenario reads execute immediately (never coalesced) but
                 # still order against pending writes to their structure.
                 flush(name)
-                exec_scenario(name, i, op)
+                try:
+                    out[i], samples = execute(self._structures[name], op)
+                except ReproError as exc:
+                    if not capture_errors:
+                        raise
+                    errors[i] = exc
+                else:
+                    _tally(stats, name, 1, samples)
                 continue
             if op.kind in ("sample", "count"):
                 if op.kind == "count":
@@ -740,24 +716,10 @@ class BatchQueryRunner:
                     run[1 if op.kind == "sample" else 2].append(i)
                     continue
                 flush(name)
-                sampler = self._structures[name]
-                if op.kind == "count":
-                    try:
-                        result.samples[i] = sampler.count(op.lo, op.hi)
-                    except ReproError as exc:
-                        if not capture_errors:
-                            raise
-                        result.errors[i] = exc
-                    continue
-                bulk = getattr(sampler, "sample_bulk", None)
-                try:
-                    samples = _exec_sample(sampler, bulk, op.lo, op.hi, op.t, op.seed)
-                except ReproError as exc:
-                    if not capture_errors:
-                        raise
-                    result.errors[i] = exc
+                if op.kind == "sample":
+                    self._sample_run(name, stream, (i,), out, stats, errors, False)
                 else:
-                    record_samples(name, i, samples)
+                    self._count_run(name, stream, (i,), out, errors, False)
                 continue
             updates += 1
             if run is not None and run[0] != op.kind:

@@ -17,6 +17,7 @@ replies under a fixed root seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import InvalidQueryError
@@ -43,10 +44,14 @@ class EstimateResult:
     converged: bool
 
     def to_dict(self) -> dict:
-        """JSON-ready form (the server's ``estimate`` reply body)."""
+        """JSON-ready form (the server's ``estimate`` reply body).
+
+        A non-finite ``half_width`` (fewer than two draws bound no
+        interval) is written as ``None``: JSON has no infinity.
+        """
         return {
             "estimate": self.estimate,
-            "half_width": self.half_width,
+            "half_width": self.half_width if math.isfinite(self.half_width) else None,
             "confidence": self.confidence,
             "draws": self.draws,
             "batches": self.batches,

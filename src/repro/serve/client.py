@@ -27,11 +27,10 @@ from dataclasses import dataclass
 
 from ..errors import ConnectionLostError, DeadlineExceededError, RetriesExhaustedError
 from ..rng import derive_seed
+from .ops import spec_for
 from .protocol import RETRYABLE_CODES, RequestError, ServeError, decode, encode
 
 __all__ = ["ServeClient", "TCPServeClient", "ResilientClient", "RetryPolicy"]
-
-_UPDATE_OPS = ("insert", "delete", "insert_bulk", "delete_bulk")
 
 
 class _ClientAPI:
@@ -58,6 +57,11 @@ class _ClientAPI:
             error.get("type", "internal"), error.get("message", "unknown error")
         )
 
+    async def _call(self, payload: dict, **optional):
+        """Send ``payload`` plus the ``optional`` fields that are set; unwrap."""
+        payload.update((k, v) for k, v in optional.items() if v is not None)
+        return self._unwrap(await self.request(payload))
+
     async def sample(
         self,
         lo: float,
@@ -73,14 +77,12 @@ class _ClientAPI:
         derives one from its root seed and the request serial.
         """
         payload = {"op": "sample", "lo": lo, "hi": hi, "t": t, "structure": structure}
-        if seed is not None:
-            payload["seed"] = seed
-        return self._unwrap(await self.request(payload))
+        return await self._call(payload, seed=seed)
 
     async def count(self, lo: float, hi: float, *, structure: str = "default") -> int:
         """Return ``|P ∩ [lo, hi]|``."""
         payload = {"op": "count", "lo": lo, "hi": hi, "structure": structure}
-        return self._unwrap(await self.request(payload))
+        return await self._call(payload)
 
     async def sample_without_replacement(
         self,
@@ -95,9 +97,7 @@ class _ClientAPI:
         payload = {
             "op": "sample_wr", "lo": lo, "hi": hi, "t": t, "structure": structure,
         }
-        if seed is not None:
-            payload["seed"] = seed
-        return self._unwrap(await self.request(payload))
+        return await self._call(payload, seed=seed)
 
     async def sample_stratified(
         self,
@@ -114,9 +114,7 @@ class _ClientAPI:
             "t": t,
             "structure": structure,
         }
-        if seed is not None:
-            payload["seed"] = seed
-        return self._unwrap(await self.request(payload))
+        return await self._call(payload, seed=seed)
 
     async def estimate(
         self,
@@ -140,9 +138,7 @@ class _ClientAPI:
             "confidence": confidence, "batch": batch, "max_draws": max_draws,
             "structure": structure,
         }
-        if seed is not None:
-            payload["seed"] = seed
-        return self._unwrap(await self.request(payload))
+        return await self._call(payload, seed=seed)
 
     async def insert(
         self,
@@ -153,14 +149,12 @@ class _ClientAPI:
     ) -> int:
         """Insert one point (``weight`` only on weighted structures)."""
         payload = {"op": "insert", "value": value, "structure": structure}
-        if weight is not None:
-            payload["weight"] = weight
-        return self._unwrap(await self.request(payload))
+        return await self._call(payload, weight=weight)
 
     async def delete(self, value: float, *, structure: str = "default") -> int:
         """Delete one occurrence of ``value``."""
         payload = {"op": "delete", "value": value, "structure": structure}
-        return self._unwrap(await self.request(payload))
+        return await self._call(payload)
 
     async def insert_bulk(
         self,
@@ -173,20 +167,20 @@ class _ClientAPI:
         payload = {"op": "insert_bulk", "values": list(values), "structure": structure}
         if weights is not None:
             payload["weights"] = list(weights)
-        return self._unwrap(await self.request(payload))
+        return await self._call(payload)
 
     async def delete_bulk(self, values, *, structure: str = "default") -> int:
         """Delete one occurrence per value in one request; returns how many."""
         payload = {"op": "delete_bulk", "values": list(values), "structure": structure}
-        return self._unwrap(await self.request(payload))
+        return await self._call(payload)
 
     async def server_stats(self) -> dict:
         """Return the server's metrics snapshot (the ``stats`` op)."""
-        return self._unwrap(await self.request({"op": "stats"}))
+        return await self._call({"op": "stats"})
 
     async def ping(self) -> str:
         """Round-trip a ``ping`` (returns ``"pong"``)."""
-        return self._unwrap(await self.request({"op": "ping"}))
+        return await self._call({"op": "ping"})
 
 
 class ServeClient(_ClientAPI):
@@ -462,7 +456,8 @@ class ResilientClient(_ClientAPI):
         policy = self._policy
         loop = asyncio.get_running_loop()
         deadline = None if policy.deadline is None else loop.time() + policy.deadline
-        if payload.get("op") in _UPDATE_OPS and "rid" not in payload:
+        spec = spec_for(payload.get("op"))
+        if spec is not None and spec.writes and "rid" not in payload:
             payload = {**payload, "rid": f"{self._tag}-{next(self._rids)}"}
         attempt = 0
         while True:

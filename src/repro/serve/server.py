@@ -8,10 +8,12 @@ all on one event loop:
    and typed *before* it can occupy queue space — malformed payloads,
    unknown ops/structures and oversized requests are answered immediately
    with typed errors, and a full admission queue answers ``overloaded``
-   (backpressure) instead of buffering without bound.  Each admitted
-   ``sample`` request gets a seed — client-provided, or derived as
-   ``derive_seed(root_entropy, serial)`` — so its reply depends only on
-   the seed and the data, never on how requests happen to share batches.
+   (backpressure) instead of buffering without bound.  Every per-op
+   decision, here and in the stages below, reads the op's row in
+   :data:`~repro.serve.ops.OPS`.  Each admitted sampling request gets a
+   seed — client-provided, or derived as ``derive_seed(root_entropy,
+   serial)`` — so its reply depends only on the seed and the data, never
+   on how requests happen to share batches.
 2. **Coalescing** (the batcher task): admitted requests are grouped into
    a batch until the *window* elapses, the batch holds ``max_batch``
    requests, or the sample budget is spent.  ``max_batch=1`` degenerates
@@ -66,9 +68,11 @@ write order well-defined.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from collections import OrderedDict
 from contextlib import suppress
+from dataclasses import dataclass
 
 from ..batch import BatchOp, BatchQueryRunner
 from ..errors import StorageError
@@ -77,41 +81,29 @@ from ..obs import trace as obs_trace
 from ..rng import RandomSource, derive_seed
 from . import protocol
 from .observe import ServerObservability
+from .ops import OpSpec, spec_for
 from .protocol import RequestError
 from .stats import ServerStats
 
 __all__ = ["ReproServer"]
-
-_UPDATE_OPS = ("insert", "delete", "insert_bulk", "delete_bulk")
-
-# Scenario reads: pure queries (never WAL-logged) that the batch runner
-# executes through the scenario tier under the same derived-seed discipline
-# as ``sample`` — replies are byte-identical to the direct library calls.
-_SCENARIO_OPS = ("stratified", "sample_wr", "estimate")
 
 # Shared reply-span details: allocated once, never mutated (hot path).
 _REPLY_OK = {"ok": True}
 _REPLY_ERR = {"ok": False}
 
 
+@dataclass(slots=True, eq=False)  # compared by identity (traced.remove)
 class _Pending:
-    """One admitted request waiting for its batch to execute."""
+    """One admitted request (its :data:`~repro.serve.ops.OPS` row) awaiting its batch."""
 
-    __slots__ = (
-        "request_id", "kind", "ops", "cost", "future", "admitted_at", "rid", "trace",
-    )
-
-    def __init__(
-        self, request_id, kind, ops, cost, future, admitted_at, rid=None
-    ) -> None:
-        self.request_id = request_id
-        self.kind = kind
-        self.ops = ops
-        self.cost = cost
-        self.future = future
-        self.admitted_at = admitted_at
-        self.rid = rid
-        self.trace = None  # TraceRecord when tracing is on
+    request_id: object
+    spec: OpSpec
+    ops: list
+    cost: int
+    future: asyncio.Future
+    admitted_at: float
+    rid: object = None
+    trace: TraceRecord | None = None  # set when tracing is on
 
 
 class ReproServer:
@@ -430,6 +422,10 @@ class ReproServer:
                 raise RequestError("shutting_down", "server is not accepting requests")
             message = request if isinstance(request, dict) else protocol.decode(request)
             request_id = message.get("id")
+            if isinstance(request_id, float) and not math.isfinite(request_id):
+                # No reply echoing a NaN or Infinity id could be encoded.
+                request_id = None
+                raise RequestError("bad_request", "field 'id' must be finite")
             pending = self._admit(message, future, loop)
         except RequestError as exc:
             self.stats.observe_rejected()
@@ -441,48 +437,35 @@ class ReproServer:
             self._admit_q.qsize() + len(self._forming), self.stats.arrival_rate()
         )
         if not admitted:
-            if pending.rid is not None:
-                self._dedup.pop(pending.rid, None)
-            self.stats.observe_rejected()
-            future.set_result(
-                protocol.error_response(
-                    pending.request_id,
-                    RequestError(
-                        "overloaded",
-                        f"capacity exhausted ({component} pressure >= 1.0)",
-                        retry_after=self.retry_after_hint(),
-                    ),
-                )
+            return self._overloaded(
+                pending, f"capacity exhausted ({component} pressure >= 1.0)"
             )
-            return future
         if self.traces is not None:
             record = TraceRecord(
-                self.traces.next_id(), pending.request_id, pending.kind, t0
+                self.traces.next_id(), pending.request_id, pending.spec.trace_kind, t0
             )
             record.add("admission", t0, time.perf_counter() - t0)
             pending.trace = record
         try:
             self._admit_q.put_nowait(pending)
         except asyncio.QueueFull:
-            if pending.rid is not None:
-                # The rid was provisionally registered; a refused request
-                # must not leave an in-flight entry behind or its retry
-                # would wait forever.
-                self._dedup.pop(pending.rid, None)
-            self.stats.observe_rejected()
-            future.set_result(
-                protocol.error_response(
-                    pending.request_id,
-                    RequestError(
-                        "overloaded",
-                        f"admission queue full ({self._max_pending} pending)",
-                        retry_after=self.retry_after_hint(),
-                    ),
-                )
+            return self._overloaded(
+                pending, f"admission queue full ({self._max_pending} pending)"
             )
-            return future
-        self.stats.observe_admitted(pending.kind)
+        self.stats.observe_admitted(pending.spec.bucket)
         return future
+
+    def _overloaded(self, pending: _Pending, reason: str) -> asyncio.Future:
+        """Refuse a validated request with a retryable ``overloaded`` error."""
+        if pending.rid is not None:
+            # The rid was provisionally registered; a refused request must
+            # not leave an in-flight entry behind or its retry would wait
+            # forever.
+            self._dedup.pop(pending.rid, None)
+        self.stats.observe_rejected()
+        error = RequestError("overloaded", reason, retry_after=self.retry_after_hint())
+        pending.future.set_result(protocol.error_response(pending.request_id, error))
+        return pending.future
 
     def retry_after_hint(self) -> float:
         """Estimate seconds until refused work should retry (overload hint).
@@ -534,37 +517,25 @@ class ReproServer:
         return seed & ((1 << 64) - 1)
 
     def _admit(self, message: dict, future, loop) -> _Pending | None:
-        """Validate one request; return its pending record or resolve now."""
+        """Validate one request; return its pending record or resolve now.
+
+        Checks run op, structure, ``rid`` (and the dedup window), then the
+        fields the op's :data:`~repro.serve.ops.OPS` row parses.
+        """
         op = message.get("op")
+        spec = spec_for(op)
+        if spec is None:
+            raise RequestError("unknown_op", f"unknown op: {op!r}")
         request_id = message.get("id")
-        structure = message.get("structure", "default")
-        if op == "ping":
-            future.set_result(protocol.ok_response(request_id, "pong"))
-            return None
-        if op == "stats":
-            snapshot = self.stats.snapshot()
-            if self.obs is not None:
-                structures = self.obs.structure_stats()
-                if structures:
-                    snapshot["structures"] = structures
-            future.set_result(protocol.ok_response(request_id, snapshot))
-            return None
-        if op == "trace":
+        if spec.immediate is not None:
             future.set_result(
-                protocol.ok_response(
-                    request_id, self.trace_snapshot(message.get("limit"))
-                )
+                protocol.ok_response(request_id, spec.immediate(self, message))
             )
             return None
-        if (
-            op not in ("sample", "count")
-            and op not in _UPDATE_OPS
-            and op not in _SCENARIO_OPS
-        ):
-            raise RequestError("unknown_op", f"unknown op: {op!r}")
+        structure = message.get("structure", "default")
         if not isinstance(structure, str) or structure not in self._runner.structures:
             raise RequestError("unknown_structure", f"unknown structure: {structure!r}")
-        rid = message.get("rid") if op in _UPDATE_OPS else None
+        rid = message.get("rid") if spec.writes else None
         if rid is not None:
             if isinstance(rid, bool) or not isinstance(rid, (str, int)):
                 raise RequestError("bad_request", "field 'rid' must be a string or int")
@@ -580,140 +551,15 @@ class ReproServer:
                 else:
                     entry[1].append((request_id, future))
                 return None
-        if op in ("sample", "sample_wr"):
-            lo = protocol.require_number(message, "lo")
-            hi = protocol.require_number(message, "hi")
-            if lo > hi:
-                raise RequestError("invalid_query", f"invalid interval: {lo!r} > {hi!r}")
-            t = protocol.require_int(message, "t")
-            if t > self._max_t:
-                raise RequestError("too_large", f"t={t} exceeds max_t={self._max_t}")
-            seed = self._resolve_seed(message)
-            if op == "sample":
-                ops = [BatchOp.sample(lo, hi, t, structure, seed=seed)]
-            else:
-                ops = [BatchOp.sample_wr(lo, hi, t, structure, seed=seed)]
-            kind, cost = op, max(1, t)
-        elif op == "stratified":
-            strata = message.get("strata")
-            if not isinstance(strata, list):
-                raise RequestError("bad_request", "field 'strata' must be a list")
-            bounds = []
-            for stratum in strata:
-                if not isinstance(stratum, (list, tuple)) or len(stratum) != 2:
-                    raise RequestError(
-                        "bad_request", "each stratum must be a [lo, hi] pair"
-                    )
-                lo = protocol.require_number({"strata": stratum[0]}, "strata")
-                hi = protocol.require_number({"strata": stratum[1]}, "strata")
-                if lo > hi:
-                    raise RequestError(
-                        "invalid_query", f"invalid stratum: {lo!r} > {hi!r}"
-                    )
-                bounds.append((lo, hi))
-            t = protocol.require_int(message, "t")
-            if t > self._max_t:
-                raise RequestError("too_large", f"t={t} exceeds max_t={self._max_t}")
-            seed = self._resolve_seed(message)
-            ops = [BatchOp.stratified(bounds, t, structure, seed=seed)]
-            kind, cost = "stratified", max(1, t)
-        elif op == "estimate":
-            lo = protocol.require_number(message, "lo")
-            hi = protocol.require_number(message, "hi")
-            if lo > hi:
-                raise RequestError("invalid_query", f"invalid interval: {lo!r} > {hi!r}")
-            target = protocol.require_number(message, "target", finite=True)
-            if not target > 0.0:
-                raise RequestError("invalid_query", "field 'target' must be > 0")
-            confidence = 0.95
-            if message.get("confidence") is not None:
-                confidence = protocol.require_number(
-                    message, "confidence", finite=True
-                )
-                if not 0.0 < confidence < 1.0:
-                    raise RequestError(
-                        "invalid_query", "field 'confidence' must be in (0, 1)"
-                    )
-            batch_draws = 256
-            if message.get("batch") is not None:
-                batch_draws = protocol.require_int(message, "batch", minimum=1)
-            max_draws = 65536
-            if message.get("max_draws") is not None:
-                max_draws = protocol.require_int(message, "max_draws", minimum=1)
-            if max_draws > self._max_t:
-                raise RequestError(
-                    "too_large",
-                    f"max_draws={max_draws} exceeds max_t={self._max_t}",
-                )
-            seed = self._resolve_seed(message)
-            ops = [
-                BatchOp.estimate(
-                    lo, hi, target=target, confidence=confidence,
-                    batch=batch_draws, max_draws=max_draws,
-                    structure=structure, seed=seed,
-                )
-            ]
-            kind, cost = "estimate", max(1, max_draws)
-        elif op == "count":
-            lo = protocol.require_number(message, "lo")
-            hi = protocol.require_number(message, "hi")
-            if lo > hi:
-                raise RequestError("invalid_query", f"invalid interval: {lo!r} > {hi!r}")
-            ops = [BatchOp.count(lo, hi, structure)]
-            kind, cost = "count", 1
-        elif op in ("insert", "delete"):
-            value = protocol.require_number(message, "value", finite=True)
-            if op == "insert":
-                weight = message.get("weight")
-                if weight is not None:
-                    weight = protocol.require_number(
-                        {"weight": weight}, "weight", finite=True
-                    )
-                ops = [BatchOp.insert(value, weight, structure)]
-            else:
-                ops = [BatchOp.delete(value, structure)]
-            kind, cost = "update", 1
-        else:  # insert_bulk / delete_bulk
-            values = message.get("values")
-            if not isinstance(values, list):
-                raise RequestError("bad_request", "field 'values' must be a list")
-            if len(values) > self._max_t:
-                raise RequestError(
-                    "too_large",
-                    f"{len(values)} values exceed max_t={self._max_t}",
-                )
-            floats = [
-                protocol.require_number({"values": v}, "values", finite=True)
-                for v in values
-            ]
-            if op == "insert_bulk":
-                weights = message.get("weights")
-                if weights is not None:
-                    if not isinstance(weights, list) or len(weights) != len(floats):
-                        raise RequestError(
-                            "bad_request", "field 'weights' must align with 'values'"
-                        )
-                    weights = [
-                        protocol.require_number({"weights": w}, "weights", finite=True)
-                        for w in weights
-                    ]
-                    ops = [
-                        BatchOp.insert(v, w, structure)
-                        for v, w in zip(floats, weights)
-                    ]
-                else:
-                    ops = [BatchOp.insert(v, structure=structure) for v in floats]
-            else:
-                ops = [BatchOp.delete(v, structure) for v in floats]
-            if not ops:
-                future.set_result(protocol.ok_response(request_id, 0))
-                return None
-            kind, cost = "update", len(ops)
+        ops, cost = spec.parse(message, structure, self._max_t, self._resolve_seed)
+        if not ops:  # a bulk update of no values
+            future.set_result(protocol.ok_response(request_id, 0))
+            return None
         if rid is not None:
             # Provisionally in flight; duplicates arriving from here on
             # queue behind this future instead of re-executing.
             self._dedup[rid] = ("pending", [])
-        return _Pending(request_id, kind, ops, cost, future, loop.time(), rid)
+        return _Pending(request_id, spec, ops, cost, future, loop.time(), rid)
 
     # -- the coalescing pipeline -------------------------------------------
 
@@ -785,55 +631,49 @@ class ReproServer:
                 _, s0, d0, _ = pending.trace._spans[0]
                 start = s0 + d0
                 pending.trace.add("coalesce_wait", start, t_exec - start)
-        if self.store is not None:
+        writers = (
+            [p for p in batch if p.spec.writes] if self.store is not None else ()
+        )
+        if writers:
             update_ops: list[BatchOp] = []
             rid_spans: list[tuple] = []
-            for pending in batch:
-                if pending.kind != "update":
-                    continue
+            for pending in writers:
                 if pending.rid is not None:
                     rid_spans.append((pending.rid, len(update_ops), len(pending.ops)))
                 update_ops.extend(pending.ops)
-            if update_ops:
-                # Write-ahead: the batch's update ops are durable (to the
-                # policy's standard) before any of them mutates a
-                # structure.  Ops that will fail in execution are logged
-                # too — replay runs the same capture-errors path, so they
-                # fail identically there.  Rid spans ride in the record so
-                # recovery can rebuild the dedup window.
-                t_wal = time.perf_counter()
-                try:
-                    self.store.log_batch(update_ops, rids=rid_spans or None)
-                except (StorageError, OSError) as exc:
-                    self.stats.observe_wal_failure()
-                    refusal = RequestError(
-                        "unavailable", f"write-ahead log append failed: {exc}"
-                    )
-                    survivors = []
-                    for pending in batch:
-                        if pending.kind != "update":
-                            survivors.append(pending)
-                            continue
-                        response = protocol.error_response(
-                            pending.request_id, refusal
-                        )
-                        if pending.rid is not None:
-                            self._dedup_abort(pending.rid, refusal)
-                        self._reply(pending, response, ok=False, loop=loop)
+            # Write-ahead: the batch's update ops are durable (to the
+            # policy's standard) before any of them mutates a structure.
+            # Ops that will fail in execution are logged too — replay runs
+            # the same capture-errors path, so they fail identically there.
+            # Rid spans ride in the record so recovery can rebuild the
+            # dedup window.
+            t_wal = time.perf_counter()
+            try:
+                self.store.log_batch(update_ops, rids=rid_spans or None)
+            except (StorageError, OSError) as exc:
+                self.stats.observe_wal_failure()
+                refusal = RequestError(
+                    "unavailable", f"write-ahead log append failed: {exc}"
+                )
+                for pending in writers:
+                    response = protocol.error_response(pending.request_id, refusal)
+                    if pending.rid is not None:
+                        self._dedup_abort(pending.rid, refusal)
+                    self._reply(pending, response, ok=False, loop=loop)
+                    if pending.trace is not None:
+                        # Refused before execution: the trace is done.
+                        traced.remove(pending)
+                        self.traces.push(pending.trace)
+                batch = [p for p in batch if not p.spec.writes]
+                if not batch:
+                    self._publish_and_tune()
+                    return
+            else:
+                if traced:
+                    wal_dur = time.perf_counter() - t_wal
+                    for pending in writers:
                         if pending.trace is not None:
-                            # Refused before execution: the trace is done.
-                            traced.remove(pending)
-                            self.traces.push(pending.trace)
-                    batch = survivors
-                    if not batch:
-                        self._publish_and_tune()
-                        return
-                else:
-                    if traced:
-                        wal_dur = time.perf_counter() - t_wal
-                        for pending in batch:
-                            if pending.kind == "update" and pending.trace is not None:
-                                pending.trace.add("wal_append", t_wal, wal_dur)
+                            pending.trace.add("wal_append", t_wal, wal_dur)
         if traced:
             # Publish the seed -> trace-id table so the shard scatter path
             # can attribute its task spans to requests (single-loop: one
@@ -841,7 +681,7 @@ class ReproServer:
             seed_map = {
                 p.ops[0].seed: p.trace.trace_id
                 for p in batch
-                if p.trace is not None and p.kind == "sample"
+                if p.trace is not None and p.spec.scatter_seed
             }
             obs_trace.set_active(seed_map)
             t_run = time.perf_counter()
@@ -924,30 +764,7 @@ class ReproServer:
                     self._dedup_resolve(pending.rid, response)
                 self._reply(pending, response, ok=False, loop=loop)
                 continue
-            samples = 0
-            if pending.kind in ("sample", "sample_wr"):
-                block = mixed.samples[start]
-                # ndarray.tolist() yields builtin floats at C speed; the
-                # comprehension is the list-result (scalar path) fallback.
-                if hasattr(block, "tolist"):
-                    result = block.tolist()
-                else:
-                    result = [float(x) for x in block]
-                samples = len(result)
-            elif pending.kind == "stratified":
-                result = [
-                    b.tolist() if hasattr(b, "tolist") else [float(x) for x in b]
-                    for b in mixed.samples[start]
-                ]
-                samples = sum(len(b) for b in result)
-            elif pending.kind == "estimate":
-                outcome = mixed.samples[start]
-                result = outcome.to_dict()
-                samples = outcome.draws
-            elif pending.kind == "count":
-                result = int(mixed.samples[start])
-            else:
-                result = n
+            result, samples = pending.spec.reply(mixed.samples[start], n)
             response = protocol.ok_response(pending.request_id, result)
             if pending.rid is not None:
                 self._dedup_resolve(pending.rid, response)

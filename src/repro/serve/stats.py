@@ -56,9 +56,8 @@ class ServerStats:
         self.dropped_replies = 0
         self.batches = 0
         self.batched_requests = 0
-        self.sample_requests = 0
-        self.count_requests = 0
-        self.update_requests = 0
+        #: Admitted requests per ``OpSpec.bucket`` (the metric's ``kind`` label).
+        self.requests = {"sample": 0, "count": 0, "update": 0}
         self.samples_returned = 0
         self.dedup_hits = 0
         self.wal_failures = 0
@@ -79,9 +78,10 @@ class ServerStats:
         requests = reg.counter(
             "repro_serve_requests_total", "Admitted requests by op kind.", ("kind",)
         )
-        requests.labels(kind="sample").set_function(lambda: self.sample_requests)
-        requests.labels(kind="count").set_function(lambda: self.count_requests)
-        requests.labels(kind="update").set_function(lambda: self.update_requests)
+        for bucket in self.requests:
+            requests.labels(kind=bucket).set_function(
+                lambda bucket=bucket: self.requests[bucket]
+            )
         reg.counter(
             "repro_serve_rejected_total", "Requests refused at admission."
         ).set_function(lambda: self.rejected)
@@ -125,18 +125,11 @@ class ServerStats:
 
     # -- recording ---------------------------------------------------------
 
-    def observe_admitted(self, kind: str) -> None:
-        """Record one admitted request by op kind."""
+    def observe_admitted(self, bucket: str) -> None:
+        """Record one admitted request in its op bucket (see :attr:`requests`)."""
         self.admitted += 1
         self.arrivals.append(time.perf_counter())
-        if kind in ("sample", "sample_wr", "stratified", "estimate"):
-            # Scenario reads are sampling requests for accounting purposes:
-            # they drain the same sampler capacity as plain ``sample``.
-            self.sample_requests += 1
-        elif kind == "count":
-            self.count_requests += 1
-        else:
-            self.update_requests += 1
+        self.requests[bucket] += 1
 
     def observe_rejected(self) -> None:
         """Record one request refused at admission (backpressure etc.)."""
@@ -222,9 +215,7 @@ class ServerStats:
             "replies_ok": self.replies_ok,
             "replies_error": self.replies_error,
             "dropped_replies": self.dropped_replies,
-            "sample_requests": self.sample_requests,
-            "count_requests": self.count_requests,
-            "update_requests": self.update_requests,
+            **{f"{bucket}_requests": n for bucket, n in self.requests.items()},
             "samples_returned": self.samples_returned,
             "dedup_hits": self.dedup_hits,
             "wal_failures": self.wal_failures,

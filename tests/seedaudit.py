@@ -17,6 +17,22 @@ DATA = [float((i * 53) % 401) for i in range(400)]
 WEIGHTS = [1.0 + (i % 5) for i in range(400)]
 STRATA = [(0.0, 99.0), (100.0, 299.0), (300.0, 400.0)]
 LO, HI, T = 20.0, 380.0, 64
+# Served after the client-seeded requests of each kind, in this order.
+UNSEEDED_REQUESTS = [
+    {"op": "sample", "lo": LO, "hi": HI, "t": T},
+    {"op": "sample", "lo": HI, "hi": LO, "t": T},  # refused: inverted interval
+    {"op": "stratified", "strata": [list(s) for s in STRATA], "t": T},
+    {"op": "sample", "lo": LO, "hi": HI, "t": 1 << 21},  # refused: t > max_t
+    {"op": "estimate", "lo": LO, "hi": HI, "target": 30.0, "batch": 64},
+    {"op": "sample_wr", "lo": LO, "hi": HI, "t": T},
+    {"op": "count", "lo": LO, "hi": HI},
+    {"op": "insert", "value": 50.5},
+    {"op": "insert_bulk", "values": [60.5, 70.5, 80.5]},
+    {"op": "delete", "value": 50.5},
+    {"op": "delete_bulk", "values": [60.5, 70.5]},
+    {"op": "count", "lo": LO, "hi": HI},
+    {"op": "sample", "lo": LO, "hi": HI, "t": T},
+]
 
 
 def _fingerprint(values) -> str:
@@ -119,6 +135,15 @@ def served_fingerprints() -> dict[str, str]:
                         await client.sample_without_replacement(
                             LO, HI, T, structure=kind, seed=780
                         )
+                    )
+                # Unseeded reads draw under derive_seed(root entropy,
+                # admission serial); the two refusals between them must not
+                # use up a serial.  Whole envelopes are kept, so typed errors
+                # (updates on static kinds, sample_wr on weighted ones) and
+                # update results are pinned too.
+                for payload in UNSEEDED_REQUESTS:
+                    replies.append(
+                        await client.request({**payload, "structure": kind})
                     )
                 out[f"{kind}/served"] = _fingerprint(replies)
         return out

@@ -21,9 +21,11 @@ from repro import (
     BatchQuery,
     BatchQueryRunner,
     DynamicIRS,
+    ShardedIRS,
     StaticIRS,
     WeightedDynamicIRS,
     WeightedStaticIRS,
+    WindowedIRS,
 )
 from repro.errors import InvalidQueryError, KeyNotFoundError
 from repro.stats import chi_square_gof, uniformity_test
@@ -41,6 +43,32 @@ def build(kind: str, data: list[float], seed: int):
     if kind == "dynamic":
         return DynamicIRS(data, seed=seed)
     return WeightedStaticIRS(data, [1.0] * len(data), seed=seed)
+
+
+TWIN_DATA = [float(i % 89) + 0.5 * (i % 2) for i in range(400)]
+TWIN_FACTORIES = {
+    "static": lambda: StaticIRS(TWIN_DATA, seed=61),
+    "dynamic": lambda: DynamicIRS(TWIN_DATA, seed=62),
+    "weighted-dynamic": lambda: WeightedDynamicIRS(
+        TWIN_DATA, [1.0 + i % 3 for i in range(len(TWIN_DATA))], seed=63
+    ),
+    "windowed": lambda: WindowedIRS(TWIN_DATA, window=300, seed=64),
+    "sharded": lambda: ShardedIRS(TWIN_DATA, num_shards=3, seed=65, backend="serial"),
+}
+# Reads, and (as lists) runs of same-kind updates, in stream order.
+TWIN_STEPS = [
+    BatchOp.sample(10.0, 60.0, 16),
+    BatchOp.count(10.0, 60.0),
+    BatchOp.sample(0.0, 88.0, 5),
+    [BatchOp.insert(30.25), BatchOp.insert(31.25)],
+    BatchOp.sample(20.0, 40.0, 12),
+    BatchOp.sample(25.0, 35.0, 3),
+    BatchOp.count(0.0, 100.0),
+    [BatchOp.delete(30.25)],
+    BatchOp.sample(25.0, 35.0, 7),
+    BatchOp.count(30.0, 31.0),
+    BatchOp.sample(0.0, 100.0, 9),
+]
 
 
 class TestBulkUniformity:
@@ -244,6 +272,43 @@ class TestRunMixed:
             runner.run_mixed([("frobnicate", 1.0)])
         with pytest.raises(InvalidQueryError):
             runner.run_mixed([("sample", 1.0)])
+
+    def test_operations_count_count_ops(self):
+        runner = BatchQueryRunner(DynamicIRS([float(i) for i in range(100)], seed=98))
+        counts = runner.run_mixed([BatchOp.count(0.0, 50.0)] * 5)
+        assert counts.samples == [51] * 5
+        assert counts.operations == 5
+        assert counts.ops_per_second > 0.0
+        mixed = runner.run_mixed(
+            [BatchOp.insert(7.5), BatchOp.count(0.0, 9.0), BatchOp.sample(0.0, 9.0, 3)]
+        )
+        assert mixed.operations == 3
+
+    @pytest.mark.parametrize("kind", sorted(TWIN_FACTORIES))
+    def test_uncoalesced_reads_match_direct_calls(self, kind):
+        # Unseeded reads draw from the structure's side stream, so the
+        # uncoalesced stream must make exactly the direct calls, in order:
+        # one sample_bulk or count per read (a multi-query
+        # sample_bulk_many draws differently on the sharded facade) and one
+        # bulk call per run of same-kind updates.
+        twin = TWIN_FACTORIES[kind]()
+        ops, want = [], []
+        for step in TWIN_STEPS:
+            if isinstance(step, list):  # one run of same-kind updates
+                if not hasattr(twin, step[0].kind):
+                    continue  # static has no updates, windowed no deletes
+                getattr(twin, step[0].kind + "_bulk")([op.value for op in step])
+                ops += step
+                want += [None] * len(step)
+            elif step.kind == "sample":
+                ops.append(step)
+                want.append(twin.sample_bulk(step.lo, step.hi, step.t).tobytes())
+            else:
+                ops.append(step)
+                want.append(twin.count(step.lo, step.hi))
+        mixed = BatchQueryRunner(TWIN_FACTORIES[kind]()).run_mixed(ops)
+        got = [s.tobytes() if isinstance(s, np.ndarray) else s for s in mixed.samples]
+        assert got == want
 
 
 class TestDynamicInvalidation:

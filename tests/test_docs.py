@@ -8,6 +8,7 @@ build instead of silently rotting the docs.
 from __future__ import annotations
 
 import doctest
+import re
 from pathlib import Path
 
 import pytest
@@ -36,3 +37,12 @@ def test_docs_mention_every_layer():
         assert token in readme
     for link in ["PAPER.md", "DESIGN.md", "docs/architecture.md", "docs/api.md"]:
         assert link in readme, f"README must link {link}"
+
+
+def test_wire_table_lists_every_served_op():
+    """docs/api.md's wire table names exactly the ops the server answers."""
+    from repro.serve.ops import OPS
+
+    text = (ROOT / "docs/api.md").read_text()
+    table = text.split("| `op` | Fields | Result |", 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"^\| `(\w+)` \|", table, re.MULTILINE) == list(OPS)
