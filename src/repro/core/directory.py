@@ -35,7 +35,12 @@ The engine provides:
 * lazily cached prefix sums over counts (and over weights) with bounded
   *pending per-chunk deltas*, so an update→query alternation costs
   ``O(|pending|)`` instead of an ``O(n/s)`` cumsum rebuild per transition
-  (count readers fold the deltas into just the entries they read);
+  (count readers fold the deltas into just the entries they read).  A
+  bulk pass that keeps the chunk list's shape defers its count changes
+  as one *step* on the count prefix; the next reader folds every step,
+  and the pending deltas, into the cached array with one vectorized
+  step-add from the first changed chunk.  Bulk passes drop the weight
+  prefix, whose float bits the seeded weighted draws read;
 * global rank addressing — the rank interval of a key range and the
   chunk/offset of a global rank — the layout-independent coordinates the
   seeded samplers draw in;
@@ -68,6 +73,16 @@ __all__ = ["ChunkDirectory", "FoldedCounts", "build_sizes"]
 #: deltas up to this many entries; beyond it the cache is dropped and the
 #: next reader re-runs the cumsum.
 _PENDING_CAP = 64
+
+#: Deferred bulk steps may hold ``max(_STEP_MIN, chunks // _STEP_SHARE)``
+#: chunk entries before the count prefix is dropped.  A fold sorts its
+#: entries and adds over the prefix; past ``chunks // _STEP_SHARE``
+#: entries of many small steps it costs about as much as the cumsum it
+#: replaces.  The floor lets one 64-value insert and delete pair defer
+#: at any size; below ``_STEP_MIN * _STEP_SHARE`` chunks, where it
+#: applies, a fold and a cumsum both cost little.
+_STEP_MIN = 128
+_STEP_SHARE = 256
 
 
 def build_sizes(n: int, s: int, cap: int):
@@ -123,7 +138,8 @@ class FoldedCounts:
     """The count prefix with its pending deltas folded in, for one reader.
 
     The directory keeps scalar count changes as pending per-chunk deltas
-    on its cached prefix (see :meth:`ChunkDirectory.note_delta`), so the
+    on its cached prefix (see :meth:`ChunkDirectory.note_delta`; deferred
+    bulk steps are folded into the cache before this is built), so the
     true prefix is the cached one plus a step function.  Folding sorts the
     pending chunk indices and takes a running sum of their deltas once —
     ``O(|pending| log |pending|)`` — after which every entry a reader
@@ -201,6 +217,8 @@ class ChunkDirectory:
         "mutations",
         "_prefix",
         "_pending",
+        "_steps",
+        "_deferred",
         "_wprefix",
         "_wpending",
     )
@@ -332,11 +350,34 @@ class ChunkDirectory:
     # -- lazy count prefix -------------------------------------------------
 
     def ensure_prefix(self):
-        """Return the inclusive prefix-sum over chunk counts (cached)."""
-        if self._prefix is None:
-            self._prefix = _np.cumsum(self.counts)
-            self._pending.clear()
-        return self._prefix
+        """Return the inclusive prefix-sum over chunk counts (cached).
+
+        Scalar changes stay pending on the returned array (readers fold
+        them, see :meth:`points_between` and :class:`FoldedCounts`).  If
+        bulk passes left deferred steps, every step and every pending
+        delta is folded into the cached array first: the changes are
+        sorted by chunk, and their running sum, repeated over the chunks
+        each change covers, is added from the first changed chunk on.
+        That is ``O(n/s)`` like the cumsum, but a vectorized add instead
+        of a sequential scan, and bounded by :meth:`_defer_step`.
+        """
+        prefix = self._prefix
+        if prefix is None:
+            self._prefix = prefix = _np.cumsum(self.counts)
+        elif self._steps:
+            steps, pending = self._steps, self._pending
+            if pending:
+                steps.append((
+                    _np.fromiter(pending.keys(), _np.int64, len(pending)),
+                    _np.fromiter(pending.values(), _np.int64, len(pending)),
+                ))
+            idx = _np.concatenate([i for i, _ in steps])
+            order = idx.argsort(kind="stable")
+            idx = idx[order]
+            deltas = _np.concatenate([d for _, d in steps])[order]
+            prefix[idx[0] :] += deltas.cumsum().repeat(_np.diff(idx, append=len(self)))
+            self._clear_deltas()
+        return prefix
 
     def folded_counts(self) -> "FoldedCounts":
         """Fold the pending count deltas once, for a reader of many entries."""
@@ -380,10 +421,21 @@ class ChunkDirectory:
         bounds = folded.starts_at(idx) + offsets
         return bounds[:q], bounds[q:]
 
+    def _clear_deltas(self) -> None:
+        """Forget the pending deltas and deferred steps (folded or dropped)."""
+        self._pending: dict[int, int] = {}
+        #: Deferred bulk count changes: ``(chunk indices, deltas)`` pairs.
+        self._steps: list = []
+        self._deferred = 0  # chunk entries across ``_steps``
+
+    def _drop_prefix(self) -> None:
+        """Drop the count prefix with everything recorded against it."""
+        self._prefix = None
+        self._clear_deltas()
+
     def invalidate_prefix(self) -> None:
         """Drop both prefix caches (chunk indices or many rows changed)."""
-        self._prefix = None
-        self._pending = {}
+        self._drop_prefix()
         self._wprefix = None
         self._wpending = {}
         self.mutations += 1
@@ -396,21 +448,41 @@ class ChunkDirectory:
         pending per-chunk delta folded in by readers, so an update→query
         alternation costs ``O(|pending|)`` instead of an ``O(n/s)`` cumsum
         rebuild per transition.  Past ``_PENDING_CAP`` entries a cache is
-        dropped (update-heavy phases then do no prefix work at all).
+        dropped, with any deferred bulk steps (update-heavy phases then do
+        no prefix work at all).
         """
         self.mutations += 1
         if dcount and self._prefix is not None:
             pending = self._pending
             pending[i] = pending.get(i, 0) + dcount
             if len(pending) > _PENDING_CAP:
-                self._prefix = None
-                pending.clear()
+                self._drop_prefix()
         if dweight and self._wprefix is not None:
             wpending = self._wpending
             wpending[i] = wpending.get(i, 0.0) + dweight
             if len(wpending) > _PENDING_CAP:
                 self._wprefix = None
                 wpending.clear()
+
+    def _defer_step(self, touched, dcounts) -> None:
+        """Record a shape-preserving bulk pass against the cached prefixes.
+
+        The count changes ``dcounts`` of the chunks ``touched`` (ascending)
+        become one deferred step on the count prefix, folded by its next
+        reader (:meth:`ensure_prefix`); past ``max(_STEP_MIN, chunks //
+        _STEP_SHARE)`` deferred entries the count prefix is dropped
+        instead, so write-only phases do no prefix work at all.  The
+        weight prefix is dropped: its float bits feed the seeded weighted
+        draws, so it is only ever rebuilt, never patched by a bulk pass.
+        """
+        self._wprefix = None
+        self._wpending = {}
+        self.mutations += 1
+        if self._prefix is not None:
+            self._steps.append((touched, dcounts))
+            self._deferred += touched.size
+            if self._deferred > max(_STEP_MIN, len(self) // _STEP_SHARE):
+                self._drop_prefix()
 
     def points_between(self, a: int, b: int) -> int:
         """Points in chunks strictly between indices ``a`` and ``b``."""
@@ -424,6 +496,23 @@ class ChunkDirectory:
                 if a < j < b:
                     total += delta
         return total
+
+    def points_in(self, lo: float, hi: float) -> int:
+        """Points in ``[lo, hi]``, from count geometry alone.
+
+        The boundary chunks and in-row offsets of :meth:`edges`, plus the
+        whole chunks between them as one prefix difference
+        (:meth:`points_between`): ``O(log n)`` with the prefix cached,
+        and no weight read.  Bounds must already be rounded through the
+        value-plane dtype.
+        """
+        edges = self.edges(lo, hi)
+        if edges is None:
+            return 0
+        a, la, b, rb = edges
+        if a == b:
+            return max(rb - la, 0)
+        return int(self.counts[a]) - la + self.points_between(a, b) + rb
 
     # -- lazy weight prefix (weighted directories only) --------------------
 
@@ -642,7 +731,6 @@ class ChunkDirectory:
             wblock[~live] = 0.0
             self.wslab[rows] = wblock
             self.wtotals[touched] = kernels.cum_table(wblock)[:, -1]
-        self.invalidate_prefix()
 
     def merge(self, batch, weights=None) -> None:
         """Merge a sorted batch into the chunks: one pass over the touched rows.
@@ -669,6 +757,7 @@ class ChunkDirectory:
             self.recut(touched, touched, merged, wmerged, counts)
         else:
             self._write(touched, rows, block, wblock, counts, merged, wmerged)
+            self._defer_step(touched, added)
 
     def remove(self, batch, s: int):
         """Remove one stored occurrence per value of a sorted batch, atomically.
@@ -720,6 +809,7 @@ class ChunkDirectory:
             self.normalize(s)
         else:
             self._write(touched, rows, block, wblock, counts, kept, wkept)
+            self._defer_step(touched, -hits)
         return removed
 
     def _find(self, batch):
@@ -817,6 +907,7 @@ class ChunkDirectory:
         wblock = _np.zeros(shape) if self.weighted else None
         block = _np.zeros(shape, dtype=self.slab.dtype)
         self._write(at, rows, block, wblock, sizes, values, weights)
+        self.invalidate_prefix()
 
     # -- validation (used by the samplers' check_invariants) ---------------
 
@@ -855,15 +946,23 @@ class ChunkDirectory:
             assert bool(
                 (_np.abs(self.wtotals - masses) <= 1e-9 * _np.maximum(1.0, masses)).all()
             ), "wtotals stale"
+        steps = self._steps
+        assert self._deferred == sum(i.size for i, _ in steps), "deferred miscounted"
         if self._prefix is not None:
-            folded = self._prefix.copy()
+            # Fold into a new array: folding the cache itself here would
+            # hide a reader that forgot to fold.
+            shift = _np.zeros(k, dtype=_np.int64)
+            for idx, deltas in steps:
+                _np.add.at(shift, idx, deltas)
             for j, delta in self._pending.items():
-                folded[j:] += delta
+                shift[j] += delta
+            folded = self._prefix + shift.cumsum()
             assert folded.tolist() == ends.tolist(), (
-                "prefix cache (with pending deltas) stale"
+                "prefix cache (with deferred steps and pending deltas) stale"
             )
         else:
             assert not self._pending, "pending deltas without a prefix cache"
+            assert not steps, "deferred steps without a prefix cache"
         if self.weighted and self._wprefix is not None:
             folded_w = self.folded_wprefix()
             expect_w = _np.cumsum(masses)

@@ -307,9 +307,18 @@ class DynamicIRS(DynamicRangeSampler):
     # -- queries ------------------------------------------------------------------------
 
     def count(self, lo: float, hi: float) -> int:
+        """Return ``|P ∩ [lo, hi]|`` in ``O(log n)``.
+
+        Two boundary chunks and their in-row offsets, plus one difference
+        of the count prefix for the whole chunks between them
+        (:meth:`ChunkDirectory.points_in
+        <repro.core.directory.ChunkDirectory.points_in>`).  After a bulk
+        update the prefix is folded once, not rebuilt.
+        """
         validate_query(lo, hi, 0)
-        plan = self._plan(lo, hi)
-        return plan[0] if plan is not None else 0
+        return self._dir.points_in(
+            round_to_plane(lo, self._dtype, "lo"), round_to_plane(hi, self._dtype, "hi")
+        )
 
     def peek_counts(self, queries):
         """Vectorized multi-range count over the chunk directory.

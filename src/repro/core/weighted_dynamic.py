@@ -26,8 +26,10 @@ values stored as rows of the shared slab of
 :class:`~repro.core.directory.ChunkDirectory`: a value slab (float32 or
 float64, chosen at construction) and an aligned float64 weight slab, one
 row per chunk.  The directory adds a per-chunk total-mass array
-(``wtotals``) with a lazily cached cumulative-weight prefix (pending
-per-chunk deltas, exactly like the count prefix).  A query:
+(``wtotals``) with a lazily cached cumulative-weight prefix (scalar
+changes ride on it as pending per-chunk deltas, as on the count prefix;
+a bulk pass drops it, because the seeded draws read its float bits).
+``count`` reads count geometry only, never a weight.  A sampling query:
 
 1. resolves boundary runs and their masses from the boundary rows and
    the whole-chunk middle mass from the weight prefix;
@@ -352,7 +354,7 @@ class WeightedDynamicIRS:
     # -- queries ---------------------------------------------------------------------
 
     def _plan(self, lo: float, hi: float):
-        """Resolve a range into ``(count, weight, parts)``.
+        """Resolve a range into ``(weight, parts)``.
 
         ``parts`` is ``(a, la, ra, w_left, w_mid, b, rb, w_right)``: the
         boundary chunk indices with their in-chunk run bounds (the left
@@ -381,27 +383,33 @@ class WeightedDynamicIRS:
             if rb <= la:
                 return None
             w = math.fsum(wleft[la:rb])
-            return rb - la, w, (a, la, rb, w, 0.0, b, rb, 0.0)
+            return w, (a, la, rb, w, 0.0, b, rb, 0.0)
         w_left = math.fsum(wleft[la:])
         w_right = math.fsum(directory.wrow(b)[:rb])
-        ra = wleft.size
-        k_mid = directory.points_between(a, b)
-        w_mid = directory.weight_between(a, b) if k_mid else 0.0
-        count = ra - la + k_mid + rb
+        w_mid = directory.weight_between(a, b)
         weight = w_left + w_mid + w_right
-        return count, weight, (a, la, ra, w_left, w_mid, b, rb, w_right)
+        return weight, (a, la, wleft.size, w_left, w_mid, b, rb, w_right)
 
     def count(self, lo: float, hi: float) -> int:
-        """Return ``|P ∩ [lo, hi]|``."""
+        """Return ``|P ∩ [lo, hi]|`` from count geometry alone.
+
+        The same directory routine as :meth:`DynamicIRS.count
+        <repro.core.dynamic_irs.DynamicIRS.count>`
+        (:meth:`ChunkDirectory.points_in
+        <repro.core.directory.ChunkDirectory.points_in>`): no boundary
+        ``fsum`` and no weight prefix, so a count after an update never
+        rebuilds the weight prefix.
+        """
         validate_query(lo, hi, 0)
-        plan = self._plan(lo, hi)
-        return plan[0] if plan is not None else 0
+        return self._dir.points_in(
+            round_to_plane(lo, self._dtype, "lo"), round_to_plane(hi, self._dtype, "hi")
+        )
 
     def range_weight(self, lo: float, hi: float) -> float:
         """Return ``w(P ∩ [lo, hi])``."""
         validate_query(lo, hi, 0)
         plan = self._plan(lo, hi)
-        return plan[1] if plan is not None else 0.0
+        return plan[0] if plan is not None else 0.0
 
     def _round_bounds(self, los, his):
         """Round query-bound arrays through the value-plane dtype."""
@@ -482,9 +490,9 @@ class WeightedDynamicIRS:
         if t == 0:
             return []
         plan = self._plan(lo, hi)
-        if plan is None or plan[1] <= 0.0:
+        if plan is None or plan[0] <= 0.0:
             raise EmptyRangeError("query range is empty or has zero weight")
-        _count, weight, (a, la, ra, w_left, w_mid, b, rb, w_right) = plan
+        weight, (a, la, ra, w_left, w_mid, b, rb, w_right) = plan
         directory = self._dir
         self.stats.queries += 1
         self.stats.samples_returned += t
@@ -543,9 +551,9 @@ class WeightedDynamicIRS:
         if t == 0:
             return _np.empty(0, dtype=float)
         plan = self._plan(lo, hi)
-        if plan is None or plan[1] <= 0.0:
+        if plan is None or plan[0] <= 0.0:
             raise EmptyRangeError("query range is empty or has zero weight")
-        _count, weight, (a, la, ra, w_left, w_mid, b, rb, w_right) = plan
+        weight, (a, la, ra, w_left, w_mid, b, rb, w_right) = plan
         directory = self._dir
         stats = self.stats
         stats.queries += 1

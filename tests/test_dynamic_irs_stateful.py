@@ -3,7 +3,7 @@
 Drives the structure with an arbitrary interleaving of inserts, deletes,
 counts, reports and samples, mirroring every operation on a plain sorted
 list.  After every step the observable behavior must match the model, and
-the structure's own invariant checker must pass at teardown.
+the structure's own invariant checker must pass.
 """
 
 from __future__ import annotations
@@ -101,9 +101,15 @@ class DynamicIRSMachine(RuleBasedStateMachine):
         if hasattr(self, "model"):
             assert len(self.structure) == len(self.model)
 
-    def teardown(self):
+    @invariant()
+    def structure_invariants_hold(self):
+        # Every step, so a stale prefix cache (deferred bulk steps and
+        # pending deltas included) fails on the step that left it.
         if hasattr(self, "structure"):
             self.structure.check_invariants()
+
+    def teardown(self):
+        if hasattr(self, "structure"):
             assert self.structure.values() == self.model
 
 

@@ -149,9 +149,15 @@ class WeightedDynamicMachine(RuleBasedStateMachine):
         if hasattr(self, "model"):
             assert len(self.structure) == len(self.model)
 
-    def teardown(self):
+    @invariant()
+    def structure_invariants_hold(self):
+        # Every step, so a stale prefix cache (deferred bulk steps and
+        # pending deltas included) fails on the step that left it.
         if hasattr(self, "structure"):
             self.structure.check_invariants()
+
+    def teardown(self):
+        if hasattr(self, "structure"):
             got = self.structure.items()
             assert [v for v, _ in got] == [v for v, _ in self.model]
 
