@@ -35,12 +35,13 @@ The engine provides:
 * lazily cached prefix sums over counts (and over weights) with bounded
   *pending per-chunk deltas*, so an update→query alternation costs
   ``O(|pending|)`` instead of an ``O(n/s)`` cumsum rebuild per transition
-  (count readers fold the deltas into just the entries they read).  A
-  bulk pass that keeps the chunk list's shape defers its count changes
-  as one *step* on the count prefix; the next reader folds every step,
-  and the pending deltas, into the cached array with one vectorized
-  step-add from the first changed chunk.  Bulk passes drop the weight
-  prefix, whose float bits the seeded weighted draws read;
+  (count readers fold the deltas into just the entries they read).  In
+  a directory large enough that it pays, a bulk pass that keeps the
+  chunk list's shape defers its count changes as one *step* on the count
+  prefix; the next reader folds every step, and the pending deltas, into
+  the cached array with one vectorized step-add from the first changed
+  chunk.  Bulk passes drop the weight prefix, whose float bits the
+  seeded weighted draws read;
 * global rank addressing — the rank interval of a key range and the
   chunk/offset of a global rank — the layout-independent coordinates the
   seeded samplers draw in;
@@ -74,14 +75,18 @@ __all__ = ["ChunkDirectory", "FoldedCounts", "build_sizes"]
 #: next reader re-runs the cumsum.
 _PENDING_CAP = 64
 
-#: Deferred bulk steps may hold ``max(_STEP_MIN, chunks // _STEP_SHARE)``
-#: chunk entries before the count prefix is dropped.  A fold sorts its
-#: entries and adds over the prefix; past ``chunks // _STEP_SHARE``
-#: entries of many small steps it costs about as much as the cumsum it
-#: replaces.  The floor lets one 64-value insert and delete pair defer
-#: at any size; below ``_STEP_MIN * _STEP_SHARE`` chunks, where it
-#: applies, a fold and a cumsum both cost little.
-_STEP_MIN = 128
+#: Deferred bulk steps may hold ``(chunks - _STEP_BASE) // _STEP_SHARE``
+#: chunk entries before the count prefix is dropped, so a directory of
+#: at most ``_STEP_BASE`` chunks never defers.  A fold has a fixed cost
+#: of about ten NumPy calls, which a cumsum over fewer chunks undercuts,
+#: and each entry adds to its sort and its repeat.  Measured on a 2-CPU
+#: x86 host, just after a bulk pass: a fold of one entry with nothing
+#: pending cost 2.4x the cumsum at 1,429 chunks and 1.2x at 5,000; with
+#: a full pending map, 0.68-0.97x at 13,334-14,815 chunks over three
+#: runs.  At the bound, in the worst case (steps of 8 entries plus a full
+#: pending map), it cost 0.82x at 17,778 chunks, 0.70x at 35,714 and
+#: 0.61x at 66,667.
+_STEP_BASE = 16_384
 _STEP_SHARE = 256
 
 
@@ -375,7 +380,10 @@ class ChunkDirectory:
             order = idx.argsort(kind="stable")
             idx = idx[order]
             deltas = _np.concatenate([d for _, d in steps])[order]
-            prefix[idx[0] :] += deltas.cumsum().repeat(_np.diff(idx, append=len(self)))
+            stops = _np.empty_like(idx)  # where each change's run ends
+            stops[:-1] = idx[1:]
+            stops[-1] = len(self)
+            prefix[idx[0] :] += deltas.cumsum().repeat(stops - idx)
             self._clear_deltas()
         return prefix
 
@@ -469,11 +477,12 @@ class ChunkDirectory:
 
         The count changes ``dcounts`` of the chunks ``touched`` (ascending)
         become one deferred step on the count prefix, folded by its next
-        reader (:meth:`ensure_prefix`); past ``max(_STEP_MIN, chunks //
-        _STEP_SHARE)`` deferred entries the count prefix is dropped
-        instead, so write-only phases do no prefix work at all.  The
-        weight prefix is dropped: its float bits feed the seeded weighted
-        draws, so it is only ever rebuilt, never patched by a bulk pass.
+        reader (:meth:`ensure_prefix`); past ``(chunks - _STEP_BASE) //
+        _STEP_SHARE`` deferred entries the count prefix is dropped
+        instead, so small directories never defer and write-only phases
+        do no prefix work at all.  The weight prefix is dropped: its
+        float bits feed the seeded weighted draws, so it is only ever
+        rebuilt, never patched by a bulk pass.
         """
         self._wprefix = None
         self._wpending = {}
@@ -481,7 +490,7 @@ class ChunkDirectory:
         if self._prefix is not None:
             self._steps.append((touched, dcounts))
             self._deferred += touched.size
-            if self._deferred > max(_STEP_MIN, len(self) // _STEP_SHARE):
+            if self._deferred > (len(self) - _STEP_BASE) // _STEP_SHARE:
                 self._drop_prefix()
 
     def points_between(self, a: int, b: int) -> int:
@@ -963,11 +972,18 @@ class ChunkDirectory:
         else:
             assert not self._pending, "pending deltas without a prefix cache"
             assert not steps, "deferred steps without a prefix cache"
+        # The weight cache is read only when it is already there: installing
+        # it here (``total_weight`` would) would hide a reader that skipped
+        # ``ensure_wprefix``.
         if self.weighted and self._wprefix is not None:
             folded_w = self.folded_wprefix()
             expect_w = _np.cumsum(masses)
             assert bool(
                 (_np.abs(folded_w - expect_w) <= 1e-6 * _np.maximum(1.0, expect_w)).all()
             ), "weight prefix cache (with pending deltas) stale"
+            total = float(expect_w[-1]) if k else 0.0
+            assert abs(self.total_weight - total) <= 1e-6 * max(1.0, total), (
+                "total weight stale"
+            )
         elif self.weighted:
             assert not self._wpending, "pending weight deltas without a cache"

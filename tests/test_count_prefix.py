@@ -1,11 +1,14 @@
 """The count prefix across bulk updates, and counts that read no weights.
 
-A bulk insert or delete that keeps the chunk list's shape records its
-count changes as a deferred step on the cached count prefix instead of
-dropping it, and the next reader folds the steps in (DESIGN.md §8).
-These tests pin that the cache survives such a pass, that every read
-through it matches a freshly built twin, and that the paths which change
-the shape, or defer too much, still drop it.
+In a directory of more than ``_STEP_BASE`` chunks, a bulk insert or
+delete that keeps the chunk list's shape records its count changes as a
+deferred step on the cached count prefix instead of dropping it, and the
+next reader folds the steps in (DESIGN.md §8).  These tests pin that the
+cache survives such a pass, that every read through it matches a freshly
+built twin, and that the paths which change the shape, or defer too
+much, still drop it.  Most of them run at a size where the default bound
+defers nothing, so the ``deferring`` fixture lowers it; the fold itself
+does not depend on the size.
 
 ``WeightedDynamicIRS.count`` answers from count geometry alone: it must
 never rebuild the weight prefix, and it must agree with ``DynamicIRS``
@@ -18,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro import DynamicIRS, WeightedDynamicIRS
-from repro.core.directory import _STEP_MIN, _STEP_SHARE
+from repro.core import directory
 
 N = 60_000
 #: Spans many chunks at N; the later ones are narrow and one-chunk.
@@ -28,12 +31,23 @@ kinds = pytest.mark.parametrize("kind", [DynamicIRS, WeightedDynamicIRS])
 dtypes = pytest.mark.parametrize("dtype", [np.float32, np.float64])
 
 
-def _build(kind, dtype):
-    values = np.arange(N) / N  # distinct in either plane
+@pytest.fixture
+def deferring(monkeypatch):
+    """Let a bulk pass at ``N`` points defer: the bound is ``chunks // 4``."""
+    monkeypatch.setattr(directory, "_STEP_BASE", 0)
+    monkeypatch.setattr(directory, "_STEP_SHARE", 4)
+
+
+def _bound(d):
+    return (len(d._dir) - directory._STEP_BASE) // directory._STEP_SHARE
+
+
+def _build(kind, dtype, n=N):
+    values = np.arange(n) / n  # distinct in either plane
     if kind is WeightedDynamicIRS:
-        weights = np.random.default_rng(2).uniform(0.5, 2.0, N)
-        return kind(values, weights, seed=1, dtype=dtype)
-    return kind(values, seed=1, dtype=dtype)
+        weights = np.random.default_rng(2).uniform(0.5, 2.0, n)
+        return kind.from_sorted(values, weights, seed=1, dtype=dtype)
+    return kind.from_sorted(values, seed=1, dtype=dtype)
 
 
 def _insert(d, value):
@@ -81,7 +95,7 @@ def _warm(d):
 
 @kinds
 @dtypes
-def test_shape_preserving_bulk_pass_keeps_count_prefix(kind, dtype):
+def test_shape_preserving_bulk_pass_keeps_count_prefix(kind, dtype, deferring):
     d = _build(kind, dtype)
     prefix = _warm(d)
     _insert(d, 0.5)
@@ -99,7 +113,7 @@ def test_shape_preserving_bulk_pass_keeps_count_prefix(kind, dtype):
 
 @kinds
 @dtypes
-def test_row_overflow_recut_drops_count_prefix(kind, dtype):
+def test_row_overflow_recut_drops_count_prefix(kind, dtype, deferring):
     d = _build(kind, dtype)
     _warm(d)
     value = float(d.export_sorted()[N // 2])
@@ -111,7 +125,7 @@ def test_row_overflow_recut_drops_count_prefix(kind, dtype):
 
 @kinds
 @dtypes
-def test_normalizing_bulk_delete_drops_count_prefix(kind, dtype):
+def test_normalizing_bulk_delete_drops_count_prefix(kind, dtype, deferring):
     d = _build(kind, dtype)
     _warm(d)
     d.delete_bulk(d._dir.row(100)[:-1].tolist())  # one point left: under s
@@ -122,10 +136,12 @@ def test_normalizing_bulk_delete_drops_count_prefix(kind, dtype):
 
 @kinds
 @dtypes
-def test_write_only_bulk_passes_drop_count_prefix_past_the_bound(kind, dtype):
+def test_write_only_bulk_passes_drop_count_prefix_past_the_bound(
+    kind, dtype, deferring
+):
     d = _build(kind, dtype)
     _warm(d)
-    bound = max(_STEP_MIN, len(d._dir) // _STEP_SHARE)
+    bound = _bound(d)
     rng = np.random.default_rng(4)
     for _ in range(50):
         batch = rng.random(64).tolist()
@@ -141,7 +157,7 @@ def test_write_only_bulk_passes_drop_count_prefix_past_the_bound(kind, dtype):
 
 
 @kinds
-def test_pending_cap_drops_deferred_steps(kind):
+def test_pending_cap_drops_deferred_steps(kind, deferring):
     d = _build(kind, np.float64)
     _warm(d)
     batch = np.random.default_rng(5).random(64).tolist()
@@ -153,6 +169,75 @@ def test_pending_cap_drops_deferred_steps(kind):
     assert not d._dir._steps and not d._dir._pending
     d.check_invariants()
     assert _reads(d) == _reads(_twin(d))
+
+
+@kinds
+def test_random_updates_and_counts_match_a_sorted_model(kind, deferring):
+    """Scalar and bulk updates in random order, each followed by a count.
+
+    The counts keep the prefix warm, so most bulk passes defer and most
+    counts fold; every count must equal a ``searchsorted`` over a model.
+    """
+    d = _build(kind, np.float64)
+    model = d.export_sorted().astype(float)
+    rng = np.random.default_rng(11)
+    folds = 0
+    for step in range(160):
+        op = int(rng.integers(4))
+        if op == 0:
+            value = float(rng.random())
+            _insert(d, value)
+            model = np.insert(model, model.searchsorted(value), value)
+        elif op == 1:
+            at = int(rng.integers(model.size))
+            d.delete(float(model[at]))
+            model = np.delete(model, at)
+        elif op == 2:
+            batch = rng.random(int(rng.integers(17, 65)))
+            _insert_bulk(d, batch.tolist())
+            model = np.sort(np.concatenate((model, batch)))
+        else:
+            at = rng.choice(model.size, int(rng.integers(17, 65)), replace=False)
+            d.delete_bulk(model[at].tolist())
+            model = np.delete(model, at)
+        folds += bool(d._dir._steps)
+        lo, hi = np.sort(rng.random(2)).tolist()
+        want = int(model.searchsorted(hi, "right") - model.searchsorted(lo, "left"))
+        assert d.count(lo, hi) == want
+        if step % 40 == 0:
+            d.check_invariants()
+    assert folds >= 40, "too few counts ran the fold"
+    d.check_invariants()
+    assert d.export_sorted().tolist() == model.tolist()
+
+
+@kinds
+def test_default_bound_defers_only_in_large_directories(kind):
+    small = _build(kind, np.float64)
+    assert _bound(small) < 0
+    _warm(small)
+    _insert_bulk(small, [0.5 + 7 * i / N for i in range(20)])
+    assert small._dir._prefix is None, "a small directory drops the prefix"
+    assert not small._dir._steps
+    # Past the base, a bulk pass over a few chunks defers ...
+    n = 600_000
+    d = _build(kind, np.float64, n)
+    assert 2 <= _bound(d) < 64
+    prefix = _warm(d)
+    lo, hi = QUERIES[0]
+    before = d.count(lo, hi)
+    _insert_bulk(d, [0.5 + 7 * i / n for i in range(20)])  # no row overflows
+    assert d._dir._prefix is prefix and d._dir._steps
+    assert d.count(lo, hi) == before + 20
+    assert not d._dir._steps
+    # ... and one that touches more chunks than the bound drops it.
+    batch = np.random.default_rng(8).random(64).tolist()
+    _insert_bulk(d, batch)
+    assert d._dir._prefix is None and not d._dir._steps
+    d.delete_bulk(batch)
+    stored = d.export_sorted()
+    assert d.count(lo, hi) == int(np.count_nonzero((stored >= lo) & (stored <= hi)))
+    d.check_invariants()
 
 
 # -- WeightedDynamicIRS.count reads no weights --------------------------------
@@ -168,6 +253,8 @@ def test_weighted_count_leaves_weight_prefix_cold(dtype):
     _insert_bulk(w, np.random.default_rng(6).random(64).tolist())
     assert w._dir.mutations > stamp, "a bulk pass bumps the mutations stamp"
     assert w._dir._wprefix is None, "a bulk pass drops the weight prefix"
+    w.check_invariants()
+    assert w._dir._wprefix is None, "checking must not warm the weight prefix"
     stored = w.export_sorted()
     expected = int(np.count_nonzero((stored >= lo) & (stored <= hi)))
     assert w.count(lo, hi) == expected
@@ -216,7 +303,7 @@ def _check_counts(w, d, bounds):
 
 
 @dtypes
-def test_weighted_count_matches_unweighted_over_awkward_bounds(dtype):
+def test_weighted_count_matches_unweighted_over_awkward_bounds(dtype, deferring):
     values = _awkward_values(dtype)
     weights = np.random.default_rng(9).uniform(0.5, 2.0, values.size)
     w = WeightedDynamicIRS(values, weights, seed=1, dtype=dtype)
