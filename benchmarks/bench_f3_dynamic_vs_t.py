@@ -66,7 +66,7 @@ def rec_n(experiment):
     return experiment(
         "F3b",
         f"dynamic per-sample cost vs n  (t={T_FIXED}, selectivity 30%). "
-        "'touches' is machine-independent work: PMA probes for DynamicIRS "
+        "'touches' is machine-independent work: middle-window probes for DynamicIRS "
         "(O(1) expected), tree-node visits for TreeWalkSampler (≈log2 n) — "
         "the paper's claim; CPython wall-clock compresses the gap.",
         ["structure", "n", "us/sample", "touches/sample"],

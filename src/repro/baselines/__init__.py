@@ -4,13 +4,6 @@ Each baseline implements the :class:`~repro.core.base.RangeSampler`
 interface (EM baselines mirror :class:`~repro.core.em_irs.ExternalIRS`'s
 surface) so the harness can swap structures freely.  Their complexities are
 the ones the paper improves on; see DESIGN.md §2.3.
-
-This package also hosts the *ablation substrates* retired from the
-production import graph by the shared array-backed chunk directory
-(DESIGN.md §8): the implicit chunk treap (:mod:`repro.baselines.treap`)
-and the packed-memory array (:mod:`repro.baselines.pma`) — the
-pointer-machine directory designs ``bench_m1_substrates`` compares the
-array engine against.
 """
 
 from .report_sample import ReportThenSample
@@ -19,8 +12,6 @@ from .rejection_global import RejectionGlobalSampler
 from .cheating_cache import CachedSampleBaseline
 from .em_report import EMReportSample
 from .em_per_sample import EMPerSample
-from .pma import PackedMemoryArray
-from .treap import ChunkTreap, TreapNode
 
 __all__ = [
     "ReportThenSample",
@@ -29,7 +20,4 @@ __all__ = [
     "CachedSampleBaseline",
     "EMReportSample",
     "EMPerSample",
-    "ChunkTreap",
-    "TreapNode",
-    "PackedMemoryArray",
 ]

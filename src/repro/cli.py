@@ -58,19 +58,13 @@ import argparse
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from .batch import BatchQueryRunner
-from .core import (
-    DynamicIRS,
-    ExternalIRS,
-    StaticIRS,
-    WeightedDynamicIRS,
-    WeightedStaticIRS,
-)
+from .core.kinds import KINDS, sort_planes
 from .stats.estimators import mean_estimate
 
 __all__ = ["main", "build_structure", "read_floats"]
-
-_STRUCTURES = ("static", "dynamic", "weighted", "weighted-dynamic", "external")
 
 
 def read_floats(path: str) -> list[float]:
@@ -90,35 +84,33 @@ def build_structure(
 ):
     """Construct the requested sampler over the data.
 
-    With ``shards > 1`` the points are range-partitioned into a
+    ``name`` is a :data:`~repro.core.kinds.KINDS` key.  ``weights`` are
+    used by the weighted kinds only (unit weights when ``None``).  With
+    ``shards > 1`` the points are range-partitioned into a
     :class:`~repro.shard.ShardedIRS` whose shards are the requested
     structure kind, executing on the requested backend.
     """
+    kind = KINDS.get(name)
+    if kind is None:
+        raise ValueError(f"unknown structure: {name}")
+    if not kind.weighted:
+        weights = None
     if shards > 1:
         from .shard import ShardedIRS
 
         return ShardedIRS(
             values,
             num_shards=shards,
-            weights=weights if name in ("weighted", "weighted-dynamic") else None,
+            weights=weights,
             seed=seed,
             shard_kind=name,
             backend=backend,
             block_size=block_size,
         )
-    if name == "static":
-        return StaticIRS(values, seed=seed)
-    if name == "dynamic":
-        return DynamicIRS(values, seed=seed)
-    if name == "external":
-        return ExternalIRS(values, block_size=block_size, seed=seed)
-    if name == "weighted":
-        if weights is None:
-            weights = [1.0] * len(values)
-        return WeightedStaticIRS(values, weights, seed=seed)
-    if name == "weighted-dynamic":
-        return WeightedDynamicIRS(values, weights, seed=seed)
-    raise ValueError(f"unknown structure: {name}")
+    values, weights = sort_planes(np.asarray(values, dtype=float), weights)
+    return kind.build(
+        values, weights, seed=seed, dtype=None, block_size=block_size, adopt=False
+    )
 
 
 def read_ops(path: str, default_t: int) -> list:
@@ -181,7 +173,7 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command)
         p.add_argument("--data", required=True, help="file of floats")
         p.add_argument("--weights", help="file of weights (weighted structures)")
-        p.add_argument("--structure", choices=_STRUCTURES, default="static")
+        p.add_argument("--structure", choices=list(KINDS), default="static")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--block-size", type=int, default=1024)
         p.add_argument(

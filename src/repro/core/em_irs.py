@@ -38,7 +38,7 @@ from ..em.sorted_file import EMSortedFile
 from ..rng import RandomSource
 from ..rng import generator as _generator
 from ..types import QueryStats
-from .base import RangeSampler, validate_query
+from .base import RangeSampler, validate_point, validate_query
 
 try:  # NumPy is optional at runtime; bulk sampling uses it when present.
     import numpy as _np
@@ -128,11 +128,14 @@ class ExternalIRS(RangeSampler):
         Sortedness is enforced by the underlying
         :class:`~repro.em.sorted_file.EMSortedFile`, which raises
         :class:`ValueError` on a decreasing pair while streaming the input
-        to blocks.
+        to blocks.  A NaN point raises
+        :class:`~repro.errors.InvalidQueryError` before any block is
+        written.
         """
         self = cls.__new__(cls)
         self._init_from_sorted(
-            values, block_size, pool_capacity, seed, min_level, buffer_factor, device
+            list(values), block_size, pool_capacity, seed, min_level,
+            buffer_factor, device,
         )
         return self
 
@@ -146,6 +149,10 @@ class ExternalIRS(RangeSampler):
         buffer_factor: float,
         device=None,
     ) -> None:
+        # A stored NaN could never be counted, sampled by range or found
+        # again; refuse it before a block reaches the device.
+        for value in data:
+            validate_point(value)
         self._rng = RandomSource(seed)
         # Any StorageBackend works: the default is the paper's simulated
         # device; pass a repro.store.FileDevice for a real on-disk cold

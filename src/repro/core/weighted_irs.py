@@ -28,7 +28,7 @@ from ..alias.walker import AliasTable
 from ..errors import EmptyRangeError, InvalidWeightError
 from ..rng import RandomSource
 from ..rng import generator as _generator
-from .base import RangeSampler, coerce_query_bounds, validate_query
+from .base import RangeSampler, coerce_query_bounds, validate_point, validate_query
 
 try:  # NumPy is optional at runtime; bulk sampling uses it when present.
     import numpy as _np
@@ -45,7 +45,8 @@ def _checked_planes(values, weights) -> tuple[list[float], list[float]]:
 
     Weights are validated *before* any sorting/zipping downstream: a NaN
     weight would otherwise poison sort-key comparisons and the prefix
-    sums before ever being reported.
+    sums before ever being reported.  A NaN point is refused too
+    (:func:`~repro.core.base.validate_point`).
     """
     values = [float(v) for v in values]
     weights = [float(w) for w in weights]
@@ -56,6 +57,8 @@ def _checked_planes(values, weights) -> tuple[list[float], list[float]]:
     for w in weights:
         if not math.isfinite(w) or w < 0.0:
             raise InvalidWeightError(f"invalid weight: {w!r}")
+    for value in values:
+        validate_point(value)
     return values, weights
 
 

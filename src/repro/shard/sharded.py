@@ -1,7 +1,7 @@
 """``ShardedIRS`` — scatter-gather independent range sampling over shards.
 
 The facade range-partitions the key space across ``P`` shards (each shard
-any existing sampler — static, dynamic, weighted, external) and implements
+one structure kind of :data:`~repro.core.kinds.KINDS`) and implements
 the full sampler API, so it drops into :class:`~repro.batch.
 BatchQueryRunner`, the CLI and the benchmarks unchanged.  The design
 splits each operation into a cheap *plan* on the facade and embarrassingly
@@ -47,12 +47,8 @@ from ..core.base import (
     validate_point,
     validate_query,
 )
-from ..core.dynamic_irs import DynamicIRS
-from ..core.em_irs import ExternalIRS
+from ..core.kinds import KINDS, sort_planes
 from ..core.planes import resolve_dtype
-from ..core.static_irs import StaticIRS
-from ..core.weighted_dynamic import WeightedDynamicIRS
-from ..core.weighted_irs import WeightedStaticIRS
 from ..errors import (
     EmptyRangeError,
     InvalidQueryError,
@@ -75,22 +71,21 @@ except ImportError:  # pragma: no cover - numpy is installed in CI
 
 __all__ = ["ShardedIRS", "SHARD_KINDS"]
 
-SHARD_KINDS = ("static", "dynamic", "weighted", "weighted-dynamic", "external")
-_WEIGHTED_KINDS = ("weighted", "weighted-dynamic")
-
-#: Shard kinds whose structures store float64 planes only (no ``dtype=``).
-_F64_ONLY_KINDS = ("weighted", "external")
+SHARD_KINDS = tuple(KINDS)
 
 
 def _resolve_shard_dtype(values, dtype, shard_kind):
     """Resolve the facade's value-plane dtype for a shard kind.
 
-    The plane kinds (static/dynamic/weighted-dynamic and callables) follow
-    the core resolution rule; the tree- and block-backed kinds store
-    float64 only, so an explicit narrower ``dtype`` is rejected rather
-    than silently widened.
+    An unknown kind raises :class:`ValueError`.  The plane kinds follow
+    the core resolution rule; the float64-only kinds reject an explicit
+    narrower ``dtype`` rather than silently widen it.
     """
-    if isinstance(shard_kind, str) and shard_kind in _F64_ONLY_KINDS:
+    if shard_kind not in KINDS:
+        raise ValueError(
+            f"unknown shard_kind {shard_kind!r}; expected one of {SHARD_KINDS}"
+        )
+    if KINDS[shard_kind].f64_only:
         if dtype is not None and _np.dtype(dtype) != _np.float64:
             raise ValueError(
                 f"shard_kind {shard_kind!r} stores float64 planes only"
@@ -152,9 +147,8 @@ class ShardedIRS(DynamicRangeSampler):
         splits, every per-task generator — derives from it, so a fixed
         seed reproduces results exactly on any backend.
     shard_kind:
-        One of :data:`SHARD_KINDS`, or a callable
-        ``(sorted_values, weights_or_None, seed) -> sampler`` building a
-        custom shard.
+        One of :data:`SHARD_KINDS` (the :data:`~repro.core.kinds.KINDS`
+        names).
     backend:
         ``"serial"`` (default), ``"threads"``, ``"processes"``, or a
         backend instance (see :mod:`repro.shard.executors`).
@@ -205,25 +199,13 @@ class ShardedIRS(DynamicRangeSampler):
         resolved = _resolve_shard_dtype(values, dtype, shard_kind)
         if not isinstance(values, _np.ndarray):
             values = list(values)
-        values = round_to_plane(values, resolved)
-        if weights is None:
-            order = _np.argsort(values, kind="stable")
-            sorted_weights = None
-        else:
-            weights = _np.asarray(list(weights), dtype=float)
-            if len(weights) != len(values):
-                raise ValueError(
-                    f"values and weights differ in length: "
-                    f"{len(values)} != {len(weights)}"
-                )
-            order = _np.argsort(values, kind="stable")
-            sorted_weights = weights[order]
+        values, weights = sort_planes(round_to_plane(values, resolved), weights)
         self._init_common(
             num_shards, seed, shard_kind, backend, max_workers,
             rebalance_factor, block_size, task_timeout,
         )
         self._dtype = resolved
-        self._build_partitions(values[order], sorted_weights)
+        self._build_partitions(values, weights)
 
     @classmethod
     def from_sorted(
@@ -272,16 +254,11 @@ class ShardedIRS(DynamicRangeSampler):
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         if not rebalance_factor > 1.0:
             raise ValueError("rebalance_factor must be > 1")
-        if isinstance(shard_kind, str) and shard_kind not in SHARD_KINDS:
-            raise ValueError(
-                f"unknown shard_kind {shard_kind!r}; expected one of {SHARD_KINDS}"
-            )
         self._target_shards = num_shards
         self._shard_kind = shard_kind
+        self._kind = KINDS[shard_kind]
         self._block_size = block_size
-        self._weighted = (
-            shard_kind in _WEIGHTED_KINDS if isinstance(shard_kind, str) else None
-        )
+        self._weighted = self._kind.weighted
         self._rebalance_factor = float(rebalance_factor)
         self._rng = RandomSource(seed)
         self._entropy = self._rng._rng.getrandbits(64)
@@ -312,37 +289,23 @@ class ShardedIRS(DynamicRangeSampler):
         return derive_seed(self._entropy, -1, self._shard_ticket)
 
     def _make_shard(self, values, weights):
-        """Build one shard over a sorted slice (``from_sorted`` reuse)."""
-        seed = self._next_shard_seed()
-        kind = self._shard_kind
-        if callable(kind):
-            return kind(values, weights, seed)
-        if kind == "static":
-            return StaticIRS.from_sorted(values, seed=seed, dtype=self._dtype)
-        if kind == "dynamic":
-            return DynamicIRS.from_sorted(values, seed=seed, dtype=self._dtype)
-        if kind == "external":
-            return ExternalIRS.from_sorted(
-                values.tolist(), block_size=self._block_size, seed=seed
-            )
-        if kind == "weighted":
-            # WeightedStaticIRS has no from_sorted (its canonical tree build
-            # dominates anyway); the constructor's sort of sorted input is
-            # Timsort-linear.
-            return WeightedStaticIRS(values, weights, seed=seed)
-        if kind == "weighted-dynamic":
-            return WeightedDynamicIRS.from_sorted(
-                values, weights, seed=seed, dtype=self._dtype
-            )
-        raise ValueError(f"unknown shard_kind {kind!r}")  # pragma: no cover
+        """Build one shard over a sorted slice.
+
+        The shard copies its planes (``adopt=False``): ``values`` may be
+        a slice of the caller's array under :meth:`from_sorted`.
+        """
+        return self._kind.build(
+            values, weights, seed=self._next_shard_seed(), dtype=self._dtype,
+            block_size=self._block_size, adopt=False,
+        )
 
     def _build_partitions(self, values, weights) -> None:
         """Cut sorted input into run-aligned slices and build the shards."""
-        if self._weighted is False and weights is not None:
+        if not self._weighted and weights is not None:
             raise InvalidQueryError(
                 f"shard_kind {self._shard_kind!r} does not accept weights"
             )
-        if self._weighted is True and weights is None:
+        if self._weighted and weights is None:
             # Weighted kinds without explicit weights default to unit mass,
             # matching the flat constructors' CLI convention.
             weights = _np.ones(len(values), dtype=float)
@@ -350,27 +313,15 @@ class ShardedIRS(DynamicRangeSampler):
         self._bounds: list[float] = cut_bounds(values, cuts)
         edges = [0, *cuts, len(values)]
         self._shards = []
-        self._snaps: list[_Snapshot | None] = []
-        self._dirty: list[bool] = []
+        self._snaps: list[_Snapshot] = []
         for lo_edge, hi_edge in zip(edges, edges[1:]):
             piece = values[lo_edge:hi_edge]
             wpiece = weights[lo_edge:hi_edge] if weights is not None else None
-            shard = self._make_shard(piece, wpiece)
-            if self._weighted is None:
-                self._weighted = hasattr(shard, "export_sorted_pairs")
-            self._shards.append(shard)
-            if self._weighted and wpiece is None:
-                # A weighted custom factory built without explicit weights
-                # (implicit 1.0s or factory-internal weights): defer to the
-                # shard's own export for the snapshot.
-                self._snaps.append(None)
-                self._dirty.append(True)
-            else:
-                self._snaps.append(self._snapshot_from_arrays(piece, wpiece))
-                self._dirty.append(False)
+            self._shards.append(self._make_shard(piece, wpiece))
+            self._snaps.append(self._snapshot_from_arrays(piece, wpiece))
+        self._dirty = [False] * len(self._shards)
         self._bounds_arr = _np.asarray(self._bounds, dtype=float)
         self._n = int(len(values))
-        self._updatable = all(hasattr(s, "insert") for s in self._shards)
         # The weighted facade varies its update signature with the shard
         # kind so BatchQueryRunner's upfront weighted-insert check sees the
         # truth through ``inspect.signature``.
@@ -483,9 +434,8 @@ class ShardedIRS(DynamicRangeSampler):
         """Release the backend's workers and every shared-memory segment."""
         self._backend.close()
         for snap in self._snaps:
-            if snap is not None:
-                snap.shm_values = None
-                snap.shm_cumw = None
+            snap.shm_values = None
+            snap.shm_cumw = None
         _unlink_segments(self._segments)
 
     def __enter__(self) -> "ShardedIRS":
@@ -511,7 +461,7 @@ class ShardedIRS(DynamicRangeSampler):
     def _refresh(self, i: int) -> _Snapshot:
         """Re-export a stale snapshot; publish it if the backend needs shm."""
         snap = self._snaps[i]
-        if snap is None or self._dirty[i]:
+        if self._dirty[i]:
             self._retire_segments(snap)
             values, weights = self._export_shard(i)
             snap = self._snapshot_from_arrays(values, weights)
@@ -540,8 +490,8 @@ class ShardedIRS(DynamicRangeSampler):
         self._segments[name] = shm
         return shm
 
-    def _retire_segments(self, snap: _Snapshot | None) -> None:
-        for shm in (snap.shm_values, snap.shm_cumw) if snap is not None else ():
+    def _retire_segments(self, snap: _Snapshot) -> None:
+        for shm in (snap.shm_values, snap.shm_cumw):
             if shm is not None:
                 self._segments.pop(shm.name, None)
                 try:
@@ -623,12 +573,7 @@ class ShardedIRS(DynamicRangeSampler):
         queries = list(queries)
         total = _np.zeros(len(queries), dtype=float)
         for shard in self._shards:
-            peek = getattr(shard, "peek_weights", None)
-            if peek is not None:
-                total += _np.asarray(peek(queries), dtype=float)
-            else:  # pragma: no cover - both weighted kinds expose the probe
-                for j, (lo, hi) in enumerate(queries):
-                    total[j] += shard.range_weight(lo, hi)
+            total += _np.asarray(shard.peek_weights(queries), dtype=float)
         return total
 
     # -- sampling ----------------------------------------------------------------
@@ -1012,7 +957,7 @@ class ShardedIRS(DynamicRangeSampler):
     # -- updates -----------------------------------------------------------------
 
     def _require_updatable(self) -> None:
-        if not self._updatable:
+        if not self._kind.updatable:
             raise TypeError(
                 f"shard kind {self._shard_kind!r} is static and does not "
                 "support updates"
@@ -1047,13 +992,7 @@ class ShardedIRS(DynamicRangeSampler):
             return
         validate_point(batch[-1])  # before any shard takes its group
         for i, g0, g1 in self._route_groups(batch):
-            shard = self._shards[i]
-            bulk = getattr(shard, "insert_bulk", None)
-            if bulk is not None:
-                bulk(batch[g0:g1])
-            else:  # pragma: no cover - all dynamic shards have bulk paths
-                for value in batch[g0:g1]:
-                    shard.insert(float(value))
+            self._shards[i].insert_bulk(batch[g0:g1])
             self._mark_dirty(i)
         self._n += int(batch.size)
         self._maybe_rebalance()
@@ -1251,7 +1190,7 @@ class ShardedIRS(DynamicRangeSampler):
             ]
             pieces[best : best + 2] = [merged]
         shards = []
-        snaps: list[_Snapshot | None] = []
+        snaps: list[_Snapshot] = []
         dirty: list[bool] = []
         bounds: list[float] = []
         for j, (_size, original, values, weights) in enumerate(pieces):
@@ -1298,7 +1237,7 @@ class ShardedIRS(DynamicRangeSampler):
                 routed = route_values(self._bounds_arr, values)
                 assert routed.min() == routed.max() == i, "routing invariant broken"
                 prev_max = values[-1]
-            if not self._dirty[i] and self._snaps[i] is not None:
+            if not self._dirty[i]:
                 assert _np.array_equal(self._snaps[i].values, values), (
                     "clean snapshot is stale"
                 )

@@ -17,11 +17,15 @@ temporary directory, the manifest is written last, and one atomic
 ``.tmp`` directory that the next :meth:`SnapshotStore.latest` ignores.
 
 Recovery is the O(n) inverse: :func:`build_from_sorted` feeds each plane
-pair to the recorded kind's ``from_sorted`` constructor, skipping the
-sort entirely — a ``static`` structure *adopts* its decoded plane
-zero-copy (``copy=False``), so its recovery allocates no second value
-plane, and the dynamic kinds copy theirs once, straight into their slab —
-and the caller then replays the WAL suffix with ``seq > wal_seq``.
+pair to the recorded kind's builder (:data:`~repro.core.kinds.KINDS`),
+skipping the sort entirely — a ``static`` structure *adopts* its decoded
+plane zero-copy, so its recovery allocates no second value plane, and the
+dynamic kinds copy theirs once, straight into their slab — and the caller
+then replays the WAL suffix with ``seq > wal_seq``.
+
+Only the table's kinds and :class:`~repro.shard.ShardedIRS` over one of
+them can be snapshotted; anything else raises
+:class:`~repro.errors.StorageError` before a file is written.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import json
 import os
 import zlib
 
+from ..core.kinds import KINDS, dtype_param
 from ..errors import CorruptRecordError, StorageError
 
 try:  # NumPy is optional at runtime; plane codecs fall back to array('d').
@@ -47,73 +52,30 @@ _FORMAT = 1
 def snapshot_spec(sampler) -> dict:
     """Return the manifest entry describing how to rebuild ``sampler``.
 
-    The spec records the sampler's *kind* (the CLI structure vocabulary:
-    ``static``, ``dynamic``, ``weighted``, ``weighted-dynamic``,
-    ``external``, plus ``sharded``), whether it carries a weight plane,
-    and the kind-specific rebuild parameters.  Samplers that cannot be
-    described — a :class:`~repro.shard.ShardedIRS` built from a callable
-    ``shard_kind``, or an alien type without ``export_sorted`` — raise
-    :class:`~repro.errors.StorageError`.
+    The spec records the sampler's *kind* (a :data:`~repro.core.kinds.
+    KINDS` name, or ``sharded`` for a :class:`~repro.shard.ShardedIRS`),
+    whether it carries a weight plane, and the kind's rebuild parameters.
+    Any other sampler raises :class:`~repro.errors.StorageError`: with no
+    row to rebuild it from, its snapshot could not be recovered.
     """
-    from ..core.dynamic_irs import DynamicIRS
-    from ..core.em_irs import ExternalIRS
-    from ..core.static_irs import StaticIRS
-    from ..core.weighted_dynamic import WeightedDynamicIRS
-    from ..core.weighted_irs import WeightedStaticIRS
     from ..shard import ShardedIRS
 
     if isinstance(sampler, ShardedIRS):
-        kind = sampler._shard_kind
-        if not isinstance(kind, str):
-            raise StorageError(
-                "cannot snapshot a ShardedIRS built from a callable shard_kind"
-            )
         params = {
             "num_shards": sampler._target_shards,
-            "shard_kind": kind,
+            "shard_kind": sampler._shard_kind,
             "backend": sampler.backend_name,
             "block_size": sampler._block_size,
+            **dtype_param(sampler),
         }
-        dtype = getattr(sampler, "dtype", None)
-        if dtype is not None and _np is not None and _np.dtype(dtype) != _np.float64:
-            params["dtype"] = _np.dtype(dtype).name
-        return {
-            "kind": "sharded",
-            "weighted": bool(sampler._weighted),
-            "params": params,
-        }
-    if isinstance(sampler, ExternalIRS):
-        return {
-            "kind": "external",
-            "weighted": False,
-            "params": {"block_size": sampler.device.block_size},
-        }
-    for klass, kind, weighted in (
-        (WeightedDynamicIRS, "weighted-dynamic", True),
-        (WeightedStaticIRS, "weighted", True),
-        (DynamicIRS, "dynamic", False),
-        (StaticIRS, "static", False),
-    ):
-        if isinstance(sampler, klass):
-            params: dict = {}
-            dtype = getattr(sampler, "dtype", None)
-            if dtype is not None and _np is not None and _np.dtype(dtype) != _np.float64:
-                # Non-default plane dtype: recorded so recovery rebuilds the
-                # structure at the same precision (float64 stays implicit,
-                # keeping manifests byte-identical to older snapshots).
-                params["dtype"] = _np.dtype(dtype).name
-            return {"kind": kind, "weighted": weighted, "params": params}
-    if hasattr(sampler, "export_sorted") and hasattr(type(sampler), "from_sorted"):
-        # Custom sampler honoring the uniform snapshot surface: recoverable
-        # as long as the same class is registered again at recovery time.
-        return {
-            "kind": type(sampler).__name__,
-            "weighted": hasattr(sampler, "export_sorted_pairs"),
-            "params": {},
-        }
+        return {"kind": "sharded", "weighted": sampler._weighted, "params": params}
+    for name, kind in KINDS.items():
+        if isinstance(sampler, kind.cls):
+            params = kind.params(sampler)
+            return {"kind": name, "weighted": kind.weighted, "params": params}
     raise StorageError(
-        f"{type(sampler).__name__} exposes no export_sorted/from_sorted "
-        "snapshot surface"
+        f"cannot snapshot a {type(sampler).__name__}: expected one of "
+        f"{list(KINDS)} or a ShardedIRS"
     )
 
 
@@ -124,38 +86,13 @@ def build_from_sorted(spec: dict, values, weights=None, *, seed=None):
     for weighted kinds) are the decoded planes.  Unknown kinds raise
     :class:`~repro.errors.StorageError`.
     """
-    from ..core.dynamic_irs import DynamicIRS
-    from ..core.em_irs import ExternalIRS
-    from ..core.static_irs import StaticIRS
-    from ..core.weighted_dynamic import WeightedDynamicIRS
-    from ..core.weighted_irs import WeightedStaticIRS
-    from ..shard import ShardedIRS
-
     kind = spec.get("kind")
     params = spec.get("params", {})
     dtype = params.get("dtype")
-    if kind == "static":
-        # Adopt the decoded plane zero-copy when it already has the target
-        # dtype (the common case: planes are stored in the structure's own
-        # dtype) — recovery then allocates no second value plane.
-        adopt = (
-            _np is not None
-            and isinstance(values, _np.ndarray)
-            and (dtype is None or _np.dtype(dtype) == values.dtype)
-        )
-        return StaticIRS.from_sorted(values, seed=seed, dtype=dtype, copy=not adopt)
-    if kind == "dynamic":
-        return DynamicIRS.from_sorted(values, seed=seed, dtype=dtype)
-    if kind == "weighted":
-        return WeightedStaticIRS.from_sorted(values, weights, seed=seed)
-    if kind == "weighted-dynamic":
-        return WeightedDynamicIRS.from_sorted(values, weights, seed=seed, dtype=dtype)
-    if kind == "external":
-        data = values.tolist() if hasattr(values, "tolist") else list(values)
-        return ExternalIRS.from_sorted(
-            data, block_size=int(params.get("block_size", 1024)), seed=seed
-        )
+    block_size = int(params.get("block_size", 1024))
     if kind == "sharded":
+        from ..shard import ShardedIRS
+
         return ShardedIRS.from_sorted(
             values,
             num_shards=int(params.get("num_shards", 4)),
@@ -163,10 +100,24 @@ def build_from_sorted(spec: dict, values, weights=None, *, seed=None):
             seed=seed,
             shard_kind=params.get("shard_kind", "dynamic"),
             backend=params.get("backend", "serial"),
-            block_size=int(params.get("block_size", 1024)),
+            block_size=block_size,
             dtype=dtype,
         )
-    raise StorageError(f"cannot rebuild snapshot of unknown kind {kind!r}")
+    row = KINDS.get(kind) if isinstance(kind, str) else None
+    if row is None:
+        raise StorageError(f"cannot rebuild snapshot of unknown kind {kind!r}")
+    # The decoded plane is ours, so a static structure may adopt it
+    # zero-copy when it already has the target dtype (the common case:
+    # planes are stored in the structure's own dtype) — recovery then
+    # allocates no second value plane.
+    adopt = (
+        _np is not None
+        and isinstance(values, _np.ndarray)
+        and (dtype is None or _np.dtype(dtype) == values.dtype)
+    )
+    return row.build(
+        values, weights, seed=seed, dtype=dtype, block_size=block_size, adopt=adopt
+    )
 
 
 def _plane_bytes(array) -> tuple[bytes, str]:
@@ -254,13 +205,19 @@ class SnapshotStore:
         ``structures`` maps name -> sampler.  The write is atomic: all
         planes and the manifest land in a temp directory that is renamed
         into place only when complete, then older snapshots are pruned.
+        A structure :func:`snapshot_spec` refuses raises
+        :class:`~repro.errors.StorageError` before anything is written.
         """
+        # Every spec resolves before the temp directory exists: a refused
+        # structure must leave nothing behind (_snap_dirs and prune skip
+        # temp names, so nothing would ever remove it).
+        specs = [(name, sampler, snapshot_spec(sampler))
+                 for name, sampler in sorted(structures.items())]
         final = f"{_SNAP_PREFIX}{int(wal_seq):016d}"
         tmp = os.path.join(self.directory, f"{final}{_TMP_MARKER}-{os.getpid()}")
         os.makedirs(tmp, exist_ok=True)
         manifest: dict = {"format": _FORMAT, "wal_seq": int(wal_seq), "structures": {}}
-        for index, (name, sampler) in enumerate(sorted(structures.items())):
-            spec = snapshot_spec(sampler)
+        for index, (name, sampler, spec) in enumerate(specs):
             if spec["weighted"]:
                 values, weights = sampler.export_sorted_pairs()
             else:

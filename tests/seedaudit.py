@@ -5,12 +5,26 @@ mapping ``"<kind>/<path>"`` to a SHA-256 fingerprint of the drawn values.
 ``test_seed_determinism.py`` runs it twice in *fresh processes* and asserts
 every entry is byte-identical — the audit that no sampling path smuggles in
 process-local state (hash randomization, id()-keyed dicts, global RNGs).
+
+Besides the sampling paths it pins how each structure kind is built:
+``cli/<kind>`` (the CLI's output, flat and with ``--shards 3``),
+``sharded-<kind>/updates`` (a 3-shard facade, float32 where the kind
+takes a dtype, through a scalar and a bulk update pass with a rebalance)
+and ``<name>/recovered`` (snapshot save → load → ``build_from_sorted``,
+including the ``manifest.json`` bytes).  The script uses only names that
+exist across versions, so running it with each commit's ``src`` on
+``PYTHONPATH`` and comparing the outputs checks that a change kept every
+seeded result byte-identical.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import os
+import tempfile
 
 ROOT_SEED = 123_456_789
 DATA = [float((i * 53) % 401) for i in range(400)]
@@ -151,9 +165,172 @@ def served_fingerprints() -> dict[str, str]:
     return asyncio.run(scenario())
 
 
+def shard_kinds() -> tuple:
+    from repro.shard import SHARD_KINDS
+
+    return SHARD_KINDS
+
+
+def _weighted(kind: str) -> bool:
+    return kind.startswith("weighted")
+
+
+def cli_fingerprints(workdir: str) -> dict[str, str]:
+    from repro.cli import main as cli_main
+
+    data = os.path.join(workdir, "points.txt")
+    weights = os.path.join(workdir, "weights.txt")
+    queries = os.path.join(workdir, "queries.txt")
+    with open(data, "w") as handle:
+        handle.write("\n".join(repr(v) for v in DATA))
+    with open(weights, "w") as handle:
+        handle.write("\n".join(repr(w) for w in WEIGHTS))
+    with open(queries, "w") as handle:
+        handle.write("20 380\n100 140 8\n0 400 32\n")
+    window = ["--lo", str(LO), "--hi", str(HI)]
+    commands = [
+        ["count", *window],
+        ["report", "--lo", "100", "--hi", "120"],
+        ["sample", *window, "-t", "16", "--seed", "7"],
+        ["mean", *window, "-t", "64", "--seed", "7"],
+        ["estimate", *window, "--target-ci", "5", "--seed", "7"],
+        ["batch", "--queries", queries, "-t", "16", "--seed", "7"],
+    ]
+    out: dict[str, str] = {}
+    for kind in shard_kinds():
+        for suffix, shards in (("", "1"), ("/shards=3", "3")):
+            common = ["--data", data, "--structure", kind, "--block-size", "32",
+                      "--shards", shards]
+            runs = [[*command, *common, "--weights", weights] for command in commands]
+            runs.append(["sample", *window, "-t", "16", "--seed", "8", *common])
+            outputs = []
+            for argv in runs:
+                buffer = io.StringIO()
+                with contextlib.redirect_stdout(buffer):
+                    cli_main(argv)
+                # The batch summary line carries wall-clock timings.
+                outputs.append(
+                    [line for line in buffer.getvalue().splitlines()
+                     if not line.startswith("#")]
+                )
+            out[f"cli/{kind}{suffix}"] = _fingerprint(outputs)
+    return out
+
+
+def sharded_fingerprints() -> dict[str, str]:
+    from repro import ShardedIRS
+    from repro.rng import derive_seed
+
+    bulk = [100.0 + (i % 240) / 8 for i in range(720)]  # skews one shard
+    out: dict[str, str] = {}
+    for kind in shard_kinds():
+        weights = WEIGHTS if _weighted(kind) else None
+        try:
+            sharded = ShardedIRS(DATA, num_shards=3, weights=weights,
+                                 seed=ROOT_SEED, shard_kind=kind, dtype="float32")
+        except ValueError:  # the kind stores float64 planes only
+            sharded = ShardedIRS(DATA, num_shards=3, weights=weights,
+                                 seed=ROOT_SEED, shard_kind=kind)
+        record = [
+            str(sharded.dtype),
+            list(sharded.bounds),
+            [_floats(sharded.sample(LO, HI, 8)) for _ in range(2)],
+            _floats(sharded.sample_bulk(LO, HI, T, seed=derive_seed(ROOT_SEED, 4))),
+        ]
+        try:
+            if _weighted(kind):
+                sharded.insert(50.5, 3.0)
+                sharded.insert_bulk(bulk, [1.0 + i % 4 for i in range(len(bulk))])
+            else:
+                sharded.insert(50.5)
+                sharded.insert_bulk(bulk)
+            sharded.delete(50.5)
+            sharded.delete_bulk(bulk[::3])
+        except TypeError as exc:  # the static kinds take no updates
+            record.append(type(exc).__name__)
+        record += [
+            sharded.num_shards,
+            list(sharded.bounds),
+            sharded.stats.extra.get("rebalances", 0),
+            sharded.export_sorted().tolist(),
+            [int(c) for c in sharded.peek_counts([(LO, HI), (100.0, 130.0)])],
+            [_floats(sharded.sample(LO, HI, 8)) for _ in range(2)],
+            _floats(sharded.sample_bulk(LO, HI, T, seed=derive_seed(ROOT_SEED, 5))),
+        ]
+        sharded.close()
+        out[f"sharded-{kind}/updates"] = _fingerprint(record)
+    return out
+
+
+def recovered_factories():
+    from repro import DynamicIRS, ShardedIRS, StaticIRS, WeightedDynamicIRS
+
+    factories = dict(build_factories())
+    factories.update({
+        "static-f4": lambda: StaticIRS(DATA, seed=ROOT_SEED, dtype="float32"),
+        "dynamic-f4": lambda: DynamicIRS(DATA, seed=ROOT_SEED, dtype="float32"),
+        "weighted-dynamic-f4": lambda: WeightedDynamicIRS(
+            DATA, WEIGHTS, seed=ROOT_SEED, dtype="float32"
+        ),
+        "sharded-f4": lambda: ShardedIRS(
+            DATA, num_shards=3, seed=ROOT_SEED, shard_kind="static", dtype="float32"
+        ),
+        "sharded-weighted": lambda: ShardedIRS(
+            DATA, num_shards=3, weights=WEIGHTS, seed=ROOT_SEED,
+            shard_kind="weighted-dynamic",
+        ),
+    })
+    return factories
+
+
+def recovered_fingerprints(workdir: str) -> dict[str, str]:
+    import numpy as np
+
+    from repro.errors import StorageError
+    from repro.rng import derive_seed
+    from repro.store import SnapshotStore, build_from_sorted
+
+    out: dict[str, str] = {}
+    for index, (name, factory) in enumerate(sorted(recovered_factories().items())):
+        sampler = factory()
+        store = SnapshotStore(os.path.join(workdir, f"snaps{index}"))
+        try:
+            path = store.save({"s": sampler}, wal_seq=index + 1)
+        except StorageError as exc:  # a kind snapshots refuse
+            out[f"{name}/recovered"] = _fingerprint([type(exc).__name__])
+            continue
+        finally:
+            close = getattr(sampler, "close", None)
+            if close is not None:
+                close()
+        with open(os.path.join(path, "manifest.json"), "rb") as handle:
+            manifest = handle.read().decode()
+        spec, values, weights = store.load()["s"]
+        rebuilt = build_from_sorted(spec, values, weights, seed=ROOT_SEED)
+        exported = rebuilt.export_sorted()
+        record = [
+            manifest,
+            type(rebuilt).__name__,
+            str(np.asarray(exported).dtype),
+            bool(np.shares_memory(np.asarray(exported), values)),
+            np.asarray(exported).tolist(),
+            rebuilt.count(LO, HI),
+            _floats(rebuilt.sample_bulk(LO, HI, T, seed=derive_seed(ROOT_SEED, 6))),
+        ]
+        close = getattr(rebuilt, "close", None)
+        if close is not None:
+            close()
+        out[f"{name}/recovered"] = _fingerprint(record)
+    return out
+
+
 def main() -> None:
     fingerprints = direct_fingerprints()
     fingerprints.update(served_fingerprints())
+    fingerprints.update(sharded_fingerprints())
+    with tempfile.TemporaryDirectory() as workdir:
+        fingerprints.update(cli_fingerprints(workdir))
+        fingerprints.update(recovered_fingerprints(workdir))
     print(json.dumps(fingerprints, sort_keys=True))
 
 

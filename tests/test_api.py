@@ -30,11 +30,10 @@ def test_version():
         "repro.core.weighted_dynamic",
         "repro.core.em_irs",
         "repro.core.without_replacement",
+        "repro.core.kinds",
         "repro.cli",
         "repro.stats.estimators",
         "repro.alias.walker",
-        "repro.baselines.treap",
-        "repro.baselines.pma",
         "repro.em.device",
         "repro.em.pool",
         "repro.em.btree",

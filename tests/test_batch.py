@@ -83,7 +83,7 @@ class TestBulkUniformity:
         assert p > P_PASS
 
     def test_dynamic_bulk_uniform_on_wide_range(self, uniform_data):
-        # Small t over a wide range forces the PMA rejection middle path.
+        # Small t over a wide range forces the middle-window rejection path.
         sampler = DynamicIRS(uniform_data, seed=72)
         lo, hi = 0.05, 0.95
         collected = np.concatenate(

@@ -307,7 +307,7 @@ class TestNewBulkReadPaths:
         assert p > P_PASS
 
     def test_weighted_dynamic_bulk_wide_middle_descent_path(self):
-        # Many chunks, few samples per call: the treap-descent middle path.
+        # Many chunks, few samples per call: the grouped two-pass middle path.
         values = [float(i) for i in range(20_000)]
         w = WeightedDynamicIRS(values, seed=52)
         collected = np.concatenate(

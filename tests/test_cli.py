@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import subprocess
 import sys
 
 import pytest
 
-from repro.cli import build_structure, main, read_floats
+from repro.cli import _parser, build_structure, main, read_floats
 
 
 @pytest.fixture()
@@ -39,6 +40,19 @@ class TestHelpers:
     def test_build_structure_unknown(self):
         with pytest.raises(ValueError):
             build_structure("nope", [1.0], None, None, 4)
+
+    def test_kind_vocabulary_is_the_kinds_table(self):
+        """The CLI and the shard facade name exactly the table's kinds."""
+        from repro.core.kinds import KINDS
+        from repro.shard import SHARD_KINDS
+
+        assert SHARD_KINDS == tuple(KINDS)
+        subcommands = next(
+            a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        for command, sub in subcommands.choices.items():
+            (structure,) = [a for a in sub._actions if a.dest == "structure"]
+            assert structure.choices == list(KINDS), command
 
 
 class TestCommands:

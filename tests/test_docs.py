@@ -46,3 +46,25 @@ def test_wire_table_lists_every_served_op():
     text = (ROOT / "docs/api.md").read_text()
     table = text.split("| `op` | Fields | Result |", 1)[1].split("\n\n", 1)[0]
     assert re.findall(r"^\| `(\w+)` \|", table, re.MULTILINE) == list(OPS)
+
+
+def test_kinds_table_lists_every_structure_kind():
+    """docs/api.md's kinds table has one honest row per ``KINDS`` entry."""
+    from repro.core.kinds import KINDS
+
+    text = (ROOT / "docs/api.md").read_text()
+    table = text.split("| Kind | Class |", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(
+        r"^\| `([\w-]+)` \| `(\w+)` \| (yes|no) \| (yes|no) \| ([^|]+) \|",
+        table,
+        re.MULTILINE,
+    )
+
+    def yes(flag):
+        return "yes" if flag else "no"
+
+    assert [(n, c, w, u, p.strip()) for n, c, w, u, p in rows] == [
+        (name, kind.cls.__name__, yes(kind.weighted), yes(kind.updatable),
+         "f8" if kind.f64_only else "f4, f8")
+        for name, kind in KINDS.items()
+    ]

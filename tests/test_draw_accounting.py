@@ -40,7 +40,7 @@ class TestDynamicBudget:
         t = 4000
         d.sample(100.5, 49_000.5, t)
         per_sample = (d._rng.draws - before) / t
-        # 1 part draw + expected O(1) rejection probes on the PMA path.
+        # 1 part draw + expected O(1) rejection probes in the middle window.
         assert per_sample < 6.0, per_sample
 
     def test_cumulative_path_single_draw(self):

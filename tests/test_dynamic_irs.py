@@ -190,7 +190,7 @@ class TestDistribution:
         assert p > 1e-4
 
     def test_expected_constant_rejections(self):
-        """Rejection count per sample must stay O(1) on the PMA path."""
+        """Rejection count per sample must stay O(1) on the middle-window path."""
         d = DynamicIRS([float(i) for i in range(50000)], seed=55)
         d.stats.reset()
         t = 5000

@@ -1,8 +1,9 @@
 """Seed-determinism audit: every sampler × path, byte-identical across runs.
 
 ``seedaudit.py`` fingerprints every sampler kind through every sampling
-path (scalar, seeded bulk, stratified, without-replacement, served) under
-one fixed root seed.  This suite runs it in two *fresh* Python processes —
+path (scalar, seeded bulk, stratified, without-replacement, served), the
+CLI, a sharded update pass and snapshot recovery under one fixed root
+seed.  This suite runs it in two *fresh* Python processes —
 fresh hash randomization, fresh module state, fresh event loops — and
 asserts the fingerprints agree entry by entry.  Any path that leaks
 process-local state into its draws fails here with the exact
@@ -28,6 +29,10 @@ EXPECTED_KEYS = sorted(
      for path in ("scalar", "bulk", "stratified", "served")]
     + [f"{kind}/without-replacement"
        for kind in ("static", "dynamic", "sharded", "windowed")]
+    + [f"cli/{kind}{suffix}" for kind in seedaudit.shard_kinds()
+       for suffix in ("", "/shards=3")]
+    + [f"sharded-{kind}/updates" for kind in seedaudit.shard_kinds()]
+    + [f"{name}/recovered" for name in seedaudit.recovered_factories()]
 )
 
 

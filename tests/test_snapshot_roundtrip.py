@@ -21,6 +21,7 @@ from repro import (
     WeightedDynamicIRS,
     WeightedStaticIRS,
 )
+from repro.core.kinds import KINDS
 from repro.errors import InvalidQueryError
 from repro.store import SnapshotStore, build_from_sorted, snapshot_spec
 from repro.workloads import gaussian_mixture
@@ -82,6 +83,10 @@ BUILDERS = {
     "sharded-weighted": build_sharded_weighted,
     "sharded-external": build_sharded_external,
 }
+
+
+def test_builders_cover_every_kind():
+    assert set(KINDS) <= set(BUILDERS)
 
 
 def assert_equivalent(original, rebuilt, *, weighted):

@@ -9,7 +9,7 @@ import zlib
 
 import pytest
 
-from repro import DynamicIRS, WeightedDynamicIRS
+from repro import DynamicIRS, WeightedDynamicIRS, WindowedIRS
 from repro.batch import BatchOp
 from repro.errors import CorruptRecordError, StorageError
 from repro.store import (
@@ -216,17 +216,61 @@ def test_snapshot_crc_mismatch_raises(tmp_path):
         store.load()
 
 
+class _SortedSurface:
+    """A sampler class with the snapshot surface but no kind row."""
+
+    def __init__(self, values):
+        self._values = sorted(values)
+
+    def export_sorted(self):
+        return self._values
+
+    @classmethod
+    def from_sorted(cls, values):
+        return cls(values)
+
+
 def test_snapshot_spec_rejects_undescribable_samplers():
     with pytest.raises(StorageError):
         snapshot_spec(object())
+    # No registry could rebuild a custom class at recovery, so it is
+    # refused rather than checkpointed into an unreadable snapshot.
+    with pytest.raises(StorageError):
+        snapshot_spec(_SortedSurface([1.0, 2.0]))
     from repro import ShardedIRS
 
     def custom_shard(values, weights, seed):
         return DynamicIRS.from_sorted(list(values), seed=seed)
 
-    sharded = ShardedIRS([1.0, 2.0], num_shards=2, shard_kind=custom_shard)
-    with pytest.raises(StorageError):
-        snapshot_spec(sharded)
+    with pytest.raises(ValueError):
+        ShardedIRS([1.0, 2.0], num_shards=2, shard_kind=custom_shard)
+
+
+@pytest.mark.parametrize(
+    "refused",
+    [
+        lambda: WindowedIRS([1.0, 2.0], window=8, seed=1),
+        lambda: _SortedSurface([1.0, 2.0]),
+    ],
+    ids=["windowed", "custom-class"],
+)
+def test_refused_checkpoint_writes_nothing_and_keeps_the_wal(tmp_path, refused):
+    data_dir = tmp_path / "d"
+    with DurableStore(data_dir) as store:
+        store.log_batch([("insert", 4.0)])
+        # "default" sorts before "w", so its planes would be written
+        # first if the refusal came late.
+        structures = {"default": DynamicIRS([1.0, 2.0, 3.0], seed=5), "w": refused()}
+        with pytest.raises(StorageError):
+            store.snapshot(structures)
+        assert os.listdir(data_dir / "snapshots") == []
+        assert store.ops_since_snapshot == 1
+    with DurableStore(data_dir) as store:
+        report = store.recover({"default": DynamicIRS([1.0, 2.0, 3.0], seed=5)})
+        assert (report.snapshot_seq, report.replayed_ops) == (0, 1)
+        assert report.structures["default"].export_sorted().tolist() == [
+            1.0, 2.0, 3.0, 4.0,
+        ]
 
 
 def test_build_from_sorted_rejects_unknown_kind():

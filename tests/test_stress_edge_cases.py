@@ -2,7 +2,7 @@
 
 These target the inputs most likely to break chunked/indexed designs:
 all-equal multisets (every boundary search ties), adversarial hot-spot
-updates (every split lands in one PMA region), huge value magnitudes, and
+updates (every split lands in one chunk), huge value magnitudes, and
 alternating build/teardown cycles.
 """
 
@@ -21,7 +21,9 @@ from repro import (
     ShardedIRS,
     StaticIRS,
     WeightedDynamicIRS,
+    WeightedStaticIRS,
 )
+from repro.em import BlockDevice
 from repro.errors import KeyNotFoundError
 from repro.stats import uniformity_test
 from repro.workloads import UpdateStream
@@ -234,12 +236,23 @@ class TestExtremeValues:
             lambda v: DynamicIRS.from_sorted(v, seed=1),
             lambda v: WeightedDynamicIRS(v, seed=1),
             lambda v: WeightedDynamicIRS.from_sorted(v, seed=1),
+            lambda v: WeightedStaticIRS(v, [1.0] * len(v), seed=1),
+            lambda v: WeightedStaticIRS.from_sorted(v, [1.0] * len(v), seed=1),
+            lambda v: ExternalIRS(v, block_size=64, seed=1),
+            lambda v: ExternalIRS.from_sorted(v, block_size=64, seed=1),
             lambda v: ShardedIRS(v, num_shards=4, seed=1),
             lambda v: ShardedIRS.from_sorted(v, num_shards=4, seed=1),
+            lambda v: ShardedIRS(v, num_shards=4, seed=1, shard_kind="weighted"),
+            lambda v: ShardedIRS(v, num_shards=4, seed=1, shard_kind="external"),
         ):
             for bad in ([nan], [nan] + base, base[:500] + [nan] + base[500:], base + [nan]):
                 with pytest.raises(InvalidQueryError):
                     build(bad)
+        for bad in (base[:500] + [nan] + base[500:], base + [nan]):
+            device = BlockDevice(64)  # an external build writes no block first
+            with pytest.raises(InvalidQueryError):
+                ExternalIRS.from_sorted(bad, block_size=64, device=device)
+            assert device.blocks_in_use == 0
         small = [0.5, nan, 1.5]  # the scalar loop below the bulk cutoff
         big = [0.5 + i for i in range(20)] + [nan] + [20.5 + i for i in range(20)]
         for s in (
