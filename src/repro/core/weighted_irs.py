@@ -1,6 +1,6 @@
 """Weighted static IRS — extension X1 (canonical decomposition + alias).
 
-Points carry positive weights; a query returns samples where point ``p`` is
+Points carry nonnegative weights; a query returns samples where point ``p`` is
 drawn with probability ``w(p) / w(P ∩ q)`` — exactly, with no rejection, so
 the query bound is **worst case**:
 
@@ -70,9 +70,10 @@ class WeightedStaticIRS(RangeSampler):
     values:
         Point coordinates (duplicates allowed).
     weights:
-        Matching nonnegative finite weights; at least one positive weight is
-        required overall, and sampling a sub-range whose total weight is zero
-        raises :class:`~repro.errors.EmptyRangeError`.
+        Matching nonnegative finite weights.  A plane whose weights are all
+        zero is legal (a weighted :class:`~repro.shard.ShardedIRS` builds
+        such shards); sampling a range whose total weight is zero — any
+        range of such a plane — raises :class:`~repro.errors.EmptyRangeError`.
     seed:
         Seed of the private random stream.
     """

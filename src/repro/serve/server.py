@@ -812,10 +812,12 @@ class ReproServer:
     def _maybe_checkpoint(self, loop) -> None:
         """Snapshot when the size or wall-clock trigger fires.
 
-        A failing checkpoint (the snapshot directory's disk misbehaving)
-        is recorded on :attr:`last_snapshot_error` and retried on a later
-        trigger instead of killing the executor — the WAL still holds
-        everything the snapshot would have covered.
+        A failing checkpoint (the snapshot directory's disk misbehaving,
+        or a structure snapshots refuse) is recorded on
+        :attr:`last_snapshot_error` and retried on a later trigger —
+        another ``snapshot_ops`` logged ops or the next interval — instead
+        of killing the executor or retrying every batch; the WAL still
+        holds everything the snapshot would have covered.
         """
         if self.store is None:
             return

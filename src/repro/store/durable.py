@@ -87,8 +87,17 @@ class DurableStore:
             file_wrapper=file_wrapper,
         )
         self.snapshots = SnapshotStore(os.path.join(self.data_dir, "snapshots"))
+        # The sequence floor: a checkpoint may delete every segment it
+        # covers, and a log reopened empty would number new records from
+        # 1 — at or below the snapshot, where recovery skips them.
+        latest = self.snapshots.latest()
+        if latest is not None:
+            self.wal.last_seq = max(self.wal.last_seq, latest[0])
         self.snapshot_ops = int(snapshot_ops)
         self._ops_since_snapshot = 0
+        # The size trigger fires at this many ops since the last snapshot;
+        # a failed checkpoint pushes it another snapshot_ops ops out.
+        self._snapshot_due = self.snapshot_ops
         # Checkpoint instruments (pulled at scrape time).
         self.snapshots_taken = 0
         self.last_snapshot_seconds = 0.0
@@ -123,8 +132,12 @@ class DurableStore:
     # -- checkpointing -------------------------------------------------------
 
     def should_snapshot(self) -> bool:
-        """True once enough updates accumulated since the last snapshot."""
-        return self._ops_since_snapshot >= self.snapshot_ops
+        """True once enough updates accumulated since the last snapshot.
+
+        After a failed checkpoint it turns true again only once another
+        ``snapshot_ops`` update ops have been logged.
+        """
+        return self._ops_since_snapshot >= self._snapshot_due
 
     def maybe_snapshot(self, structures) -> int | None:
         """Checkpoint if the size trigger fired; return the seq or None."""
@@ -135,16 +148,25 @@ class DurableStore:
     def snapshot(self, structures) -> int:
         """Checkpoint ``structures`` at the current WAL position.
 
-        The WAL is fsynced first so the snapshot can never claim to cover
+        A structure the snapshot store refuses raises
+        :class:`~repro.errors.StorageError` before anything is paid.  The
+        WAL is then fsynced so the snapshot can never claim to cover
         records that are not themselves durable; after publication the
-        covered WAL prefix is deleted.
+        covered WAL segments are deleted by name, reading no record, so
+        a checkpoint costs one snapshot write however much the WAL holds.
         """
         started = time.perf_counter()
-        self.wal.sync()
-        seq = self.wal.last_seq
-        self.snapshots.save(structures, seq)
-        self.wal.truncate_through(seq)
+        try:
+            specs = self.snapshots.resolve(structures)
+            self.wal.sync()
+            seq = self.wal.last_seq
+            self.snapshots.save(specs, seq)
+            self.wal.truncate_through(seq)
+        except Exception:
+            self._snapshot_due = self._ops_since_snapshot + self.snapshot_ops
+            raise
         self._ops_since_snapshot = 0
+        self._snapshot_due = self.snapshot_ops
         self.snapshots_taken += 1
         self.last_snapshot_seconds = time.perf_counter() - started
         self.snapshot_seconds_total += self.last_snapshot_seconds
@@ -171,10 +193,10 @@ class DurableStore:
         from ..batch import BatchQueryRunner
 
         report = RecoveryReport(structures=dict(structures))
-        loaded = self.snapshots.load()
-        if loaded:
-            entry = self.snapshots.latest()
-            report.snapshot_seq = entry[0] if entry is not None else 0
+        entry = self.snapshots.latest()
+        if entry is not None:
+            report.snapshot_seq, manifest = entry
+            loaded = self.snapshots.load(manifest)
             for index, (name, (spec, values, weights)) in enumerate(
                 sorted(loaded.items())
             ):

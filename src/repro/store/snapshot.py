@@ -11,10 +11,14 @@ A snapshot of a structure set is a directory ``snap-<wal_seq>`` holding
   with CRC32s and dtype codes, rebuild parameters, and the WAL sequence
   number the snapshot covers.
 
-Durable-write discipline: planes are written and fsynced into a
-temporary directory, the manifest is written last, and one atomic
-``rename`` publishes the whole snapshot — a crash mid-save leaves only a
-``.tmp`` directory that the next :meth:`SnapshotStore.latest` ignores.
+Durable-write discipline: planes are written and fsynced into
+``snap-<wal_seq>/`` under names no file there carries, then the manifest
+is staged and swapped in with one atomic ``os.replace`` — that swap is
+the publication, so a complete snapshot is on disk at every instant.  A
+save that fails before the swap leaves a directory with no manifest,
+which :meth:`SnapshotStore.latest` skips and the next successful save
+removes; a re-save at a published ``wal_seq`` (a checkpoint with no new
+WAL record) keeps the old snapshot readable until its own swap.
 
 Recovery is the O(n) inverse: :func:`build_from_sorted` feeds each plane
 pair to the recorded kind's builder (:data:`~repro.core.kinds.KINDS`),
@@ -45,7 +49,7 @@ except ImportError:  # pragma: no cover - numpy is installed in CI
 __all__ = ["SnapshotStore", "snapshot_spec", "build_from_sorted"]
 
 _SNAP_PREFIX = "snap-"
-_TMP_MARKER = ".tmp"
+_MANIFEST = "manifest.json"
 _FORMAT = 1
 
 
@@ -156,6 +160,18 @@ def _fsync_write(path: str, data: bytes) -> None:
         os.fsync(fh.fileno())
 
 
+def _fsync_dir(directory: str) -> None:
+    """Fsync a directory so renames in it survive power loss."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:  # pragma: no cover - non-POSIX directory semantics
+        return
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class SnapshotStore:
     """Directory of published snapshots, newest-wins.
 
@@ -172,7 +188,7 @@ class SnapshotStore:
     def _snap_dirs(self) -> list[str]:
         out = []
         for name in os.listdir(self.directory):
-            if not name.startswith(_SNAP_PREFIX) or _TMP_MARKER in name:
+            if not name.startswith(_SNAP_PREFIX):
                 continue
             try:
                 int(name[len(_SNAP_PREFIX) :])
@@ -184,12 +200,12 @@ class SnapshotStore:
     def latest(self) -> tuple[int, dict] | None:
         """Return ``(wal_seq, manifest)`` of the newest complete snapshot.
 
-        A directory without a parseable manifest (a crash between plane
-        writes and publication cannot produce one, but a damaged disk
-        can) is skipped, falling back to the next-newest snapshot.
+        A directory without a parseable manifest (a save that failed
+        before its manifest swap, or a damaged disk) is skipped, falling
+        back to the next-newest snapshot.
         """
         for name in reversed(self._snap_dirs()):
-            path = os.path.join(self.directory, name, "manifest.json")
+            path = os.path.join(self.directory, name, _MANIFEST)
             try:
                 with open(path) as fh:
                     manifest = json.load(fh)
@@ -199,23 +215,41 @@ class SnapshotStore:
                 return int(manifest["wal_seq"]), manifest
         return None
 
+    @staticmethod
+    def resolve(structures) -> list:
+        """Return ``[(name, sampler, spec), ...]``, sorted by name.
+
+        A structure :func:`snapshot_spec` refuses raises
+        :class:`~repro.errors.StorageError` here, before anything is
+        written — or, for a caller that resolves first, paid.
+        """
+        return [(name, sampler, snapshot_spec(sampler))
+                for name, sampler in sorted(structures.items())]
+
     def save(self, structures, wal_seq: int) -> str:
         """Write one snapshot of every structure; return its directory.
 
-        ``structures`` maps name -> sampler.  The write is atomic: all
-        planes and the manifest land in a temp directory that is renamed
-        into place only when complete, then older snapshots are pruned.
+        ``structures`` maps name -> sampler, or is the list
+        :meth:`resolve` returned for such a mapping.  The planes go into
+        ``snap-<wal_seq>/`` as ``<tag>s<index>.<plane>.<dtype code>``,
+        under a tag no file there carries (no tag in a new directory);
+        the manifest is staged and swapped in with one ``os.replace``,
+        and only then are the files it does not name (the old planes of
+        a re-save at the same seq, the leftovers of a failed save)
+        deleted and older snapshots pruned.
         A structure :func:`snapshot_spec` refuses raises
         :class:`~repro.errors.StorageError` before anything is written.
         """
-        # Every spec resolves before the temp directory exists: a refused
-        # structure must leave nothing behind (_snap_dirs and prune skip
-        # temp names, so nothing would ever remove it).
-        specs = [(name, sampler, snapshot_spec(sampler))
-                 for name, sampler in sorted(structures.items())]
-        final = f"{_SNAP_PREFIX}{int(wal_seq):016d}"
-        tmp = os.path.join(self.directory, f"{final}{_TMP_MARKER}-{os.getpid()}")
-        os.makedirs(tmp, exist_ok=True)
+        specs = structures if isinstance(structures, list) else self.resolve(structures)
+        target = os.path.join(self.directory, f"{_SNAP_PREFIX}{int(wal_seq):016d}")
+        os.makedirs(target, exist_ok=True)
+        existing = os.listdir(target)
+        tag = ""
+        if existing:
+            gen = 1
+            while any(name.startswith(f"r{gen}-") for name in existing):
+                gen += 1
+            tag = f"r{gen}-"
         manifest: dict = {"format": _FORMAT, "wal_seq": int(wal_seq), "structures": {}}
         for index, (name, sampler, spec) in enumerate(specs):
             if spec["weighted"]:
@@ -229,26 +263,25 @@ class SnapshotStore:
                 if data is None:
                     continue
                 raw, code = _plane_bytes(data)
-                fname = f"s{index:04d}.{plane}.{code}"
-                _fsync_write(os.path.join(tmp, fname), raw)
+                fname = f"{tag}s{index:04d}.{plane}.{code}"
+                _fsync_write(os.path.join(target, fname), raw)
                 entry["planes"][plane] = {
                     "file": fname,
                     "crc": zlib.crc32(raw),
                     "dtype": code,
                 }
             manifest["structures"][name] = entry
-        _fsync_write(
-            os.path.join(tmp, "manifest.json"),
-            json.dumps(manifest, indent=2).encode("utf-8"),
-        )
-        target = os.path.join(self.directory, final)
-        if os.path.isdir(target):
-            # Re-snapshotting an unchanged WAL position: replace.
-            import shutil
-
-            shutil.rmtree(target)
-        os.rename(tmp, target)
-        self._sync_dir()
+        staged = os.path.join(target, _MANIFEST + ".tmp")
+        _fsync_write(staged, json.dumps(manifest, indent=2).encode("utf-8"))
+        os.replace(staged, os.path.join(target, _MANIFEST))
+        _fsync_dir(target)
+        _fsync_dir(self.directory)
+        keep = {_MANIFEST}
+        for entry in manifest["structures"].values():
+            keep.update(meta["file"] for meta in entry["planes"].values())
+        for name in os.listdir(target):
+            if name not in keep:
+                os.unlink(os.path.join(target, name))
         self.prune(keep=1)
         return target
 
@@ -297,14 +330,3 @@ class SnapshotStore:
             shutil.rmtree(os.path.join(self.directory, name), ignore_errors=True)
             removed += 1
         return removed
-
-    def _sync_dir(self) -> None:
-        """Fsync the store directory so renames survive power loss."""
-        try:
-            fd = os.open(self.directory, os.O_RDONLY)
-        except OSError:  # pragma: no cover - non-POSIX directory semantics
-            return
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)

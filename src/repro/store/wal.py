@@ -352,25 +352,23 @@ class WriteAheadLog:
 
         Called after a snapshot at WAL position ``seq``: those records
         are now redundant.  A segment straddling the boundary stays (its
-        prefix is simply re-skipped on replay).
+        prefix is simply re-skipped on replay).  The decision reads no
+        record — segment names and :attr:`last_seq` settle it — so a
+        checkpoint's cost does not grow with the active segment.
         """
         names = self._segments()
         removed = 0
         for name, nxt in zip(names, names[1:] + [None]):
             if nxt is None:
-                # The active segment: only removable when fully covered
-                # and not open for append.
-                last = 0
-                for record, _off, ok in self._iter_segment(name):
-                    if ok:
-                        last = record.seq
-                if last <= seq and self._fh is None:
-                    os.unlink(os.path.join(self.directory, name))
-                    removed += 1
-                continue
-            if _segment_first_seq(nxt) <= seq + 1:
+                # The newest segment holds no record above last_seq; it
+                # goes only when that is covered and it is not open for
+                # append.
+                covered = self._fh is None and self.last_seq <= seq
+            else:
                 # Every record in `name` is < the next segment's first
-                # seq <= seq + 1, hence <= seq: fully covered.
+                # seq, so that first seq <= seq + 1 means fully covered.
+                covered = _segment_first_seq(nxt) <= seq + 1
+            if covered:
                 os.unlink(os.path.join(self.directory, name))
                 removed += 1
         return removed

@@ -6,7 +6,7 @@ import asyncio
 import json
 import os
 
-from repro import DynamicIRS, WeightedDynamicIRS
+from repro import DynamicIRS, WeightedDynamicIRS, WindowedIRS
 from repro.serve import ReproServer, ServeClient
 
 DATA = [float(i) for i in range(50)]
@@ -154,3 +154,85 @@ def test_server_failed_update_replays_identically(tmp_path):
     assert state2 == state1
     assert recovery.snapshot_seq == 0
     assert recovery.replayed_ops == 3
+
+
+def crash(server):
+    """Stop a server the way ``kill -9`` would: no shutdown checkpoint.
+
+    The WAL is closed only to release its handle; every appended record
+    was already flushed to the OS, which is what a killed process leaves.
+    """
+    server._store_closed = True
+    server.store.close()
+
+
+def test_server_wal_numbering_stays_above_the_snapshot(tmp_path):
+    # A server that recovers a WAL suffix, takes no write and stops
+    # gracefully checkpoints with its log closed, so the checkpoint
+    # deletes every segment.  The next run's records must still be
+    # numbered above that snapshot, or recovery would skip them.
+    data_dir = str(tmp_path / "srv")
+
+    async def main(step):
+        async with ReproServer(
+            DynamicIRS(DATA, seed=1), seed=5, data_dir=data_dir
+        ) as server:
+            client = ServeClient(server)
+            if step == "write-then-crash":
+                await client.insert(100.0)
+                await client.insert(101.0)
+                crash(server)
+            elif step == "insert-then-crash":
+                await client.insert(200.0)
+                crash(server)
+            return (
+                list(server._runner.structures["default"].export_sorted()),
+                server.recovery,
+            )
+
+    run(main("write-then-crash"))
+    _, recovery = run(main("recover-and-stop"))
+    assert recovery.replayed_records == 2
+    wal_dir = os.path.join(data_dir, "wal")
+    assert os.listdir(wal_dir) == []  # the graceful checkpoint covered it all
+    run(main("insert-then-crash"))
+    state, recovery = run(main("check"))
+    assert recovery.snapshot_seq == 2
+    assert recovery.replayed_records == 1
+    assert {100.0, 101.0, 200.0} <= set(state)
+
+
+def test_server_refused_checkpoint_waits_for_a_later_trigger(tmp_path):
+    data_dir = str(tmp_path / "srv")
+
+    async def main():
+        structures = {
+            "default": DynamicIRS(DATA, seed=1),
+            "w": WindowedIRS(DATA, window=8, seed=2),  # snapshots refuse it
+        }
+        async with ReproServer(
+            structures, seed=5, data_dir=data_dir, snapshot_ops=4, window=0.0
+        ) as server:
+            store = server.store
+            calls = {"snapshot": 0, "sync": 0}
+
+            def counted(name, fn):
+                def wrapper(*args, **kwargs):
+                    calls[name] += 1
+                    return fn(*args, **kwargs)
+                return wrapper
+
+            store.snapshot = counted("snapshot", store.snapshot)
+            store.wal.sync = counted("sync", store.wal.sync)
+            client = ServeClient(server)
+            for i in range(20):
+                await client.insert(1000.0 + i)
+            # Counted before the shutdown checkpoint, which tries once more.
+            return dict(calls), server.last_snapshot_error
+
+    calls, error = run(main())
+    # Retried once per further snapshot_ops ops, not on every batch, and
+    # a refused attempt pays no WAL fsync.
+    assert 1 <= calls["snapshot"] <= 5
+    assert calls["sync"] == 0
+    assert error is not None

@@ -142,6 +142,64 @@ def test_roundtrip_through_snapshot_bytes(kind, tmp_path):
             close()
 
 
+def test_resave_at_a_published_seq_swaps_the_manifest(tmp_path, monkeypatch):
+    # Re-saving at a published wal_seq writes fresh planes beside the
+    # published ones and swaps the manifest: the published snapshot stays
+    # whole until the swap, and the swap's leftovers go with the next one.
+    store = SnapshotStore(tmp_path / "snaps")
+    snap_dir = tmp_path / "snaps" / "snap-0000000000000005"
+    store.save({"s": WeightedDynamicIRS([1.0, 2.0], [1.0, 3.0], seed=1)}, wal_seq=5)
+
+    def crash(*args):
+        raise OSError("crash before the manifest swap")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("os.replace", crash)
+        with pytest.raises(OSError):
+            store.save({"s": WeightedDynamicIRS([7.0], [2.0], seed=1)}, wal_seq=5)
+    _, values, weights = store.load()["s"]
+    assert (list(values), list(weights)) == ([1.0, 2.0], [1.0, 3.0])
+    store.save({"s": WeightedDynamicIRS([8.0, 9.0], [4.0, 5.0], seed=1)}, wal_seq=5)
+    _, values, weights = store.load()["s"]
+    assert (list(values), list(weights)) == ([8.0, 9.0], [4.0, 5.0])
+    files = {entry.name for entry in snap_dir.iterdir()}
+    planes = store.latest()[1]["structures"]["s"]["planes"]
+    assert files == {"manifest.json"} | {meta["file"] for meta in planes.values()}
+    assert [entry.name for entry in (tmp_path / "snaps").iterdir()] == [snap_dir.name]
+
+
+def test_failed_save_leaves_no_snapshot_and_no_leftovers(tmp_path, monkeypatch):
+    # A save at a new seq that fails before its manifest swap publishes
+    # nothing; a retry at that seq and a later save clear what it wrote.
+    store = SnapshotStore(tmp_path / "snaps")
+    store.save({"s": DynamicIRS([1.0], seed=1)}, wal_seq=1)
+
+    def crash(*args):
+        raise OSError("crash before the manifest swap")
+
+    for _ in range(2):
+        with monkeypatch.context() as patch:
+            patch.setattr("os.replace", crash)
+            with pytest.raises(OSError):
+                store.save({"s": DynamicIRS([9.0], seed=1)}, wal_seq=2)
+        assert store.latest()[0] == 1
+        assert list(store.load()["s"][1]) == [1.0]
+    snap_dir = tmp_path / "snaps" / "snap-0000000000000002"
+    store.save({"s": DynamicIRS([2.0], seed=1)}, wal_seq=2)
+    planes = store.latest()[1]["structures"]["s"]["planes"]
+    files = {entry.name for entry in snap_dir.iterdir()}
+    assert files == {"manifest.json"} | {meta["file"] for meta in planes.values()}
+    with monkeypatch.context() as patch:
+        patch.setattr("os.replace", crash)
+        with pytest.raises(OSError):
+            store.save({"s": DynamicIRS([9.0], seed=1)}, wal_seq=3)
+    store.save({"s": DynamicIRS([4.0], seed=1)}, wal_seq=4)
+    assert [entry.name for entry in (tmp_path / "snaps").iterdir()] == [
+        "snap-0000000000000004"
+    ]
+    assert list(store.load()["s"][1]) == [4.0]
+
+
 # -- surface details gained in this PR ---------------------------------------
 
 

@@ -79,6 +79,28 @@ def test_wal_rotation_and_truncation(tmp_path):
     reopened.close()
 
 
+def refuse_record_reads(monkeypatch):
+    def no_reads(self, name):
+        raise AssertionError(f"read a record of {name}")
+
+    monkeypatch.setattr(WriteAheadLog, "_iter_segment", no_reads)
+
+
+def test_wal_truncation_of_a_closed_log_reads_no_record(tmp_path, monkeypatch):
+    with WriteAheadLog(wal_dir(tmp_path), segment_bytes=1) as wal:
+        for i in range(4):
+            wal.append([("insert", float(i))])
+    reopened = WriteAheadLog(wal_dir(tmp_path))  # the open-time scan reads
+    refuse_record_reads(monkeypatch)
+    # The last segment holds seq 4: not fully covered by seq 3, so it stays.
+    assert reopened.truncate_through(3) == 3
+    assert sorted(os.listdir(wal_dir(tmp_path))) == ["wal-0000000000000004.log"]
+    # Covered and not open for append: it goes.
+    assert reopened.truncate_through(4) == 1
+    assert os.listdir(wal_dir(tmp_path)) == []
+    reopened.close()
+
+
 def test_wal_torn_tail_truncated_on_open(tmp_path):
     with WriteAheadLog(wal_dir(tmp_path)) as wal:
         for i in range(3):
@@ -193,6 +215,32 @@ def test_snapshot_save_prunes_and_replaces(tmp_path):
     store.save({"default": DynamicIRS([4.0], seed=1)}, wal_seq=8)
     (_, values, _) = store.load()["default"]
     assert list(values) == [4.0]
+
+
+def test_resnapshot_failure_keeps_the_published_snapshot(tmp_path, monkeypatch):
+    # A checkpoint at an unchanged WAL seq must not unpublish the snapshot
+    # it replaces: the WAL segments that snapshot covered are gone.
+    data_dir = tmp_path / "d"
+    d = DynamicIRS([1.0, 2.0, 3.0], seed=1)
+    with DurableStore(data_dir, segment_bytes=64) as store:
+        for value in (4.0, 5.0, 6.0):
+            store.log_batch([("insert", value)])
+            d.insert(value)
+        store.snapshot({"default": d})
+
+        def crash(*args):
+            raise OSError("crash while publishing")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "rename", crash)
+            patch.setattr(os, "replace", crash)
+            with pytest.raises(OSError):
+                store.snapshot({"default": d})
+    with DurableStore(data_dir) as store:
+        report = store.recover({"default": DynamicIRS([1.0, 2.0, 3.0], seed=1)})
+        assert report.structures["default"].export_sorted().tolist() == [
+            1.0, 2.0, 3.0, 4.0, 5.0, 6.0,
+        ]
 
 
 def test_snapshot_ignores_tmp_and_junk_dirs(tmp_path):
@@ -363,3 +411,61 @@ def test_durable_store_seeded_recovery_is_deterministic(tmp_path):
 def test_durable_store_validates_snapshot_ops(tmp_path):
     with pytest.raises(ValueError):
         DurableStore(tmp_path / "d", snapshot_ops=0)
+
+
+def test_durable_store_numbers_new_records_above_the_snapshot(tmp_path):
+    data_dir = str(tmp_path / "d")
+
+    def fresh():
+        return {"default": DynamicIRS([1.0], seed=1)}
+
+    with DurableStore(data_dir) as store:
+        store.log_batch([("insert", 2.0)])
+        store.log_batch([("insert", 3.0)])
+    with DurableStore(data_dir) as store:
+        report = store.recover(fresh())
+        # Checkpoint with the log not open for append: every segment goes.
+        assert store.snapshot(report.structures) == 2
+        assert os.listdir(os.path.join(data_dir, "wal")) == []
+    with DurableStore(data_dir) as store:
+        store.recover(fresh())
+        assert store.log_batch([("insert", 200.0)]) == 3
+    with DurableStore(data_dir) as store:
+        report = store.recover(fresh())
+        assert (report.snapshot_seq, report.replayed_records) == (2, 1)
+        assert report.structures["default"].export_sorted().tolist() == [
+            1.0, 2.0, 3.0, 200.0,
+        ]
+
+
+def test_checkpoint_reads_no_wal_record(tmp_path, monkeypatch):
+    d = DynamicIRS([1.0], seed=1)
+    with DurableStore(tmp_path / "d", segment_bytes=1 << 20) as store:
+        for i in range(200):
+            store.log_batch([("insert", float(i))])
+            d.insert(float(i))
+        refuse_record_reads(monkeypatch)
+        assert store.snapshot({"default": d}) == 200
+        assert store.ops_since_snapshot == 0
+        # The active segment is open for append, so it stays.
+        assert len(os.listdir(tmp_path / "d" / "wal")) == 1
+
+
+def test_failed_checkpoint_defers_the_size_trigger(tmp_path):
+    with DurableStore(tmp_path / "d", snapshot_ops=2) as store:
+        refused = {"w": WindowedIRS([1.0], window=4, seed=1)}
+        store.log_batch([("insert", 1.0), ("insert", 2.0)])
+        assert store.should_snapshot()
+        with pytest.raises(StorageError):
+            store.maybe_snapshot(refused)
+        assert not store.should_snapshot()
+        store.log_batch([("insert", 3.0)])
+        assert not store.should_snapshot()
+        store.log_batch([("insert", 4.0)])
+        assert store.should_snapshot()
+        d = DynamicIRS([1.0, 2.0, 3.0, 4.0], seed=1)
+        assert store.maybe_snapshot({"default": d}) == 3
+        store.log_batch([("insert", 5.0)])
+        assert not store.should_snapshot()  # a success re-arms the trigger
+        store.log_batch([("insert", 6.0)])
+        assert store.should_snapshot()
