@@ -35,12 +35,14 @@ serves newline-delimited JSON requests against it — over TCP
 (``--port``; runs until interrupted) or from a ``--requests`` file
 (offline: one response line per request line, then a ``#``-prefixed
 stats line, then exit).  ``--window-ms``/``--max-batch`` tune request
-coalescing; ``--window-ms 0`` serves one request per call.  With
-``--data-dir`` the server is durable: state recovers from the
-directory's snapshot + write-ahead log on start, every update batch is
-logged before it executes (``--fsync`` picks the policy), and snapshots
-checkpoint on ``--snapshot-ops``/``--snapshot-interval`` triggers and on
-graceful shutdown.
+coalescing: ``--window-ms 0`` skips only the wait for company, so
+requests already queued still share a batch, and ``--max-batch 1``
+serves one request per call.  With ``--data-dir`` the server is
+durable: state recovers from the directory's snapshot + write-ahead log
+on start, every update batch is logged before it executes (``--fsync``
+picks the policy), and snapshots checkpoint on
+``--snapshot-ops``/``--snapshot-interval`` triggers and on graceful
+shutdown.
 
 The serving control plane (:mod:`repro.obs`) hangs off the same
 command: ``--metrics-port`` serves ``GET /metrics`` (Prometheus text)
@@ -207,7 +209,8 @@ def _parser() -> argparse.ArgumentParser:
                 "--window-ms",
                 type=float,
                 default=2.0,
-                help="request coalescing window in milliseconds (0 disables)",
+                help="request coalescing window in milliseconds (0: no wait; "
+                "queued requests still share a batch)",
             )
             p.add_argument("--max-batch", type=int, default=256)
             p.add_argument(

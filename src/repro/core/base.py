@@ -20,6 +20,7 @@ __all__ = [
     "RangeSampler",
     "DynamicRangeSampler",
     "validate_query",
+    "validate_ranks",
     "validate_point",
     "round_to_plane",
     "coerce_query_bounds",
@@ -126,6 +127,20 @@ def validate_query(lo: float, hi: float, t: int) -> None:
         raise InvalidQueryError(f"sample count must be an int, got {t!r}")
     if t < 0:
         raise InvalidQueryError(f"sample count must be >= 0, got {t}")
+
+
+def validate_ranks(ranks, total: int) -> None:
+    """Raise :class:`InvalidQueryError` unless every rank is an int in ``[0, total)``.
+
+    Python and NumPy integers pass; a bool, a float (integral or not, NaN
+    included) does not, so a rank is never truncated or wrapped into a
+    different point.
+    """
+    for rank in ranks:
+        if isinstance(rank, bool) or not isinstance(rank, (int, _np.integer)):
+            raise InvalidQueryError(f"rank must be an int, got {rank!r}")
+        if not 0 <= rank < total:
+            raise InvalidQueryError(f"rank {rank} outside [0, {total}) for this range")
 
 
 def validate_point(value: float) -> None:

@@ -32,16 +32,15 @@ The engine provides:
 
 * boundary routing — "first chunk whose max ≥ x" / "last chunk whose
   min ≤ y" — as one C-level ``searchsorted`` per endpoint;
-* lazily cached prefix sums over counts (and over weights) with bounded
-  *pending per-chunk deltas*, so an update→query alternation costs
-  ``O(|pending|)`` instead of an ``O(n/s)`` cumsum rebuild per transition
-  (count readers fold the deltas into just the entries they read).  In
-  a directory large enough that it pays, a bulk pass that keeps the
-  chunk list's shape defers its count changes as one *step* on the count
-  prefix; the next reader folds every step, and the pending deltas, into
-  the cached array with one vectorized step-add from the first changed
-  chunk.  Bulk passes drop the weight prefix, whose float bits the
-  seeded weighted draws read;
+* a lazily cached prefix sum over counts, kept as a plain memo: one
+  ``cumsum`` when the cache is empty, and every count change empties it.
+  Counting never reads it — the whole chunks between a range's boundary
+  chunks are one C-level sum over their counts — so only the rank
+  readers rebuild it, and a read-only structure keeps one warm prefix
+  across all its reads.  The weight prefix of a weighted directory keeps
+  scalar changes as bounded *pending per-chunk deltas* that its readers
+  fold in; a bulk pass drops it, since the seeded weighted draws read
+  its float bits;
 * global rank addressing — the rank interval of a key range and the
   chunk/offset of a global rank — the layout-independent coordinates the
   seeded samplers draw in;
@@ -61,33 +60,17 @@ flattened global cumulative-weight array) off it.
 
 from __future__ import annotations
 
-from itertools import accumulate
-
 import numpy as _np  # a hard dependency of the package (pyproject.toml)
 
 from ..errors import KeyNotFoundError
 from . import kernels
 
-__all__ = ["ChunkDirectory", "FoldedCounts", "build_sizes"]
+__all__ = ["ChunkDirectory", "build_sizes"]
 
-#: Scalar count/weight changes ride on the cached prefixes as per-chunk
+#: Scalar weight changes ride on the cached weight prefix as per-chunk
 #: deltas up to this many entries; beyond it the cache is dropped and the
 #: next reader re-runs the cumsum.
 _PENDING_CAP = 64
-
-#: Deferred bulk steps may hold ``(chunks - _STEP_BASE) // _STEP_SHARE``
-#: chunk entries before the count prefix is dropped, so a directory of
-#: at most ``_STEP_BASE`` chunks never defers.  A fold has a fixed cost
-#: of about ten NumPy calls, which a cumsum over fewer chunks undercuts,
-#: and each entry adds to its sort and its repeat.  Measured on a 2-CPU
-#: x86 host, just after a bulk pass: a fold of one entry with nothing
-#: pending cost 2.4x the cumsum at 1,429 chunks and 1.2x at 5,000; with
-#: a full pending map, 0.68-0.97x at 13,334-14,815 chunks over three
-#: runs.  At the bound, in the worst case (steps of 8 entries plus a full
-#: pending map), it cost 0.82x at 17,778 chunks, 0.70x at 35,714 and
-#: 0.61x at 66,667.
-_STEP_BASE = 16_384
-_STEP_SHARE = 256
 
 
 def build_sizes(n: int, s: int, cap: int):
@@ -139,63 +122,6 @@ def _copy_rank(keys):
     return _np.arange(keys.size) - heads.repeat(sizes)
 
 
-class FoldedCounts:
-    """The count prefix with its pending deltas folded in, for one reader.
-
-    The directory keeps scalar count changes as pending per-chunk deltas
-    on its cached prefix (see :meth:`ChunkDirectory.note_delta`; deferred
-    bulk steps are folded into the cache before this is built), so the
-    true prefix is the cached one plus a step function.  Folding sorts the
-    pending chunk indices and takes a running sum of their deltas once —
-    ``O(|pending| log |pending|)`` — after which every entry a reader
-    needs costs one ``searchsorted`` over at most ``_PENDING_CAP`` keys,
-    never a pass over the whole prefix.  Valid until the directory next
-    changes.
-    """
-
-    __slots__ = ("prefix", "counts", "keys", "sums")
-
-    def __init__(self, prefix, counts, pending: dict) -> None:
-        self.prefix = prefix
-        self.counts = counts
-        keys = sorted(pending)
-        self.keys = _np.asarray(keys, dtype=_np.int64)
-        #: ``sums[j]``: total delta of the first ``j`` pending chunks.
-        self.sums = _np.asarray(
-            list(accumulate((pending[k] for k in keys), initial=0)), dtype=_np.int64
-        )
-
-    def starts_at(self, idx):
-        """Points stored before each chunk in the int array ``idx``."""
-        out = self.prefix[idx] - self.counts[idx]
-        if self.keys.size:
-            out += self.sums[self.keys.searchsorted(idx, side="right")]
-        return out
-
-    def locate(self, ranks):
-        """Chunk index and in-chunk offset of each global rank in ``ranks``.
-
-        One ``search_right`` over the cached prefix resolves every rank.
-        With pending deltas each rank first finds its step (the last
-        pending chunk starting at or before it), searches the cached
-        prefix for the rank minus that step's shift, and is clamped up to
-        the step's first chunk — exact, since the cached prefix is
-        nondecreasing.
-        """
-        search_right = kernels.search_right
-        if not self.keys.size:
-            ci = search_right(self.prefix, ranks)
-        else:
-            keys, sums = self.keys, self.sums
-            key_starts = self.prefix[keys] - self.counts[keys] + sums[1:]
-            step = key_starts.searchsorted(ranks, side="right")
-            ci = _np.maximum(
-                search_right(self.prefix, ranks - sums[step]),
-                _np.concatenate(([0], keys))[step],
-            )
-        return ci, ranks - self.starts_at(ci)
-
-
 class ChunkDirectory:
     """Slab-backed directory over an ordered chunk sequence.
 
@@ -221,9 +147,6 @@ class ChunkDirectory:
         "wtotals",
         "mutations",
         "_prefix",
-        "_pending",
-        "_steps",
-        "_deferred",
         "_wprefix",
         "_wpending",
     )
@@ -293,11 +216,9 @@ class ChunkDirectory:
         weights = self.wslab[rows][live] if self.weighted else None
         return self.slab[rows][live], weights
 
-    def cells(self, ranks, folded: "FoldedCounts | None" = None):
+    def cells(self, ranks):
         """Slab coordinates ``(rows, offsets)`` of the global ``ranks``."""
-        if folded is None:
-            folded = self.folded_counts()
-        ci, off = folded.locate(ranks)
+        ci, off = self._chunks_at(ranks)
         return self.row_of[ci], off
 
     def _alloc(self, k: int):
@@ -355,43 +276,29 @@ class ChunkDirectory:
     # -- lazy count prefix -------------------------------------------------
 
     def ensure_prefix(self):
-        """Return the inclusive prefix-sum over chunk counts (cached).
+        """Return the inclusive prefix sum over chunk counts (cached).
 
-        Scalar changes stay pending on the returned array (readers fold
-        them, see :meth:`points_between` and :class:`FoldedCounts`).  If
-        bulk passes left deferred steps, every step and every pending
-        delta is folded into the cached array first: the changes are
-        sorted by chunk, and their running sum, repeated over the chunks
-        each change covers, is added from the first changed chunk on.
-        That is ``O(n/s)`` like the cumsum, but a vectorized add instead
-        of a sequential scan, and bounded by :meth:`_defer_step`.
+        A plain memo: one ``cumsum`` when the cache is empty, and every
+        count change empties it (:meth:`note_delta`,
+        :meth:`invalidate_prefix`).  Only the rank readers call it —
+        :meth:`rank_bounds`, :meth:`starts_at` and :meth:`cells` — never a
+        count (:meth:`points_between`), so a structure that is only read
+        keeps one warm prefix.
         """
-        prefix = self._prefix
-        if prefix is None:
-            self._prefix = prefix = _np.cumsum(self.counts)
-        elif self._steps:
-            steps, pending = self._steps, self._pending
-            if pending:
-                steps.append((
-                    _np.fromiter(pending.keys(), _np.int64, len(pending)),
-                    _np.fromiter(pending.values(), _np.int64, len(pending)),
-                ))
-            idx = _np.concatenate([i for i, _ in steps])
-            order = idx.argsort(kind="stable")
-            idx = idx[order]
-            deltas = _np.concatenate([d for _, d in steps])[order]
-            stops = _np.empty_like(idx)  # where each change's run ends
-            stops[:-1] = idx[1:]
-            stops[-1] = len(self)
-            prefix[idx[0] :] += deltas.cumsum().repeat(stops - idx)
-            self._clear_deltas()
-        return prefix
+        if self._prefix is None:
+            self._prefix = _np.cumsum(self.counts)
+        return self._prefix
 
-    def folded_counts(self) -> "FoldedCounts":
-        """Fold the pending count deltas once, for a reader of many entries."""
-        return FoldedCounts(self.ensure_prefix(), self.counts, self._pending)
+    def starts_at(self, idx):
+        """Points stored before each chunk in ``idx`` (an index or index array)."""
+        return self.ensure_prefix()[idx] - self.counts[idx]
 
-    def rank_bounds(self, los, his, folded: "FoldedCounts | None" = None):
+    def _chunks_at(self, ranks):
+        """Chunk index and in-chunk offset of each global rank in ``ranks``."""
+        ci = kernels.search_right(self.ensure_prefix(), ranks)
+        return ci, ranks - self.starts_at(ci)
+
+    def rank_bounds(self, los, his):
         """Global rank interval ``[start, end)`` of each range ``[lo, hi]``.
 
         ``start`` counts the stored points below ``lo`` and ``end`` those
@@ -402,9 +309,7 @@ class ChunkDirectory:
         come from one ``searchsorted`` over ``maxes`` and one over
         ``mins``, and every in-chunk offset from one ``k × cap`` compare
         over the boundary rows.  Bounds must already be rounded through
-        the value-plane dtype.  A caller that reads more of the prefix in
-        the same call passes its ``folded`` counts; otherwise they are
-        folded here.
+        the value-plane dtype.
         """
         k = len(self)
         if not k:
@@ -424,47 +329,27 @@ class ChunkDirectory:
             kernels.search_rows(block[:q], counts[:q], los, False),
             kernels.search_rows(block[q:], counts[q:], his, True),
         ))
-        if folded is None:
-            folded = self.folded_counts()
-        bounds = folded.starts_at(idx) + offsets
+        bounds = self.starts_at(idx) + offsets
         return bounds[:q], bounds[q:]
-
-    def _clear_deltas(self) -> None:
-        """Forget the pending deltas and deferred steps (folded or dropped)."""
-        self._pending: dict[int, int] = {}
-        #: Deferred bulk count changes: ``(chunk indices, deltas)`` pairs.
-        self._steps: list = []
-        self._deferred = 0  # chunk entries across ``_steps``
-
-    def _drop_prefix(self) -> None:
-        """Drop the count prefix with everything recorded against it."""
-        self._prefix = None
-        self._clear_deltas()
 
     def invalidate_prefix(self) -> None:
         """Drop both prefix caches (chunk indices or many rows changed)."""
-        self._drop_prefix()
-        self._wprefix = None
+        self._prefix = self._wprefix = None
         self._wpending = {}
         self.mutations += 1
 
     def note_delta(self, i: int, dcount: int, dweight: float = 0.0) -> None:
-        """Record a scalar count/weight change against the cached prefixes.
+        """Record a scalar count/weight change of chunk ``i``.
 
-        While the chunk list's *shape* is unchanged, a count (or weight)
-        change only shifts the prefix entries from ``i`` on — recorded as a
-        pending per-chunk delta folded in by readers, so an update→query
-        alternation costs ``O(|pending|)`` instead of an ``O(n/s)`` cumsum
-        rebuild per transition.  Past ``_PENDING_CAP`` entries a cache is
-        dropped, with any deferred bulk steps (update-heavy phases then do
-        no prefix work at all).
+        A count change empties the count prefix; its next rank reader
+        re-runs the cumsum.  A weight change only shifts the weight prefix
+        from ``i`` on, so it rides on that cache as a pending per-chunk
+        delta that readers fold in, until past ``_PENDING_CAP`` entries the
+        cache is dropped.
         """
         self.mutations += 1
-        if dcount and self._prefix is not None:
-            pending = self._pending
-            pending[i] = pending.get(i, 0) + dcount
-            if len(pending) > _PENDING_CAP:
-                self._drop_prefix()
+        if dcount:
+            self._prefix = None
         if dweight and self._wprefix is not None:
             wpending = self._wpending
             wpending[i] = wpending.get(i, 0.0) + dweight
@@ -472,46 +357,22 @@ class ChunkDirectory:
                 self._wprefix = None
                 wpending.clear()
 
-    def _defer_step(self, touched, dcounts) -> None:
-        """Record a shape-preserving bulk pass against the cached prefixes.
-
-        The count changes ``dcounts`` of the chunks ``touched`` (ascending)
-        become one deferred step on the count prefix, folded by its next
-        reader (:meth:`ensure_prefix`); past ``(chunks - _STEP_BASE) //
-        _STEP_SHARE`` deferred entries the count prefix is dropped
-        instead, so small directories never defer and write-only phases
-        do no prefix work at all.  The weight prefix is dropped: its
-        float bits feed the seeded weighted draws, so it is only ever
-        rebuilt, never patched by a bulk pass.
-        """
-        self._wprefix = None
-        self._wpending = {}
-        self.mutations += 1
-        if self._prefix is not None:
-            self._steps.append((touched, dcounts))
-            self._deferred += touched.size
-            if self._deferred > (len(self) - _STEP_BASE) // _STEP_SHARE:
-                self._drop_prefix()
-
     def points_between(self, a: int, b: int) -> int:
-        """Points in chunks strictly between indices ``a`` and ``b``."""
+        """Points in chunks strictly between indices ``a`` and ``b``.
+
+        One C-level sum over their counts; no prefix is read or built.
+        """
         if b - a <= 1:
             return 0
-        prefix = self.ensure_prefix()
-        total = int(prefix[b - 1] - prefix[a])
-        if self._pending:
-            # P(b-1) - P(a) covers chunks a+1 .. b-1.
-            for j, delta in self._pending.items():
-                if a < j < b:
-                    total += delta
-        return total
+        return int(self.counts[a + 1 : b].sum())
 
     def points_in(self, lo: float, hi: float) -> int:
         """Points in ``[lo, hi]``, from count geometry alone.
 
         The boundary chunks and in-row offsets of :meth:`edges`, plus the
-        whole chunks between them as one prefix difference
-        (:meth:`points_between`): ``O(log n)`` with the prefix cached,
+        whole chunks between them as one sum over their counts
+        (:meth:`points_between`): ``O(log n)`` searches and one C-level
+        sum over the ``k ≤ n/s`` chunks the range spans, with no prefix
         and no weight read.  Bounds must already be rounded through the
         value-plane dtype.
         """
@@ -766,7 +627,7 @@ class ChunkDirectory:
             self.recut(touched, touched, merged, wmerged, counts)
         else:
             self._write(touched, rows, block, wblock, counts, merged, wmerged)
-            self._defer_step(touched, added)
+            self.invalidate_prefix()
 
     def remove(self, batch, s: int):
         """Remove one stored occurrence per value of a sorted batch, atomically.
@@ -818,21 +679,20 @@ class ChunkDirectory:
             self.normalize(s)
         else:
             self._write(touched, rows, block, wblock, counts, kept, wkept)
-            self._defer_step(touched, -hits)
+            self.invalidate_prefix()
         return removed
 
     def _find(self, batch):
         """Global-rank twin of :meth:`remove`'s search, for runs of copies
         that cross a chunk boundary: ascending ``(chunk, offset)`` arrays."""
-        folded = self.folded_counts()
         heads, sizes = _runs(batch)
-        starts, ends = self.rank_bounds(batch[heads], batch[heads], folded)
+        starts, ends = self.rank_bounds(batch[heads], batch[heads])
         run = _np.arange(heads.size).repeat(sizes)
         ranks = starts[run] + _copy_rank(batch)
         short = ranks >= ends[run]
         if short.any():
             raise KeyNotFoundError(f"value not present: {float(batch[short][0])!r}")
-        return folded.locate(ranks)
+        return self._chunks_at(ranks)
 
     def normalize(self, s: int) -> None:
         """Fold every chunk under ``s`` into a neighbor, in one pass.
@@ -955,23 +815,8 @@ class ChunkDirectory:
             assert bool(
                 (_np.abs(self.wtotals - masses) <= 1e-9 * _np.maximum(1.0, masses)).all()
             ), "wtotals stale"
-        steps = self._steps
-        assert self._deferred == sum(i.size for i, _ in steps), "deferred miscounted"
         if self._prefix is not None:
-            # Fold into a new array: folding the cache itself here would
-            # hide a reader that forgot to fold.
-            shift = _np.zeros(k, dtype=_np.int64)
-            for idx, deltas in steps:
-                _np.add.at(shift, idx, deltas)
-            for j, delta in self._pending.items():
-                shift[j] += delta
-            folded = self._prefix + shift.cumsum()
-            assert folded.tolist() == ends.tolist(), (
-                "prefix cache (with deferred steps and pending deltas) stale"
-            )
-        else:
-            assert not self._pending, "pending deltas without a prefix cache"
-            assert not steps, "deferred steps without a prefix cache"
+            assert self._prefix.tolist() == ends.tolist(), "count prefix cache stale"
         # The weight cache is read only when it is already there: installing
         # it here (``total_weight`` would) would hide a reader that skipped
         # ``ensure_wprefix``.

@@ -17,11 +17,9 @@ order —
 * boundary chunks of a query are found with one C-level ``searchsorted``
   per endpoint (the ``maxes`` array is nondecreasing, so "first chunk whose
   max ≥ lo" is a binary search — duplicates across chunks are harmless);
-* the number of points in a run of whole chunks is a difference of two
-  entries of a lazily cached prefix-sum over ``counts``; scalar updates
-  ride on the cache as per-chunk pending deltas (folded by readers in
-  ``O(|pending|)``), so only structural changes force the vectorized
-  ``cumsum`` rebuild;
+* the number of points in a run of whole chunks is one C-level sum over
+  its ``counts``, so counting and the unseeded plan never read a prefix
+  and a write leaves them nothing to rebuild;
 * the middle run of a query occupies a *contiguous index window* of the
   chunk list, so "uniform (chunk, slot) pair, accept slot < |chunk|"
   samples an in-range point exactly uniformly with acceptance ≥ 1/2 —
@@ -30,7 +28,10 @@ order —
 * seeded sampling (``sample_bulk(seed=)`` and ``sample_bulk_many``)
   draws global ranks instead and resolves them through the count
   prefix — the law of ``StaticIRS``, so a seeded reply never depends on
-  the chunk layout (DESIGN.md §5).
+  the chunk layout (DESIGN.md §5).  The prefix is a plain cache that
+  every count change empties: only these rank readers (and
+  ``peek_counts``, ``report``, ``select_in_range``) rebuild it, with one
+  ``cumsum``, so a structure that is only read keeps it warm.
 
 No read or update path loops over chunks in Python: a scalar update
 shifts one row in place, a bulk update is one pass over the touched rows,
@@ -70,6 +71,7 @@ from .base import (
     sample_bulk_many_by_rank,
     validate_point,
     validate_query,
+    validate_ranks,
 )
 from .directory import ChunkDirectory
 from . import kernels
@@ -307,13 +309,15 @@ class DynamicIRS(DynamicRangeSampler):
     # -- queries ------------------------------------------------------------------------
 
     def count(self, lo: float, hi: float) -> int:
-        """Return ``|P ∩ [lo, hi]|`` in ``O(log n)``.
+        """Return ``|P ∩ [lo, hi]|``.
 
-        Two boundary chunks and their in-row offsets, plus one difference
-        of the count prefix for the whole chunks between them
+        Two boundary chunks and their in-row offsets, plus one C-level sum
+        over the counts of the whole chunks between them
         (:meth:`ChunkDirectory.points_in
-        <repro.core.directory.ChunkDirectory.points_in>`).  After a bulk
-        update the prefix is folded once, not rebuilt.
+        <repro.core.directory.ChunkDirectory.points_in>`): ``O(log n)``
+        searches and a sum over the ``k ≤ n/s`` chunks the range spans.
+        It reads no prefix, so a count right after an update rebuilds
+        nothing.
         """
         validate_query(lo, hi, 0)
         return self._dir.points_in(
@@ -330,31 +334,30 @@ class DynamicIRS(DynamicRangeSampler):
         <repro.core.directory.ChunkDirectory.rank_bounds>` — one
         ``searchsorted`` over ``maxes`` and one over ``mins`` for *all*
         bounds, one ``k × cap`` compare for every in-chunk offset, and the
-        pending count deltas folded into just the prefix entries read),
-        ``O(q log n)`` in total.
+        count prefix for each boundary chunk's first rank), ``O(q log n)``
+        in total once the prefix is cached.  The prefix is rebuilt, one
+        ``cumsum``, only by the first rank read after a count change.
         """
         starts, ends = self._rank_bounds(*coerce_query_bounds(queries))
         return ends - starts
 
-    def _rank_bounds(self, los, his, folded=None):
+    def _rank_bounds(self, los, his):
         """Global rank intervals of many ranges (bounds rounded to the plane)."""
         return self._dir.rank_bounds(
             round_to_plane(los, self._dtype, "lo"),
             round_to_plane(his, self._dtype, "hi"),
-            folded,
         )
 
-    def _take_ranks(self, ranks, starts, ends, counts, folded):
+    def _take_ranks(self, ranks, starts, ends, counts):
         """Values at the seeded queries' global ranks (see :meth:`sample_bulk`).
 
-        Each rank resolves to its ``(chunk, offset)`` through the count
-        prefix (``folded`` is the call's
-        :class:`~repro.core.directory.FoldedCounts`), and all values come
-        out of the slab in one gather.
+        Each rank resolves to its ``(chunk, offset)`` with one
+        ``searchsorted`` over the count prefix, and all values come out of
+        the slab in one gather.
         """
         self.stats.queries += int(counts.size)
         self.stats.samples_returned += int(ranks.size)
-        return self._values_at(ranks, folded)
+        return self._values_at(ranks)
 
     def export_sorted(self):
         """Return every stored point as a sorted NumPy array (shard hook).
@@ -369,9 +372,9 @@ class DynamicIRS(DynamicRangeSampler):
         starts, ends = self._rank_bounds(_np.asarray([lo]), _np.asarray([hi]))
         return self._values_at(_np.arange(starts[0], ends[0])).tolist()
 
-    def _values_at(self, ranks, folded=None):
+    def _values_at(self, ranks):
         """float64 values at global ``ranks``: one locate, one slab gather."""
-        rows, off = self._dir.cells(ranks, folded)
+        rows, off = self._dir.cells(ranks)
         return self._dir.slab[rows, off].astype(float)
 
     def _plan(self, lo: float, hi: float):
@@ -495,13 +498,10 @@ class DynamicIRS(DynamicRangeSampler):
             return _np.empty(0, dtype=float)
         total, a, la, k_left, k_mid, b, k_right = plan
         if seed is not None:
-            folded = self._dir.folded_counts()
-            start = int(folded.starts_at(_np.asarray([a]))[0]) + la
+            start = int(self._dir.starts_at(a)) + la
             bounds = _np.asarray([start, start + total])
             ranks = seeded_ranks([seed], bounds[:1], [total], [t])
-            return self._take_ranks(
-                ranks, bounds[:1], bounds[1:], _np.asarray([t]), folded
-            )
+            return self._take_ranks(ranks, bounds[:1], bounds[1:], _np.asarray([t]))
         directory = self._dir
         stats = self.stats
         stats.queries += 1
@@ -532,8 +532,9 @@ class DynamicIRS(DynamicRangeSampler):
         The seeded queries (``seeds[i] is not None``) of the whole batch
         resolve together: one ``searchsorted`` over ``maxes`` and one over
         ``mins`` for all bounds, one :func:`repro.rng.seeded_ranks` call,
-        one rank-resolution pass over the count prefix (the pending scalar
-        deltas folded once for the whole call), then one slab gather.
+        one rank-resolution pass over the count prefix (rebuilt at most
+        once per call, only if a count changed since the last rank read),
+        then one slab gather.
         Unseeded queries delegate to :meth:`sample_bulk` one by one, in
         input order, preserving the side stream's draw-for-draw behavior.
 
@@ -542,13 +543,8 @@ class DynamicIRS(DynamicRangeSampler):
         byte-equal to :class:`~repro.core.static_irs.StaticIRS` over the
         same multiset.
         """
-        folded = self._dir.folded_counts()
         return sample_bulk_many_by_rank(
-            queries,
-            seeds,
-            self.sample_bulk,
-            lambda los, his: self._rank_bounds(los, his, folded),
-            lambda *drawn: self._take_ranks(*drawn, folded),
+            queries, seeds, self.sample_bulk, self._rank_bounds, self._take_ranks
         )
 
     def _middle_bulk(
@@ -593,27 +589,24 @@ class DynamicIRS(DynamicRangeSampler):
     def select_in_range(self, lo: float, hi: float, ranks: list[int]) -> list[float]:
         """Return the values at the given in-range ranks (0 = smallest).
 
-        ``ranks`` need not be sorted or distinct.  Cost is ``O(log n + t
-        log(n/s))``: the range's first global rank comes from the plan,
-        and all requested ranks resolve through the count prefix and come
-        out of the slab in one gather.  This is the primitive behind exact
+        ``ranks`` need not be sorted or distinct; each must be an int in
+        ``[0, count)`` (:func:`~repro.core.base.validate_ranks`), or
+        :class:`~repro.errors.InvalidQueryError` is raised.  Cost is
+        ``O(log n + t log(n/s))`` once the count prefix is cached: the
+        range's first global rank comes from the plan and the prefix, and
+        all requested ranks resolve through the prefix and come out of the
+        slab in one gather.  This is the primitive behind exact
         without-replacement sampling on the dynamic structure: ranks
         identify points uniquely even when values repeat.
         """
         validate_query(lo, hi, 0)
         plan = self._plan(lo, hi)
-        total = plan[0] if plan is not None else 0
-        for rank in ranks:
-            if not 0 <= rank < total:
-                raise InvalidQueryError(
-                    f"rank {rank} outside [0, {total}) for this range"
-                )
-        if not ranks:
+        validate_ranks(ranks, plan[0] if plan is not None else 0)
+        if not len(ranks):
             return []
-        folded = self._dir.folded_counts()
-        start = int(folded.starts_at(_np.asarray([plan[1]]))[0]) + plan[2]
+        start = int(self._dir.starts_at(plan[1])) + plan[2]
         wanted = start + _np.asarray(ranks, dtype=_np.int64)
-        return self._values_at(wanted, folded).tolist()
+        return self._values_at(wanted).tolist()
 
     def kth_in_range(self, lo: float, hi: float, k: int) -> float:
         """Return the ``k``-th smallest point of ``P ∩ [lo, hi]`` (0-based)."""

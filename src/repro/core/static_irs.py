@@ -32,6 +32,7 @@ from .base import (
     sample_bulk_many_by_rank,
     validate_point,
     validate_query,
+    validate_ranks,
 )
 from .planes import as_plane, resolve_dtype
 
@@ -250,5 +251,10 @@ class StaticIRS(RangeSampler):
         )
 
     def value_at_rank(self, rank: int) -> float:
-        """Return the point with the given global rank (0-based)."""
+        """Return the point with the given global rank (0-based).
+
+        Raises :class:`~repro.errors.InvalidQueryError` unless ``rank`` is
+        an int in ``[0, n)``.
+        """
+        validate_ranks((rank,), self._data.size)
         return float(self._data[rank])

@@ -121,8 +121,9 @@ class ReproServer:
         byte-identically — independent of the coalescing configuration.
     window:
         Coalescing window in seconds: how long a forming batch waits for
-        company after its first request arrives.  ``0.0`` disables
-        coalescing (every request executes alone).
+        company after its first request arrives.  ``0.0`` skips the wait,
+        but requests already queued still drain into the batch; only
+        ``max_batch=1`` executes every request alone.
     max_batch:
         Maximum requests per batch.
     max_batch_samples:

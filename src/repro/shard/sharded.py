@@ -46,6 +46,7 @@ from ..core.base import (
     round_to_plane,
     validate_point,
     validate_query,
+    validate_ranks,
 )
 from ..core.kinds import KINDS, sort_planes
 from ..core.planes import resolve_dtype
@@ -879,11 +880,7 @@ class ShardedIRS(DynamicRangeSampler):
         window = list(self._window(lo, hi))
         counts = [self._shards[i].count(lo, hi) for i in window]
         total = sum(counts)
-        for rank in ranks:
-            if not 0 <= rank < total:
-                raise InvalidQueryError(
-                    f"rank {rank} outside [0, {total}) for this range"
-                )
+        validate_ranks(ranks, total)
         starts: list[int] = []
         acc = 0
         for k in counts:

@@ -1,14 +1,11 @@
-"""The count prefix across bulk updates, and counts that read no weights.
+"""The count prefix as a plain cache, and counts that read no prefix.
 
-In a directory of more than ``_STEP_BASE`` chunks, a bulk insert or
-delete that keeps the chunk list's shape records its count changes as a
-deferred step on the cached count prefix instead of dropping it, and the
-next reader folds the steps in (DESIGN.md §8).  These tests pin that the
-cache survives such a pass, that every read through it matches a freshly
-built twin, and that the paths which change the shape, or defer too
-much, still drop it.  Most of them run at a size where the default bound
-defers nothing, so the ``deferring`` fixture lowers it; the fold itself
-does not depend on the size.
+The directory's count prefix is a memo that every count change empties;
+only rank readers (``peek_counts``, ``report``, seeded draws, rank
+selection) rebuild it (DESIGN.md §8).  These tests pin that a count and
+an unseeded draw never need it, that the update paths which change
+counts drop it, and that every read after them matches a freshly built
+twin and a sorted model.
 
 ``WeightedDynamicIRS.count`` answers from count geometry alone: it must
 never rebuild the weight prefix, and it must agree with ``DynamicIRS``
@@ -21,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro import DynamicIRS, WeightedDynamicIRS
-from repro.core import directory
+from repro.core.directory import ChunkDirectory
 
 N = 60_000
 #: Spans many chunks at N; the later ones are narrow and one-chunk.
@@ -31,21 +28,10 @@ kinds = pytest.mark.parametrize("kind", [DynamicIRS, WeightedDynamicIRS])
 dtypes = pytest.mark.parametrize("dtype", [np.float32, np.float64])
 
 
-@pytest.fixture
-def deferring(monkeypatch):
-    """Let a bulk pass at ``N`` points defer: the bound is ``chunks // 4``."""
-    monkeypatch.setattr(directory, "_STEP_BASE", 0)
-    monkeypatch.setattr(directory, "_STEP_SHARE", 4)
-
-
-def _bound(d):
-    return (len(d._dir) - directory._STEP_BASE) // directory._STEP_SHARE
-
-
-def _build(kind, dtype, n=N):
-    values = np.arange(n) / n  # distinct in either plane
+def _build(kind, dtype):
+    values = np.arange(N) / N  # distinct in either plane
     if kind is WeightedDynamicIRS:
-        weights = np.random.default_rng(2).uniform(0.5, 2.0, n)
+        weights = np.random.default_rng(2).uniform(0.5, 2.0, N)
         return kind.from_sorted(values, weights, seed=1, dtype=dtype)
     return kind.from_sorted(values, seed=1, dtype=dtype)
 
@@ -84,36 +70,17 @@ def _reads(d):
 
 
 def _warm(d):
-    """Count a range over at least 3 chunks, so the count prefix is cached."""
+    """Rank-read a range over at least 3 chunks, so the count prefix is cached."""
     lo, hi = QUERIES[0]
     a, _la, b, _rb = d._dir.edges(lo, hi)
     assert b - a >= 2
-    d.count(lo, hi)
+    d.peek_counts([(lo, hi)])
     assert d._dir._prefix is not None
-    return d._dir._prefix
 
 
 @kinds
 @dtypes
-def test_shape_preserving_bulk_pass_keeps_count_prefix(kind, dtype, deferring):
-    d = _build(kind, dtype)
-    prefix = _warm(d)
-    _insert(d, 0.5)
-    assert d._dir._pending, "a scalar insert rides on the prefix as a delta"
-    batch = np.random.default_rng(3).random(64).tolist()
-    _insert_bulk(d, batch)
-    d.delete_bulk(batch)
-    assert d._dir._prefix is prefix
-    d.check_invariants()
-    assert _reads(d) == _reads(_twin(d))
-    # The reads folded every step into the same array.
-    assert d._dir._prefix is prefix
-    assert not d._dir._steps and not d._dir._pending
-
-
-@kinds
-@dtypes
-def test_row_overflow_recut_drops_count_prefix(kind, dtype, deferring):
+def test_row_overflow_recut_drops_count_prefix(kind, dtype):
     d = _build(kind, dtype)
     _warm(d)
     value = float(d.export_sorted()[N // 2])
@@ -125,7 +92,7 @@ def test_row_overflow_recut_drops_count_prefix(kind, dtype, deferring):
 
 @kinds
 @dtypes
-def test_normalizing_bulk_delete_drops_count_prefix(kind, dtype, deferring):
+def test_normalizing_bulk_delete_drops_count_prefix(kind, dtype):
     d = _build(kind, dtype)
     _warm(d)
     d.delete_bulk(d._dir.row(100)[:-1].tolist())  # one point left: under s
@@ -135,54 +102,18 @@ def test_normalizing_bulk_delete_drops_count_prefix(kind, dtype, deferring):
 
 
 @kinds
-@dtypes
-def test_write_only_bulk_passes_drop_count_prefix_past_the_bound(
-    kind, dtype, deferring
-):
-    d = _build(kind, dtype)
-    _warm(d)
-    bound = _bound(d)
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        batch = rng.random(64).tolist()
-        _insert_bulk(d, batch)
-        d.delete_bulk(batch)
-        assert d._dir._deferred <= bound
-        if d._dir._prefix is None:
-            break
-    assert d._dir._prefix is None, "deferred steps grew past the bound"
-    assert not d._dir._steps
-    d.check_invariants()
-    assert _reads(d) == _reads(_twin(d))
-
-
-@kinds
-def test_pending_cap_drops_deferred_steps(kind, deferring):
-    d = _build(kind, np.float64)
-    _warm(d)
-    batch = np.random.default_rng(5).random(64).tolist()
-    _insert_bulk(d, batch)
-    assert d._dir._steps
-    for i in range(70):  # one delta per chunk: past the pending cap
-        _insert(d, (500 * i + 10) / N)
-    assert d._dir._prefix is None
-    assert not d._dir._steps and not d._dir._pending
-    d.check_invariants()
-    assert _reads(d) == _reads(_twin(d))
-
-
-@kinds
-def test_random_updates_and_counts_match_a_sorted_model(kind, deferring):
+def test_random_updates_and_counts_match_a_sorted_model(kind):
     """Scalar and bulk updates in random order, each followed by a count.
 
-    The counts keep the prefix warm, so most bulk passes defer and most
-    counts fold; every count must equal a ``searchsorted`` over a model.
+    A rank read before each update warms the count prefix, so every
+    update must drop it; every count must equal a ``searchsorted`` over a
+    model.
     """
     d = _build(kind, np.float64)
     model = d.export_sorted().astype(float)
     rng = np.random.default_rng(11)
-    folds = 0
     for step in range(160):
+        _warm(d)
         op = int(rng.integers(4))
         if op == 0:
             value = float(rng.random())
@@ -200,44 +131,36 @@ def test_random_updates_and_counts_match_a_sorted_model(kind, deferring):
             at = rng.choice(model.size, int(rng.integers(17, 65)), replace=False)
             d.delete_bulk(model[at].tolist())
             model = np.delete(model, at)
-        folds += bool(d._dir._steps)
+        assert d._dir._prefix is None, "an update left the count prefix cached"
         lo, hi = np.sort(rng.random(2)).tolist()
         want = int(model.searchsorted(hi, "right") - model.searchsorted(lo, "left"))
         assert d.count(lo, hi) == want
         if step % 40 == 0:
             d.check_invariants()
-    assert folds >= 40, "too few counts ran the fold"
     d.check_invariants()
     assert d.export_sorted().tolist() == model.tolist()
 
 
 @kinds
-def test_default_bound_defers_only_in_large_directories(kind):
-    small = _build(kind, np.float64)
-    assert _bound(small) < 0
-    _warm(small)
-    _insert_bulk(small, [0.5 + 7 * i / N for i in range(20)])
-    assert small._dir._prefix is None, "a small directory drops the prefix"
-    assert not small._dir._steps
-    # Past the base, a bulk pass over a few chunks defers ...
-    n = 600_000
-    d = _build(kind, np.float64, n)
-    assert 2 <= _bound(d) < 64
-    prefix = _warm(d)
-    lo, hi = QUERIES[0]
-    before = d.count(lo, hi)
-    _insert_bulk(d, [0.5 + 7 * i / n for i in range(20)])  # no row overflows
-    assert d._dir._prefix is prefix and d._dir._steps
-    assert d.count(lo, hi) == before + 20
-    assert not d._dir._steps
-    # ... and one that touches more chunks than the bound drops it.
-    batch = np.random.default_rng(8).random(64).tolist()
-    _insert_bulk(d, batch)
-    assert d._dir._prefix is None and not d._dir._steps
-    d.delete_bulk(batch)
+def test_counts_and_unseeded_draws_read_no_count_prefix(kind, monkeypatch):
+    """``count``, ``sample`` and unseeded ``sample_bulk`` never build the prefix.
+
+    After a scalar update and a 64-value bulk pass the prefix is empty;
+    with ``ensure_prefix`` patched to raise, all three must still answer.
+    """
+    d = _build(kind, np.float64)
+    _insert(d, 0.5)
+    _insert_bulk(d, np.random.default_rng(12).random(64).tolist())
     stored = d.export_sorted()
-    assert d.count(lo, hi) == int(np.count_nonzero((stored >= lo) & (stored <= hi)))
-    d.check_invariants()
+
+    def no_prefix(self):
+        raise AssertionError("a count or an unseeded draw built the count prefix")
+
+    monkeypatch.setattr(ChunkDirectory, "ensure_prefix", no_prefix)
+    for lo, hi in QUERIES:
+        assert d.count(lo, hi) == int(np.count_nonzero((stored >= lo) & (stored <= hi)))
+        drawn = d.sample(lo, hi, 16) + d.sample_bulk(lo, hi, 64).tolist()
+        assert len(drawn) == 80 and all(lo <= v <= hi for v in drawn)
 
 
 # -- WeightedDynamicIRS.count reads no weights --------------------------------
@@ -303,7 +226,7 @@ def _check_counts(w, d, bounds):
 
 
 @dtypes
-def test_weighted_count_matches_unweighted_over_awkward_bounds(dtype, deferring):
+def test_weighted_count_matches_unweighted_over_awkward_bounds(dtype):
     values = _awkward_values(dtype)
     weights = np.random.default_rng(9).uniform(0.5, 2.0, values.size)
     w = WeightedDynamicIRS(values, weights, seed=1, dtype=dtype)
@@ -313,11 +236,10 @@ def test_weighted_count_matches_unweighted_over_awkward_bounds(dtype, deferring)
     a, _la, b, _rb = d._dir.edges(copied, copied)
     assert b - a >= 2, "the copies should span several chunks"
     _check_counts(w, d, bounds)
-    # After a bulk pass both read folded prefixes.
+    # After a bulk pass.
     extra = np.random.default_rng(10).standard_normal(40).tolist() + [copied] * 5
     w.insert_bulk(extra, [1.0] * len(extra))
     d.insert_bulk(extra)
-    assert w._dir._steps and d._dir._steps
     _check_counts(w, d, bounds)
     # Delete to empty, then insert again.
     everything = d.export_sorted()

@@ -5,11 +5,12 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import DynamicIRS, InvalidQueryError
+from repro import DynamicIRS, InvalidQueryError, ShardedIRS, StaticIRS, WindowedIRS
 from repro.stats import chi_square_gof
 
 
@@ -60,6 +61,45 @@ class TestSelectInRange:
         expected = d.report(lo, hi)
         got = d.select_in_range(lo, hi, list(range(len(expected))))
         assert got == expected
+
+
+VALUES = [float(i) for i in range(10)]
+#: Each rank reader resolves one rank ``r``; every range holds ranks 0..5
+#: or 0..9, so rank 10 lies outside all of them.
+RANK_READERS = {
+    "dynamic-select": lambda r: DynamicIRS(VALUES, seed=1).select_in_range(0, 5, [r]),
+    "dynamic-kth": lambda r: DynamicIRS(VALUES, seed=1).kth_in_range(0, 5, r),
+    "sharded-select": lambda r: ShardedIRS(VALUES, 3, seed=1).select_in_range(0, 9, [r]),
+    "windowed-select": lambda r: WindowedIRS(VALUES, window=10, seed=1).select_in_range(
+        0, 5, [r]
+    ),
+    "static-value-at-rank": lambda r: StaticIRS(VALUES, seed=1).value_at_rank(r),
+}
+
+
+@pytest.mark.parametrize(
+    "rank", [1.5, 2.9, 4.5, 2.0, np.float64(1.0), float("nan"), True, False, -1, 10]
+)
+@pytest.mark.parametrize("reader", sorted(RANK_READERS))
+def test_rank_that_is_no_int_in_range_raises_typed_error(reader, rank):
+    """A float, bool or NaN rank, or one outside the range, is refused.
+
+    None of them may be truncated, wrapped or indexed into a point.
+    """
+    with pytest.raises(InvalidQueryError):
+        RANK_READERS[reader](rank)
+
+
+@pytest.mark.parametrize("reader", sorted(RANK_READERS))
+def test_numpy_integer_rank_resolves(reader):
+    got = RANK_READERS[reader](np.int64(3))
+    assert got in (3.0, [3.0])
+
+
+def test_dynamic_select_takes_a_rank_array():
+    d = DynamicIRS(VALUES, seed=1)
+    assert d.select_in_range(0, 5, np.array([3, 1])) == [3.0, 1.0]
+    assert d.select_in_range(0, 5, np.array([], dtype=np.int64)) == []
 
 
 class TestDynamicWoR:

@@ -6,8 +6,9 @@ values, exactly as :class:`StaticIRS` does — so the reply cannot depend on
 how the points happen to be cut into chunks.  These tests pin that down
 (against rebuilt twins, after every kind of structural repair, and across
 a durable server restart), the batch path that serves it
-(``sample_bulk_many``), the directory's rank addressing under pending
-count deltas, and read-run coalescing in ``run_mixed``.
+(``sample_bulk_many``), the directory's rank addressing after scalar
+updates emptied its count prefix, and read-run coalescing in
+``run_mixed``.
 """
 
 from __future__ import annotations
@@ -154,31 +155,29 @@ def test_all_three_raise_on_empty_range():
 # -- the directory's rank addressing -------------------------------------------
 
 
-def _structure_with_pending_deltas(dtype=np.float64):
+def _structure_after_scalar_updates(dtype=np.float64):
     d = DynamicIRS(DATA, seed=1, dtype=dtype)
-    d.count(0.0, 100.0)  # build the count prefix
+    d.peek_counts([(0.0, 100.0)])  # build the count prefix
     rng = random.Random(11)
     for _ in range(30):
         d.insert(rng.choice(DATA))
         d.delete(rng.choice(d.export_sorted().tolist()))
-    assert d._dir._pending, "scalar updates should ride on the prefix as deltas"
+    assert d._dir._prefix is None, "a scalar update should empty the count prefix"
     return d
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_rank_addressing_folds_pending_deltas(dtype):
-    d = _structure_with_pending_deltas(dtype)
+def test_rank_addressing_after_scalar_updates(dtype):
+    d = _structure_after_scalar_updates(dtype)
     directory = d._dir
     sizes = directory.counts.copy()
     before = np.cumsum(sizes) - sizes
-    idx = np.arange(len(sizes))
-    folded = directory.folded_counts()
-    assert folded.keys.size, "the fold should carry the pending deltas"
-    assert folded.starts_at(idx).tolist() == before.tolist()
     ranks = np.arange(len(d))
-    ci, off = folded.locate(ranks)
-    assert ci.tolist() == np.repeat(idx, sizes).tolist()
+    ci = np.repeat(np.arange(len(sizes)), sizes)
+    rows, off = directory.cells(ranks)
+    assert rows.tolist() == directory.row_of[ci].tolist()
     assert off.tolist() == (ranks - before[ci]).tolist()
+    assert directory._prefix.tolist() == np.cumsum(sizes).tolist()
     flat = d.export_sorted()
     los = np.asarray([-1.0, 0.0, 3.1, 50.0, 96.5, 200.0])
     his = np.asarray([-0.5, 3.1, 3.1, 80.25, 96.5, 300.0])
@@ -287,12 +286,18 @@ def test_runner_replay_attributes_empty_range_to_its_op():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_many_with_pending_count_deltas(dtype):
-    d = _structure_with_pending_deltas(dtype)
+def test_many_after_scalar_updates(dtype):
+    d = _structure_after_scalar_updates(dtype)
     _rebuilt, static = _twins(d)
     seeds = [61, 62, 63, 64, 65]
     grouped = d.sample_bulk_many(QUERIES, seeds=seeds)
-    assert d._dir._pending, "a seeded read must not need to fold the deltas away"
+    counts = d._dir.counts
+    assert d._dir._prefix.tolist() == np.cumsum(counts).tolist()
+    los, his = np.array([q[:2] for q in QUERIES]).T
+    starts, ends = d._dir.rank_bounds(los, his)
+    flat = d.export_sorted()
+    assert starts.tolist() == np.searchsorted(flat, los, "left").tolist()
+    assert ends.tolist() == np.searchsorted(flat, his, "right").tolist()
     for (lo, hi, t), seed, got in zip(QUERIES, seeds, grouped):
         assert got.tobytes() == d.sample_bulk(lo, hi, t, seed=seed).tobytes()
         assert got.tobytes() == static.sample_bulk(lo, hi, t, seed=seed).tobytes()
