@@ -1,26 +1,21 @@
-"""F18 — self-tuning coalescing on a skewed open-loop workload, and the
-cost of observability.
+"""F18 — coalescing windows on a skewed open-loop workload, and the cost
+of observability.
 
 Two claims under test:
 
-1. **Self-tuning finds the latency floor no fixed window finds.**  The
-   server's batcher drains its whole queue every cycle (exhaustive
-   service), so ``window=0`` is the *open-loop latency floor*: backlog
-   self-batches and the window only ever adds deliberate waiting.  Every
-   nonzero fixed window therefore pays its full window in a lull (the
-   batch never gathers company at 150 req/s) while buying nothing in a
-   burst that exhaustive draining would not batch anyway.  The AIMD
-   :class:`~repro.obs.WindowController` starts at its 1 ms default with
-   no knowledge of the workload and must *discover* the floor from
-   measured arrival rate and p99.  Asserted, on a lull/burst schedule:
-   the controller retunes, strictly beats **every nonzero fixed window**
-   on mean latency, tracks the zero-window oracle within a small
-   constant, and keeps lull p99 within a small multiple of its SLO
-   (``p99_budget``) — the guard, not a human, picks the operating
-   point.  Arrivals are open-loop (fire at scheduled times, never
-   throttled by replies) — the regime where the window/latency
-   trade-off is visible at all.  Batches-per-request is reported
-   alongside as the efficiency the window trades against.
+1. **The zero window is the latency floor.**  The server's batcher
+   drains its whole queue every cycle (exhaustive service), so
+   ``window=0`` is the *open-loop latency floor*: backlog self-batches
+   and the window only ever adds deliberate waiting.  Every nonzero
+   fixed window therefore pays its full window in a lull (the batch
+   never gathers company at 150 req/s) while buying nothing in a burst
+   that exhaustive draining would not batch anyway.  Asserted, on a
+   lull/burst schedule: ``fixed-0ms`` has a lower mean latency than
+   **every nonzero fixed window** — the evidence for the server's
+   default ``window=0``.  Arrivals are open-loop (fire at scheduled
+   times, never throttled by replies) — the regime where the
+   window/latency trade-off is visible at all.  Batches-per-request is
+   reported alongside as the efficiency the window trades against.
 
 2. **Metrics stay off the hot path.**  The same F15-style closed-loop
    serving workload runs with ``observe=True`` (full control plane:
@@ -39,7 +34,6 @@ import pytest
 
 from repro import StaticIRS
 from repro.bench import serve_open_loop, serve_throughput
-from repro.obs import WindowController
 from repro.serve import ReproServer
 from repro.workloads import uniform_points
 
@@ -47,9 +41,8 @@ N = 50_000
 T = 8
 _CPUS = os.cpu_count() or 1
 
-#: Fixed coalescing windows the adaptive controller competes against.
-#: 0 is the exhaustive-service latency floor (the oracle the controller
-#: must discover); the nonzero settings are the grid it must beat.
+#: Fixed coalescing windows: 0 is the exhaustive-service latency floor
+#: (the server's default); the nonzero settings are the grid it must beat.
 FIXED_WINDOWS = [0.0, 0.001, 0.004, 0.016]
 
 #: The skewed schedule: cycles of a long sparse lull and a dense burst.
@@ -60,21 +53,6 @@ LULL_SPACING = 1 / 150  # 150 req/s — a window only adds latency here
 BURST_REQUESTS = 1200
 BURST_SPACING = 1 / 8000  # 8k req/s — gathers real batches, no overload
 CYCLES = 2
-
-#: The controller's latency SLO; the lull p99 assertion is keyed to it.
-P99_BUDGET = 0.0008
-
-
-def make_controller() -> WindowController:
-    """The adaptive configuration under test (also the CLI's shape)."""
-    return WindowController(
-        min_window=0.0,
-        max_window=0.016,
-        target_batch=16,
-        p99_budget=P99_BUDGET,
-        step=0.0005,
-        interval=0.01,
-    )
 
 
 def skewed_schedule(rng: random.Random) -> tuple[list[tuple[float, dict]], list[str]]:
@@ -101,20 +79,12 @@ def skewed_schedule(rng: random.Random) -> tuple[list[tuple[float, dict]], list[
     return schedule, marks
 
 
-def _phase_stats(result: dict, marks: list[str]) -> dict:
-    """Split a :func:`serve_open_loop` result back into its phases."""
+def _phase_means(result: dict, marks: list[str]) -> dict[str, float]:
+    """Mean latency of a :func:`serve_open_loop` result, per phase."""
     by_phase: dict[str, list[float]] = {"lull": [], "burst": []}
     for mark, latency in zip(marks, result["latencies"]):
         by_phase[mark].append(latency)
-    out = {}
-    for phase, values in by_phase.items():
-        values = sorted(values)
-        out[phase] = {
-            "mean": sum(values) / len(values),
-            "p95": values[min(len(values) - 1, int(0.95 * len(values)))],
-            "p99": values[min(len(values) - 1, int(0.99 * len(values)))],
-        }
-    return out
+    return {phase: sum(values) / len(values) for phase, values in by_phase.items()}
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +96,7 @@ def dataset():
 def rec(experiment):
     return experiment(
         "F18",
-        f"adaptive coalescing vs fixed windows (skewed open-loop, "
+        f"fixed coalescing windows (skewed open-loop, "
         f"{CYCLES}x[{LULL_REQUESTS} lull + {BURST_REQUESTS} burst] requests, "
         f"t={T}) and metrics on/off overhead",
         [
@@ -154,70 +124,37 @@ def results(dataset):
             return ReproServer(StaticIRS(dataset, seed=3), seed=7, window=w)
 
         out[f"fixed-{window * 1e3:g}ms"] = (
-            serve_open_loop(make_server, schedule), marks, None
+            serve_open_loop(make_server, schedule), marks
         )
-    controller = make_controller()
-    schedule, marks = skewed_schedule(random.Random(1801))
-
-    def make_adaptive():
-        return ReproServer(
-            StaticIRS(dataset, seed=3), seed=7, adaptive_window=controller
-        )
-
-    out["adaptive"] = (serve_open_loop(make_adaptive, schedule), marks, controller)
     return out
 
 
-def test_f18_adaptive_beats_fixed_windows(rec, results):
-    stats = {}
-    for name, (lat, marks, controller) in results.items():
-        phases = _phase_stats(lat, marks)
+def test_f18_zero_window_is_latency_floor(rec, results):
+    means = {}
+    for name, (lat, marks) in results.items():
+        phases = _phase_means(lat, marks)
         served = lat["stats"]
         batches_per_req = served["batches"] / served["admitted"]
-        extra = ""
-        if controller is not None:
-            extra = (
-                f"adjustments={controller.adjustments} "
-                f"p99_lull={phases['lull']['p99'] * 1e3:.3f}ms"
-            )
         rec.row(
             "skewed-open-loop",
             name,
             _CPUS,
             round(lat["mean"] * 1e3, 3),
-            round(phases["lull"]["mean"] * 1e3, 3),
-            round(phases["burst"]["mean"] * 1e3, 3),
+            round(phases["lull"] * 1e3, 3),
+            round(phases["burst"] * 1e3, 3),
             round(batches_per_req, 3),
             "",
-            extra,
+            "",
         )
-        stats[name] = (lat, phases)
-    adaptive, adaptive_phases = stats.pop("adaptive")
-    floor, _ = stats.pop("fixed-0ms")
-    _, _, controller = results["adaptive"]
-    assert controller.adjustments > 0, "controller never retuned"
-    # Strictly beat every nonzero fixed window on mean latency: each pays
-    # its full window in the lull and gains nothing over exhaustive
-    # draining in the burst.
-    for name, (lat, _) in stats.items():
-        assert adaptive["mean"] < lat["mean"], (
-            f"adaptive mean {adaptive['mean'] * 1e3:.3f}ms not below "
-            f"{name} mean {lat['mean'] * 1e3:.3f}ms"
+        means[name] = lat["mean"]
+    floor = means.pop("fixed-0ms")
+    # Every nonzero window pays its full wait in the lull and gains
+    # nothing over exhaustive draining in the burst.
+    for name, mean in means.items():
+        assert floor < mean, (
+            f"fixed-0ms mean {floor * 1e3:.3f}ms not below "
+            f"{name} mean {mean * 1e3:.3f}ms"
         )
-    # Track the zero-window oracle: the controller starts at 1 ms with no
-    # workload knowledge and must shrink toward the floor on its own.
-    assert adaptive["mean"] <= 5.0 * max(floor["mean"], 1e-6), (
-        f"adaptive mean {adaptive['mean'] * 1e3:.3f}ms strayed from the "
-        f"zero-window floor {floor['mean'] * 1e3:.3f}ms"
-    )
-    # The latency guard holds its SLO in the lull (AIMD probing overshoots
-    # the budget by at most a small multiple before the guard halves).
-    # Asserted at p95: with a few hundred lull requests, p99 is a handful
-    # of samples and a single scheduler hiccup flips it.
-    assert adaptive_phases["lull"]["p95"] <= 3.0 * P99_BUDGET, (
-        f"adaptive lull p95 {adaptive_phases['lull']['p95'] * 1e3:.3f}ms "
-        f"blew the {P99_BUDGET * 1e3:.1f}ms budget"
-    )
 
 
 def test_f18_metrics_overhead(rec, dataset):

@@ -30,7 +30,6 @@ async def main(n: int) -> None:
     server = ReproServer(
         {"default": DynamicIRS(points, seed=7), "reference": StaticIRS(points, seed=8)},
         seed=2014,
-        window=0.002,
         max_batch=256,
     )
     await server.start_tcp(port=0)

@@ -35,11 +35,12 @@ serves newline-delimited JSON requests against it — over TCP
 (``--port``; runs until interrupted) or from a ``--requests`` file
 (offline: one response line per request line, then a ``#``-prefixed
 stats line, then exit).  ``--window-ms``/``--max-batch`` tune request
-coalescing: ``--window-ms 0`` skips only the wait for company, so
-requests already queued still share a batch, and ``--max-batch 1``
-serves one request per call.  With ``--data-dir`` the server is
-durable: state recovers from the directory's snapshot + write-ahead log
-on start, every update batch is logged before it executes (``--fsync``
+coalescing: the default ``--window-ms 0`` skips only the wait for
+company, so requests already queued still share a batch, a positive
+window holds each batch open that long, and ``--max-batch 1`` serves
+one request per call.  With ``--data-dir`` the server is durable:
+state recovers from the directory's snapshot + write-ahead log on
+start, every update batch is logged before it executes (``--fsync``
 picks the policy), and snapshots checkpoint on
 ``--snapshot-ops``/``--snapshot-interval`` triggers and on graceful
 shutdown.
@@ -48,15 +49,15 @@ The serving control plane (:mod:`repro.obs`) hangs off the same
 command: ``--metrics-port`` serves ``GET /metrics`` (Prometheus text)
 and ``GET /healthz`` (ok/degraded/overloaded JSON), ``--trace-dir``
 exports recent per-request traces as Chrome-trace-viewer JSON on
-shutdown, ``--adaptive-window`` lets the coalescing window retune
-itself from measured load, and ``--memory-budget`` /
-``--rate-capacity`` / ``--overcommit`` gate admission on measured
-capacity instead of queue depth alone.
+shutdown, and ``--memory-budget`` / ``--rate-capacity`` /
+``--overcommit`` gate admission on measured capacity instead of queue
+depth alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
@@ -73,6 +74,16 @@ def read_floats(path: str) -> list[float]:
     """Parse a whitespace-separated float file."""
     with open(path) as handle:
         return [float(token) for token in handle.read().split()]
+
+
+def _window_ms(text: str) -> float:
+    """Parse ``--window-ms``: a finite number of milliseconds >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}"
+        )
+    return value
 
 
 def build_structure(
@@ -207,10 +218,10 @@ def _parser() -> argparse.ArgumentParser:
             )
             p.add_argument(
                 "--window-ms",
-                type=float,
-                default=2.0,
-                help="request coalescing window in milliseconds (0: no wait; "
-                "queued requests still share a batch)",
+                type=_window_ms,
+                default=0.0,
+                help="request coalescing window in milliseconds (default 0: "
+                "no wait; queued requests still share a batch)",
             )
             p.add_argument("--max-batch", type=int, default=256)
             p.add_argument(
@@ -260,12 +271,6 @@ def _parser() -> argparse.ArgumentParser:
                 default=None,
                 help="export recent request traces to this directory as "
                 "Chrome-trace-viewer JSON on shutdown",
-            )
-            p.add_argument(
-                "--adaptive-window",
-                action="store_true",
-                help="retune the coalescing window from measured arrival "
-                "rate and p99 (AIMD between 0 and --window-ms)",
             )
             p.add_argument(
                 "--memory-budget",
@@ -345,7 +350,7 @@ def _serve(args, structure) -> int:
 
     from .serve import ReproServer, ServeClient
 
-    window = max(0.0, args.window_ms) / 1e3
+    window = args.window_ms / 1e3
     durable = dict(
         data_dir=args.data_dir,
         fsync=args.fsync,
@@ -357,12 +362,6 @@ def _serve(args, structure) -> int:
         rate_capacity=getattr(args, "rate_capacity", None),
         overcommit=getattr(args, "overcommit", 1.0),
     )
-    if getattr(args, "adaptive_window", False):
-        from .obs import WindowController
-
-        control["adaptive_window"] = WindowController(
-            min_window=0.0, max_window=max(window, 0.001)
-        )
 
     async def offline() -> int:
         with open(args.requests) as handle:

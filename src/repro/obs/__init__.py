@@ -1,4 +1,4 @@
-"""Observability control plane: metrics, tracing, capacity, self-tuning.
+"""Observability control plane: metrics, tracing, capacity.
 
 The :mod:`repro.obs` package is the serving stack's control plane,
 kept dependency-free and importable from every layer:
@@ -9,7 +9,6 @@ kept dependency-free and importable from every layer:
   ring, the server↔shard attribution bridge, Chrome-trace export.
 * :mod:`repro.obs.capacity` — logical resident-byte accounting and the
   over-commit admission gate.
-* :mod:`repro.obs.tuning` — the AIMD coalescing-window controller.
 * :mod:`repro.obs.http` — the HTTP-lite ``/metrics`` + ``/healthz``
   listener.
 """
@@ -26,7 +25,6 @@ from .metrics import (
     exponential_buckets,
 )
 from .trace import Span, TraceRecord, TraceRing, chrome_trace
-from .tuning import WindowController
 
 __all__ = [
     "AdmissionGate",
@@ -44,5 +42,4 @@ __all__ = [
     "TraceRecord",
     "TraceRing",
     "chrome_trace",
-    "WindowController",
 ]

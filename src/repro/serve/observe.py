@@ -5,11 +5,11 @@
 recorded: it registers the store/em/shard/faults metric families on the
 server's registry (all pull-valued — the instrumented layers keep plain
 integer attributes), derives the health status, and publishes the
-handful of push gauges (queue depth, coalescing window, admission
-pressure, health) *change-only* from the server's existing drain loop —
-no timer per metric, no publication when nothing moved.  A scrape also
-refreshes them via a registry collector, so ``GET /metrics`` is exact
-even on an idle server.
+handful of push gauges (queue depth, admission pressure, health)
+*change-only* from the server's existing drain loop — no timer per
+metric, no publication when nothing moved.  A scrape also refreshes
+them via a registry collector, so ``GET /metrics`` is exact even on an
+idle server.  The coalescing-window gauge is fixed at construction.
 
 Health is three-valued and ordered::
 
@@ -54,9 +54,9 @@ class ServerObservability:
         self._depth = reg.gauge(
             "repro_serve_queue_depth", "Requests waiting for execution."
         )
-        self._window_g = reg.gauge(
-            "repro_serve_coalesce_window_seconds", "Current coalescing window."
-        )
+        reg.gauge(
+            "repro_serve_coalesce_window_seconds", "Coalescing window."
+        ).set(self.server._window)
         self._pressure = reg.gauge(
             "repro_serve_pressure",
             "Admission pressure (max configured component; >= 1 refuses).",
@@ -275,7 +275,6 @@ class ServerObservability:
         health = HEALTH_CODES[self.health()["status"]]
         updates = {
             "depth": (self._depth, depth),
-            "window": (self._window_g, server._window),
             "pressure": (self._pressure, pressure),
             "health": (self._health, health),
         }

@@ -17,10 +17,11 @@ all on one event loop:
 2. **Coalescing** (the batcher task): admitted requests are grouped into
    a batch until the *window* elapses, the batch holds ``max_batch``
    requests, or the sample budget is spent.  ``max_batch=1`` degenerates
-   to naive one-request-per-call serving (the benchmark baseline);
-   ``window=0`` skips only the deliberate gather sleep — queued backlog
-   still drains into batches (exhaustive service), so a saturated
-   zero-window server self-batches instead of going serial.
+   to naive one-request-per-call serving (the benchmark baseline).  The
+   default ``window=0`` skips only the deliberate gather sleep — queued
+   backlog still drains into batches (exhaustive service), so a
+   saturated zero-window server self-batches instead of going serial,
+   and no sleep delays a lone request.
 3. **Execution** (the executor task): batches run strictly in admission
    order through :meth:`repro.batch.BatchQueryRunner.run_mixed` with
    ``coalesce_reads=True`` (read runs become single scatter/probe calls,
@@ -121,9 +122,10 @@ class ReproServer:
         byte-identically — independent of the coalescing configuration.
     window:
         Coalescing window in seconds: how long a forming batch waits for
-        company after its first request arrives.  ``0.0`` skips the wait,
-        but requests already queued still drain into the batch; only
-        ``max_batch=1`` executes every request alone.
+        company after its first request arrives; a finite number >= 0.
+        The default ``0.0`` skips the wait, but requests already queued
+        still drain into the batch; only ``max_batch=1`` executes every
+        request alone.
     max_batch:
         Maximum requests per batch.
     max_batch_samples:
@@ -164,11 +166,6 @@ class ReproServer:
         overhead benchmark.
     trace_capacity:
         Size of the bounded ring of finished per-request traces.
-    adaptive_window:
-        Optional :class:`~repro.obs.WindowController`: the coalescing
-        window then retunes itself (AIMD between the controller's
-        bounds) from measured arrival rate and p99.  ``None`` (default)
-        keeps the fixed ``window``.
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan` threaded into the WAL
         as a :class:`~repro.faults.FaultyFile` wrapper (sites
@@ -187,7 +184,7 @@ class ReproServer:
         structures,
         *,
         seed: int | None = None,
-        window: float = 0.002,
+        window: float = 0.0,
         max_batch: int = 256,
         max_batch_samples: int = 1 << 20,
         max_t: int = 1 << 20,
@@ -201,14 +198,13 @@ class ReproServer:
         dedup_window: int = 4096,
         observe: bool = True,
         trace_capacity: int = 512,
-        adaptive_window=None,
         fault_plan=None,
         memory_budget: int | None = None,
         rate_capacity: float | None = None,
         overcommit: float = 1.0,
     ) -> None:
-        if window < 0.0:
-            raise ValueError("window must be >= 0")
+        if not (math.isfinite(window) and window >= 0.0):
+            raise ValueError(f"window must be a finite number >= 0, got {window!r}")
         if max_batch < 1 or max_pending < 1 or max_inflight < 1:
             raise ValueError("max_batch, max_pending and max_inflight must be >= 1")
         self._runner = BatchQueryRunner(structures)
@@ -256,9 +252,6 @@ class ReproServer:
             overcommit=overcommit,
         )
         self.gate.watch(self._runner.structures)
-        self._controller = adaptive_window
-        if self._controller is not None:
-            self._window = self._controller.window
         self.traces = TraceRing(trace_capacity) if observe else None
         self.obs = ServerObservability(self) if observe else None
         if not observe:
@@ -667,7 +660,8 @@ class ReproServer:
                         self.traces.push(pending.trace)
                 batch = [p for p in batch if not p.spec.writes]
                 if not batch:
-                    self._publish_and_tune()
+                    if self.obs is not None:
+                        self.obs.publish()
                     return
             else:
                 if traced:
@@ -715,24 +709,8 @@ class ReproServer:
         else:
             self._run_batch(batch, loop)
         self._maybe_checkpoint(loop)
-        self._publish_and_tune()
-
-    def _publish_and_tune(self) -> None:
-        """Post-batch control-plane work: publication and window retuning.
-
-        Publication is change-only (see
-        :meth:`~repro.serve.observe.ServerObservability.publish`) and the
-        AIMD controller ticks at its own bounded cadence, so the per-batch
-        cost here is a handful of comparisons.
-        """
         if self.obs is not None:
             self.obs.publish()
-        if self._controller is not None:
-            self._window = self._controller.tick(
-                time.perf_counter(),
-                self.stats.arrival_rate(),
-                self.stats.recent_p99(),
-            )
 
     def _run_batch(self, batch: list, loop) -> None:
         """Run one (already-logged) batch and scatter replies to futures."""

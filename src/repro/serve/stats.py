@@ -195,14 +195,6 @@ class ServerStats:
         """Measured replies per second over the recent rate window."""
         return self._rate(self.drains)
 
-    def recent_p99(self, n: int = 128) -> float | None:
-        """p99 of the most recent ``n`` reply latencies (None if empty)."""
-        if not self.latencies:
-            return None
-        tail = list(self.latencies)[-n:]
-        tail.sort()
-        return _percentile(tail, 0.99)
-
     def snapshot(self) -> dict:
         """Return a JSON-safe metrics snapshot (the ``stats`` op's reply)."""
         uptime = time.perf_counter() - self.started

@@ -48,7 +48,6 @@ class QueryStats:
     queries: int = 0
     samples_returned: int = 0
     rejections: int = 0
-    setup_steps: int = 0
     extra: dict = field(default_factory=dict)
 
     def reset(self) -> None:
@@ -56,7 +55,6 @@ class QueryStats:
         self.queries = 0
         self.samples_returned = 0
         self.rejections = 0
-        self.setup_steps = 0
         self.extra.clear()
 
     def merge(self, other: "QueryStats") -> None:
@@ -64,6 +62,5 @@ class QueryStats:
         self.queries += other.queries
         self.samples_returned += other.samples_returned
         self.rejections += other.rejections
-        self.setup_steps += other.setup_steps
         for key, value in other.extra.items():
             self.extra[key] = self.extra.get(key, 0) + value

@@ -281,3 +281,25 @@ class TestServeCLI:
         assert [r["ok"] for r in replies] == [True, True, True]
         assert len(replies[0]["result"]) == 4
         assert replies[2]["result"] == 11  # 10 initial points + the insert
+
+    def test_serve_window_defaults_to_zero(self, data_file):
+        args = _parser().parse_args(["serve", "--data", data_file])
+        assert args.window_ms == 0.0
+
+    @pytest.mark.parametrize("window", ["inf", "nan", "-1"])
+    def test_serve_refuses_bad_window(self, data_file, tmp_path, window):
+        # Run in a subprocess with a timeout: an infinite window once hung
+        # the offline server on its first request, and a negative or NaN
+        # one silently meant 0.
+        requests = tmp_path / "requests.txt"
+        requests.write_text('{"id": 1, "op": "count", "lo": 10, "hi": 19}\n')
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--data", data_file,
+             "--requests", str(requests), "--window-ms", window],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert result.returncode == 2
+        assert "--window-ms" in result.stderr
+        assert result.stdout == ""

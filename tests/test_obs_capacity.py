@@ -1,4 +1,4 @@
-"""Capacity accounting, the admission gate, and the window controller."""
+"""Capacity accounting and the admission gate."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from repro import (
     StaticIRS,
     WeightedStaticIRS,
 )
-from repro.obs import AdmissionGate, WindowController, resident_bytes, structure_bytes
+from repro.obs import AdmissionGate, resident_bytes, structure_bytes
 from repro.obs.capacity import POINT_BYTES
 
 DATA = [float(i) for i in range(1000)]
@@ -121,71 +121,3 @@ def test_resident_refresh_is_amortized():
         gate.admit(0, 0.0)
     assert gate.resident == 2 * before
 
-
-# -- window controller -------------------------------------------------------
-
-
-def test_controller_validates_bounds():
-    with pytest.raises(ValueError):
-        WindowController(min_window=-1.0)
-    with pytest.raises(ValueError):
-        WindowController(min_window=0.01, max_window=0.001)
-
-
-def test_controller_interval_bounds_cadence():
-    c = WindowController(interval=1.0)
-    w0 = c.tick(0.0, arrival_rate=1e6, p99=None)
-    # A tick inside the interval is a no-op even with a surge signal.
-    assert c.tick(0.5, arrival_rate=1e6, p99=None) == w0
-    assert c.adjustments <= 1
-
-
-def test_surge_halves_window():
-    c = WindowController(max_window=0.016, target_batch=64, interval=0.0)
-    c.window = 0.016
-    # At 1M req/s the ideal window is 64µs — far below half the current.
-    w = c.tick(0.0, arrival_rate=1_000_000.0, p99=None)
-    assert w == pytest.approx(0.008)
-    assert c.adjustments == 1
-
-
-def test_slow_traffic_grows_additively():
-    c = WindowController(max_window=0.016, target_batch=64, step=0.001, interval=0.0)
-    c.window = 0.002
-    # At 100 req/s the ideal window (640ms) exceeds the current: add step.
-    w = c.tick(0.0, arrival_rate=100.0, p99=None)
-    assert w == pytest.approx(0.003)
-    # Growth clamps at max_window.
-    for i in range(1, 100):
-        w = c.tick(float(i), arrival_rate=100.0, p99=None)
-    assert w == pytest.approx(0.016)
-
-
-def test_latency_guard_backs_off():
-    c = WindowController(
-        min_window=0.0, max_window=0.016, target_batch=64,
-        p99_budget=0.050, interval=0.0,
-    )
-    c.window = 0.008
-    # p99 over budget while the window gathers < target_batch: the window
-    # itself is the latency, so it halves even though arrivals are slow
-    # enough that the arrival rule alone would have grown it.
-    w = c.tick(0.0, arrival_rate=100.0, p99=0.2)
-    assert w == pytest.approx(0.004)
-
-
-def test_latency_guard_ignored_when_batching_pays():
-    c = WindowController(target_batch=64, p99_budget=0.050, interval=0.0)
-    c.window = 0.001
-    # Gathering >= target_batch: high p99 is load, not the window's fault.
-    w = c.tick(0.0, arrival_rate=100_000.0, p99=0.2)
-    assert w >= 0.0005  # the arrival rule may still adjust, never the guard
-    assert c.window >= c.min_window
-
-
-def test_window_clamps_to_min():
-    c = WindowController(min_window=0.004, max_window=0.016, interval=0.0)
-    c.window = 0.005
-    for i in range(10):
-        c.tick(float(i), arrival_rate=1e9, p99=None)
-    assert c.window == pytest.approx(0.004)

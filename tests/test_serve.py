@@ -214,18 +214,17 @@ def test_replies_byte_identical_across_coalescing_configs(factory):
         else:
             requests.append({"op": "insert", "value": lo + 0.001 * i})
 
-    async def transcript(window, max_batch):
-        async with ReproServer(
-            factory(), seed=77, window=window, max_batch=max_batch
-        ) as server:
+    async def transcript(**coalescing):
+        async with ReproServer(factory(), seed=77, **coalescing) as server:
             responses = await ServeClient(server).pipeline(requests)
             return json.dumps(responses, sort_keys=True)
 
     async def main():
-        naive = await transcript(0.0, 1)
-        wide = await transcript(0.004, 256)
-        ragged = await transcript(0.001, 7)
-        assert naive == wide == ragged
+        naive = await transcript(window=0.0, max_batch=1)
+        wide = await transcript(window=0.004, max_batch=256)
+        ragged = await transcript(window=0.001, max_batch=7)
+        default = await transcript()
+        assert naive == wide == ragged == default
 
     run(main())
 

@@ -53,7 +53,9 @@ def test_empty_window_flush_single_request():
 
 def test_window_zero_still_batches_queued_requests():
     async def main():
-        async with ReproServer(StaticIRS(DATA, seed=1), window=0.0) as server:
+        # The default server: window 0, so this also pins that the default
+        # configuration still batches.
+        async with ReproServer(StaticIRS(DATA, seed=1)) as server:
             client = ServeClient(server)
             responses = await client.pipeline(
                 [{"op": "count", "lo": LO, "hi": HI} for _ in range(10)]
@@ -66,6 +68,14 @@ def test_window_zero_still_batches_queued_requests():
             assert server.stats.coalesce_factor > 1
 
     run(main())
+
+
+@pytest.mark.parametrize("window", [float("inf"), float("nan"), -1.0])
+def test_window_must_be_finite_and_non_negative(window):
+    # An infinite window would sleep forever on a batch's first request,
+    # and NaN would silently act as 0.
+    with pytest.raises(ValueError, match="window"):
+        ReproServer(StaticIRS(DATA, seed=1), window=window)
 
 
 def test_pipelined_requests_share_batches():
