@@ -20,9 +20,7 @@ Tiny-n, seconds-long sanity gate (not a benchmark): asserts that
   per-query ``sample_bulk(seed=)`` loop byte-for-byte and is at least as
   fast,
 * the mixed-stream runner executes a coalesced read/write stream,
-* the sharded engine agrees with a flat structure and (on multi-core
-  hosts) the ``processes`` backend beats ``serial`` on wide-range bulk
-  sampling at ``n = 10^6``, ``P = 4``.
+* the sharded engine agrees with a flat structure.
 
 Run:  PYTHONPATH=src python benchmarks/bench_smoke.py
 """
@@ -255,7 +253,7 @@ def main() -> int:
         ok = len(samples) == 512 and all(lo <= v <= hi for v in samples)
         check(f"{name}.sample_bulk in-range", ok)
 
-    # -- sharded engine: equivalence + backend throughput ----------------------
+    # -- sharded engine: equivalence with a flat structure -------------------------
     sharded = ShardedIRS(data, num_shards=4, seed=31)
     flat = StaticIRS(data, seed=32)
     check(
@@ -360,36 +358,6 @@ def main() -> int:
         f"best pair: one-call {best_pair[0]:,.0f} q/s vs loop {best_pair[1]:,.0f} q/s"
         f" ({best_ratio:.2f}x)",
     )
-
-    cpus = os.cpu_count() or 1
-    if cpus >= 4:
-        # Below 4 cores the 4-worker pool contends with the parent and the
-        # margin over serial is scheduler noise, not signal.
-        shard_n = 1_000_000
-        shard_data = sorted(uniform_points(shard_n, seed=33))
-        queries = [(0.05, 0.9, 65_536) for _ in range(16)]
-
-        def run_backend(backend: str, shards: int) -> float:
-            with ShardedIRS.from_sorted(
-                shard_data, num_shards=shards, seed=34, shard_kind="static",
-                backend=backend, max_workers=shards,
-            ) as s:
-                s.sample_bulk_many(queries)  # warm pools and snapshots
-                best = time_callable(lambda: s.sample_bulk_many(queries), repeat=3)
-            return len(queries) * 65_536 / best
-
-        serial = run_backend("serial", 1)
-        procs = run_backend("processes", 4)
-        check(
-            "processes backend beats serial at n=1e6, P=4",
-            procs >= serial,
-            f"processes {procs / 1e6:,.1f}M/s vs serial {serial / 1e6:,.1f}M/s",
-        )
-    else:
-        print(
-            f"[skip] processes-vs-serial shard throughput: host has {cpus} CPU(s)"
-            " (the P=4 gate needs >= 4)"
-        )
 
     # -- durability: snapshot recovery must beat WAL-only replay ---------------
     # The checkpointing story only holds if the O(n) from_sorted rebuild is

@@ -24,11 +24,11 @@ Batches of queries — and mixed update/query streams — run through
 
 For horizontal scale, :class:`ShardedIRS` range-partitions the key space
 across ``P`` shards (each any sampler above) behind the same API, with
-scatter-gather sampling on pluggable serial/threads/processes backends::
+scatter-gather sampling on pluggable serial/threads backends::
 
     from repro import ShardedIRS
-    s = ShardedIRS(values, num_shards=4, seed=42, backend="processes")
-    s.sample_bulk(0.0, 1.0, 10_000)   # exact, parallel, reproducible
+    s = ShardedIRS(values, num_shards=4, seed=42, backend="threads")
+    s.sample_bulk(0.0, 1.0, 10_000)   # exact and reproducible
     s.close()
 
 And :mod:`repro.serve` puts an asyncio front end on any of them —

@@ -26,7 +26,7 @@ printing one mean per ``sample`` line.
 
 ``--shards N`` range-partitions the data into an N-shard
 :class:`~repro.shard.ShardedIRS` whose shards are the requested
-``--structure`` kind; ``--backend {serial,threads,processes}`` picks the
+``--structure`` kind; ``--backend {serial,threads}`` picks the
 scatter-gather execution backend (results are identical across backends
 under a fixed ``--seed``).
 
@@ -51,7 +51,9 @@ and ``GET /healthz`` (ok/degraded/overloaded JSON), ``--trace-dir``
 exports recent per-request traces as Chrome-trace-viewer JSON on
 shutdown, and ``--memory-budget`` / ``--rate-capacity`` /
 ``--overcommit`` gate admission on measured capacity instead of queue
-depth alone.
+depth alone.  These five flags are TCP-only: with ``--requests`` each is
+a usage error, since a rate gate would make the deterministic replay
+depend on wall-clock arrival.
 """
 
 from __future__ import annotations
@@ -65,9 +67,14 @@ import numpy as np
 
 from .batch import BatchQueryRunner
 from .core.kinds import KINDS, sort_planes
+from .shard import BACKEND_NAMES
 from .stats.estimators import mean_estimate
 
 __all__ = ["main", "build_structure", "read_floats"]
+
+#: ``serve`` flags that only TCP mode reads; ``--requests`` refuses them.
+_TCP_ONLY = ("metrics_port", "trace_dir", "memory_budget", "rate_capacity",
+             "overcommit")
 
 
 def read_floats(path: str) -> list[float]:
@@ -197,7 +204,7 @@ def _parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--backend",
-            choices=("serial", "threads", "processes"),
+            choices=BACKEND_NAMES,
             default="serial",
             help="shard execution backend (only meaningful with --shards > 1)",
         )
@@ -289,9 +296,9 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--overcommit",
                 type=float,
-                default=1.0,
+                default=None,
                 help="over-commit ratio applied to --memory-budget and "
-                "--rate-capacity",
+                "--rate-capacity (default 1.0)",
             )
         else:
             p.add_argument("--lo", type=float, required=True)
@@ -323,7 +330,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if args.command == "serve" and args.requests:
+        for dest in _TCP_ONLY:
+            if getattr(args, dest) is not None:
+                flag = "--" + dest.replace("_", "-")
+                parser.error(f"argument {flag}: not allowed with --requests")
     values = read_floats(args.data)
     weights = read_floats(args.weights) if args.weights else None
     structure = build_structure(
@@ -356,11 +369,6 @@ def _serve(args, structure) -> int:
         fsync=args.fsync,
         snapshot_ops=args.snapshot_ops,
         snapshot_interval=args.snapshot_interval,
-    )
-    control = dict(
-        memory_budget=getattr(args, "memory_budget", None),
-        rate_capacity=getattr(args, "rate_capacity", None),
-        overcommit=getattr(args, "overcommit", 1.0),
     )
 
     async def offline() -> int:
@@ -397,8 +405,10 @@ def _serve(args, structure) -> int:
             seed=args.seed,
             window=window,
             max_batch=args.max_batch,
+            memory_budget=args.memory_budget,
+            rate_capacity=args.rate_capacity,
+            overcommit=1.0 if args.overcommit is None else args.overcommit,
             **durable,
-            **control,
         )
         await server.start_tcp(args.host, args.port)
         print(f"serving on {args.host}:{server.port}", flush=True)

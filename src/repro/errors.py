@@ -25,7 +25,6 @@ __all__ = [
     "RetriesExhaustedError",
     "ShardExecutionError",
     "ShardTimeoutError",
-    "WorkerDiedError",
 ]
 
 
@@ -135,7 +134,7 @@ class RetriesExhaustedError(ReproError):
 
 
 class ShardExecutionError(ReproError):
-    """Base class for shard-task execution failures (timeout, worker death).
+    """Base class for shard-task execution failures (a task timeout).
 
     :class:`~repro.shard.ShardedIRS` catches this to fail over to the
     serial backend: shard tasks are seed-pure, so the re-run returns
@@ -145,7 +144,3 @@ class ShardExecutionError(ReproError):
 
 class ShardTimeoutError(ShardExecutionError, TimeoutError):
     """A shard task missed its execution deadline on a parallel backend."""
-
-
-class WorkerDiedError(ShardExecutionError):
-    """A shard worker process died before finishing its tasks."""

@@ -11,8 +11,8 @@ injection wrappers for the three seams where real systems fail:
   :class:`~repro.store.StorageBackend` with EIO and torn block writes)
   and :class:`FaultyFile` (a WAL segment handle with torn writes, silent
   corruption, and fsync failures);
-* **shard execution** — :class:`FaultyBackend` (worker death and
-  deadline misses with partial results, as their typed errors);
+* **shard execution** — :class:`FaultyBackend` (deadline misses with
+  partial results, as their typed error);
 * **transport** — :class:`FaultyProxy` (a TCP relay dropping, delaying,
   and truncating reply frames).
 

@@ -9,7 +9,7 @@ the same visits, no matter how wall-clock time or thread scheduling
 varies between runs.
 
 Sites are dotted strings naming an injection point, e.g. ``"wal.fsync"``,
-``"device.torn"``, ``"shard.die"``, ``"proxy.drop"``.  Each site keeps its
+``"device.torn"``, ``"shard.stall"``, ``"proxy.drop"``.  Each site keeps its
 own visit counter, so the schedule at one seam is independent of how
 often the other seams are exercised — adding reads to a workload cannot
 shift which *writes* fail.
@@ -21,7 +21,7 @@ Faults are scheduled two ways, combinable per site:
 * ``at={"site": {0, 3}}`` — fire on exactly these visit indices.
 
 ``limits={"site": k}`` caps a site at ``k`` fired faults, which is how a
-test says "exactly one worker death, whenever the rate lands it".
+test says "exactly one fsync failure, whenever the rate lands it".
 """
 
 from __future__ import annotations

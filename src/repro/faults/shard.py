@@ -1,37 +1,34 @@
 """Shard-executor injection: a backend wrapper that loses work on schedule.
 
 :class:`FaultyBackend` wraps any shard execution backend (serial,
-threads, processes, or custom) and injects the failure modes a parallel
-tier actually exhibits — a worker death, a wedged task that misses its
-deadline, a lost result — as their *typed* outcomes, without real sleeps
-or real process kills, so chaos suites stay fast and deterministic.
+threads, or custom) and injects the failure a parallel tier exhibits — a
+wedged task that misses its deadline — as its *typed* outcome, without
+real sleeps, so chaos suites stay fast and deterministic.
 
-Sites consumed (under the wrapper's ``site`` prefix, default shown):
+Site consumed (under the wrapper's ``site`` prefix, default shown):
 
 =================  ==========================================================
-``shard.die``      raise :class:`~repro.errors.WorkerDiedError` before any
-                   task runs
 ``shard.stall``    run a deterministic strict prefix of the tasks, then
                    raise :class:`~repro.errors.ShardTimeoutError` — the
                    output array now holds partial results, exactly what a
                    deadline miss leaves behind
 =================  ==========================================================
 
-:class:`~repro.shard.ShardedIRS` catches both errors and fails over to
-the serial backend; because shard tasks are seed-pure, the serial re-run
+:class:`~repro.shard.ShardedIRS` catches the error and fails over to the
+serial backend; because shard tasks are seed-pure, the serial re-run
 overwrites any partial results with byte-identical samples.
 """
 
 from __future__ import annotations
 
-from ..errors import ShardTimeoutError, WorkerDiedError
+from ..errors import ShardTimeoutError
 from .plan import FaultPlan
 
 __all__ = ["FaultyBackend"]
 
 
 class FaultyBackend:
-    """A shard execution backend that injects deaths and deadline misses."""
+    """A shard execution backend that injects deadline misses."""
 
     def __init__(self, inner, plan: FaultPlan, *, site: str = "shard") -> None:
         self.inner = inner
@@ -39,15 +36,8 @@ class FaultyBackend:
         self.site = site
         self.name = f"faulty-{getattr(inner, 'name', type(inner).__name__)}"
 
-    @property
-    def uses_shared_memory(self) -> bool:
-        """Whether the wrapped backend expects shared-memory task tuples."""
-        return getattr(self.inner, "uses_shared_memory", False)
-
     def run(self, fn, tasks, timeout: float | None = None) -> None:
         """Run the tasks through the wrapped backend, or fail on schedule."""
-        if self.plan.should(f"{self.site}.die"):
-            raise WorkerDiedError("injected: shard worker died")
         if self.plan.should(f"{self.site}.stall"):
             tasks = list(tasks)
             done = (

@@ -37,7 +37,6 @@ from ..errors import (
     ReproError,
     ShardTimeoutError,
     StorageError,
-    WorkerDiedError,
 )
 
 __all__ = [
@@ -64,7 +63,6 @@ ERROR_TYPES: list[tuple[type, str]] = [
     (InvalidQueryError, "invalid_query"),
     (CapacityError, "capacity"),
     (ShardTimeoutError, "shard_timeout"),
-    (WorkerDiedError, "worker_died"),
     (StorageError, "storage"),
     (ReproError, "error"),
 ]
@@ -72,10 +70,10 @@ ERROR_TYPES: list[tuple[type, str]] = [
 #: Wire error codes that mean "the request did not take effect (or is safe
 #: to repeat) and a later attempt may succeed" — the retrying client's
 #: whitelist.  ``overloaded``/``shutting_down``/``unavailable`` are
-#: refusals issued *before* execution; ``shard_timeout``/``worker_died``
-#: come from seed-pure read paths, so repeating them is harmless.
+#: refusals issued *before* execution; ``shard_timeout`` comes from
+#: seed-pure read paths, so repeating it is harmless.
 RETRYABLE_CODES = frozenset(
-    {"overloaded", "shutting_down", "unavailable", "shard_timeout", "worker_died"}
+    {"overloaded", "shutting_down", "unavailable", "shard_timeout"}
 )
 
 

@@ -698,9 +698,9 @@ class ReproServer:
                 for shard, start, dur, n in by_trace.get(record.trace_id, ()):
                     record.add("shard_task", start, dur, {"shard": shard, "n": n})
                 for shard, start, dur, n in batch_spans:
-                    # Spans the scatter could not attribute per request
-                    # (the shared-memory backend times the whole scatter):
-                    # batch-level context on every traced member.
+                    # Task spans no traced request's seed claims
+                    # (untraced members, ops that derive their scatter
+                    # seeds): batch-level context on every traced member.
                     record.add(
                         "shard_task", start, dur,
                         {"shard": shard, "n": n, "aggregate": True},

@@ -1,20 +1,14 @@
-"""Sharded scatter-gather IRS: range partitioning over parallel backends.
+"""Sharded scatter-gather IRS: range partitioning over pluggable backends.
 
 :class:`ShardedIRS` range-partitions the key space across ``P`` shards
 (each any existing sampler) and implements the full sampler API with
 exactly the single-structure distributions — per-shard in-range probes,
 one multinomial split of ``t``, scatter, gather, permute.  Execution
-backends (``serial`` / ``threads`` / ``processes`` over shared memory)
-are pluggable and produce identical results under a fixed seed.
+backends (``serial`` / ``threads``) are pluggable and produce identical
+results under a fixed seed.
 """
 
-from .executors import (
-    BACKEND_NAMES,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    make_backend,
-)
+from .executors import BACKEND_NAMES, SerialBackend, ThreadBackend, make_backend
 from .partition import cut_bounds, route_values, run_aligned_cuts
 from .sharded import SHARD_KINDS, ShardedIRS
 
@@ -24,7 +18,6 @@ __all__ = [
     "BACKEND_NAMES",
     "SerialBackend",
     "ThreadBackend",
-    "ProcessBackend",
     "make_backend",
     "run_aligned_cuts",
     "cut_bounds",

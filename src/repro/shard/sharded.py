@@ -26,19 +26,16 @@ own (bulk) update paths.  A rebalancer splits oversized shards and merges
 small neighbors whenever the largest shard exceeds ``rebalance_factor ×``
 the mean, so skewed insert streams cannot concentrate the working set.
 
-**Execution** is pluggable (see :mod:`repro.shard.executors`): ``serial``,
-``threads``, or ``processes`` over shared-memory snapshots.  Every task
-seeds its own generator from :func:`repro.rng.derive_seed`, so results
-are identical across backends and worker schedules under a fixed seed.
+**Execution** is pluggable (see :mod:`repro.shard.executors`): ``serial``
+or ``threads``.  Every task seeds its own generator from
+:func:`repro.rng.derive_seed`, so results are identical across backends
+and worker schedules under a fixed seed.
 """
 
 from __future__ import annotations
 
-import os
 import time
-import weakref
 from bisect import bisect_right
-from itertools import count as _counter
 from typing import Iterable, Sequence
 
 from ..core.base import (
@@ -97,37 +94,20 @@ def _resolve_shard_dtype(values, dtype, shard_kind):
 #: Scalar updates between rebalance-skew checks (bulk ops always check).
 _REBALANCE_EVERY = 256
 
-_uid = _counter()
-
 
 class _Snapshot:
     """One shard's read-side view: sorted values (+ weight prefix).
 
     ``values`` is the shard's sorted point array; ``cumw`` is ``None`` for
     uniform shards or the inclusive weight prefix of length ``n + 1`` with
-    ``cumw[0] == 0``.  When the processes backend is active the arrays are
-    additionally *published* to named shared-memory segments so workers
-    can attach them by name.
+    ``cumw[0] == 0``.
     """
 
-    __slots__ = ("values", "cumw", "shm_values", "shm_cumw")
+    __slots__ = ("values", "cumw")
 
     def __init__(self, values, cumw=None) -> None:
         self.values = values
         self.cumw = cumw
-        self.shm_values = None
-        self.shm_cumw = None
-
-
-def _unlink_segments(registry: dict) -> None:
-    """Best-effort cleanup of the shared-memory segments in ``registry``."""
-    for shm in list(registry.values()):
-        try:
-            shm.close()
-            shm.unlink()
-        except (FileNotFoundError, OSError):  # pragma: no cover - already gone
-            pass
-    registry.clear()
 
 
 class ShardedIRS(DynamicRangeSampler):
@@ -151,10 +131,10 @@ class ShardedIRS(DynamicRangeSampler):
         One of :data:`SHARD_KINDS` (the :data:`~repro.core.kinds.KINDS`
         names).
     backend:
-        ``"serial"`` (default), ``"threads"``, ``"processes"``, or a
-        backend instance (see :mod:`repro.shard.executors`).
+        ``"serial"`` (default), ``"threads"``, or a backend instance
+        (see :mod:`repro.shard.executors`).
     max_workers:
-        Worker cap for the parallel backends.
+        Worker cap for the ``threads`` backend.
     rebalance_factor:
         Skew bound: a shard larger than ``factor ×`` the mean size
         triggers a rebalance (split + merge pass).  Must be > 1.
@@ -171,8 +151,8 @@ class ShardedIRS(DynamicRangeSampler):
         agree on range membership.
     task_timeout:
         Optional deadline (seconds) for one scatter's shard tasks on the
-        parallel backends.  Expiry — like a dead worker process — raises
-        a typed :class:`~repro.errors.ShardExecutionError` and the facade
+        ``threads`` backend.  Expiry raises a typed
+        :class:`~repro.errors.ShardExecutionError` and the facade
         *fails over*: the backend is swapped for the serial one, so the
         next attempt (e.g. a client retry — the serve layer marks these
         codes retryable) succeeds inline.  Tasks are seed-pure, so the
@@ -278,10 +258,6 @@ class ShardedIRS(DynamicRangeSampler):
         # under a ``structure=`` label (see repro.serve.observe).
         self.task_latency = _Histogram()
         self._backend = make_backend(backend, max_workers)
-        self._uid = f"{os.getpid():x}-{next(_uid):x}"
-        self._shm_ticket = 0
-        self._segments: dict[str, object] = {}
-        self._finalizer = weakref.finalize(self, _unlink_segments, self._segments)
 
     # -- construction ------------------------------------------------------------
 
@@ -339,9 +315,9 @@ class ShardedIRS(DynamicRangeSampler):
             cumw = _np.concatenate(
                 ([0.0], _np.cumsum(_np.asarray(weights, dtype=float)))
             )
-        # Snapshots are the read-side transport plane and stay float64
-        # regardless of the shard dtype: the shm protocol and the scatter
-        # workers assume f8, and float32 values widen exactly.
+        # Snapshots stay float64 regardless of the shard dtype: the
+        # gathered sample block is float64, and float32 values widen
+        # exactly.
         return _Snapshot(_np.asarray(values, dtype=float), cumw)
 
     # -- bookkeeping -------------------------------------------------------------
@@ -374,7 +350,7 @@ class ShardedIRS(DynamicRangeSampler):
 
     @property
     def backend_name(self) -> str:
-        """Name of the active execution backend (serial/threads/processes)."""
+        """Name of the active execution backend (serial/threads)."""
         return getattr(self._backend, "name", type(self._backend).__name__)
 
     @property
@@ -432,12 +408,8 @@ class ShardedIRS(DynamicRangeSampler):
         )
 
     def close(self) -> None:
-        """Release the backend's workers and every shared-memory segment."""
+        """Release the backend's workers."""
         self._backend.close()
-        for snap in self._snaps:
-            snap.shm_values = None
-            snap.shm_cumw = None
-        _unlink_segments(self._segments)
 
     def __enter__(self) -> "ShardedIRS":
         return self
@@ -460,46 +432,12 @@ class ShardedIRS(DynamicRangeSampler):
         return _np.asarray(exported), None
 
     def _refresh(self, i: int) -> _Snapshot:
-        """Re-export a stale snapshot; publish it if the backend needs shm."""
-        snap = self._snaps[i]
+        """Re-export a stale snapshot."""
         if self._dirty[i]:
-            self._retire_segments(snap)
             values, weights = self._export_shard(i)
-            snap = self._snapshot_from_arrays(values, weights)
-            self._snaps[i] = snap
+            self._snaps[i] = self._snapshot_from_arrays(values, weights)
             self._dirty[i] = False
-        if (
-            getattr(self._backend, "uses_shared_memory", False)
-            and snap.shm_values is None
-            and len(snap.values)
-        ):
-            snap.shm_values = self._publish(snap.values)
-            if snap.cumw is not None:
-                snap.shm_cumw = self._publish(snap.cumw)
-        return snap
-
-    def _publish(self, array):
-        """Copy an array into a fresh named shared-memory segment."""
-        from multiprocessing import shared_memory
-
-        self._shm_ticket += 1
-        name = f"rshard-{self._uid}-{self._shm_ticket:x}"
-        shm = shared_memory.SharedMemory(name=name, create=True, size=array.nbytes)
-        view = _np.ndarray(array.shape, dtype=_np.float64, buffer=shm.buf)
-        view[:] = array
-        del view
-        self._segments[name] = shm
-        return shm
-
-    def _retire_segments(self, snap: _Snapshot) -> None:
-        for shm in (snap.shm_values, snap.shm_cumw):
-            if shm is not None:
-                self._segments.pop(shm.name, None)
-                try:
-                    shm.close()
-                    shm.unlink()
-                except (FileNotFoundError, OSError):  # pragma: no cover
-                    pass
+        return self._snaps[i]
 
     def _mark_dirty(self, i: int) -> None:
         self._dirty[i] = True
@@ -749,25 +687,50 @@ class ShardedIRS(DynamicRangeSampler):
         )
         return results
 
-    def _scatter(self, snaps, queries, tasks_meta, total_samples, query_seeds=None):
+    def _scatter(self, snaps, queries, tasks_meta, total_samples, query_seeds):
         """Run the planned tasks on the backend; return the gathered block.
 
-        A shard-execution fault (worker death, task-deadline expiry —
-        injected or real) triggers *failover*: the parallel backend is
-        replaced by a fresh :class:`~repro.shard.executors.SerialBackend`
-        and the typed error propagates to the caller, whose retry then
-        runs inline.  Failover is one-way for the structure's lifetime —
-        a backend that lost a worker or missed a deadline has forfeited
-        the benefit of the doubt, and serial execution is always correct
-        (tasks are seed-pure, so results are byte-identical).
+        A shard-execution fault (a task-deadline expiry, injected or
+        real) triggers *failover*: the parallel backend is replaced by a
+        fresh :class:`~repro.shard.executors.SerialBackend` and the typed
+        error propagates to the caller, whose retry then runs inline.
+        Failover is one-way for the structure's lifetime — a backend that
+        missed a deadline has forfeited the benefit of the doubt, and
+        serial execution is always correct (tasks are seed-pure, so
+        results are byte-identical).
+
+        ``query_seeds`` aligns each query's *request* seed (or ``None``)
+        with ``queries`` — the key the serving layer publishes trace ids
+        under (:func:`repro.obs.trace.set_active`), which is how a shard
+        task's latency span lands on the request that caused it.
         """
-        try:
-            return self._scatter_on_backend(
-                snaps, queries, tasks_meta, total_samples, query_seeds
+        out = _np.empty(total_samples, dtype=float)
+        # Tasks may run on worker threads; list.append is atomic, so each
+        # task records (shard, query, start, duration, n) here and the
+        # gather side folds them into the histogram and the active trace.
+        timings: list = []
+
+        def run_task(task):
+            s, q, ts, seed, off = task
+            snap = snaps[s]
+            lo, hi, _ = queries[q]
+            t0 = time.perf_counter()
+            out[off : off + ts] = draw_from_snapshot(
+                snap.values, snap.cumw, lo, hi, ts, seed
             )
+            timings.append((s, q, t0, time.perf_counter() - t0, ts))
+
+        try:
+            self._run_backend(run_task, tasks_meta)
         except ShardExecutionError as exc:
             self._failover(exc)
             raise
+        for s, q, t0, dt, ts in timings:
+            self.task_latency.observe(dt)
+            rseed = query_seeds[q]
+            trace_id = None if rseed is None else _trace.active_trace_id(rseed)
+            _trace.record_task_span(trace_id, s, t0, dt, ts)
+        return out
 
     def _failover(self, exc: ShardExecutionError) -> None:
         """Swap the backend for a serial one after a shard-execution fault."""
@@ -792,79 +755,6 @@ class ShardedIRS(DynamicRangeSampler):
             self._backend.run(fn, tasks)
         else:
             self._backend.run(fn, tasks, self._task_timeout)
-
-    def _scatter_on_backend(
-        self, snaps, queries, tasks_meta, total_samples, query_seeds=None
-    ):
-        """One scatter attempt on the current backend (shm or local path).
-
-        ``query_seeds`` aligns each query's *request* seed (or ``None``)
-        with ``queries`` — the key the serving layer publishes trace ids
-        under (:func:`repro.obs.trace.set_active`), which is how a shard
-        task's latency span lands on the request that caused it.
-        """
-        if getattr(self._backend, "uses_shared_memory", False) and tasks_meta:
-            from multiprocessing import shared_memory
-
-            self._shm_ticket += 1
-            out_name = f"rshard-{self._uid}-out-{self._shm_ticket:x}"
-            out_shm = shared_memory.SharedMemory(
-                name=out_name, create=True, size=max(8, total_samples * 8)
-            )
-            try:
-                tasks = []
-                for s, q, ts, seed, off in tasks_meta:
-                    snap = snaps[s]
-                    lo, hi, _ = queries[q]
-                    tasks.append(
-                        (
-                            snap.shm_values.name,
-                            len(snap.values),
-                            snap.shm_cumw.name if snap.shm_cumw is not None else None,
-                            lo, hi, ts, seed,
-                            out_name, total_samples, off,
-                        )
-                    )
-                started = time.perf_counter()
-                self._run_backend(None, tasks)
-                elapsed = time.perf_counter() - started
-                # Worker processes cannot share a Python histogram: the
-                # whole scatter is observed as one sample and traced as
-                # one aggregate span (shard -1) instead of per task.
-                self.task_latency.observe(elapsed)
-                _trace.record_task_span(None, -1, started, elapsed, total_samples)
-                view = _np.ndarray(
-                    (total_samples,), dtype=_np.float64, buffer=out_shm.buf
-                )
-                out = view.copy()
-                del view
-            finally:
-                out_shm.close()
-                out_shm.unlink()
-            return out
-        out = _np.empty(total_samples, dtype=float)
-        # Tasks may run on worker threads; list.append is atomic, so each
-        # task records (shard, query, start, duration, n) here and the
-        # gather side folds them into the histogram and the active trace.
-        timings: list = []
-
-        def run_local(task):
-            s, q, ts, seed, off = task
-            snap = snaps[s]
-            lo, hi, _ = queries[q]
-            t0 = time.perf_counter()
-            out[off : off + ts] = draw_from_snapshot(
-                snap.values, snap.cumw, lo, hi, ts, seed
-            )
-            timings.append((s, q, t0, time.perf_counter() - t0, ts))
-
-        self._run_backend(run_local, tasks_meta)
-        for s, q, t0, dt, ts in timings:
-            self.task_latency.observe(dt)
-            rseed = query_seeds[q] if query_seeds is not None else None
-            trace_id = None if rseed is None else _trace.active_trace_id(rseed)
-            _trace.record_task_span(trace_id, s, t0, dt, ts)
-        return out
 
     # -- rank addressing (without-replacement support) ---------------------------
 
@@ -1106,28 +996,24 @@ class ShardedIRS(DynamicRangeSampler):
 
         Cost is ``O(touched shards)``: only shards that are split, merged
         away, or emptied are exported and rebuilt — untouched shards keep
-        their structure, their snapshot, and (processes backend) their
-        shared-memory segments.  An oversized shard is cut into mean-sized
-        run-aligned pieces rebuilt via the shard factory; afterwards the
-        smallest adjacent pairs are merged while that keeps them under the
-        skew bound and the shard count is above target.  Bounds are
-        re-derived from the first element of each shard, which run
-        alignment keeps strictly above its left neighbor's maximum.
+        their structure and their snapshot.  An oversized shard is cut
+        into mean-sized run-aligned pieces rebuilt via the shard factory;
+        afterwards the smallest adjacent pairs are merged while that keeps
+        them under the skew bound and the shard count is above target.
+        Bounds are re-derived from the first element of each shard, which
+        run alignment keeps strictly above its left neighbor's maximum.
         """
         mean = max(1, self._n // max(1, self._target_shards))
         # A piece is ``[size, original_index | None, values, weights]``;
         # kept shards stay unmaterialized (values is None) unless a merge
         # actually needs their arrays.
         pieces: list[list] = []
-        consumed: set[int] = set()  # original indices whose snapshot retires
 
         def materialize(piece: list) -> list:
             if piece[2] is None:
-                original = piece[1]
-                consumed.add(original)
                 # Export from the shard itself (not the snapshot's cumsum):
                 # a weight rebuilt as a prefix difference carries ulp drift.
-                piece[2], piece[3] = self._export_shard(original)
+                piece[2], piece[3] = self._export_shard(piece[1])
                 piece[1] = None
             return piece
 
@@ -1136,10 +1022,8 @@ class ShardedIRS(DynamicRangeSampler):
             if size == 0:
                 # Shards emptied by deletes vanish here (their key interval
                 # folds into a neighbor's).
-                consumed.add(i)
                 continue
             if size > self._rebalance_factor * mean:
-                consumed.add(i)
                 values, weights = self._export_shard(i)
                 cuts = run_aligned_cuts(values, -(-size // mean))
                 edges = [0, *cuts, size]
@@ -1193,9 +1077,8 @@ class ShardedIRS(DynamicRangeSampler):
         for j, (_size, original, values, weights) in enumerate(pieces):
             if original is not None:
                 shards.append(self._shards[original])
-                # Refreshing (only if stale) both preserves a clean
-                # snapshot's shared-memory segments and yields the shard's
-                # min for the bound.
+                # Refreshing (only if stale) keeps a clean snapshot and
+                # yields the shard's min for the bound.
                 snap = self._refresh(original)
                 snaps.append(snap)
                 dirty.append(False)
@@ -1207,8 +1090,6 @@ class ShardedIRS(DynamicRangeSampler):
                 dirty.append(False)
                 if j > 0:
                     bounds.append(float(values[0]))
-        for i in consumed:
-            self._retire_segments(self._snaps[i])
         self._shards = shards
         self._snaps = snaps
         self._dirty = dirty

@@ -88,22 +88,26 @@ def build_from_sorted(spec: dict, values, weights=None, *, seed=None):
 
     ``spec`` is a :func:`snapshot_spec` dict; ``values`` (and ``weights``
     for weighted kinds) are the decoded planes.  Unknown kinds raise
-    :class:`~repro.errors.StorageError`.
+    :class:`~repro.errors.StorageError`.  A sharded spec whose recorded
+    backend is not a :data:`~repro.shard.BACKEND_NAMES` name (a wrapper,
+    or one this version no longer has) rebuilds on ``serial``: results do
+    not depend on the backend.
     """
     kind = spec.get("kind")
     params = spec.get("params", {})
     dtype = params.get("dtype")
     block_size = int(params.get("block_size", 1024))
     if kind == "sharded":
-        from ..shard import ShardedIRS
+        from ..shard import BACKEND_NAMES, ShardedIRS
 
+        backend = params.get("backend")
         return ShardedIRS.from_sorted(
             values,
             num_shards=int(params.get("num_shards", 4)),
             weights=weights,
             seed=seed,
             shard_kind=params.get("shard_kind", "dynamic"),
-            backend=params.get("backend", "serial"),
+            backend=backend if backend in BACKEND_NAMES else "serial",
             block_size=block_size,
             dtype=dtype,
         )

@@ -286,6 +286,33 @@ class TestServeCLI:
         args = _parser().parse_args(["serve", "--data", data_file])
         assert args.window_ms == 0.0
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--memory-budget", "1"),
+            ("--rate-capacity", "0.001"),
+            ("--overcommit", "1.0"),
+            ("--metrics-port", "0"),
+            ("--trace-dir", "traces"),
+        ],
+    )
+    def test_serve_requests_refuses_tcp_only_flags(
+        self, capsys, data_file, tmp_path, flag, value
+    ):
+        # Offline mode reads none of these; each used to be accepted and
+        # silently ignored.  An explicit --overcommit at its 1.0 default
+        # is refused too.
+        requests = tmp_path / "requests.txt"
+        requests.write_text('{"id": 1, "op": "count", "lo": 10, "hi": 19}\n')
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--data", data_file, "--requests", str(requests),
+                  flag, str(tmp_path / value) if flag == "--trace-dir" else value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "traces").exists()
+
     @pytest.mark.parametrize("window", ["inf", "nan", "-1"])
     def test_serve_refuses_bad_window(self, data_file, tmp_path, window):
         # Run in a subprocess with a timeout: an infinite window once hung

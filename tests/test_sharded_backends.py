@@ -1,10 +1,10 @@
 """Execution-backend tests for the sharded engine.
 
-The headline property: under a fixed seed, ``serial``, ``threads`` and
-``processes`` produce byte-identical samples — every scatter task derives
-its generator from explicit ``(root, call, shard)`` integers and writes a
-disjoint output slice, so neither the backend nor worker scheduling can
-influence results.
+The headline property: under a fixed seed, ``serial`` and ``threads``
+produce byte-identical samples — every scatter task derives its generator
+from explicit ``(root, call, shard)`` integers and writes a disjoint
+output slice, so neither the backend nor worker scheduling can influence
+results.
 """
 
 from __future__ import annotations
@@ -13,14 +13,11 @@ import numpy as np
 import pytest
 
 from repro import BatchQueryRunner, ShardedIRS
+from repro.cli import main as cli_main
+from repro.faults import FaultPlan, FaultyBackend
 from repro.rng import derive_seed
-from repro.shard import (
-    BACKEND_NAMES,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    make_backend,
-)
+from repro.shard import BACKEND_NAMES, SerialBackend, ThreadBackend, make_backend
+from repro.store import DurableStore
 from repro.workloads import uniform_points
 
 N = 6000
@@ -48,7 +45,7 @@ def per_backend_results(data):
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("backend", ["threads"])
     def test_matches_serial_exactly(self, per_backend_results, backend):
         serial_single, serial_many = per_backend_results["serial"]
         single, many = per_backend_results[backend]
@@ -56,16 +53,16 @@ class TestDeterminism:
         for a, b in zip(serial_many, many):
             assert np.array_equal(a, b)
 
-    def test_weighted_processes_matches_serial(self, data):
+    def test_weighted_threads_matches_serial(self, data):
         weights = [1.0 + (i % 7) for i in range(N)]
         results = {}
-        for backend in ("serial", "processes"):
+        for backend in ("serial", "threads"):
             with ShardedIRS(
                 data, num_shards=4, weights=weights, seed=73,
                 shard_kind="weighted-dynamic", backend=backend, max_workers=2,
             ) as s:
                 results[backend] = s.sample_bulk(0.2, 0.8, 4000)
-        assert np.array_equal(results["serial"], results["processes"])
+        assert np.array_equal(results["serial"], results["threads"])
 
     def test_derive_seed_is_stable_and_distinct(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
@@ -74,10 +71,10 @@ class TestDeterminism:
         assert 0 <= derive_seed(2**64 - 1, -1, 5) < 2**64
 
 
-class TestProcessBackend:
+class TestThreadBackend:
     def test_snapshot_refresh_after_updates(self, data):
         with ShardedIRS(
-            data, num_shards=4, seed=74, backend="processes", max_workers=2
+            data, num_shards=4, seed=74, backend="threads", max_workers=2
         ) as s:
             before = s.sample_bulk(0.0, 1.0, 200)
             assert len(before) == 200
@@ -86,31 +83,33 @@ class TestProcessBackend:
             assert np.all(samples == 5.0)
 
     def test_close_then_reuse_rebuilds_pool(self, data):
-        s = ShardedIRS(data, num_shards=2, seed=75, backend="processes",
+        s = ShardedIRS(data, num_shards=2, seed=75, backend="threads",
                        max_workers=2)
         a = s.sample_bulk(0.1, 0.9, 300)
         s.close()
-        b = s.sample_bulk(0.1, 0.9, 300)  # republishes snapshots lazily
+        b = s.sample_bulk(0.1, 0.9, 300)  # restarts the pool lazily
         assert len(a) == len(b) == 300
         s.close()
         s.close()  # idempotent
-
-    def test_no_segment_leak_after_close(self, data):
-        s = ShardedIRS(data, num_shards=2, seed=76, backend="processes",
-                       max_workers=2)
-        s.sample_bulk(0.1, 0.9, 100)
-        assert s._segments
-        s.close()
-        assert not s._segments
 
 
 class TestBackendPlumbing:
     def test_make_backend_names(self):
         assert isinstance(make_backend("serial"), SerialBackend)
         assert isinstance(make_backend("threads"), ThreadBackend)
-        assert isinstance(make_backend("processes"), ProcessBackend)
+        for name in ("processes", "gpu"):
+            with pytest.raises(ValueError):
+                make_backend(name)
+
+    def test_processes_backend_is_refused(self, data, tmp_path):
         with pytest.raises(ValueError):
-            make_backend("gpu")
+            ShardedIRS(data, num_shards=2, backend="processes")
+        points = tmp_path / "points.txt"
+        points.write_text("0.1 0.4 0.6 0.9")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sample", "--data", str(points), "--lo", "0", "--hi", "1",
+                      "--shards", "2", "--backend", "processes"])
+        assert exc.value.code == 2
 
     def test_backend_instance_passthrough(self, data):
         backend = SerialBackend()
@@ -125,6 +124,41 @@ class TestBackendPlumbing:
         backend.run(seen.append, [2, 3])
         backend.close()
         assert sorted(seen) == [1, 2, 3]
+
+
+def _serial_named(name):
+    """A serial backend under a name this version cannot build."""
+    backend = SerialBackend()
+    backend.name = name
+    return backend
+
+
+class TestRecordedBackendRecovery:
+    """Manifests record ``backend_name``; recovery must not depend on it."""
+
+    @pytest.mark.parametrize(
+        "recorded, make",
+        [
+            ("processes", lambda: _serial_named("processes")),
+            ("faulty-serial", lambda: FaultyBackend(SerialBackend(), FaultPlan(0))),
+        ],
+        ids=["processes", "faulty-serial"],
+    )
+    def test_recovers_on_serial(self, data, tmp_path, recorded, make):
+        original = ShardedIRS(data, num_shards=4, seed=83, backend=make())
+        with DurableStore(tmp_path / "d") as store:
+            store.snapshot({"s": original})
+            _seq, manifest = store.snapshots.latest()
+        assert manifest["structures"]["s"]["params"]["backend"] == recorded
+        with DurableStore(tmp_path / "d") as store:
+            recovered = store.recover({}, seed=1).structures["s"]
+        assert recovered.backend_name == "serial"
+        fresh = ShardedIRS(data, num_shards=4, seed=84, backend="serial")
+        for seed in (5, 6):
+            assert (
+                recovered.sample_bulk(0.1, 0.9, 500, seed=seed).tobytes()
+                == fresh.sample_bulk(0.1, 0.9, 500, seed=seed).tobytes()
+            )
 
 
 class TestRunnerIntegration:
