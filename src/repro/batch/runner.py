@@ -31,7 +31,8 @@ Design notes
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field, fields
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from ..core.base import RangeSampler
@@ -76,16 +77,13 @@ class BatchQuery:
     seed: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class BatchOp:
-    """One operation inside a mixed read/write stream.
+@dataclass(slots=True, eq=False)
+class _OpFields:
+    """The fields of a :class:`BatchOp`, with dataclasses' unguarded ``__init__``.
 
-    ``kind`` is ``"insert"``, ``"delete"``, ``"sample"``, ``"count"``, or
-    one of the scenario reads — ``"stratified"`` (exact multinomial split
-    of ``t`` across :attr:`strata`), ``"sample_wr"`` (bulk Floyd
-    without-replacement) and ``"estimate"`` (adaptive online aggregation
-    to a target CI half-width).  Use the constructors below rather than
-    filling fields positionally.
+    A frozen dataclass fills each field through ``object.__setattr__``,
+    which costs about four times a plain slot store; :class:`BatchOp`
+    builds one of these and then seals it (:func:`_sealed`).
     """
 
     kind: str
@@ -101,18 +99,133 @@ class BatchOp:
     confidence: float = 0.95
     batch_draws: int = 256
     max_draws: int = 65536
+    values: object = None  # a bulk update's read-only float64 array
+    weights: object = None  # and its aligned weights, when given
+
+
+#: The fields equality and hashing compare directly (arrays aside).
+_SCALAR_FIELDS = attrgetter(
+    *(f.name for f in fields(_OpFields) if f.name not in ("values", "weights"))
+)
+
+
+def _sealed(op: _OpFields) -> "BatchOp":
+    # Same slot layout, so the instance changes class in place.
+    op.__class__ = BatchOp
+    return op
+
+
+def _frozen_floats(values) -> "_np.ndarray":
+    """Return a private read-only 1-D float64 copy of ``values``."""
+    array = _np.array(values, dtype=_np.float64)
+    if array.ndim != 1:
+        raise ValueError(f"bulk values must be one-dimensional, got shape {array.shape}")
+    array.flags.writeable = False
+    return array
+
+
+def _same_array(a, b) -> bool:
+    return a is b or (a is not None and b is not None and _np.array_equal(a, b))
+
+
+class BatchOp(_OpFields):
+    """One operation inside a mixed read/write stream.
+
+    ``kind`` is ``"insert"``, ``"delete"``, ``"sample"``, ``"count"``, or
+    one of the scenario reads — ``"stratified"`` (exact multinomial split
+    of ``t`` across :attr:`strata`), ``"sample_wr"`` (bulk Floyd
+    without-replacement) and ``"estimate"`` (adaptive online aggregation
+    to a target CI half-width).  A bulk update (:meth:`insert_bulk`,
+    :meth:`delete_bulk`) is one ``insert``/``delete`` op whose
+    :attr:`values` holds a read-only float64 array (and :attr:`weights`
+    its weights, when given) in place of ``value``/``weight``.  Use the
+    constructors below rather than filling fields positionally.
+
+    Ops are immutable: assigning or deleting a field raises
+    :class:`dataclasses.FrozenInstanceError`, as it would on a frozen
+    dataclass, and the arrays are not writeable.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "BatchOp":
+        """Build the fields unguarded, freeze any arrays, then seal them."""
+        op = _OpFields(*args, **kwargs)
+        if op.values is not None:
+            op.values = _frozen_floats(op.values)
+        if op.weights is not None:
+            op.weights = _frozen_floats(op.weights)
+        return _sealed(op)
+
+    def __init__(self, *args, **kwargs) -> None:
+        """Do nothing: ``__new__`` filled the fields."""
+
+    def __setattr__(self, name, value) -> None:
+        """Refuse: ops are immutable."""
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name) -> None:
+        """Refuse: ops are immutable."""
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        """Field-wise equality, the arrays compared by value."""
+        if other.__class__ is not BatchOp:
+            return NotImplemented
+        return (
+            _SCALAR_FIELDS(self) == _SCALAR_FIELDS(other)
+            and _same_array(self.values, other.values)
+            and _same_array(self.weights, other.weights)
+        )
+
+    def __hash__(self) -> int:
+        """Hash of the non-array fields (equal ops hash equal)."""
+        return hash(_SCALAR_FIELDS(self))
+
+    def __reduce__(self):
+        """Pickle and copy through the constructor."""
+        return BatchOp, tuple(getattr(self, f.name) for f in fields(_OpFields))
+
+    @property
+    def size(self) -> int:
+        """The updates the op stands for: ``len(values)`` if bulk, else 1."""
+        return 1 if self.values is None else len(self.values)
 
     @classmethod
     def insert(
         cls, value: float, weight: float | None = None, structure: str = DEFAULT_STRUCTURE
     ) -> "BatchOp":
         """Return an insertion op (``weight`` only on weighted samplers)."""
-        return cls("insert", value=float(value), weight=weight, structure=structure)
+        return _sealed(_OpFields("insert", float(value), weight, structure=structure))
 
     @classmethod
     def delete(cls, value: float, structure: str = DEFAULT_STRUCTURE) -> "BatchOp":
         """Return an op deleting one occurrence of ``value``."""
-        return cls("delete", value=float(value), structure=structure)
+        return _sealed(_OpFields("delete", float(value), structure=structure))
+
+    @classmethod
+    def insert_bulk(
+        cls, values, weights=None, structure: str = DEFAULT_STRUCTURE
+    ) -> "BatchOp":
+        """Return one op inserting every value (``weights`` aligned, optional)."""
+        values = _frozen_floats(values)
+        if weights is not None:
+            weights = _frozen_floats(weights)
+            if len(weights) != len(values):
+                raise ValueError(
+                    f"values and weights differ in length: {len(values)} != "
+                    f"{len(weights)}"
+                )
+        return _sealed(
+            _OpFields("insert", values=values, weights=weights, structure=structure)
+        )
+
+    @classmethod
+    def delete_bulk(cls, values, structure: str = DEFAULT_STRUCTURE) -> "BatchOp":
+        """Return one op deleting one occurrence of every value."""
+        return _sealed(
+            _OpFields("delete", values=_frozen_floats(values), structure=structure)
+        )
 
     @classmethod
     def sample(
@@ -124,17 +237,19 @@ class BatchOp:
         seed: int | None = None,
     ) -> "BatchOp":
         """Return a range-sampling op (``seed`` pins its randomness)."""
-        return cls(
+        return _sealed(_OpFields(
             "sample", lo=float(lo), hi=float(hi), t=int(t), structure=structure,
             seed=seed,
-        )
+        ))
 
     @classmethod
     def count(
         cls, lo: float, hi: float, structure: str = DEFAULT_STRUCTURE
     ) -> "BatchOp":
         """Return a range-count op (result is ``|P ∩ [lo, hi]|``)."""
-        return cls("count", lo=float(lo), hi=float(hi), structure=structure)
+        return _sealed(
+            _OpFields("count", lo=float(lo), hi=float(hi), structure=structure)
+        )
 
     @classmethod
     def stratified(
@@ -146,9 +261,9 @@ class BatchOp:
     ) -> "BatchOp":
         """Return a stratified-sampling op: ``t`` split exactly across strata."""
         bounds = tuple((float(lo), float(hi)) for lo, hi in strata)
-        return cls(
+        return _sealed(_OpFields(
             "stratified", t=int(t), structure=structure, seed=seed, strata=bounds
-        )
+        ))
 
     @classmethod
     def sample_wr(
@@ -160,10 +275,10 @@ class BatchOp:
         seed: int | None = None,
     ) -> "BatchOp":
         """Return a without-replacement bulk op (vectorized Floyd)."""
-        return cls(
+        return _sealed(_OpFields(
             "sample_wr", lo=float(lo), hi=float(hi), t=int(t),
             structure=structure, seed=seed,
-        )
+        ))
 
     @classmethod
     def estimate(
@@ -179,11 +294,11 @@ class BatchOp:
         seed: int | None = None,
     ) -> "BatchOp":
         """Return an adaptive-estimate op (draw until CI width <= target)."""
-        return cls(
+        return _sealed(_OpFields(
             "estimate", lo=float(lo), hi=float(hi), structure=structure,
             seed=seed, target=float(target), confidence=float(confidence),
             batch_draws=int(batch), max_draws=int(max_draws),
-        )
+        ))
 
 
 @dataclass(slots=True)
@@ -192,8 +307,9 @@ class MixedResult:
 
     ``samples[i]`` aligns with the ``i``-th input op: the samples of a
     ``sample`` op, the integer result of a ``count`` op, ``None`` for
-    updates.  ``stats.extra`` records ``"updates"`` (total update ops),
-    ``"bulk_update_calls"`` (how many coalesced bulk calls served them),
+    updates.  ``stats.extra`` records ``"updates"`` (total updates, a bulk
+    op counting one per value), ``"bulk_update_calls"`` (how many
+    coalesced bulk calls served them),
     ``"counts"`` (count ops, when there are any) and, with read
     coalescing on, ``"read_bulk_calls"`` — alongside the per-structure
     ``"queries:<name>"`` counters.
@@ -201,7 +317,9 @@ class MixedResult:
     ``errors`` is ``None`` unless the stream ran with
     ``capture_errors=True``; it then aligns with the ops — ``None`` for an
     op that succeeded, the raised :class:`~repro.errors.ReproError` for
-    one that failed.
+    one that failed.  A bulk op with a failed value gets a list aligned
+    with its values instead: ``None`` for each value that applied, the
+    error for each that did not.
     """
 
     samples: list = field(default_factory=list)
@@ -343,6 +461,36 @@ def _normalize_op(op) -> BatchOp:
         "('sample', lo, hi, t[, structure]) or ('count', lo, hi[, structure]), "
         f"got {op!r}"
     )
+
+
+def _update_values(op: BatchOp) -> tuple[list, list | None]:
+    """Return an update op's values and, for a weighted insert, its weights."""
+    if op.values is None:
+        values, weights = [op.value], None if op.weight is None else [op.weight]
+    else:
+        values = op.values.tolist()
+        weights = None if op.weights is None else op.weights.tolist()
+    return values, weights if op.kind == "insert" else None
+
+
+def _attribute(failed: dict, stream: list, indices: list, errors: list) -> None:
+    """Scatter a replayed update run's failures onto the ops of the run.
+
+    ``failed`` maps a value's position in the run to its error.  A scalar
+    op gets its error; a bulk op with a failed value gets a list aligned
+    with its values, ``None`` for each value that applied.
+    """
+    start = 0
+    for i in indices:
+        op = stream[i]
+        if op.values is None:
+            errors[i] = failed.get(start)
+            start += 1
+            continue
+        span = [failed.get(j) for j in range(start, start + len(op.values))]
+        if any(exc is not None for exc in span):
+            errors[i] = span
+        start += len(span)
 
 
 def _exec_sample(sampler, bulk, query):
@@ -565,7 +713,10 @@ class BatchQueryRunner:
         coalesced into one ``insert_bulk``/``delete_bulk`` call (falling
         back to the scalar loop on structures without a bulk path), flushed
         whenever the run breaks — a different op kind against that
-        structure, or the end of the stream.  Coalescing preserves the
+        structure, or the end of the stream.  A bulk op
+        (:meth:`BatchOp.insert_bulk`/:meth:`BatchOp.delete_bulk`) joins its
+        run as its values, so it and its scalar neighbours make one call.
+        Coalescing preserves the
         stream's semantics exactly: no update is reordered across an update
         of the other kind or across a query that could observe it.
 
@@ -588,8 +739,9 @@ class BatchQueryRunner:
         With ``capture_errors=True``, a failing op no longer aborts the
         stream: its :class:`~repro.errors.ReproError` lands in
         :attr:`MixedResult.errors` at the op's index (the bulk update paths
-        validate before mutating, so a failed run is replayed scalar-wise
-        to attribute the failure to the exact ops that caused it).  With
+        validate before mutating, so a failed run is replayed value by
+        value to attribute the failure to the exact values that caused
+        it; a bulk op's entry is then a per-value list).  With
         the default ``False``, a failed bulk delete (absent value) raises
         after the updates that preceded its run were applied; the failing
         bulk call itself is atomic on structures with a bulk path.
@@ -613,7 +765,9 @@ class BatchQueryRunner:
                         raise InvalidQueryError(
                             f"structure {op.structure!r} does not support {op.kind}"
                         )
-                    if op.kind == "insert" and op.weight is not None:
+                    if op.kind == "insert" and (
+                        op.weight is not None or op.weights is not None
+                    ):
                         ok = weight_ok.get(op.structure)
                         if ok is None:
                             ok = weight_ok[op.structure] = _accepts_weights(sampler)
@@ -628,9 +782,9 @@ class BatchQueryRunner:
                 # error and the op is skipped (its batch-mates still run).
                 if not capture_errors:
                     raise
-                errors[i] = exc
+                errors[i] = exc if op.values is None else [exc] * len(op.values)
         # Per-structure pending run.  Updates: (kind, values, weights | None,
-        # indices); coalesced reads: ("read", sample indices, count indices).
+        # op indices); coalesced reads: ("read", sample indices, count indices).
         pending: dict[str, tuple] = {}
         bulk_calls = 0
         read_bulk_calls = 0
@@ -650,9 +804,10 @@ class BatchQueryRunner:
                     if not capture_errors:
                         raise
                     # The bulk paths validate before mutating, so nothing
-                    # was applied; replay scalar-wise to attribute the
-                    # failure to the exact offending ops.
+                    # was applied; replay value by value to attribute the
+                    # failure to the exact offending values.
             scalar = getattr(sampler, kind)
+            failed: dict[int, ReproError] = {}
             for j, value in enumerate(values):
                 try:
                     if weights is None:
@@ -662,7 +817,9 @@ class BatchQueryRunner:
                 except ReproError as exc:
                     if not capture_errors:
                         raise
-                    errors[indices[j]] = exc
+                    failed[j] = exc
+            if failed:
+                _attribute(failed, stream, indices, errors)
 
         def flush(name: str) -> None:
             nonlocal read_bulk_calls
@@ -721,23 +878,21 @@ class BatchQueryRunner:
                 else:
                     self._count_run(name, stream, (i,), out, errors, False)
                 continue
-            updates += 1
+            # A bulk op joins the run as its values, one update each.
+            values, weights = _update_values(op)
+            updates += len(values)
             if run is not None and run[0] != op.kind:
                 flush(name)
                 run = None
             if run is None:
-                needs_weights = op.kind == "insert" and op.weight is not None
-                run = (op.kind, [], [] if needs_weights else None, [])
-                pending[name] = run
-            run[1].append(op.value)
-            run[3].append(i)
-            if run[2] is not None:
-                run[2].append(1.0 if op.weight is None else op.weight)
-            elif op.kind == "insert" and op.weight is not None:
+                run = pending[name] = (op.kind, [], None, [])
+            if weights is not None and run[2] is None:
                 # A weighted insert joined an unweighted run: backfill.
-                pending[name] = (
-                    run[0], run[1], [1.0] * (len(run[1]) - 1) + [op.weight], run[3]
-                )
+                run = pending[name] = (run[0], run[1], [1.0] * len(run[1]), run[3])
+            if run[2] is not None:
+                run[2].extend([1.0] * len(values) if weights is None else weights)
+            run[1].extend(values)
+            run[3].append(i)
         for name in list(pending):
             flush(name)
         result.elapsed_seconds = clock() - start

@@ -3,8 +3,9 @@
 :class:`ServerObservability` owns everything about a
 :class:`~repro.serve.ReproServer` that is *derived* rather than
 recorded: it registers the store/em/shard/faults metric families on the
-server's registry (all pull-valued — the instrumented layers keep plain
-integer attributes), derives the health status, and publishes the
+server's registry (pull-valued — the instrumented layers keep plain
+integer attributes — except the recovery counts, fixed at construction),
+derives the health status, and publishes the
 handful of push gauges (queue depth, admission pressure, health)
 *change-only* from the server's existing drain loop — no timer per
 metric, no publication when nothing moved.  A scrape also refreshes
@@ -90,14 +91,17 @@ class ServerObservability:
         ).set_function(lambda: store.last_snapshot_seconds)
         recovery = self.server.recovery
         if recovery is not None:
+            # Fixed at recovery, so set once rather than pulled: a pull
+            # function would hold the report, and with it every recovered
+            # structure, for as long as the registry lives.
             reg.counter(
                 "repro_store_recovery_replayed_records_total",
                 "WAL records replayed at the last recovery.",
-            ).set_function(lambda: recovery.replayed_records)
+            ).inc(recovery.replayed_records)
             reg.counter(
                 "repro_store_recovery_replayed_ops_total",
                 "Ops replayed at the last recovery.",
-            ).set_function(lambda: recovery.replayed_ops)
+            ).inc(recovery.replayed_ops)
 
     def _wire_structures(self) -> None:
         """Per-structure shard and external-memory families."""

@@ -23,11 +23,13 @@ class OpSpec:
     """One wire op: how it is admitted, accounted, logged and answered.
 
     ``parse(message, structure, max_t, resolve_seed)`` checks the fields
-    and returns the request's ``BatchOp`` list and batch cost.  It raises
-    the first failing field's :class:`~repro.serve.RequestError` and calls
-    ``resolve_seed`` last, so a refused request never uses up a serial.
-    ``reply(value, n)`` maps the runner's result for the first of the
-    request's ``n`` ops to ``(wire result, samples returned)``.  Rows
+    and returns the request's one ``BatchOp`` (``None`` for a bulk update
+    of no values) and its batch cost.  It raises the first failing
+    field's :class:`~repro.serve.RequestError` and calls ``resolve_seed``
+    last, so a refused request never uses up a serial.  ``reply(value,
+    n)`` maps the runner's result for the request's op, which stands for
+    ``n`` updates (1 unless bulk), to ``(wire result, samples
+    returned)``.  Rows
     with ``immediate(server, message)`` are answered at admission.
     ``bucket`` is the :class:`~repro.serve.ServerStats` counter (the
     scenario reads drain sampler capacity, so they count as ``sample``).
@@ -77,15 +79,13 @@ def _optional_int(message: dict, field: str, default: int) -> int:
     return protocol.require_int(message, field, minimum=1)
 
 
-def _bulk_values(message: dict, max_t: int) -> list[float]:
+def _bulk_values(message: dict, max_t: int):
     values = message.get("values")
     if not isinstance(values, list):
         raise RequestError("bad_request", "field 'values' must be a list")
     if len(values) > max_t:
         raise RequestError("too_large", f"{len(values)} values exceed max_t={max_t}")
-    return [
-        protocol.require_number({"values": v}, "values", finite=True) for v in values
-    ]
+    return protocol.require_numbers(values, "values")
 
 
 def _draws(make) -> Callable:
@@ -94,7 +94,7 @@ def _draws(make) -> Callable:
     def parse(message, structure, max_t, resolve_seed):
         lo, hi = _interval(message)
         t = _capped(protocol.require_int(message, "t"), "t", max_t)
-        return [make(lo, hi, t, structure, seed=resolve_seed(message))], max(1, t)
+        return make(lo, hi, t, structure, seed=resolve_seed(message)), max(1, t)
 
     return parse
 
@@ -114,7 +114,7 @@ def _parse_stratified(message, structure, max_t, resolve_seed):
         bounds.append((lo, hi))
     t = _capped(protocol.require_int(message, "t"), "t", max_t)
     op = BatchOp.stratified(bounds, t, structure, seed=resolve_seed(message))
-    return [op], max(1, t)
+    return op, max(1, t)
 
 
 def _parse_estimate(message, structure, max_t, resolve_seed):
@@ -133,12 +133,12 @@ def _parse_estimate(message, structure, max_t, resolve_seed):
         lo, hi, target=target, confidence=confidence, batch=batch_draws,
         max_draws=max_draws, structure=structure, seed=resolve_seed(message),
     )
-    return [op], max(1, max_draws)  # the worst case is the honest price
+    return op, max(1, max_draws)  # the worst case is the honest price
 
 
 def _parse_count(message, structure, max_t, resolve_seed):
     lo, hi = _interval(message)
-    return [BatchOp.count(lo, hi, structure)], 1
+    return BatchOp.count(lo, hi, structure), 1
 
 
 def _parse_insert(message, structure, max_t, resolve_seed):
@@ -146,32 +146,33 @@ def _parse_insert(message, structure, max_t, resolve_seed):
     weight = message.get("weight")
     if weight is not None:
         weight = protocol.require_number(message, "weight", finite=True)
-    return [BatchOp.insert(value, weight, structure)], 1
+    return BatchOp.insert(value, weight, structure), 1
 
 
 def _parse_delete(message, structure, max_t, resolve_seed):
     value = protocol.require_number(message, "value", finite=True)
-    return [BatchOp.delete(value, structure)], 1
+    return BatchOp.delete(value, structure), 1
 
 
 def _parse_insert_bulk(message, structure, max_t, resolve_seed):
     values = _bulk_values(message, max_t)
     weights = message.get("weights")
-    if weights is None:
-        return [BatchOp.insert(v, structure=structure) for v in values], len(values)
-    if not isinstance(weights, list) or len(weights) != len(values):
-        raise RequestError("bad_request", "field 'weights' must align with 'values'")
-    weights = [
-        protocol.require_number({"weights": w}, "weights", finite=True)
-        for w in weights
-    ]
-    ops = [BatchOp.insert(v, w, structure) for v, w in zip(values, weights)]
-    return ops, len(ops)
+    if weights is not None:
+        if not isinstance(weights, list) or len(weights) != len(values):
+            raise RequestError(
+                "bad_request", "field 'weights' must align with 'values'"
+            )
+        weights = protocol.require_numbers(weights, "weights")
+    if not len(values):
+        return None, 0
+    return BatchOp.insert_bulk(values, weights, structure), len(values)
 
 
 def _parse_delete_bulk(message, structure, max_t, resolve_seed):
     values = _bulk_values(message, max_t)
-    return [BatchOp.delete(v, structure) for v in values], len(values)
+    if not len(values):
+        return None, 0
+    return BatchOp.delete_bulk(values, structure), len(values)
 
 
 def _floats(block) -> list[float]:

@@ -27,6 +27,9 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
+
+from ..batch import BatchOp
 from ..errors import (
     CapacityError,
     EmptyRangeError,
@@ -51,6 +54,7 @@ __all__ = [
     "ok_response",
     "span_error_body",
     "op_to_wire",
+    "ops_to_wire",
     "op_from_wire",
 ]
 
@@ -140,14 +144,16 @@ def error_response(request_id, exc: BaseException) -> dict:
 def span_error_body(span_errors) -> dict | None:
     """Build the error body for a request spanning these per-op errors.
 
-    ``span_errors`` is the request's slice of a mixed run's ``errors``
-    list (``None`` per succeeded op).  Returns ``None`` when every op
-    succeeded, else the wire error body; multi-op (bulk) requests also
-    get ``op_index`` (first failing op) and ``applied`` (ops that did
-    commit) — bulk requests are not atomic, and the reply must say what
-    committed or a client would retry ops that already happened.  The
-    same helper shapes live replies and the dedup outcomes rebuilt from
-    WAL replay, which is what keeps them identical.
+    ``span_errors`` holds one entry per update value of the request
+    (``None`` per value that applied): a bulk op's per-value error list
+    from a live run, or the request's slice of a replayed WAL record's
+    scalar ops.  Returns ``None`` when every value applied, else the wire
+    error body; multi-value (bulk) requests also get ``op_index`` (first
+    failing value) and ``applied`` (values that did commit) — bulk
+    requests are not atomic, and the reply must say what committed or a
+    client would retry values that already applied.  The same helper
+    shapes live replies and the dedup outcomes rebuilt from WAL replay,
+    which is what keeps them identical.
     """
     error = None
     error_at = -1
@@ -204,11 +210,13 @@ def op_to_wire(op) -> dict:
     (:mod:`repro.store.wal`): compact stable keys, op-irrelevant fields
     omitted, round-trippable through :func:`op_from_wire`.  The dict is
     JSON-safe by construction — values were validated finite at
-    admission.
+    admission.  A bulk op has one dict per value: see :func:`ops_to_wire`.
     """
     tag = _OP_TAGS.get(op.kind)
     if tag is None:
         raise ValueError(f"unknown op kind: {op.kind!r}")
+    if op.values is not None:
+        raise ValueError("a bulk op has one wire dict per value: use ops_to_wire")
     wire: dict = {"k": tag}
     if op.kind in ("insert", "delete"):
         wire["v"] = op.value
@@ -226,10 +234,35 @@ def op_to_wire(op) -> dict:
     return wire
 
 
+def ops_to_wire(ops) -> list[dict]:
+    """Serialize ops to wire dicts, a bulk op as one dict per value.
+
+    A WAL record holds these: a bulk update of ``n`` values logs exactly
+    the ``n`` dicts its scalar updates would, in order, so the log's bytes
+    do not depend on how the updates arrived.
+    """
+    wire: list[dict] = []
+    for op in ops:
+        if op.values is None:
+            wire.append(op_to_wire(op))
+            continue
+        tag = _OP_TAGS[op.kind]
+        values = op.values.tolist()
+        if op.kind == "insert" and op.weights is not None:
+            dicts = [
+                {"k": tag, "v": v, "w": w} for v, w in zip(values, op.weights.tolist())
+            ]
+        else:
+            dicts = [{"k": tag, "v": v} for v in values]
+        if op.structure != "default":
+            for entry in dicts:
+                entry["s"] = op.structure
+        wire.extend(dicts)
+    return wire
+
+
 def op_from_wire(wire: dict):
     """Rebuild a :class:`~repro.batch.BatchOp` from its wire dict."""
-    from ..batch import BatchOp
-
     kind = _TAG_OPS.get(wire.get("k"))
     if kind is None:
         raise ValueError(f"unknown op tag: {wire.get('k')!r}")
@@ -258,12 +291,46 @@ def require_number(message: dict, field: str, *, finite: bool = False) -> float:
     value = message.get(field)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise RequestError("bad_request", f"field {field!r} must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise RequestError(
+            "bad_request", f"field {field!r} is too large for a float"
+        ) from None
     if math.isnan(value):
         raise RequestError("bad_request", f"field {field!r} must not be NaN")
     if finite and math.isinf(value):
         raise RequestError("bad_request", f"field {field!r} must be finite")
     return value
+
+
+#: The element types the bulk fast path converts; ``bool`` (an ``int``
+#: subclass) and everything else take the per-element checks.
+_PLAIN_NUMBERS = frozenset({int, float})
+
+
+def require_numbers(items: list, field: str) -> np.ndarray:
+    """Convert a list field's items to a float64 array of finite numbers.
+
+    The result equals :func:`require_number` (``finite=True``) applied to
+    each item, bit for bit, and the first offending item raises the same
+    error.  When every item is a plain ``int`` or ``float``, one NumPy
+    conversion and one finiteness check stand in for the per-item calls;
+    anything else (a bool, a string, ``None``, a list, a non-finite or
+    out-of-range number) falls back to them, to word the error.
+    """
+    if _PLAIN_NUMBERS.issuperset(map(type, items)):
+        try:
+            array = np.array(items, dtype=np.float64)
+        except OverflowError:  # an integer beyond the float range
+            pass
+        else:
+            if np.isfinite(array).all():
+                return array
+    return np.array(
+        [require_number({field: item}, field, finite=True) for item in items],
+        dtype=np.float64,
+    )
 
 
 def require_int(message: dict, field: str, minimum: int = 0) -> int:

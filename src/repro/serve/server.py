@@ -99,7 +99,7 @@ class _Pending:
 
     request_id: object
     spec: OpSpec
-    ops: list
+    op: BatchOp
     cost: int
     future: asyncio.Future
     admitted_at: float
@@ -545,15 +545,15 @@ class ReproServer:
                 else:
                     entry[1].append((request_id, future))
                 return None
-        ops, cost = spec.parse(message, structure, self._max_t, self._resolve_seed)
-        if not ops:  # a bulk update of no values
+        op, cost = spec.parse(message, structure, self._max_t, self._resolve_seed)
+        if op is None:  # a bulk update of no values
             future.set_result(protocol.ok_response(request_id, 0))
             return None
         if rid is not None:
             # Provisionally in flight; duplicates arriving from here on
             # queue behind this future instead of re-executing.
             self._dedup[rid] = ("pending", [])
-        return _Pending(request_id, spec, ops, cost, future, loop.time(), rid)
+        return _Pending(request_id, spec, op, cost, future, loop.time(), rid)
 
     # -- the coalescing pipeline -------------------------------------------
 
@@ -629,12 +629,13 @@ class ReproServer:
             [p for p in batch if p.spec.writes] if self.store is not None else ()
         )
         if writers:
-            update_ops: list[BatchOp] = []
+            update_ops = [pending.op for pending in writers]
             rid_spans: list[tuple] = []
+            logged = 0  # the record holds one scalar op per update value
             for pending in writers:
                 if pending.rid is not None:
-                    rid_spans.append((pending.rid, len(update_ops), len(pending.ops)))
-                update_ops.extend(pending.ops)
+                    rid_spans.append((pending.rid, logged, pending.op.size))
+                logged += pending.op.size
             # Write-ahead: the batch's update ops are durable (to the
             # policy's standard) before any of them mutates a structure.
             # Ops that will fail in execution are logged too — replay runs
@@ -674,7 +675,7 @@ class ReproServer:
             # can attribute its task spans to requests (single-loop: one
             # batch executes at a time, so the module global is race-free).
             seed_map = {
-                p.ops[0].seed: p.trace.trace_id
+                p.op.seed: p.trace.trace_id
                 for p in batch
                 if p.trace is not None and p.spec.scatter_seed
             }
@@ -714,36 +715,36 @@ class ReproServer:
 
     def _run_batch(self, batch: list, loop) -> None:
         """Run one (already-logged) batch and scatter replies to futures."""
-        ops: list[BatchOp] = []
-        spans: list[tuple[_Pending, int, int]] = []
-        for pending in batch:
-            spans.append((pending, len(ops), len(pending.ops)))
-            ops.extend(pending.ops)
         try:
             mixed = self._runner.run_mixed(
-                ops, capture_errors=True, coalesce_reads=True
+                [pending.op for pending in batch],
+                capture_errors=True,
+                coalesce_reads=True,
             )
         except Exception as exc:  # defensive: keep the server alive
             failure = RequestError("internal", f"batch execution failed: {exc}")
-            for pending, _start, _n in spans:
+            for pending in batch:
                 response = protocol.error_response(pending.request_id, failure)
                 if pending.rid is not None:
                     self._dedup_resolve(pending.rid, response)
                 self._reply(pending, response, ok=False, loop=loop)
             return
-        for pending, start, n in spans:
-            # Bulk requests are not atomic across their values (the runner
-            # applies what it can and attributes failures per value) — the
-            # error body says what committed (``applied``/``op_index``), or
-            # a client would retry ops that already happened.
-            body = protocol.span_error_body(mixed.errors[start : start + n])
-            if body is not None:
+        for pending, error, value in zip(batch, mixed.errors, mixed.samples):
+            if error is not None:
+                # Bulk requests are not atomic across their values (the
+                # runner applies what it can and lists failures per value)
+                # — the error body says what committed (``applied``/
+                # ``op_index``), or a client would retry values that
+                # already applied.
+                body = protocol.span_error_body(
+                    error if isinstance(error, list) else (error,)
+                )
                 response = {"id": pending.request_id, "ok": False, "error": body}
                 if pending.rid is not None:
                     self._dedup_resolve(pending.rid, response)
                 self._reply(pending, response, ok=False, loop=loop)
                 continue
-            result, samples = pending.spec.reply(mixed.samples[start], n)
+            result, samples = pending.spec.reply(value, pending.op.size)
             response = protocol.ok_response(pending.request_id, result)
             if pending.rid is not None:
                 self._dedup_resolve(pending.rid, response)

@@ -25,7 +25,9 @@ import os
 import time
 from dataclasses import dataclass, field
 
+from ..batch import BatchOp, BatchQueryRunner
 from ..rng import derive_seed
+from ..serve.protocol import span_error_body
 from .snapshot import SnapshotStore, build_from_sorted
 from .wal import WriteAheadLog
 
@@ -112,21 +114,28 @@ class DurableStore:
 
     @property
     def ops_since_snapshot(self) -> int:
-        """Update ops logged (or replayed) since the last checkpoint."""
+        """Updates logged (or replayed) since the last checkpoint.
+
+        A bulk op counts one per value, as the scalar ops its WAL record
+        holds do.
+        """
         return self._ops_since_snapshot
 
     def log_batch(self, ops, rids=None) -> int | None:
         """Append one batch of update ops; return its seq (None if empty).
 
         ``rids`` optionally journals client idempotency keys as
-        ``(rid, start, n)`` spans over ``ops`` — see
+        ``(rid, start, n)`` spans over the record's scalar ops, a bulk op
+        holding one per value — see
         :meth:`~repro.store.wal.WriteAheadLog.append`.
         """
         ops = list(ops)
         if not ops:
             return None
         seq = self.wal.append(ops, rids=rids)
-        self._ops_since_snapshot += len(ops)
+        self._ops_since_snapshot += sum(
+            op.size if isinstance(op, BatchOp) else 1 for op in ops
+        )
         return seq
 
     # -- checkpointing -------------------------------------------------------
@@ -189,10 +198,15 @@ class DurableStore:
         depend on it for requests without a client seed — seeded
         requests are reproducible regardless, which is what the
         byte-identical recovery guarantee is stated over.
-        """
-        from ..batch import BatchQueryRunner
 
+        Replay decodes each record once, as it applies it.  When a given
+        structure is absent from the snapshot it replays in place, so the
+        suffix is decoded once up front too: a record that does not parse
+        then raises :class:`~repro.errors.CorruptRecordError` before the
+        caller's structures change.
+        """
         report = RecoveryReport(structures=dict(structures))
+        loaded = {}
         entry = self.snapshots.latest()
         if entry is not None:
             report.snapshot_seq, manifest = entry
@@ -205,8 +219,9 @@ class DurableStore:
                     spec, values, weights, seed=rebuilt_seed
                 )
         if self.wal.last_seq > report.snapshot_seq:
-            from ..serve.protocol import span_error_body
-
+            if any(name not in loaded for name in structures):
+                for _record in self.wal.replay(after_seq=report.snapshot_seq):
+                    pass
             runner = BatchQueryRunner(report.structures)
             for record in self.wal.replay(after_seq=report.snapshot_seq):
                 mixed = runner.run_mixed(record.ops, capture_errors=True)

@@ -11,9 +11,12 @@ Record format (little-endian), back to back inside segment files::
 
 The payload is one newline-terminated JSON line — the serving layer's
 own wire encoding (:func:`repro.serve.protocol.encode`) of
-``{"q": seq, "ops": [op_to_wire(op), ...]}`` — so a WAL segment is
+``{"q": seq, "ops": ops_to_wire(ops)}`` — so a WAL segment is
 human-inspectable with ``xxd`` + any JSON tool, and the op codec is the
-one the server already speaks.
+one the server already speaks.  Records hold scalar op dicts only: a
+bulk op (:meth:`~repro.batch.BatchOp.insert_bulk`) logs one dict per
+value, so its bytes are those of the scalar ops it stands for, and a
+replayed record yields scalar ops.
 
 Durability knobs:
 
@@ -26,11 +29,15 @@ Durability knobs:
 * ``fsync="off"`` — flush to the OS after every record, never fsync.
   Same process-crash guarantee, no power-loss guarantee.
 
-Segments rotate at ``segment_bytes``; replay walks segments in name
-order and treats a short or checksum-failing *tail* record as a torn
-write (truncated, logged in :attr:`WriteAheadLog.torn_tail`), while
-corruption *before* the tail raises
-:class:`~repro.errors.CorruptRecordError`.
+Segments rotate at ``segment_bytes``.  Opening a log scans frames and
+checksums only, decoding just the last complete record for its sequence
+number; a short or checksum-failing *tail* record is a torn write
+(truncated, logged in :attr:`WriteAheadLog.torn_tail`), while a bad
+frame *before* the tail raises :class:`~repro.errors.CorruptRecordError`.
+Replay walks segments in name order and decodes each record once, as it
+yields it: a record whose checksum passes but whose body does not parse
+raises :class:`~repro.errors.CorruptRecordError` there, before any
+record after it.
 
 Two guarantees the serving layer's exactly-once story stands on:
 
@@ -43,9 +50,10 @@ Two guarantees the serving layer's exactly-once story stands on:
   (whose open-time scan truncates the torn tail) can make the file
   trustworthy again.
 * **Request ids ride in the record.**  ``append(ops, rids=...)`` journals
-  the client idempotency-key spans alongside the ops; replay returns
-  them on :class:`WalRecord`, which is how the server's dedup window
-  survives crash recovery.
+  the client idempotency-key spans alongside the ops, counted in the
+  record's scalar ops (a bulk op's values); replay returns them on
+  :class:`WalRecord`, which is how the server's dedup window survives
+  crash recovery.
 """
 
 from __future__ import annotations
@@ -56,9 +64,11 @@ import struct
 import zlib
 from dataclasses import dataclass
 
+from ..batch import BatchOp
+from ..batch.runner import _normalize_op
 from ..errors import CorruptRecordError, StorageError
 from ..serve.protocol import encode as _encode_line
-from ..serve.protocol import op_from_wire, op_to_wire
+from ..serve.protocol import op_from_wire, ops_to_wire
 
 __all__ = ["WriteAheadLog", "WalRecord", "FSYNC_POLICIES"]
 
@@ -156,18 +166,20 @@ class WriteAheadLog:
         return sorted(names)
 
     def _scan_existing(self) -> None:
-        """Find the highest durable sequence number; truncate a torn tail."""
+        """Find the highest durable sequence number; truncate a torn tail.
+
+        The scan checks frames and checksums only, and decodes just the
+        last complete record, for its sequence number: replay decodes the
+        rest, once.  Only the last segment can have a torn tail (earlier
+        segments were fsynced on rotation), so a bad frame anywhere else
+        is damage and raises here.
+        """
         names = self._segments()
-        if not names:
-            return
-        # Only the last segment can have a torn tail (earlier segments were
-        # fsynced on rotation); still, walk all of them to find last_seq and
-        # catch mid-log corruption early.
+        last = None  # (segment, offset, payload) of the last complete record
         for i, name in enumerate(names):
-            last_tail = i == len(names) - 1
-            for record, offset, ok in self._iter_segment(name):
+            for payload, offset, ok in self._iter_segment(name):
                 if not ok:
-                    if not last_tail:
+                    if i < len(names) - 1:
                         raise CorruptRecordError(
                             f"{name}: corrupt record at offset {offset} "
                             "before the log tail"
@@ -179,10 +191,16 @@ class WriteAheadLog:
                         os.fsync(fh.fileno())
                     self.torn_tail = (name, offset)
                     break
-                self.last_seq = record.seq
+                last = (name, offset, payload)
+        if last is not None:
+            self.last_seq = _decode(*last).seq
 
     def _iter_segment(self, name: str):
-        """Yield ``(record_or_None, start_offset, ok)`` for one segment."""
+        """Yield ``(payload_or_None, start_offset, ok)`` per frame of a segment.
+
+        Frames and checksums only; a short or checksum-failing frame ends
+        the segment with ``ok`` false.
+        """
         path = os.path.join(self.directory, name)
         with open(path, "rb") as fh:
             offset = 0
@@ -198,24 +216,8 @@ class WriteAheadLog:
                 if len(payload) < length or zlib.crc32(payload) != crc:
                     yield None, offset, False
                     return
-                try:
-                    body = json.loads(payload)
-                    rids = body.get("r")
-                    if rids is not None:
-                        rids = [(rid, int(start), int(n)) for rid, start, n in rids]
-                    record = WalRecord(
-                        int(body["q"]),
-                        [op_from_wire(w) for w in body["ops"]],
-                        rids,
-                    )
-                except (ValueError, KeyError, TypeError):
-                    # CRC passed but the body does not parse: not a torn
-                    # write, actual damage.
-                    raise CorruptRecordError(
-                        f"{name}: undecodable record at offset {offset}"
-                    ) from None
+                yield payload, offset, True
                 offset += _HEADER.size + length
-                yield record, offset - _HEADER.size - length, True
 
     # -- appending ----------------------------------------------------------
 
@@ -262,9 +264,11 @@ class WriteAheadLog:
         The record is always *flushed to the OS* before return (a
         subsequent process ``kill -9`` cannot lose it); whether it is
         also fsynced is the policy's call.  Ops may be
-        :class:`~repro.batch.BatchOp` instances or the tuple shorthands
-        the batch runner accepts.  ``rids`` optionally journals request
-        idempotency keys as ``(rid, start, n)`` spans over ``ops``.
+        :class:`~repro.batch.BatchOp` instances (bulk ones included) or
+        the tuple shorthands the batch runner accepts.  ``rids``
+        optionally journals request idempotency keys as
+        ``(rid, start, n)`` spans over the record's scalar ops, where a
+        bulk op contributes one per value.
 
         The append is atomic: on any failure the partial frame is rolled
         back before the exception propagates, so the record either fully
@@ -273,17 +277,15 @@ class WriteAheadLog:
         :class:`~repro.errors.StorageError` until a restart re-scans and
         truncates the file.
         """
-        from ..batch import BatchOp
-
         if self.broken:
             raise StorageError(
                 "write-ahead log is broken (a failed append could not be "
                 "rolled back); restart to recover"
             )
-        ops = [op if isinstance(op, BatchOp) else _coerce(op) for op in ops]
+        ops = [op if isinstance(op, BatchOp) else _normalize_op(op) for op in ops]
         seq = self.last_seq + 1
         self._rotate_if_needed(seq)
-        body = {"q": seq, "ops": [op_to_wire(op) for op in ops]}
+        body = {"q": seq, "ops": ops_to_wire(ops)}
         if rids:
             body["r"] = [[rid, int(start), int(n)] for rid, start, n in rids]
         payload = _encode_line(body)
@@ -338,13 +340,18 @@ class WriteAheadLog:
         """Yield :class:`WalRecord` for every record with ``seq > after_seq``.
 
         Records arrive in sequence order; a torn tail was already
-        truncated at open time, so iteration never surfaces one.
+        truncated at open time, so iteration never surfaces one.  Each
+        record is decoded as it is reached (the ops of records at or below
+        ``after_seq`` not at all), so a record that passes its checksum
+        but does not parse raises :class:`~repro.errors.CorruptRecordError`
+        before any record after it is yielded.
         """
         for name in self._segments():
-            for record, _offset, ok in self._iter_segment(name):
+            for payload, offset, ok in self._iter_segment(name):
                 if not ok:  # pragma: no cover - tail truncated at open
                     return
-                if record.seq > after_seq:
+                record = _decode(name, offset, payload, after_seq)
+                if record is not None:
                     yield record
 
     def truncate_through(self, seq: int) -> int:
@@ -392,7 +399,20 @@ class WriteAheadLog:
         self.close()
 
 
-def _coerce(op):
-    from ..batch.runner import _normalize_op
-
-    return _normalize_op(op)
+def _decode(name: str, offset: int, payload: bytes, after_seq: int = 0):
+    """Decode one record's payload (``None`` if its seq is ``<= after_seq``)."""
+    try:
+        body = json.loads(payload)
+        seq = int(body["q"])
+        if seq <= after_seq:
+            return None
+        rids = body.get("r")
+        if rids is not None:
+            rids = [(rid, int(start), int(n)) for rid, start, n in rids]
+        return WalRecord(seq, [op_from_wire(w) for w in body["ops"]], rids)
+    except (ValueError, KeyError, TypeError):
+        # CRC passed but the body does not parse: not a torn write,
+        # actual damage.
+        raise CorruptRecordError(
+            f"{name}: undecodable record at offset {offset}"
+        ) from None

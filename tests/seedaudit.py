@@ -10,8 +10,11 @@ Besides the sampling paths it pins how each structure kind is built:
 ``cli/<kind>`` (the CLI's output, flat and with ``--shards 3``),
 ``sharded-<kind>/updates`` (a 3-shard facade, float32 where the kind
 takes a dtype, through a scalar and a bulk update pass with a rebalance)
-and ``<name>/recovered`` (snapshot save → load → ``build_from_sorted``,
-including the ``manifest.json`` bytes).  The script uses only names that
+``<name>/recovered`` (snapshot save → load → ``build_from_sorted``,
+including the ``manifest.json`` bytes) and ``durable/wal`` (a scripted
+durable serving session of scalar and bulk updates with rids: its
+replies, the WAL segment bytes, and the recovery's replayed counts and
+rebuilt dedup outcomes after a crash).  The script uses only names that
 exist across versions, so running it with each commit's ``src`` on
 ``PYTHONPATH`` and comparing the outputs checks that a change kept every
 seeded result byte-identical.
@@ -324,6 +327,80 @@ def recovered_fingerprints(workdir: str) -> dict[str, str]:
     return out
 
 
+BULK = [100.25 + i / 8 for i in range(64)]
+# One batch (all submitted before any is awaited), then one request each.
+DURABLE_BATCH = [
+    {"op": "insert", "value": 50.5, "structure": "dynamic"},
+    {"op": "insert_bulk", "values": BULK, "structure": "dynamic", "rid": "b1"},
+    {"op": "sample", "lo": LO, "hi": HI, "t": 8, "seed": 5, "structure": "dynamic"},
+    {"op": "delete_bulk", "values": [50.5, 999.5, BULK[3]], "structure": "dynamic",
+     "rid": 7},
+    {"op": "insert_bulk", "values": [1.5, 2.5, 3.5], "weights": [2, 0, 1.5],
+     "structure": "weighted-dynamic", "rid": "w0"},
+    {"op": "insert_bulk", "values": [4.5, 5.5], "weights": [1, 1],
+     "structure": "dynamic", "rid": "refused"},
+    {"op": "delete", "value": 1.5, "structure": "weighted-dynamic"},
+    {"op": "insert_bulk", "values": [], "structure": "dynamic"},
+]
+DURABLE_SINGLES = [
+    {"op": "delete_bulk", "values": BULK[4:], "structure": "dynamic", "rid": "b2"},
+    {"op": "insert", "value": 60.25, "weight": 3.0, "structure": "weighted-dynamic",
+     "rid": "s1"},
+    {"op": "delete_bulk", "values": [60.25], "structure": "weighted-dynamic"},
+]
+
+
+def durable_fingerprints(workdir: str) -> dict[str, str]:
+    import asyncio
+
+    from repro import DynamicIRS, WeightedDynamicIRS
+    from repro.serve import ReproServer
+
+    data_dir = os.path.join(workdir, "durable")
+    wal_dir = os.path.join(data_dir, "wal")
+
+    def structures():
+        return {
+            "dynamic": DynamicIRS(DATA, seed=ROOT_SEED),
+            "weighted-dynamic": WeightedDynamicIRS(DATA, WEIGHTS, seed=ROOT_SEED),
+        }
+
+    async def session():
+        server = ReproServer(structures(), seed=ROOT_SEED, data_dir=data_dir)
+        await server.start()
+        replies = list(await asyncio.gather(*map(server.submit, DURABLE_BATCH)))
+        for request in DURABLE_SINGLES:
+            replies.append(await server.submit(request))
+        # Crash: skip the shutdown checkpoint, so recovery replays the WAL.
+        server._store_closed = True
+        server.store.close()
+        await server.aclose()
+        segments = []
+        for name in sorted(os.listdir(wal_dir)):
+            with open(os.path.join(wal_dir, name), "rb") as handle:
+                segments.append([name, handle.read().decode("latin-1")])
+        async with ReproServer(
+            structures(), seed=ROOT_SEED, data_dir=data_dir
+        ) as recovered:
+            report = recovered.recovery
+            record = [
+                replies,
+                segments,
+                report.snapshot_seq,
+                report.replayed_records,
+                report.replayed_ops,
+                sorted([repr(rid), ok, payload]
+                       for rid, (ok, payload) in report.dedup.items()),
+                {name: structure.export_sorted().tolist()
+                 for name, structure in sorted(recovered.structures.items())},
+            ]
+            recovered._store_closed = True  # leave the directory as it is
+            recovered.store.close()
+        return record
+
+    return {"durable/wal": _fingerprint(asyncio.run(session()))}
+
+
 def main() -> None:
     fingerprints = direct_fingerprints()
     fingerprints.update(served_fingerprints())
@@ -331,6 +408,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as workdir:
         fingerprints.update(cli_fingerprints(workdir))
         fingerprints.update(recovered_fingerprints(workdir))
+        fingerprints.update(durable_fingerprints(workdir))
     print(json.dumps(fingerprints, sort_keys=True))
 
 

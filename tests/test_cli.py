@@ -282,6 +282,29 @@ class TestServeCLI:
         assert len(replies[0]["result"]) == 4
         assert replies[2]["result"] == 11  # 10 initial points + the insert
 
+    def test_serve_offline_answers_an_integer_beyond_float_range(
+        self, capsys, data_file, tmp_path
+    ):
+        import json
+
+        requests = tmp_path / "requests.txt"
+        requests.write_text(
+            '{"id": 1, "op": "ping"}\n'
+            '{"id": 2, "op": "insert", "value": 1%s}\n'
+            '{"id": 3, "op": "count", "lo": 10, "hi": 19}\n' % ("0" * 400)
+        )
+        assert main(["serve", "--data", data_file, "--requests", str(requests)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        replies = [json.loads(line) for line in lines if not line.startswith("#")]
+        assert replies == [
+            {"id": 1, "ok": True, "result": "pong"},
+            {"id": 2, "ok": False, "error": {
+                "type": "bad_request",
+                "message": "field 'value' is too large for a float",
+            }},
+            {"id": 3, "ok": True, "result": 10},
+        ]
+
     def test_serve_window_defaults_to_zero(self, data_file):
         args = _parser().parse_args(["serve", "--data", data_file])
         assert args.window_ms == 0.0

@@ -2,10 +2,11 @@
 
 ``seedaudit.py`` fingerprints every sampler kind through every sampling
 path (scalar, seeded bulk, stratified, without-replacement, served), the
-CLI, a sharded update pass and snapshot recovery under one fixed root
-seed.  This suite runs it in two *fresh* Python processes —
-fresh hash randomization, fresh module state, fresh event loops — and
-asserts the fingerprints agree entry by entry.  Any path that leaks
+CLI, a sharded update pass, snapshot recovery and a durable serving
+session's WAL under one fixed root seed.  This suite runs it in two
+*fresh* Python processes — fresh hash randomization, fresh module
+state, fresh event loops — and asserts the fingerprints agree entry by
+entry.  Any path that leaks
 process-local state into its draws fails here with the exact
 ``kind/path`` name attached.
 """
@@ -33,6 +34,7 @@ EXPECTED_KEYS = sorted(
        for suffix in ("", "/shards=3")]
     + [f"sharded-{kind}/updates" for kind in seedaudit.shard_kinds()]
     + [f"{name}/recovered" for name in seedaudit.recovered_factories()]
+    + ["durable/wal"]
 )
 
 

@@ -147,3 +147,68 @@ def test_one_draw_estimate_has_null_half_width_on_both_clients():
     assert local["half_width"] is None
     assert local["converged"] is False
     assert local["draws"] == 1
+
+
+# -- a JSON integer too large for a float ----------------------------------------
+
+HUGE = 10**400  # json.loads reads it exactly; float() overflows
+
+HUGE_FIELDS = {
+    "value": {"op": "insert", "value": HUGE},
+    "weight": {"op": "insert", "value": 1.0, "weight": HUGE},
+    "values": {"op": "insert_bulk", "values": [1.0, HUGE]},
+    "weights": {"op": "insert_bulk", "values": [1.0, 2.0], "weights": [1.0, HUGE]},
+    "lo": {"op": "sample", "lo": HUGE, "hi": 1.0, "t": 2},
+    "hi": {"op": "count", "lo": 0.0, "hi": -HUGE},
+    "target": {"op": "estimate", "lo": 0.0, "hi": 9.0, "target": HUGE},
+    "confidence": {
+        "op": "estimate", "lo": 0.0, "hi": 9.0, "target": 1.0, "confidence": HUGE
+    },
+    "strata": {"op": "stratified", "strata": [[0.0, HUGE]], "t": 2},
+}
+
+
+@pytest.mark.parametrize("field", sorted(HUGE_FIELDS))
+def test_integer_beyond_float_range_is_a_bad_request(field):
+    async def main():
+        async with ReproServer(DynamicIRS(DATA, seed=1), seed=3) as server:
+            return await server.submit(json.dumps({"id": 8, **HUGE_FIELDS[field]}))
+
+    assert run(main()) == {
+        "id": 8,
+        "ok": False,
+        "error": {
+            "type": "bad_request",
+            "message": f"field {field!r} is too large for a float",
+        },
+    }
+
+
+def test_tcp_connection_survives_an_integer_beyond_float_range():
+    async def main():
+        server = ReproServer(DynamicIRS(DATA, seed=1), seed=3)
+        await server.start_tcp(port=0)
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        try:
+            writer.write(b'{"op":"ping","id":1}\n')
+            writer.write(b'{"op":"insert","id":2,"value":1%s}\n' % (b"0" * 400))
+            writer.write(b'{"op":"ping","id":3}\n')
+            await writer.drain()
+            replies = [
+                json.loads(await asyncio.wait_for(reader.readline(), 2.0))
+                for _ in range(3)
+            ]
+            # The connection is still open for more.
+            writer.write(b'{"op":"count","id":4,"lo":0,"hi":100}\n')
+            await writer.drain()
+            replies.append(json.loads(await asyncio.wait_for(reader.readline(), 2.0)))
+            return replies
+        finally:
+            writer.close()
+            await server.aclose()
+
+    ping, refused, pong, count = run(main())
+    assert ping == {"id": 1, "ok": True, "result": "pong"}
+    assert refused["id"] == 2 and refused["error"]["type"] == "bad_request"
+    assert pong == {"id": 3, "ok": True, "result": "pong"}
+    assert count == {"id": 4, "ok": True, "result": len(DATA)}
