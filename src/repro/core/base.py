@@ -54,25 +54,35 @@ def sample_bulk_many_by_rank(
 ) -> list:
     """Shared body of the rank-addressed ``sample_bulk_many`` methods.
 
-    For samplers whose seeded draw is "``t`` uniform global ranks from
+    For samplers whose seeded draw is "``t`` uniform ranks from
     :func:`repro.rng.seeded_ranks` over the query's rank interval, mapped
     to values": :class:`~repro.core.static_irs.StaticIRS` and
     :class:`~repro.core.dynamic_irs.DynamicIRS`.  The sampler supplies
     three callables:
 
-    * ``sample_bulk(lo, hi, t)`` — its unseeded bulk path;
-    * ``rank_bounds(los, his)`` — the ``(starts, ends)`` global rank
-      intervals of all ranges at once (float64 bound arrays in);
-    * ``take_ranks(ranks, starts, ends, counts)`` — the float64 values at
-      the concatenated ranks of the seeded queries (their intervals and
-      sample counts alongside).
+    * ``sample_bulk(lo, hi, t, seed=)`` — its bulk path, seeded or not;
+    * ``rank_bounds(los, his)`` — ``(starts, ends, frame)``: the rank
+      intervals of all ranges at once (float64 bound arrays in) and the
+      rank frame they are counted in (``None`` for a flat array, whose
+      ranks are global; a chunk directory's
+      :meth:`~repro.core.directory.ChunkDirectory.frame` otherwise);
+    * ``take_ranks(ranks, counts, frame)`` — the float64 values at the
+      concatenated frame ranks of the seeded queries (their sample
+      counts alongside).
+
+    :func:`~repro.rng.seeded_ranks` adds a query's start only after
+    reducing its draws modulo the width, so ranks drawn in any frame name
+    the same points as global ranks would.
 
     This function owns everything else: validation, seed alignment,
     ``t = 0``, the empty-range check (before any draw, so a failing call
     consumes no randomness), delegating unseeded queries to
     ``sample_bulk`` in input order (the side stream advances exactly as
     per-query calls would), one ``seeded_ranks`` call for all seeded
-    queries, and slicing the values back into per-query results.
+    queries, and slicing the values back into per-query results.  A
+    one-query call is the sampler's own ``sample_bulk(lo, hi, t,
+    seed=)``, which returns the same bytes and raises the same errors
+    without the batch prelude.
     """
     from ..rng import seeded_ranks
 
@@ -85,7 +95,10 @@ def sample_bulk_many_by_rank(
         validate_query(lo, hi, t)
     if not queries:
         return []
-    starts, ends = rank_bounds(
+    if len(queries) == 1:
+        lo, hi, t = queries[0]
+        return [sample_bulk(lo, hi, t, seed=seeds[0])]
+    starts, ends, frame = rank_bounds(
         _np.asarray([q[0] for q in queries], dtype=float),
         _np.asarray([q[1] for q in queries], dtype=float),
     )
@@ -104,7 +117,7 @@ def sample_bulk_many_by_rank(
     if seeded:
         starts, ends, counts = starts[seeded], ends[seeded], ts[seeded]
         ranks = seeded_ranks([seeds[i] for i in seeded], starts, ends - starts, counts)
-        values = take_ranks(ranks, starts, ends, counts)
+        values = take_ranks(ranks, counts, frame)
         at = 0
         for i, t in zip(seeded, counts.tolist()):
             results[i] = values[at : at + t]

@@ -32,26 +32,33 @@ The engine provides:
 
 * boundary routing — "first chunk whose max ≥ x" / "last chunk whose
   min ≤ y" — as one C-level ``searchsorted`` per endpoint;
-* a lazily cached prefix sum over counts, kept as a plain memo: one
-  ``cumsum`` when the cache is empty, and every count change empties it.
-  Counting never reads it — the whole chunks between a range's boundary
-  chunks are one C-level sum over their counts — so only the rank
-  readers rebuild it, and a read-only structure keeps one warm prefix
-  across all its reads.  The weight prefix of a weighted directory keeps
-  scalar changes as bounded *pending per-chunk deltas* that its readers
-  fold in; a bulk pass drops it, since the seeded weighted draws read
-  its float bits;
-* global rank addressing — the rank interval of a key range and the
-  chunk/offset of a global rank — the layout-independent coordinates the
-  seeded samplers draw in;
+* counting from count geometry: the whole chunks between a range's
+  boundary chunks are one C-level sum over their counts, so a count
+  reads no prefix;
+* rank addressing through explicit **rank frames**.  A frame is the
+  union of the chunk runs a read's ranges span with an int64 ``cumsum``
+  over just their counts (:meth:`ChunkDirectory.frame`); a frame rank
+  differs from the global rank by a constant inside each run, so the
+  rank interval of a key range and the chunk/offset of a rank drawn in
+  it are the same points whatever the frame — the layout-independent
+  coordinates the seeded samplers draw in.  The whole-directory prefix
+  is a plain cache that every count change empties; a read uses it when
+  it is warm, and while it is cold frames only its own runs, until the
+  chunks framed since the last count change add up to the directory's
+  size — then it builds the whole prefix once and keeps it (ski rental,
+  with the directory's own size as the price of buying).  The weight
+  prefix of a weighted directory keeps scalar changes as bounded
+  *pending per-chunk deltas* that its readers fold in; a bulk pass drops
+  it, since the seeded weighted draws read its float bits;
 * every update, none of them a Python loop over chunks: a scalar insert
   or delete shifts one row in place; a bulk insert merges the sorted
-  batch into all touched rows in one pass; a bulk delete resolves every
-  value to a global rank and takes the hits out of the touched rows in
-  one pass; and one re-cut primitive (:meth:`ChunkDirectory.recut`)
-  replaces chunk runs by balanced pieces — the scalar split, the merge of
-  an under-full chunk, the bulk split, the removal of an emptied chunk
-  and the normalization after a bulk delete.
+  batch into all touched rows in one pass; a bulk delete finds every
+  value in the touched rows (a run of copies that crosses a chunk, by
+  rank) and takes the hits out of them in one pass; and one re-cut
+  primitive (:meth:`ChunkDirectory.recut`) replaces chunk runs by
+  balanced pieces — the scalar split, the merge of an under-full chunk,
+  the bulk split, the removal of an emptied chunk and the normalization
+  after a bulk delete.
 
 ``mutations`` is a monotone version stamp bumped by every mutating call;
 samplers key their own derived caches (e.g. the weighted sampler's
@@ -104,6 +111,24 @@ def _spans(first, last):
     return (first - (runs.cumsum() - runs)).repeat(runs) + _np.arange(runs.sum())
 
 
+def _union(first, last):
+    """Ascending indices of the chunks in the runs ``first[g] .. last[g]``.
+
+    ``first`` and ``last`` are int64 arrays, or two ints for one run; runs
+    may overlap and come in any order.
+    """
+    if _np.ndim(first) == 0:
+        return _np.arange(first, last + 1)
+    if first.size == 1:
+        return _np.arange(first[0], last[0] + 1)
+    order = first.argsort()
+    first, reach = first[order], _np.maximum.accumulate(last[order])
+    opens = _np.ones(first.size, dtype=bool)
+    _np.greater(first[1:], reach[:-1], out=opens[1:])
+    heads = _np.flatnonzero(opens)
+    return _spans(first[heads], reach[_np.append(heads[1:], first.size) - 1])
+
+
 def _runs(keys):
     """Start index and length of each run of equal entries of sorted ``keys``."""
     m = keys.size
@@ -147,6 +172,7 @@ class ChunkDirectory:
         "wtotals",
         "mutations",
         "_prefix",
+        "_framed",
         "_wprefix",
         "_wpending",
     )
@@ -216,9 +242,9 @@ class ChunkDirectory:
         weights = self.wslab[rows][live] if self.weighted else None
         return self.slab[rows][live], weights
 
-    def cells(self, ranks):
-        """Slab coordinates ``(rows, offsets)`` of the global ``ranks``."""
-        ci, off = self._chunks_at(ranks)
+    def cells(self, ranks, frame):
+        """Slab coordinates ``(rows, offsets)`` of ``frame``'s ``ranks``."""
+        ci, off = self._chunks_at(ranks, frame)
         return self.row_of[ci], off
 
     def _alloc(self, k: int):
@@ -273,54 +299,87 @@ class ChunkDirectory:
         rb = kernels.search_right_scalar(slab[row_of[b], : counts[b]], hi)
         return a, la, b, rb
 
-    # -- lazy count prefix -------------------------------------------------
+    # -- rank frames -------------------------------------------------------
 
     def ensure_prefix(self):
-        """Return the inclusive prefix sum over chunk counts (cached).
+        """Return the inclusive prefix sum over all chunk counts (cached).
 
         A plain memo: one ``cumsum`` when the cache is empty, and every
         count change empties it (:meth:`note_delta`,
-        :meth:`invalidate_prefix`).  Only the rank readers call it —
-        :meth:`rank_bounds`, :meth:`starts_at` and :meth:`cells` — never a
-        count (:meth:`points_between`), so a structure that is only read
-        keeps one warm prefix.
+        :meth:`invalidate_prefix`).  Only :meth:`frame` calls it, and only
+        once the reads since the last count change have framed as many
+        chunks as the directory holds; a count
+        (:meth:`points_between`) never does.
         """
         if self._prefix is None:
             self._prefix = _np.cumsum(self.counts)
         return self._prefix
 
-    def starts_at(self, idx):
-        """Points stored before each chunk in ``idx`` (an index or index array)."""
-        return self.ensure_prefix()[idx] - self.counts[idx]
+    def frame(self, first, last):
+        """The rank frame of a read over the chunk runs ``first[g] .. last[g]``.
 
-    def _chunks_at(self, ranks):
-        """Chunk index and in-chunk offset of each global rank in ``ranks``."""
-        ci = kernels.search_right(self.ensure_prefix(), ranks)
-        return ci, ranks - self.starts_at(ci)
+        A frame is ``(chunks, ends)``: the ascending union of the runs'
+        chunk indices and the inclusive ``cumsum`` of their counts.  A
+        frame rank counts the framed points before a point, so inside one
+        run it is the global rank less the points of the unframed chunks
+        before the run, and a rank interval drawn in a run names the same
+        points in any frame that holds the run.  When the whole-directory
+        prefix is cached the frame is the whole directory: ``chunks`` is
+        ``None`` and ``ends`` the prefix.  While it is cold a read frames
+        only its own runs, until the chunks framed since the last count
+        change reach ``len(self)``; that read builds the whole prefix
+        (:meth:`ensure_prefix`), which serves every read until the next
+        count change.  ``first``/``last`` are int64 arrays, or two ints
+        for one run.
+        """
+        if self._prefix is None:
+            chunks = _union(first, last)
+            self._framed += chunks.size
+            if self._framed < len(self):
+                return chunks, self.counts[chunks].cumsum()
+        return None, self.ensure_prefix()
+
+    def starts_at(self, idx, frame):
+        """Frame rank of the first point of each chunk in ``idx`` (all framed)."""
+        chunks, ends = frame
+        pos = idx if chunks is None else chunks.searchsorted(idx)
+        return ends[pos] - self.counts[idx]
+
+    def _chunks_at(self, ranks, frame):
+        """Chunk index and in-chunk offset of each of ``frame``'s ``ranks``."""
+        chunks, ends = frame
+        pos = kernels.search_right(ends, ranks)
+        ci = pos if chunks is None else chunks[pos]
+        return ci, ranks - (ends[pos] - self.counts[ci])
 
     def rank_bounds(self, los, his):
-        """Global rank interval ``[start, end)`` of each range ``[lo, hi]``.
+        """Rank intervals ``[start, end)`` of ranges ``[lo, hi]``, and their frame.
 
-        ``start`` counts the stored points below ``lo`` and ``end`` those
-        at or below ``hi`` — the numbers two ``searchsorted`` calls over
-        the flat sorted multiset give, whatever the chunk layout — so
-        ``end - start`` is the in-range count and the ranks in between
-        name the in-range points in order.  Boundary chunks of all ranges
-        come from one ``searchsorted`` over ``maxes`` and one over
-        ``mins``, and every in-chunk offset from one ``k × cap`` compare
-        over the boundary rows.  Bounds must already be rounded through
-        the value-plane dtype.
+        Returns ``(starts, ends, frame)``: the :meth:`frame` over every
+        range's boundary chunks and the chunks between them, and each
+        range's interval in that frame's ranks.  ``start`` counts the
+        framed points below ``lo`` and ``end`` those at or below ``hi``,
+        so ``end - start`` is the in-range count and the ranks in between
+        name the in-range points in order, whatever the chunk layout; in
+        the whole-directory frame they are the numbers two
+        ``searchsorted`` calls over the flat sorted multiset give.
+        Boundary chunks of all ranges come from one ``searchsorted`` over
+        ``maxes`` and one over ``mins``, and every in-chunk offset from
+        one ``k × cap`` compare over the boundary rows.  Bounds must
+        already be rounded through the value-plane dtype.
         """
         k = len(self)
         if not k:
             zeros = _np.zeros(len(los), dtype=_np.int64)
-            return zeros, zeros
+            return zeros, zeros, (None, zeros[:0])
         # A bound past either end still lands on its edge chunk, where the
         # in-chunk search then counts all of it or none of it.
         a_idx = _np.searchsorted(self.maxes, los, side="left")
         b_idx = _np.searchsorted(self.mins, his, side="right") - 1
         _np.minimum(a_idx, k - 1, out=a_idx)
         _np.maximum(b_idx, 0, out=b_idx)
+        # An empty range can end one chunk before it starts (b = a - 1).
+        frame = self.frame(_np.minimum(a_idx, b_idx), _np.maximum(a_idx, b_idx))
         q = len(los)
         idx = _np.concatenate((a_idx, b_idx))
         block = self.slab[self.row_of[idx]]
@@ -329,27 +388,29 @@ class ChunkDirectory:
             kernels.search_rows(block[:q], counts[:q], los, False),
             kernels.search_rows(block[q:], counts[q:], his, True),
         ))
-        bounds = self.starts_at(idx) + offsets
-        return bounds[:q], bounds[q:]
+        bounds = self.starts_at(idx, frame) + offsets
+        return bounds[:q], bounds[q:], frame
 
     def invalidate_prefix(self) -> None:
         """Drop both prefix caches (chunk indices or many rows changed)."""
         self._prefix = self._wprefix = None
+        self._framed = 0
         self._wpending = {}
         self.mutations += 1
 
     def note_delta(self, i: int, dcount: int, dweight: float = 0.0) -> None:
         """Record a scalar count/weight change of chunk ``i``.
 
-        A count change empties the count prefix; its next rank reader
-        re-runs the cumsum.  A weight change only shifts the weight prefix
-        from ``i`` on, so it rides on that cache as a pending per-chunk
-        delta that readers fold in, until past ``_PENDING_CAP`` entries the
-        cache is dropped.
+        A count change empties the count prefix and restarts the count of
+        framed chunks (:meth:`frame`).  A weight change only shifts the
+        weight prefix from ``i`` on, so it rides on that cache as a pending
+        per-chunk delta that readers fold in, until past ``_PENDING_CAP``
+        entries the cache is dropped.
         """
         self.mutations += 1
         if dcount:
             self._prefix = None
+            self._framed = 0
         if dweight and self._wprefix is not None:
             wpending = self._wpending
             wpending[i] = wpending.get(i, 0.0) + dweight
@@ -654,7 +715,7 @@ class ChunkDirectory:
         at = flat.searchsorted(batch) + _copy_rank(batch)
         if (at >= counts.cumsum().repeat(hits)).any():
             # A run of copies continues past its chunk (or a value lies
-            # past the global max): resolve by global rank instead.
+            # past the global max): resolve by rank instead.
             ci, off = self._find(batch)
             touched, hits = _runs(ci)
             touched = ci[touched]
@@ -683,16 +744,16 @@ class ChunkDirectory:
         return removed
 
     def _find(self, batch):
-        """Global-rank twin of :meth:`remove`'s search, for runs of copies
-        that cross a chunk boundary: ascending ``(chunk, offset)`` arrays."""
+        """Rank twin of :meth:`remove`'s search, for runs of copies that
+        cross a chunk boundary: ascending ``(chunk, offset)`` arrays."""
         heads, sizes = _runs(batch)
-        starts, ends = self.rank_bounds(batch[heads], batch[heads])
+        starts, ends, frame = self.rank_bounds(batch[heads], batch[heads])
         run = _np.arange(heads.size).repeat(sizes)
         ranks = starts[run] + _copy_rank(batch)
         short = ranks >= ends[run]
         if short.any():
             raise KeyNotFoundError(f"value not present: {float(batch[short][0])!r}")
-        return self._chunks_at(ranks)
+        return self._chunks_at(ranks, frame)
 
     def normalize(self, s: int) -> None:
         """Fold every chunk under ``s`` into a neighbor, in one pass.

@@ -26,12 +26,16 @@ order —
   the density-bounded window the paper gets from a packed-memory array
   is the slab itself, and an accepted pair is one gather out of it;
 * seeded sampling (``sample_bulk(seed=)`` and ``sample_bulk_many``)
-  draws global ranks instead and resolves them through the count
-  prefix — the law of ``StaticIRS``, so a seeded reply never depends on
-  the chunk layout (DESIGN.md §5).  The prefix is a plain cache that
-  every count change empties: only these rank readers (and
-  ``peek_counts``, ``report``, ``select_in_range``) rebuild it, with one
-  ``cumsum``, so a structure that is only read keeps it warm.
+  draws ranks instead — the law of ``StaticIRS``, so a seeded reply
+  never depends on the chunk layout (DESIGN.md §5) — and resolves them
+  in a *rank frame*: an int64 ``cumsum`` over the counts of just the
+  chunks the read's ranges span, or the whole-directory prefix when it
+  is cached.  The prefix is a plain cache that every count change
+  empties; the rank readers (these, ``peek_counts``, ``report`` and
+  ``select_in_range``) frame their own chunks while it is cold and buy
+  it once the chunks they framed since the last count change add up to
+  the directory's size, so a read right after a write pays for its
+  range and a structure that is only read keeps one warm prefix.
 
 No read or update path loops over chunks in Python: a scalar update
 shifts one row in place, a bulk update is one pass over the touched rows,
@@ -334,30 +338,30 @@ class DynamicIRS(DynamicRangeSampler):
         <repro.core.directory.ChunkDirectory.rank_bounds>` — one
         ``searchsorted`` over ``maxes`` and one over ``mins`` for *all*
         bounds, one ``k × cap`` compare for every in-chunk offset, and the
-        count prefix for each boundary chunk's first rank), ``O(q log n)``
-        in total once the prefix is cached.  The prefix is rebuilt, one
-        ``cumsum``, only by the first rank read after a count change.
+        rank frame for each boundary chunk's first rank), ``O(q log n)``
+        in total once the whole prefix is cached, and otherwise one
+        ``cumsum`` over the chunks the ranges span.
         """
-        starts, ends = self._rank_bounds(*coerce_query_bounds(queries))
+        starts, ends, _frame = self._rank_bounds(*coerce_query_bounds(queries))
         return ends - starts
 
     def _rank_bounds(self, los, his):
-        """Global rank intervals of many ranges (bounds rounded to the plane)."""
+        """Rank intervals and frame of many ranges (bounds rounded to the plane)."""
         return self._dir.rank_bounds(
             round_to_plane(los, self._dtype, "lo"),
             round_to_plane(his, self._dtype, "hi"),
         )
 
-    def _take_ranks(self, ranks, starts, ends, counts):
-        """Values at the seeded queries' global ranks (see :meth:`sample_bulk`).
+    def _take_ranks(self, ranks, counts, frame):
+        """Values at the seeded queries' frame ranks (see :meth:`sample_bulk`).
 
         Each rank resolves to its ``(chunk, offset)`` with one
-        ``searchsorted`` over the count prefix, and all values come out of
-        the slab in one gather.
+        ``searchsorted`` over the frame, and all values come out of the
+        slab in one gather.
         """
         self.stats.queries += int(counts.size)
         self.stats.samples_returned += int(ranks.size)
-        return self._values_at(ranks)
+        return self._values_at(ranks, frame)
 
     def export_sorted(self):
         """Return every stored point as a sorted NumPy array (shard hook).
@@ -369,12 +373,12 @@ class DynamicIRS(DynamicRangeSampler):
 
     def report(self, lo: float, hi: float) -> list[float]:
         validate_query(lo, hi, 0)
-        starts, ends = self._rank_bounds(_np.asarray([lo]), _np.asarray([hi]))
-        return self._values_at(_np.arange(starts[0], ends[0])).tolist()
+        starts, ends, frame = self._rank_bounds(_np.asarray([lo]), _np.asarray([hi]))
+        return self._values_at(_np.arange(starts[0], ends[0]), frame).tolist()
 
-    def _values_at(self, ranks):
-        """float64 values at global ``ranks``: one locate, one slab gather."""
-        rows, off = self._dir.cells(ranks)
+    def _values_at(self, ranks, frame):
+        """float64 values at ``frame``'s ``ranks``: one locate, one slab gather."""
+        rows, off = self._dir.cells(ranks, frame)
         return self._dir.slab[rows, off].astype(float)
 
     def _plan(self, lo: float, hi: float):
@@ -484,9 +488,9 @@ class DynamicIRS(DynamicRangeSampler):
         after the call is the scalar loop's.
 
         An explicit ``seed`` makes the call *seed-addressable* instead:
-        ``t`` uniform global ranks from :func:`repro.rng.seeded_ranks`
-        over the range's rank interval, mapped to values through the
-        directory's count prefix — the law of :meth:`StaticIRS.sample_bulk
+        ``t`` uniform ranks from :func:`repro.rng.seeded_ranks` over the
+        range's rank interval, mapped to values through the rank frame of
+        the chunks it spans — the law of :meth:`StaticIRS.sample_bulk
         <repro.core.static_irs.StaticIRS.sample_bulk>`, so the reply is a
         pure function of the seed and the stored multiset, whatever the
         chunk layout (:meth:`sample_bulk_many` answers the same draw for
@@ -497,12 +501,12 @@ class DynamicIRS(DynamicRangeSampler):
         if self._require_nonempty(0 if plan is None else plan[0], t):
             return _np.empty(0, dtype=float)
         total, a, la, k_left, k_mid, b, k_right = plan
-        if seed is not None:
-            start = int(self._dir.starts_at(a)) + la
-            bounds = _np.asarray([start, start + total])
-            ranks = seeded_ranks([seed], bounds[:1], [total], [t])
-            return self._take_ranks(ranks, bounds[:1], bounds[1:], _np.asarray([t]))
         directory = self._dir
+        if seed is not None:
+            frame = directory.frame(a, b)
+            start = int(directory.starts_at(a, frame)) + la
+            ranks = seeded_ranks([seed], [start], [total], [t])
+            return self._take_ranks(ranks, _np.asarray([t]), frame)
         stats = self.stats
         stats.queries += 1
         stats.samples_returned += t
@@ -532,11 +536,12 @@ class DynamicIRS(DynamicRangeSampler):
         The seeded queries (``seeds[i] is not None``) of the whole batch
         resolve together: one ``searchsorted`` over ``maxes`` and one over
         ``mins`` for all bounds, one :func:`repro.rng.seeded_ranks` call,
-        one rank-resolution pass over the count prefix (rebuilt at most
-        once per call, only if a count changed since the last rank read),
-        then one slab gather.
-        Unseeded queries delegate to :meth:`sample_bulk` one by one, in
-        input order, preserving the side stream's draw-for-draw behavior.
+        one rank-resolution pass over the batch's rank frame
+        (:meth:`ChunkDirectory.frame
+        <repro.core.directory.ChunkDirectory.frame>`), then one slab
+        gather.  Unseeded queries delegate to :meth:`sample_bulk` one by
+        one, in input order, preserving the side stream's draw-for-draw
+        behavior, and a one-query call is :meth:`sample_bulk` itself.
 
         Results align with the input order and equal per-query
         :meth:`sample_bulk` calls exactly — seeded replies are also
@@ -592,9 +597,10 @@ class DynamicIRS(DynamicRangeSampler):
         ``ranks`` need not be sorted or distinct; each must be an int in
         ``[0, count)`` (:func:`~repro.core.base.validate_ranks`), or
         :class:`~repro.errors.InvalidQueryError` is raised.  Cost is
-        ``O(log n + t log(n/s))`` once the count prefix is cached: the
-        range's first global rank comes from the plan and the prefix, and
-        all requested ranks resolve through the prefix and come out of the
+        ``O(log n + t log(n/s))`` once the count prefix is cached, plus
+        one ``cumsum`` over the range's chunks while it is not: the
+        range's first rank comes from the plan and its rank frame, and
+        all requested ranks resolve through the frame and come out of the
         slab in one gather.  This is the primitive behind exact
         without-replacement sampling on the dynamic structure: ranks
         identify points uniquely even when values repeat.
@@ -604,9 +610,11 @@ class DynamicIRS(DynamicRangeSampler):
         validate_ranks(ranks, plan[0] if plan is not None else 0)
         if not len(ranks):
             return []
-        start = int(self._dir.starts_at(plan[1])) + plan[2]
+        _total, a, la, _k_left, _k_mid, b, _k_right = plan
+        frame = self._dir.frame(a, b)
+        start = int(self._dir.starts_at(a, frame)) + la
         wanted = start + _np.asarray(ranks, dtype=_np.int64)
-        return self._values_at(wanted).tolist()
+        return self._values_at(wanted, frame).tolist()
 
     def kth_in_range(self, lo: float, hi: float, k: int) -> float:
         """Return the ``k``-th smallest point of ``P ∩ [lo, hi]`` (0-based)."""

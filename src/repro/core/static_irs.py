@@ -138,11 +138,14 @@ class StaticIRS(RangeSampler):
         uses for count-only workloads — ``O(q log n)`` total with the two
         binary-search passes done in C.
         """
-        starts, ends = self._rank_bounds(*coerce_query_bounds(queries))
+        starts, ends, _frame = self._rank_bounds(*coerce_query_bounds(queries))
         return ends - starts
 
     def _rank_bounds(self, los, his):
-        """Rank intervals ``[start, end)`` of many ranges: two ``searchsorted``."""
+        """Global rank intervals ``[start, end)`` of many ranges: two ``searchsorted``.
+
+        The frame is ``None``: ranks into the flat plane are global.
+        """
         # Round the bounds through the plane dtype and keep them there:
         # float32 needles against the float32 plane avoid the O(n)
         # promotion copy a float64 needle array would force.
@@ -152,9 +155,10 @@ class StaticIRS(RangeSampler):
         return (
             _np.searchsorted(arr, los, side="left"),
             _np.searchsorted(arr, his, side="right"),
+            None,
         )
 
-    def _take_ranks(self, ranks, starts, ends, counts):
+    def _take_ranks(self, ranks, counts, frame):
         """Values at global ranks (the seeded batch path's gather)."""
         return self._data[ranks].astype(_np.float64, copy=False)
 

@@ -27,9 +27,10 @@ values stored as rows of the shared slab of
 float64, chosen at construction) and an aligned float64 weight slab, one
 row per chunk.  The directory adds a per-chunk total-mass array
 (``wtotals``) with a lazily cached cumulative-weight prefix (scalar
-changes ride on it as pending per-chunk deltas, as on the count prefix;
-a bulk pass drops it, because the seeded draws read its float bits).
-``count`` reads count geometry only, never a weight.  A sampling query:
+changes ride on it as pending per-chunk deltas; a bulk pass drops it,
+because the seeded draws read its float bits).  ``count`` reads count
+geometry only, never a weight, and ``peek_counts`` and ``report``
+resolve ranks in the directory's rank frames.  A sampling query:
 
 1. resolves boundary runs and their masses from the boundary rows and
    the whole-chunk middle mass from the weight prefix;
@@ -422,7 +423,7 @@ class WeightedDynamicIRS:
 
         Same machinery as :meth:`DynamicIRS.peek_counts
         <repro.core.dynamic_irs.DynamicIRS.peek_counts>`: the widths of
-        the ranges' global rank intervals from
+        the ranges' rank intervals from
         :meth:`ChunkDirectory.rank_bounds
         <repro.core.directory.ChunkDirectory.rank_bounds>` — one
         ``searchsorted`` over ``maxes`` and one over ``mins`` for *all*
@@ -430,7 +431,7 @@ class WeightedDynamicIRS:
         ``O(q log n)`` total.
         """
         los, his = coerce_query_bounds(queries)
-        starts, ends = self._dir.rank_bounds(*self._round_bounds(los, his))
+        starts, ends, _frame = self._dir.rank_bounds(*self._round_bounds(los, his))
         return ends - starts
 
     def peek_weights(self, queries):
@@ -476,10 +477,10 @@ class WeightedDynamicIRS:
         """Return the in-range ``(value, weight)`` pairs in sorted order."""
         validate_query(lo, hi, 0)
         directory = self._dir
-        starts, ends = directory.rank_bounds(
+        starts, ends, frame = directory.rank_bounds(
             *self._round_bounds(_np.asarray([lo]), _np.asarray([hi]))
         )
-        rows, off = directory.cells(_np.arange(starts[0], ends[0]))
+        rows, off = directory.cells(_np.arange(starts[0], ends[0]), frame)
         return list(
             zip(directory.slab[rows, off].tolist(), directory.wslab[rows, off].tolist())
         )

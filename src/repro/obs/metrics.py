@@ -29,6 +29,7 @@ constructor.
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
 
 __all__ = [
@@ -335,7 +336,13 @@ class MetricsRegistry:
         return self._families.get(name)
 
     def register_collector(self, fn) -> None:
-        """Run ``fn()`` before every render (dynamic-children hook)."""
+        """Run ``fn()`` before every render (dynamic-children hook).
+
+        ``fn`` may be a :class:`weakref.WeakMethod`: the registry then
+        calls the method while its object lives and drops it once the
+        object is gone, so an object that registers its own method on a
+        registry it holds forms no reference cycle with it.
+        """
         self._collectors.append(fn)
 
     def families(self) -> list[MetricFamily]:
@@ -344,8 +351,13 @@ class MetricsRegistry:
 
     def render(self) -> str:
         """Render the Prometheus text exposition (v0.0.4) of every family."""
+        live = []
         for fn in self._collectors:
-            fn()
+            collect = fn() if isinstance(fn, weakref.ref) else fn
+            if collect is not None:
+                live.append(fn)
+                collect()
+        self._collectors = live
         lines: list[str] = []
         for family in self._families.values():
             family.render(lines)

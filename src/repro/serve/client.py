@@ -25,12 +25,28 @@ import itertools
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import ConnectionLostError, DeadlineExceededError, RetriesExhaustedError
 from ..rng import derive_seed
 from .ops import spec_for
 from .protocol import RETRYABLE_CODES, RequestError, ServeError, decode, encode
 
 __all__ = ["ServeClient", "TCPServeClient", "ResilientClient", "RetryPolicy"]
+
+
+def _body_list(values) -> list:
+    """A bulk request's ``values`` (or ``weights``) as a request-body list.
+
+    A 1-D float64 array goes as ``tolist()``: plain floats with the same
+    bits, which admission converts in one pass, where ``list(array)``
+    would hand it ``np.float64`` scalars to check one by one.  Anything
+    else goes as ``list(values)``, so admission refuses exactly what it
+    refused before (float32 and integer arrays among them).
+    """
+    if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1:
+        return values.tolist()
+    return list(values)
 
 
 class _ClientAPI:
@@ -164,14 +180,18 @@ class _ClientAPI:
         structure: str = "default",
     ) -> int:
         """Insert many points in one request; returns how many."""
-        payload = {"op": "insert_bulk", "values": list(values), "structure": structure}
+        payload = {
+            "op": "insert_bulk", "values": _body_list(values), "structure": structure
+        }
         if weights is not None:
-            payload["weights"] = list(weights)
+            payload["weights"] = _body_list(weights)
         return await self._call(payload)
 
     async def delete_bulk(self, values, *, structure: str = "default") -> int:
         """Delete one occurrence per value in one request; returns how many."""
-        payload = {"op": "delete_bulk", "values": list(values), "structure": structure}
+        payload = {
+            "op": "delete_bulk", "values": _body_list(values), "structure": structure
+        }
         return await self._call(payload)
 
     async def server_stats(self) -> dict:

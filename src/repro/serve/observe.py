@@ -46,7 +46,10 @@ class ServerObservability:
         self._wire_store()
         self._wire_structures()
         self._wire_faults()
-        self.registry.register_collector(self.publish)
+        # Weak for the same reason: a bound method on the registry we hold
+        # would form a cycle, keeping us and the registry — with the pull
+        # functions over the store and its WAL — until a full collection.
+        self.registry.register_collector(weakref.WeakMethod(self.publish))
 
     # -- family wiring -----------------------------------------------------
 

@@ -13,6 +13,7 @@ observation).
 from __future__ import annotations
 
 import time
+import weakref
 from collections import deque
 
 from ..obs.metrics import MetricsRegistry
@@ -37,17 +38,11 @@ class ServerStats:
     reservoir, so a long-running server reports recent behavior, not its
     whole life).
 
-    ``registry`` optionally supplies the metrics registry to expose the
-    serve-layer families on; by default each instance owns a fresh one
-    (reachable as :attr:`registry`).
+    Each instance owns the metrics registry its serve-layer families
+    live on (:attr:`registry`).
     """
 
-    def __init__(
-        self,
-        window: int = 4096,
-        rate_window: int = 256,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
+    def __init__(self, window: int = 4096, rate_window: int = 256) -> None:
         self.started = time.perf_counter()
         self.admitted = 0
         self.rejected = 0
@@ -66,58 +61,66 @@ class ServerStats:
         # and drain rates behind the `retry_after` overload hint.
         self.arrivals: deque[float] = deque(maxlen=rate_window)
         self.drains: deque[float] = deque(maxlen=rate_window)
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self._register()
         #: Set ``False`` to skip the histogram observe (the metrics-off
         #: baseline of the overhead benchmark); counters always record.
         self.observe_latency = True
 
     def _register(self) -> None:
-        """Wire the serve-layer families (pull-valued except the histogram)."""
+        """Wire the serve-layer families (pull-valued except the histogram).
+
+        The pull functions read these stats through a weak proxy: the
+        registry is ours, and closures over ``self`` on it would form a
+        cycle that keeps both — and whatever else is wired on the registry,
+        such as a durable server's store and WAL — alive until a full
+        collection.
+        """
         reg = self.registry
+        me = weakref.proxy(self)
         requests = reg.counter(
             "repro_serve_requests_total", "Admitted requests by op kind.", ("kind",)
         )
         for bucket in self.requests:
             requests.labels(kind=bucket).set_function(
-                lambda bucket=bucket: self.requests[bucket]
+                lambda bucket=bucket: me.requests[bucket]
             )
         reg.counter(
             "repro_serve_rejected_total", "Requests refused at admission."
-        ).set_function(lambda: self.rejected)
+        ).set_function(lambda: me.rejected)
         replies = reg.counter(
             "repro_serve_replies_total", "Replies by outcome.", ("outcome",)
         )
-        replies.labels(outcome="ok").set_function(lambda: self.replies_ok)
-        replies.labels(outcome="error").set_function(lambda: self.replies_error)
-        replies.labels(outcome="dropped").set_function(lambda: self.dropped_replies)
+        replies.labels(outcome="ok").set_function(lambda: me.replies_ok)
+        replies.labels(outcome="error").set_function(lambda: me.replies_error)
+        replies.labels(outcome="dropped").set_function(lambda: me.dropped_replies)
         reg.counter(
             "repro_serve_batches_total", "Executed coalesced batches."
-        ).set_function(lambda: self.batches)
+        ).set_function(lambda: me.batches)
         reg.counter(
             "repro_serve_batched_requests_total",
             "Requests carried by executed batches.",
-        ).set_function(lambda: self.batched_requests)
+        ).set_function(lambda: me.batched_requests)
         reg.counter(
             "repro_serve_samples_returned_total", "Sample values returned."
-        ).set_function(lambda: self.samples_returned)
+        ).set_function(lambda: me.samples_returned)
         reg.counter(
             "repro_serve_dedup_hits_total",
             "Duplicate updates absorbed by the idempotency window.",
-        ).set_function(lambda: self.dedup_hits)
+        ).set_function(lambda: me.dedup_hits)
         reg.counter(
             "repro_serve_wal_failures_total",
             "Batches whose write-ahead append failed.",
-        ).set_function(lambda: self.wal_failures)
+        ).set_function(lambda: me.wal_failures)
         reg.gauge(
             "repro_serve_arrival_rate", "Measured admissions per second."
-        ).set_function(self.arrival_rate)
+        ).set_function(lambda: me.arrival_rate())
         reg.gauge(
             "repro_serve_drain_rate", "Measured replies per second."
-        ).set_function(self.drain_rate)
+        ).set_function(lambda: me.drain_rate())
         reg.gauge(
             "repro_serve_coalesce_factor", "Mean requests per executed batch."
-        ).set_function(lambda: self.coalesce_factor)
+        ).set_function(lambda: me.coalesce_factor)
         self.latency_hist = reg.histogram(
             "repro_serve_request_latency_seconds",
             "Admission-to-reply latency of served requests.",

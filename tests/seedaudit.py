@@ -14,19 +14,31 @@ takes a dtype, through a scalar and a bulk update pass with a rebalance)
 including the ``manifest.json`` bytes) and ``durable/wal`` (a scripted
 durable serving session of scalar and bulk updates with rids: its
 replies, the WAL segment bytes, and the recovery's replayed counts and
-rebuilt dedup outcomes after a crash).  The script uses only names that
-exist across versions, so running it with each commit's ``src`` on
-``PYTHONPATH`` and comparing the outputs checks that a change kept every
-seeded result byte-identical.
+rebuilt dedup outcomes after a crash), and ``<kind>/write-read`` for the
+two dynamic kinds (a fixed script over 12,000 points that alternates
+scalar and bulk updates with seeded one-query and many-query
+``sample_bulk_many`` calls, ``peek_counts``, ``report`` and
+``select_in_range`` — reads right after writes, narrow ones and ones
+over every chunk).  The script uses only names that exist across
+versions, so running it with each commit's ``src`` on ``PYTHONPATH`` and
+comparing the outputs checks that a change kept every seeded result
+byte-identical.  ``python tests/seedaudit.py --against <rev>`` does that
+in one command: it runs this script once against ``<rev>``'s ``src``
+(exported with ``git archive``) and once against this checkout's, each
+in its own process, prints the keys that moved and exits 1 if any did.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
+import tarfile
 import tempfile
 
 ROOT_SEED = 123_456_789
@@ -401,16 +413,149 @@ def durable_fingerprints(workdir: str) -> dict[str, str]:
     return {"durable/wal": _fingerprint(asyncio.run(session()))}
 
 
-def main() -> None:
+#: The write-read script's multiset: 12,000 points with repeats.
+WRITE_READ_POINTS = sorted(float((i * 7919) % 9973) / 10 for i in range(12_000))
+
+
+def write_read_fingerprints() -> dict[str, str]:
+    """Seeded reads right after scalar and bulk updates, per dynamic kind.
+
+    Each of 36 steps makes one update — scalar insert, scalar delete,
+    bulk insert or bulk delete in turn — then reads: one-query and
+    three-query seeded ``sample_bulk_many`` calls, ``peek_counts`` and
+    ``report`` over narrow windows (``select_in_range`` too on the
+    unweighted kind).  Every sixth step adds reads over every chunk, so
+    both narrow reads of a cold structure and reads of a warm one are
+    pinned.
+    """
+    import random
+
+    from repro import DynamicIRS, WeightedDynamicIRS
+
+    span = WRITE_READ_POINTS[-1]
+    out: dict[str, str] = {}
+    for kind in ("dynamic", "weighted-dynamic"):
+        weighted = kind == "weighted-dynamic"
+        rng = random.Random(ROOT_SEED)
+        if weighted:
+            weights = [1.0 + (i % 7) / 4 for i in range(len(WRITE_READ_POINTS))]
+            sampler = WeightedDynamicIRS(WRITE_READ_POINTS, weights, seed=ROOT_SEED)
+        else:
+            sampler = DynamicIRS(WRITE_READ_POINTS, seed=ROOT_SEED)
+        bulk: list[float] = []
+        record: list = []
+        for step in range(36):
+            value = round(rng.uniform(0.0, span), 2)
+            if step % 4 == 0:
+                if weighted:
+                    sampler.insert(value, 2.5)
+                else:
+                    sampler.insert(value)
+            elif step % 4 == 1:
+                first = sampler.report(value, span)[0]  # (value, weight) if weighted
+                sampler.delete(first[0] if weighted else first)
+            elif step % 4 == 2:
+                bulk = [round(rng.uniform(0.0, span), 2) for _ in range(64)]
+                if weighted:
+                    sampler.insert_bulk(bulk, [1.0 + (i % 3) for i in range(64)])
+                else:
+                    sampler.insert_bulk(bulk)
+            else:
+                sampler.delete_bulk(bulk)
+            windows = []
+            for _ in range(4):
+                lo = round(rng.uniform(0.0, span * 0.97), 2)
+                windows.append((lo, lo + round(rng.uniform(0.5, 25.0), 2)))
+            if step % 6 == 5:
+                windows += [(0.0, span), (-1.0, span / 2)]
+            seed = 9_000 + step
+            reads = [
+                [_floats(b) for b in sampler.sample_bulk_many(
+                    [(*windows[0], 16)], seeds=[seed])],
+                [_floats(b) for b in sampler.sample_bulk_many(
+                    [(lo, hi, 8) for lo, hi in windows[1:]],
+                    seeds=[seed + i + 1 for i in range(len(windows) - 1)])],
+                [int(c) for c in sampler.peek_counts(windows)],
+                sampler.report(*windows[2]),
+            ]
+            if not weighted:
+                total = sampler.count(*windows[3])
+                ranks = [rng.randrange(total) for _ in range(5)] if total else []
+                reads.append(sampler.select_in_range(*windows[3], ranks))
+            record.append(reads)
+        record.append(len(sampler))
+        out[f"{kind}/write-read"] = _fingerprint(record)
+    return out
+
+
+def _audit(src: str) -> dict[str, str]:
+    """Run this script in a fresh process with ``src`` alone on ``PYTHONPATH``.
+
+    An audit that fails to run exits this process with code 2, after
+    passing on its error output.
+    """
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, os.path.abspath(__file__)],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    if done.returncode:
+        sys.stderr.write(done.stderr)
+        raise SystemExit(2)
+    return json.loads(done.stdout)
+
+
+def against(rev: str) -> int:
+    """Compare the audit at ``rev`` with this checkout's; return the exit code.
+
+    ``rev``'s ``src`` is exported with ``git archive`` into a temporary
+    directory; this script runs once per checkout, each in its own
+    process.  The keys whose fingerprints differ (or exist on one side
+    only) are printed one per line, and the code is 1 if any did (2 if
+    an audit could not run).
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    archive = subprocess.run(
+        ["git", "-C", root, "archive", "--format=tar", rev, "src"],
+        capture_output=True,
+    )
+    if archive.returncode:
+        sys.stderr.write(archive.stderr.decode(errors="replace"))
+        return 2
+    with tempfile.TemporaryDirectory() as base:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(base, filter="data")
+        theirs = _audit(os.path.join(base, "src"))
+    ours = _audit(os.path.join(root, "src"))
+    moved = sorted(key for key in theirs.keys() | ours.keys()
+                   if theirs.get(key) != ours.get(key))
+    for key in moved:
+        print(key)
+    print(f"# {len(moved)} of {len(ours.keys() | theirs.keys())} keys moved "
+          f"against {rev}", file=sys.stderr)
+    return 1 if moved else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--against", metavar="REV",
+        help="compare with the audit at git revision REV; exit 1 if a key moved",
+    )
+    args = parser.parse_args(argv)
+    if args.against:
+        return against(args.against)
     fingerprints = direct_fingerprints()
     fingerprints.update(served_fingerprints())
     fingerprints.update(sharded_fingerprints())
+    fingerprints.update(write_read_fingerprints())
     with tempfile.TemporaryDirectory() as workdir:
         fingerprints.update(cli_fingerprints(workdir))
         fingerprints.update(recovered_fingerprints(workdir))
         fingerprints.update(durable_fingerprints(workdir))
     print(json.dumps(fingerprints, sort_keys=True))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,11 +1,13 @@
 """The count prefix as a plain cache, and counts that read no prefix.
 
-The directory's count prefix is a memo that every count change empties;
-only rank readers (``peek_counts``, ``report``, seeded draws, rank
-selection) rebuild it (DESIGN.md §8).  These tests pin that a count and
-an unseeded draw never need it, that the update paths which change
-counts drop it, and that every read after them matches a freshly built
-twin and a sorted model.
+The directory's whole count prefix is a memo that every count change
+empties; only rank readers (``peek_counts``, ``report``, seeded draws,
+rank selection) build it, and only once the chunks they framed since the
+last count change add up to the directory's size (DESIGN.md §8;
+``tests/test_rank_frames.py`` pins that rule).  These tests pin that a
+count and an unseeded draw never need it, that the update paths which
+change counts drop it, and that every read after them matches a freshly
+built twin and a sorted model.
 
 ``WeightedDynamicIRS.count`` answers from count geometry alone: it must
 never rebuild the weight prefix, and it must agree with ``DynamicIRS``
@@ -70,11 +72,13 @@ def _reads(d):
 
 
 def _warm(d):
-    """Rank-read a range over at least 3 chunks, so the count prefix is cached."""
-    lo, hi = QUERIES[0]
-    a, _la, b, _rb = d._dir.edges(lo, hi)
-    assert b - a >= 2
-    d.peek_counts([(lo, hi)])
+    """Rank-read a range over every chunk, so the whole count prefix is cached.
+
+    A narrower read frames only its own chunks while the prefix is cold;
+    one that frames the whole directory buys the prefix at once.
+    """
+    assert len(d._dir) > 2
+    d.peek_counts([(-np.inf, np.inf)])
     assert d._dir._prefix is not None
 
 
@@ -105,9 +109,9 @@ def test_normalizing_bulk_delete_drops_count_prefix(kind, dtype):
 def test_random_updates_and_counts_match_a_sorted_model(kind):
     """Scalar and bulk updates in random order, each followed by a count.
 
-    A rank read before each update warms the count prefix, so every
-    update must drop it; every count must equal a ``searchsorted`` over a
-    model.
+    A rank read over every chunk before each update caches the whole
+    count prefix, so every update must drop it; every count must equal a
+    ``searchsorted`` over a model.
     """
     d = _build(kind, np.float64)
     model = d.export_sorted().astype(float)

@@ -141,6 +141,27 @@ def test_registry_collector_runs_per_render():
     assert len(calls) == 2
 
 
+def test_registry_drops_a_weak_collector_once_its_object_is_gone():
+    import weakref
+
+    reg = MetricsRegistry()
+    calls = []
+
+    class Owner:
+        def collect(self):
+            calls.append(1)
+
+    owner = Owner()
+    reg.register_collector(weakref.WeakMethod(owner.collect))
+    reg.register_collector(lambda: calls.append(2))
+    reg.render()
+    assert calls == [1, 2]
+    del owner  # the registry held no strong reference to it
+    reg.render()
+    assert calls == [1, 2, 2]
+    assert len(reg._collectors) == 1
+
+
 # -- exposition, validated by the strict parser -----------------------------
 
 

@@ -34,7 +34,7 @@ EXPECTED_KEYS = sorted(
        for suffix in ("", "/shards=3")]
     + [f"sharded-{kind}/updates" for kind in seedaudit.shard_kinds()]
     + [f"{name}/recovered" for name in seedaudit.recovered_factories()]
-    + ["durable/wal"]
+    + ["durable/wal", "dynamic/write-read", "weighted-dynamic/write-read"]
 )
 
 
@@ -72,3 +72,35 @@ def test_fingerprints_agree_across_fresh_processes(audits, key):
         f"{key} drew different values in two fresh processes under the "
         "same root seed"
     )
+
+
+def _in_git_checkout() -> bool:
+    done = subprocess.run(
+        ["git", "-C", _HERE, "rev-parse", "HEAD"], capture_output=True, check=False
+    )
+    return done.returncode == 0
+
+
+@pytest.mark.skipif(not _in_git_checkout(), reason="needs the git history")
+def test_against_reports_the_keys_that_moved(monkeypatch, capsys):
+    """``--against REV`` audits REV's exported ``src`` and this checkout's."""
+    audited = []
+    results = iter([
+        {"a/x": "1", "b/x": "2", "gone/x": "3"},  # REV
+        {"a/x": "1", "b/x": "9", "new/x": "4"},  # this checkout
+        {"a/x": "1"},
+        {"a/x": "1"},
+    ])
+
+    def fake_audit(src):
+        assert os.path.isfile(os.path.join(src, "repro", "__init__.py"))
+        audited.append(src)
+        return next(results)
+
+    monkeypatch.setattr(seedaudit, "_audit", fake_audit)
+    assert seedaudit.main(["--against", "HEAD"]) == 1
+    assert capsys.readouterr().out.split() == ["b/x", "gone/x", "new/x"]
+    assert audited[0] != audited[1]
+    assert audited[1] == os.path.join(os.path.dirname(_HERE), "src")
+    assert seedaudit.main(["--against", "HEAD"]) == 0
+    assert capsys.readouterr().out == ""

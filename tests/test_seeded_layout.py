@@ -6,9 +6,9 @@ values, exactly as :class:`StaticIRS` does — so the reply cannot depend on
 how the points happen to be cut into chunks.  These tests pin that down
 (against rebuilt twins, after every kind of structural repair, and across
 a durable server restart), the batch path that serves it
-(``sample_bulk_many``), the directory's rank addressing after scalar
-updates emptied its count prefix, and read-run coalescing in
-``run_mixed``.
+(``sample_bulk_many``), the directory's rank addressing — in a narrow
+rank frame and in the whole-directory one — after scalar updates emptied
+its count prefix, and read-run coalescing in ``run_mixed``.
 """
 
 from __future__ import annotations
@@ -157,7 +157,8 @@ def test_all_three_raise_on_empty_range():
 
 def _structure_after_scalar_updates(dtype=np.float64):
     d = DynamicIRS(DATA, seed=1, dtype=dtype)
-    d.peek_counts([(0.0, 100.0)])  # build the count prefix
+    d.peek_counts([(0.0, 100.0)])  # spans every chunk: buys the count prefix
+    assert d._dir._prefix is not None
     rng = random.Random(11)
     for _ in range(30):
         d.insert(rng.choice(DATA))
@@ -172,18 +173,35 @@ def test_rank_addressing_after_scalar_updates(dtype):
     directory = d._dir
     sizes = directory.counts.copy()
     before = np.cumsum(sizes) - sizes
-    ranks = np.arange(len(d))
     ci = np.repeat(np.arange(len(sizes)), sizes)
-    rows, off = directory.cells(ranks)
-    assert rows.tolist() == directory.row_of[ci].tolist()
-    assert off.tolist() == (ranks - before[ci]).tolist()
-    assert directory._prefix.tolist() == np.cumsum(sizes).tolist()
     flat = d.export_sorted()
     los = np.asarray([-1.0, 0.0, 3.1, 50.0, 96.5, 200.0])
     his = np.asarray([-0.5, 3.1, 3.1, 80.25, 96.5, 300.0])
-    starts, ends = directory.rank_bounds(los, his)
-    assert starts.tolist() == np.searchsorted(flat, los, "left").tolist()
-    assert ends.tolist() == np.searchsorted(flat, his, "right").tolist()
+    want_starts = np.searchsorted(flat, los, "left")
+    want_ends = np.searchsorted(flat, his, "right")
+    # A cold prefix: the read frames only the chunks its ranges span, and
+    # each range's frame ranks name its points in order.
+    starts, ends, frame = directory.rank_bounds(los, his)
+    chunks, _ends = frame
+    assert directory._prefix is None and 0 < chunks.size < len(sizes)
+    assert (ends - starts).tolist() == (want_ends - want_starts).tolist()
+    for start, end, global_start in zip(starts, ends, want_starts):
+        rows, off = directory.cells(np.arange(start, end), frame)
+        ranks = global_start + np.arange(end - start)
+        assert rows.tolist() == directory.row_of[ci[ranks]].tolist()
+        assert off.tolist() == (ranks - before[ci[ranks]]).tolist()
+    # The whole-directory frame (it buys the prefix): global ranks.
+    whole = directory.frame(0, len(sizes) - 1)
+    assert whole[0] is None
+    assert directory._prefix.tolist() == np.cumsum(sizes).tolist()
+    ranks = np.arange(len(d))
+    rows, off = directory.cells(ranks, whole)
+    assert rows.tolist() == directory.row_of[ci].tolist()
+    assert off.tolist() == (ranks - before[ci]).tolist()
+    starts, ends, frame = directory.rank_bounds(los, his)
+    assert frame[0] is None
+    assert starts.tolist() == want_starts.tolist()
+    assert ends.tolist() == want_ends.tolist()
     assert d.peek_counts(list(zip(los, his))).tolist() == (ends - starts).tolist()
 
 
@@ -292,9 +310,11 @@ def test_many_after_scalar_updates(dtype):
     seeds = [61, 62, 63, 64, 65]
     grouped = d.sample_bulk_many(QUERIES, seeds=seeds)
     counts = d._dir.counts
+    # (0.0, 96.5) spans every chunk, so the batch bought the whole prefix.
     assert d._dir._prefix.tolist() == np.cumsum(counts).tolist()
     los, his = np.array([q[:2] for q in QUERIES]).T
-    starts, ends = d._dir.rank_bounds(los, his)
+    starts, ends, frame = d._dir.rank_bounds(los, his)
+    assert frame[0] is None
     flat = d.export_sorted()
     assert starts.tolist() == np.searchsorted(flat, los, "left").tolist()
     assert ends.tolist() == np.searchsorted(flat, his, "right").tolist()

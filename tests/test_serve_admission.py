@@ -14,12 +14,13 @@ from __future__ import annotations
 import asyncio
 import json
 
+import numpy as np
 import pytest
 
 from repro import DynamicIRS
 from repro.serve import ReproServer, ServeClient, TCPServeClient
 from repro.serve.ops import OPS
-from repro.serve.protocol import encode
+from repro.serve.protocol import ServeError, encode
 
 
 def run(coro):
@@ -212,3 +213,68 @@ def test_tcp_connection_survives_an_integer_beyond_float_range():
     assert refused["id"] == 2 and refused["error"]["type"] == "bad_request"
     assert pong == {"id": 3, "ok": True, "result": "pong"}
     assert count == {"id": 4, "ok": True, "result": len(DATA)}
+
+
+# -- bulk values from the in-process client --------------------------------------
+
+
+def test_in_process_client_sends_float64_arrays_as_plain_floats(monkeypatch):
+    # A float64 array arrives as Python floats, so admission converts it in
+    # its one-pass fast path; its values are stored with the same bits.
+    from repro import WeightedDynamicIRS
+    from repro.serve import protocol
+
+    seen = []
+    require_numbers = protocol.require_numbers
+
+    def spy(items, field):
+        seen.append((field, {type(item) for item in items}))
+        return require_numbers(items, field)
+
+    monkeypatch.setattr(protocol, "require_numbers", spy)
+    values = np.random.default_rng(1).random(64) * 100
+    weights = np.random.default_rng(2).uniform(0.5, 2.0, 64)
+
+    async def main():
+        structures = {
+            "default": DynamicIRS(DATA, seed=1),
+            "w": WeightedDynamicIRS(DATA, [1.0] * len(DATA), seed=1),
+        }
+        async with ReproServer(structures, seed=3) as server:
+            client = ServeClient(server)
+            added = await client.insert_bulk(values)
+            stored = structures["default"].export_sorted()
+            await client.insert_bulk(values, weights=weights, structure="w")
+            pairs = structures["w"].items()
+            removed = await client.delete_bulk(values)
+            return added, stored, pairs, removed
+
+    added, stored, pairs, removed = run(main())
+    assert added == removed == 64
+    assert stored.tobytes() == np.sort(np.concatenate((DATA, values))).tobytes()
+    assert sorted(pair for pair in pairs if pair[0] in set(values.tolist())) == sorted(
+        zip(values.tolist(), weights.tolist())
+    )
+    assert seen == [
+        ("values", {float}),
+        ("values", {float}),
+        ("weights", {float}),
+        ("values", {float}),
+    ]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+@pytest.mark.parametrize("op", ["insert_bulk", "delete_bulk"])
+def test_in_process_client_bulk_arrays_admission_refuses_stay_refused(dtype, op):
+    values = np.arange(1, 9).astype(dtype)
+
+    async def main():
+        async with ReproServer(DynamicIRS(DATA, seed=1), seed=3) as server:
+            with pytest.raises(ServeError) as refused:
+                await getattr(ServeClient(server), op)(values)
+            assert len(server.structures["default"]) == len(DATA)
+            return refused.value
+
+    error = run(main())
+    assert error.code == "bad_request"
+    assert error.detail == "field 'values' must be a number"

@@ -352,3 +352,37 @@ def test_closed_durable_server_frees_its_structures_without_a_collection(tmp_pat
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_closed_durable_server_frees_its_observability_stats_and_store(tmp_path):
+    # The metrics registry is held by the stats and the observability
+    # wiring, and it holds pull functions over the stats, the store and
+    # its WAL: none of them may sit in a reference cycle, or each closed
+    # durable server keeps all five until the next full collection.
+    import gc
+    import weakref
+
+    async def main():
+        server = ReproServer(
+            DynamicIRS(DATA, seed=1), seed=5, data_dir=str(tmp_path / "srv")
+        )
+        await server.start_tcp()
+        await ServeClient(server).insert(100.0)
+        server.stats.registry.render()  # a scrape runs the collectors
+        refs = {
+            "observability": weakref.ref(server.obs),
+            "registry": weakref.ref(server.stats.registry),
+            "stats": weakref.ref(server.stats),
+            "store": weakref.ref(server.store),
+            "wal": weakref.ref(server.store.wal),
+        }
+        await server.aclose()
+        return refs
+
+    gc.collect()
+    gc.disable()
+    try:
+        refs = run(main())
+        assert [name for name, ref in refs.items() if ref() is not None] == []
+    finally:
+        gc.enable()
