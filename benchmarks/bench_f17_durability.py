@@ -21,8 +21,10 @@ Three claims from the durability PR, measured as one experiment table:
 from __future__ import annotations
 
 import os
+import platform
 import time
 
+import numpy as np
 import pytest
 
 from repro import DynamicIRS, ExternalIRS
@@ -42,7 +44,9 @@ REPLAY_BATCH = 256
 def rec(experiment):
     return experiment(
         "F17",
-        "durability: WAL logging overhead, snapshot vs replay, file cold tier",
+        "durability: WAL logging overhead, snapshot vs replay, file cold tier; "
+        f"host: {os.cpu_count()} CPUs, Python {platform.python_version()}, "
+        f"NumPy {np.__version__}",
         ["case", "variant", "n", "metric", "value"],
     )
 

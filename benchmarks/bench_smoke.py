@@ -362,7 +362,8 @@ def main() -> int:
     # -- durability: snapshot recovery must beat WAL-only replay ---------------
     # The checkpointing story only holds if the O(n) from_sorted rebuild is
     # decisively faster than replaying the history through the batch engine;
-    # F17 measures 40-70x on n=1e5, the gate asks for 10x.
+    # F17 measures 34-49x on n=1e5 (replay decodes binary float64 columns),
+    # the gate asks for 10x.
     import tempfile
 
     from repro.store import DurableStore

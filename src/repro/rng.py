@@ -119,6 +119,10 @@ def seeded_ranks(seeds, starts, widths, counts):
     a disjoint counter range (expected rejections per batch are ``~t ×
     width / 2^64``, i.e. essentially never, but the guarantee matches the
     scalar samplers' exact ``randbelow``).
+
+    A one-query call (a served seeded sample) draws with scalar bounds;
+    should any of its draws be rejected, it takes the general path, so
+    its ranks are the general path's either way.
     """
     import numpy as np
 
@@ -126,6 +130,12 @@ def seeded_ranks(seeds, starts, widths, counts):
     # masking generator() applies) — np.asarray would raise OverflowError
     # on negative or >64-bit seeds instead of wrapping.
     mask = (1 << 64) - 1
+    if len(seeds) == 1:
+        ranks = _one_query_ranks(
+            int(seeds[0]) & mask, int(starts[0]), int(widths[0]), int(counts[0])
+        )
+        if ranks is not None:
+            return ranks
     seeds = np.asarray([int(s) & mask for s in seeds], dtype=np.uint64)
     starts = np.asarray(starts, dtype=np.int64)
     widths = np.asarray(widths, dtype=np.int64)
@@ -143,16 +153,17 @@ def seeded_ranks(seeds, starts, widths, counts):
         words = seed_rep + (j + np.uint64(1)) * np.uint64(_SM64_GAMMA)
         bits = splitmix64(words)
         width_rep = np.repeat(widths, counts).astype(np.uint64)
-        # Exact rejection bound: accept bits < width * floor(2^64 / width).
-        # floor(2^64 / w) == floor((2^64 - 1 - w) / w) + 1 avoids the
-        # uint64-overflowing 2^64 numerator.
+        # Exact rejection bound: accept bits < width * floor((2^64 - 1) /
+        # width), a multiple of width below 2^64 (for a power-of-two width
+        # one multiple short of 2^64, so such widths reject w / 2^64 of
+        # their draws).  floor((2^64 - 1 - w) / w) + 1 is that floor.
         limit = (
             (np.uint64(0xFFFFFFFFFFFFFFFF) - width_rep) // width_rep
             + np.uint64(1)
         ) * width_rep
         reject = bits >= limit  # hit probability ~ width / 2^64
         retry_round = np.uint64(0)
-        while reject.any():  # pragma: no cover - ~2^-44 per draw
+        while reject.any():
             retry_round += np.uint64(1)
             idx = np.nonzero(reject)[0]
             count_rep = np.repeat(counts, counts).astype(np.uint64)
@@ -165,6 +176,28 @@ def seeded_ranks(seeds, starts, widths, counts):
             reject[idx] = fresh >= limit[idx]
         ranks = (bits % width_rep).astype(np.int64)
     return ranks + np.repeat(starts, counts)
+
+
+def _one_query_ranks(seed: int, start: int, width: int, count: int):
+    """:func:`seeded_ranks` for one query; ``None`` if a draw is rejected.
+
+    The same words, bits and bound as the general path, with the seed,
+    width and limit as scalars instead of per-draw arrays.
+    """
+    import numpy as np
+
+    if count <= 0 or width <= 0:
+        return None  # the general path's own answers
+    with np.errstate(over="ignore"):
+        words = np.uint64(seed) + np.arange(
+            1, count + 1, dtype=np.uint64
+        ) * np.uint64(_SM64_GAMMA)
+        bits = splitmix64(words)
+    if bits.max() >= ((0xFFFFFFFFFFFFFFFF - width) // width + 1) * width:
+        return None
+    ranks = (bits % np.uint64(width)).astype(np.int64)
+    ranks += start
+    return ranks
 
 
 class RandomSource:

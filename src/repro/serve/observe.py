@@ -87,6 +87,10 @@ class ServerObservability:
             "repro_store_wal_bytes_total", "Bytes appended to the WAL."
         ).set_function(lambda: wal.bytes_written)
         reg.counter(
+            "repro_store_wal_values_total",
+            "Update values logged to the WAL (a bulk op counts its values).",
+        ).set_function(lambda: store.values_logged)
+        reg.counter(
             "repro_store_snapshots_total", "Checkpoints taken."
         ).set_function(lambda: store.snapshots_taken)
         reg.gauge(

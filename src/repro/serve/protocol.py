@@ -24,8 +24,10 @@ client both speak dicts shaped by these helpers.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
+from itertools import groupby
 
 import numpy as np
 
@@ -147,7 +149,7 @@ def span_error_body(span_errors) -> dict | None:
     ``span_errors`` holds one entry per update value of the request
     (``None`` per value that applied): a bulk op's per-value error list
     from a live run, or the request's slice of a replayed WAL record's
-    scalar ops.  Returns ``None`` when every value applied, else the wire
+    values.  Returns ``None`` when every value applied, else the wire
     error body; multi-value (bulk) requests also get ``op_index`` (first
     failing value) and ``applied`` (values that did commit) — bulk
     requests are not atomic, and the reply must say what committed or a
@@ -202,21 +204,24 @@ def decode(line: bytes | str) -> dict:
 _OP_TAGS = {"insert": "i", "delete": "d", "sample": "s", "count": "c"}
 _TAG_OPS = {tag: kind for kind, tag in _OP_TAGS.items()}
 
+#: A column's float64 byte order, whatever the host's.
+_COLUMN_DTYPE = np.dtype("<f8")
+
 
 def op_to_wire(op) -> dict:
-    """Serialize one :class:`~repro.batch.BatchOp` to its wire dict.
+    """Serialize one scalar :class:`~repro.batch.BatchOp` to its wire dict.
 
-    This is the record body format of the write-ahead log
-    (:mod:`repro.store.wal`): compact stable keys, op-irrelevant fields
-    omitted, round-trippable through :func:`op_from_wire`.  The dict is
-    JSON-safe by construction — values were validated finite at
-    admission.  A bulk op has one dict per value: see :func:`ops_to_wire`.
+    Compact stable keys, op-irrelevant fields omitted, round-trippable
+    through :func:`op_from_wire`: ``{"k": "i", "v": 2.5}`` inserts 2.5.
+    The dict is JSON-safe by construction — values were validated finite
+    at admission.  The write-ahead log writes updates as columns instead
+    (:func:`ops_to_wire`); a bulk op has no dict of its own.
     """
     tag = _OP_TAGS.get(op.kind)
     if tag is None:
         raise ValueError(f"unknown op kind: {op.kind!r}")
     if op.values is not None:
-        raise ValueError("a bulk op has one wire dict per value: use ops_to_wire")
+        raise ValueError("a bulk op logs as a column: use ops_to_wire")
     wire: dict = {"k": tag}
     if op.kind in ("insert", "delete"):
         wire["v"] = op.value
@@ -234,39 +239,107 @@ def op_to_wire(op) -> dict:
     return wire
 
 
-def ops_to_wire(ops) -> list[dict]:
-    """Serialize ops to wire dicts, a bulk op as one dict per value.
+def _column_key(op):
+    """The column an update op joins: ``(tag, structure, weighted)``.
 
-    A WAL record holds these: a bulk update of ``n`` values logs exactly
-    the ``n`` dicts its scalar updates would, in order, so the log's bytes
-    do not depend on how the updates arrived.
+    ``None`` for an op that keeps its own dict (a read).
+    """
+    if op.kind == "insert":
+        weights = op.weight if op.values is None else op.weights
+        return "i", op.structure, weights is not None
+    if op.kind == "delete":
+        return "d", op.structure, False
+    return None
+
+
+def _column_text(run, scalar: str, bulk: str) -> str:
+    """Base64 of a run's ``scalar``/``bulk`` fields as little-endian float64.
+
+    Scalar ops between bulk ones gather into one list, converted once.
+    """
+    chunks: list = []
+    floats: list = []
+    for op in run:
+        array = getattr(op, bulk)
+        if array is None:
+            floats.append(getattr(op, scalar))
+        else:
+            if floats:
+                chunks.append(floats)
+                floats = []
+            chunks.append(array)
+    if floats:
+        chunks.append(floats)
+    if len(chunks) == 1:
+        column = np.asarray(chunks[0], dtype=_COLUMN_DTYPE)
+    else:
+        column = np.concatenate(chunks, dtype=_COLUMN_DTYPE)
+    return base64.b64encode(column.tobytes()).decode("ascii")
+
+
+def ops_to_wire(ops) -> list[dict]:
+    """Serialize ops to wire dicts, each run of updates as one column.
+
+    This is the record body of the write-ahead log
+    (:mod:`repro.store.wal`).  A *run* is consecutive ``insert`` ops (or
+    consecutive ``delete`` ops) on one structure, scalar and bulk alike,
+    whose weights are all given or all absent.  It logs as one column
+    entry ``{"k": "i"|"d", "b": ..., "w": ..., "s": ...}``: ``b`` holds
+    the base64 of the values as little-endian float64, ``w`` the same for
+    the weights (weighted inserts only), ``s`` the structure (when not
+    ``"default"``).  Every other op keeps its :func:`op_to_wire` dict,
+    and a bulk op of no values logs nothing.  A run's bytes depend only
+    on its values, not on how they arrived: a bulk op logs exactly as the
+    scalar ops it stands for.
     """
     wire: list[dict] = []
-    for op in ops:
-        if op.values is None:
-            wire.append(op_to_wire(op))
+    logged = [op for op in ops if op.values is None or len(op.values)]
+    for key, run in groupby(logged, key=_column_key):
+        if key is None:
+            wire.extend(op_to_wire(op) for op in run)
             continue
-        tag = _OP_TAGS[op.kind]
-        values = op.values.tolist()
-        if op.kind == "insert" and op.weights is not None:
-            dicts = [
-                {"k": tag, "v": v, "w": w} for v, w in zip(values, op.weights.tolist())
-            ]
-        else:
-            dicts = [{"k": tag, "v": v} for v in values]
-        if op.structure != "default":
-            for entry in dicts:
-                entry["s"] = op.structure
-        wire.extend(dicts)
+        tag, structure, weighted = key
+        run = list(run)
+        entry = {"k": tag, "b": _column_text(run, "value", "values")}
+        if weighted:
+            entry["w"] = _column_text(run, "weight", "weights")
+        if structure != "default":
+            entry["s"] = structure
+        wire.append(entry)
     return wire
 
 
+def _column_floats(text) -> np.ndarray:
+    """Decode a column's base64 text to its float64 values.
+
+    Text that is not strict base64, or not a whole number of float64s,
+    raises ``ValueError``; anything but text, ``TypeError``.
+    """
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype=_COLUMN_DTYPE)
+
+
 def op_from_wire(wire: dict):
-    """Rebuild a :class:`~repro.batch.BatchOp` from its wire dict."""
+    """Rebuild a :class:`~repro.batch.BatchOp` from its wire dict.
+
+    A column entry (``"b"``) becomes one bulk op; a scalar dict
+    (``"v"``, the only update form records held before columns) one
+    scalar op.  A damaged entry raises ``ValueError`` or ``TypeError``
+    (``AttributeError`` if it is not a dict at all).
+    """
     kind = _TAG_OPS.get(wire.get("k"))
     if kind is None:
         raise ValueError(f"unknown op tag: {wire.get('k')!r}")
     structure = wire.get("s", "default")
+    if "b" in wire:
+        values = _column_floats(wire["b"])
+        if kind == "insert":
+            weights = wire.get("w")
+            if weights is not None:
+                weights = _column_floats(weights)
+            return BatchOp.insert_bulk(values, weights, structure)
+        if kind == "delete" and "w" not in wire:
+            return BatchOp.delete_bulk(values, structure)
+        raise ValueError(f"no {kind} op has a column of this shape")
     if kind == "insert":
         return BatchOp.insert(wire["v"], wire.get("w"), structure)
     if kind == "delete":

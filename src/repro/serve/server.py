@@ -631,7 +631,7 @@ class ReproServer:
         if writers:
             update_ops = [pending.op for pending in writers]
             rid_spans: list[tuple] = []
-            logged = 0  # the record holds one scalar op per update value
+            logged = 0  # rid spans count the record's update values
             for pending in writers:
                 if pending.rid is not None:
                     rid_spans.append((pending.rid, logged, pending.op.size))

@@ -40,7 +40,7 @@ class RecoveryReport:
 
     snapshot_seq: int = 0  #: WAL position of the snapshot used (0 = none)
     replayed_records: int = 0  #: WAL records replayed on top of it
-    replayed_ops: int = 0  #: individual ops inside those records
+    replayed_ops: int = 0  #: updates inside those records, one per value
     structures: dict = field(default_factory=dict)  #: the recovered set
     #: Rebuilt dedup window: rid -> (ok, result-or-error-body), one entry
     #: per request id journaled in the replayed WAL suffix.  The server
@@ -48,6 +48,23 @@ class RecoveryReport:
     #: update it sent before the crash gets the recorded outcome instead
     #: of a second application.
     dedup: dict = field(default_factory=dict)
+
+
+def _value_errors(ops, errors) -> list:
+    """Lay a replayed record's per-op errors out one per update value.
+
+    A scalar op's entry stands as it is; a bulk op's is ``None`` (every
+    value applied) or already a list aligned with its values.
+    """
+    flat: list = []
+    for op, error in zip(ops, errors):
+        if op.values is None:
+            flat.append(error)
+        elif error is None:
+            flat.extend([None] * len(op.values))
+        else:
+            flat.extend(error)
+    return flat
 
 
 class DurableStore:
@@ -97,6 +114,9 @@ class DurableStore:
             self.wal.last_seq = max(self.wal.last_seq, latest[0])
         self.snapshot_ops = int(snapshot_ops)
         self._ops_since_snapshot = 0
+        #: Update values logged by this store (a bulk op counts its
+        #: values), pulled at scrape time beside the WAL's byte count.
+        self.values_logged = 0
         # The size trigger fires at this many ops since the last snapshot;
         # a failed checkpoint pushes it another snapshot_ops ops out.
         self._snapshot_due = self.snapshot_ops
@@ -116,8 +136,7 @@ class DurableStore:
     def ops_since_snapshot(self) -> int:
         """Updates logged (or replayed) since the last checkpoint.
 
-        A bulk op counts one per value, as the scalar ops its WAL record
-        holds do.
+        A bulk op counts one per value, as its WAL record's rid spans do.
         """
         return self._ops_since_snapshot
 
@@ -125,17 +144,17 @@ class DurableStore:
         """Append one batch of update ops; return its seq (None if empty).
 
         ``rids`` optionally journals client idempotency keys as
-        ``(rid, start, n)`` spans over the record's scalar ops, a bulk op
-        holding one per value — see
+        ``(rid, start, n)`` spans over the record's update values, a bulk
+        op holding one per value — see
         :meth:`~repro.store.wal.WriteAheadLog.append`.
         """
         ops = list(ops)
         if not ops:
             return None
         seq = self.wal.append(ops, rids=rids)
-        self._ops_since_snapshot += sum(
-            op.size if isinstance(op, BatchOp) else 1 for op in ops
-        )
+        values = sum(op.size if isinstance(op, BatchOp) else 1 for op in ops)
+        self._ops_since_snapshot += values
+        self.values_logged += values
         return seq
 
     # -- checkpointing -------------------------------------------------------
@@ -226,13 +245,16 @@ class DurableStore:
             for record in self.wal.replay(after_seq=report.snapshot_seq):
                 mixed = runner.run_mixed(record.ops, capture_errors=True)
                 report.replayed_records += 1
-                report.replayed_ops += len(record.ops)
+                report.replayed_ops += sum(op.size for op in record.ops)
+                if not record.rids:
+                    continue
                 # Rebuild each journaled request's outcome from the replay:
-                # capture_errors reproduces the live run's per-op results,
-                # so the dedup entry matches the reply the client was (or
-                # would have been) sent.
-                for rid, start, n in record.rids or ():
-                    body = span_error_body(mixed.errors[start : start + n])
+                # capture_errors reproduces the live run's per-value
+                # results, so the dedup entry matches the reply the client
+                # was (or would have been) sent.
+                errors = _value_errors(record.ops, mixed.errors)
+                for rid, start, n in record.rids:
+                    body = span_error_body(errors[start : start + n])
                     report.dedup[rid] = (True, n) if body is None else (False, body)
         self._ops_since_snapshot = report.replayed_ops
         return report

@@ -11,12 +11,18 @@ Record format (little-endian), back to back inside segment files::
 
 The payload is one newline-terminated JSON line — the serving layer's
 own wire encoding (:func:`repro.serve.protocol.encode`) of
-``{"q": seq, "ops": ops_to_wire(ops)}`` — so a WAL segment is
-human-inspectable with ``xxd`` + any JSON tool, and the op codec is the
-one the server already speaks.  Records hold scalar op dicts only: a
-bulk op (:meth:`~repro.batch.BatchOp.insert_bulk`) logs one dict per
-value, so its bytes are those of the scalar ops it stands for, and a
-replayed record yields scalar ops.
+``{"q": seq, "ops": ops_to_wire(ops)}``, plus ``"r"`` (the rid spans)
+when given.  Each run of consecutive inserts (or deletes) on one
+structure is one *column* entry, ``{"k": "i", "b": <base64 of the
+values as little-endian float64>}`` plus ``"w"`` (the weights, the same
+way) and ``"s"`` (the structure) when present; scalar and bulk ops
+(:meth:`~repro.batch.BatchOp.insert_bulk`) alike join it, so a bulk op
+logs the bytes of the scalar ops it stands for.  A segment stays
+inspectable: ``xxd`` plus any JSON tool reads a record, and one line of
+``base64`` plus NumPy (``np.frombuffer(base64.b64decode(entry["b"]),
+"<f8")``) its values.  A replayed record yields a column as one bulk
+op; records written before columns, with one ``{"k": "i", "v": 2.5}``
+dict per value, still replay as scalar ops.
 
 Durability knobs:
 
@@ -50,10 +56,10 @@ Two guarantees the serving layer's exactly-once story stands on:
   (whose open-time scan truncates the torn tail) can make the file
   trustworthy again.
 * **Request ids ride in the record.**  ``append(ops, rids=...)`` journals
-  the client idempotency-key spans alongside the ops, counted in the
-  record's scalar ops (a bulk op's values); replay returns them on
-  :class:`WalRecord`, which is how the server's dedup window survives
-  crash recovery.
+  the client idempotency-key spans alongside the ops, counted in update
+  values (a bulk op or a column counts one per value); replay returns
+  them on :class:`WalRecord`, which is how the server's dedup window
+  survives crash recovery.
 """
 
 from __future__ import annotations
@@ -83,10 +89,13 @@ _SEGMENT_SUFFIX = ".log"
 class WalRecord:
     """One replayed record: sequence number, decoded ops, and rid spans.
 
-    ``rids`` is ``None`` for records logged without request ids (the
-    pre-resilience format and rid-less batches), else a list of
+    ``ops`` holds one bulk op per column entry and one scalar op per
+    scalar dict (reads, and every update of a record written before
+    columns).  ``rids`` is ``None`` for records logged without request
+    ids (the pre-resilience format and rid-less batches), else a list of
     ``(rid, start, n)`` tuples: the request with idempotency key ``rid``
-    contributed ``ops[start : start + n]``.
+    contributed values ``start`` to ``start + n - 1`` of the record's
+    ops laid end to end, a bulk op contributing one per value.
     """
 
     seq: int
@@ -265,10 +274,11 @@ class WriteAheadLog:
         subsequent process ``kill -9`` cannot lose it); whether it is
         also fsynced is the policy's call.  Ops may be
         :class:`~repro.batch.BatchOp` instances (bulk ones included) or
-        the tuple shorthands the batch runner accepts.  ``rids``
+        the tuple shorthands the batch runner accepts; each run of
+        updates logs as one column (see the module docstring).  ``rids``
         optionally journals request idempotency keys as
-        ``(rid, start, n)`` spans over the record's scalar ops, where a
-        bulk op contributes one per value.
+        ``(rid, start, n)`` spans over the record's update values, where
+        a bulk op contributes one per value.
 
         The append is atomic: on any failure the partial frame is rolled
         back before the exception propagates, so the record either fully
@@ -410,7 +420,7 @@ def _decode(name: str, offset: int, payload: bytes, after_seq: int = 0):
         if rids is not None:
             rids = [(rid, int(start), int(n)) for rid, start, n in rids]
         return WalRecord(seq, [op_from_wire(w) for w in body["ops"]], rids)
-    except (ValueError, KeyError, TypeError):
+    except (ValueError, KeyError, TypeError, AttributeError):
         # CRC passed but the body does not parse: not a torn write,
         # actual damage.
         raise CorruptRecordError(

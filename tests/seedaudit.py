@@ -11,10 +11,12 @@ Besides the sampling paths it pins how each structure kind is built:
 ``sharded-<kind>/updates`` (a 3-shard facade, float32 where the kind
 takes a dtype, through a scalar and a bulk update pass with a rebalance)
 ``<name>/recovered`` (snapshot save → load → ``build_from_sorted``,
-including the ``manifest.json`` bytes) and ``durable/wal`` (a scripted
+including the ``manifest.json`` bytes), ``durable/wal`` (a scripted
 durable serving session of scalar and bulk updates with rids: its
-replies, the WAL segment bytes, and the recovery's replayed counts and
-rebuilt dedup outcomes after a crash), and ``<kind>/write-read`` for the
+replies, and after a crash the recovery's replayed counts, rebuilt
+dedup outcomes and recovered structures) and ``durable/wal-segments``
+(that session's WAL segment bytes, apart so that a change of record
+encoding moves only this key), and ``<kind>/write-read`` for the
 two dynamic kinds (a fixed script over 12,000 points that alternates
 scalar and bulk updates with seeded one-query and many-query
 ``sample_bulk_many`` calls, ``peek_counts``, ``report`` and
@@ -397,7 +399,6 @@ def durable_fingerprints(workdir: str) -> dict[str, str]:
             report = recovered.recovery
             record = [
                 replies,
-                segments,
                 report.snapshot_seq,
                 report.replayed_records,
                 report.replayed_ops,
@@ -408,9 +409,13 @@ def durable_fingerprints(workdir: str) -> dict[str, str]:
             ]
             recovered._store_closed = True  # leave the directory as it is
             recovered.store.close()
-        return record
+        return record, segments
 
-    return {"durable/wal": _fingerprint(asyncio.run(session()))}
+    record, segments = asyncio.run(session())
+    return {
+        "durable/wal": _fingerprint(record),
+        "durable/wal-segments": _fingerprint(segments),
+    }
 
 
 #: The write-read script's multiset: 12,000 points with repeats.

@@ -169,7 +169,8 @@ def test_wal_fsync_fault_rolls_back_atomically(tmp_path):
         assert fresh.torn_tail is None
         records = list(fresh.replay())
         assert [r.seq for r in records] == [1, 2]
-        assert [op.value for r in records for op in r.ops] == [1.0, 2.5]
+        # Each record holds one insert column: its values, laid end to end.
+        assert [v for r in records for op in r.ops for v in op.values] == [1.0, 2.5]
 
 
 def test_wal_silent_corruption_caught_by_checksum(tmp_path):

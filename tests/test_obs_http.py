@@ -114,6 +114,8 @@ def test_metrics_exposes_every_layer(tmp_path):
             assert families["repro_store_wal_appends_total"].value() == 2
             assert families["repro_store_wal_fsyncs_total"].value() >= 2
             assert families["repro_store_wal_bytes_total"].value() > 0
+            # One scalar insert and a bulk insert of three: four values.
+            assert families["repro_store_wal_values_total"].value() == 4
             assert "repro_store_wal_rotations_total" in families
             assert "repro_store_snapshots_total" in families
 

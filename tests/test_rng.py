@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.rng import RandomSource, ScriptedSource, spawn
+from repro.rng import (
+    RandomSource,
+    ScriptedSource,
+    _one_query_ranks,
+    seeded_ranks,
+    spawn,
+)
 
 
 class TestRandomSource:
@@ -104,3 +111,31 @@ class TestScriptedSource:
     def test_uniform_uses_script(self):
         rng = ScriptedSource([0.25])
         assert rng.uniform(0.0, 8.0) == pytest.approx(2.0)
+
+
+#: Seeds folded into the uint64 counter domain, widths up to 2^63 - 1, and
+#: ``3 << 61``, whose rejection bound refuses about a quarter of all draws.
+RANK_SEEDS = [0, -1, (1 << 64) - 1, 1 << 64, (1 << 70) + 3]
+RANK_WIDTHS = [1, 2, 10**6, (1 << 63) - 1, 3 << 61]
+
+
+@pytest.mark.parametrize("width", RANK_WIDTHS)
+def test_one_query_seeded_ranks_match_the_general_path(width):
+    """A one-query call returns the ranks a many-query call gives it."""
+    fallbacks = 0
+    for seed in RANK_SEEDS:
+        for t in (1, 16, 257):
+            for start in (0, 7):
+                one = seeded_ranks([seed], [start], [width], [t])
+                # Two copies take the general path; a query's ranks do not
+                # depend on its batch-mates.
+                both = seeded_ranks([seed] * 2, [start] * 2, [width] * 2, [t] * 2)
+                assert one.dtype == np.int64
+                assert one.tolist() == both[:t].tolist() == both[t:].tolist()
+                assert start <= one.min() and one.max() < start + width
+                folded = seed & (1 << 64) - 1
+                fallbacks += _one_query_ranks(folded, start, width, t) is None
+    if width == 3 << 61:
+        # Rejected draws send the call through the general path's retries.
+        assert fallbacks > 0
+    assert seeded_ranks([5], [0], [width], [0]).tolist() == []

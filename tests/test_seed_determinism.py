@@ -3,7 +3,8 @@
 ``seedaudit.py`` fingerprints every sampler kind through every sampling
 path (scalar, seeded bulk, stratified, without-replacement, served), the
 CLI, a sharded update pass, snapshot recovery and a durable serving
-session's WAL under one fixed root seed.  This suite runs it in two
+session (its replies and recovery, and apart its WAL bytes) under one
+fixed root seed.  This suite runs it in two
 *fresh* Python processes — fresh hash randomization, fresh module
 state, fresh event loops — and asserts the fingerprints agree entry by
 entry.  Any path that leaks
@@ -34,7 +35,8 @@ EXPECTED_KEYS = sorted(
        for suffix in ("", "/shards=3")]
     + [f"sharded-{kind}/updates" for kind in seedaudit.shard_kinds()]
     + [f"{name}/recovered" for name in seedaudit.recovered_factories()]
-    + ["durable/wal", "dynamic/write-read", "weighted-dynamic/write-read"]
+    + ["durable/wal", "durable/wal-segments"]
+    + ["dynamic/write-read", "weighted-dynamic/write-read"]
 )
 
 

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import json
 import os
 import struct
+import sys
 import zlib
 
+import numpy as np
 import pytest
 
 from repro import DynamicIRS, WeightedDynamicIRS, WindowedIRS
@@ -28,6 +32,21 @@ def wal_dir(tmp_path):
     return str(tmp_path / "wal")
 
 
+def flat(ops) -> list[tuple]:
+    """Each update value of ``ops`` as ``(kind, value, weight, structure)``."""
+    out = []
+    for op in ops:
+        if op.values is None:
+            out.append((op.kind, op.value, op.weight, op.structure))
+            continue
+        weights = [None] * op.size if op.weights is None else op.weights.tolist()
+        out.extend(
+            (op.kind, value, weight, op.structure)
+            for value, weight in zip(op.values.tolist(), weights)
+        )
+    return out
+
+
 # -- WAL framing and replay --------------------------------------------------
 
 
@@ -39,10 +58,13 @@ def test_wal_append_replay_roundtrip(tmp_path):
         records = list(wal.replay())
     assert [r.seq for r in records] == [1, 2]
     first = records[0].ops
-    assert [(op.kind, op.value) for op in first] == [
-        ("insert", 1.5), ("insert", 2.5), ("delete", 1.5),
+    assert flat(first) == [
+        ("insert", 1.5, None, "default"),
+        ("insert", 2.5, None, "default"),
+        ("delete", 1.5, None, "default"),
     ]
     assert all(isinstance(op, BatchOp) for op in first)
+    assert flat(records[1].ops) == flat(OPS_B)
     assert list(wal.replay(after_seq=1))[0].seq == 2
     assert list(wal.replay(after_seq=2)) == []
 
@@ -164,7 +186,7 @@ def test_wal_policies_all_flush_records(tmp_path, fsync):
 
 def test_wal_segment_is_inspectable_json(tmp_path):
     with WriteAheadLog(wal_dir(tmp_path)) as wal:
-        wal.append([("insert", 3.25, "other")])
+        wal.append([("insert", 3.25, "other"), ("insert", -1.0, "other")])
     (name,) = os.listdir(wal_dir(tmp_path))
     raw = open(os.path.join(wal_dir(tmp_path), name), "rb").read()
     length, crc = struct.unpack_from("<II", raw)
@@ -172,7 +194,10 @@ def test_wal_segment_is_inspectable_json(tmp_path):
     assert zlib.crc32(payload) == crc
     body = json.loads(payload)
     assert body["q"] == 1
-    assert body["ops"] == [{"k": "i", "v": 3.25, "s": "other"}]
+    (column,) = body["ops"]  # the run of inserts is one column
+    assert (column["k"], column["s"], sorted(column)) == ("i", "other", ["b", "k", "s"])
+    values = np.frombuffer(base64.b64decode(column["b"]), dtype="<f8")
+    assert values.tolist() == [3.25, -1.0]
 
 
 # -- snapshots ----------------------------------------------------------------
@@ -511,7 +536,7 @@ def test_bulk_op_logs_the_bytes_of_its_scalar_ops(tmp_path):
     )
     with WriteAheadLog(tmp_path / "bulk" / "wal") as wal:
         (record,) = wal.replay()
-    assert record.ops == scalar and record.rids == rids
+    assert flat(record.ops) == flat(scalar) and record.rids == rids
 
 
 def count_decoded_ops(monkeypatch) -> list:
@@ -537,12 +562,14 @@ def test_recovery_decodes_each_record_once(tmp_path, monkeypatch):
     decoded = count_decoded_ops(monkeypatch)
     with DurableStore(data_dir) as store:
         # The open scan checks frames and checksums, and decodes only the
-        # last record, for its sequence number.
+        # last record (one column entry), for its sequence number.
         assert store.last_seq == 6
-        assert len(decoded) == 6
+        assert len(decoded) == 1
         decoded.clear()
         report = store.recover({"default": DynamicIRS(seed=1)})
-    assert report.replayed_ops == len(decoded) == 21
+    # One column per record, each decoded once; replay counts values.
+    assert len(decoded) == 6
+    assert report.replayed_ops == 21
     assert report.structures["default"].count(0.0, 9.0) == 22
 
 
@@ -557,17 +584,58 @@ def record(seq: int, value: float) -> bytes:
     return (json.dumps({"q": seq, "ops": [{"k": "i", "v": value}]}) + "\n").encode()
 
 
-@pytest.mark.parametrize("snapshot", [False, True])
+def b64(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+
+
+def entry_record(seq: int, entry: dict) -> bytes:
+    return (json.dumps({"q": seq, "ops": [entry]}) + "\n").encode()
+
+
+#: CRC-valid records whose body does not decode.
+DAMAGED = {
+    "not-json": b"not json, right checksum\n",
+    "invalid-base64": entry_record(2, {"k": "i", "b": "AAAA$AAAAAAA"}),
+    "bad-padding": entry_record(2, {"k": "d", "b": "AAAAAAAAAAA"}),
+    "not-8-bytes": entry_record(
+        2, {"k": "i", "b": base64.b64encode(bytes(12)).decode()}
+    ),
+    "weights-length": entry_record(
+        2, {"k": "i", "b": b64([2.0, 2.5]), "w": b64([1.0])}
+    ),
+    "non-string": entry_record(2, {"k": "i", "b": [b64([2.0])]}),
+    "null": entry_record(2, {"k": "d", "b": None}),
+    "sample-tag": entry_record(
+        2, {"k": "s", "b": b64([2.0]), "lo": 0.0, "hi": 1.0, "t": 1}
+    ),
+    "count-tag": entry_record(2, {"k": "c", "b": b64([2.0]), "lo": 0.0, "hi": 1.0}),
+    "delete-weights": entry_record(2, {"k": "d", "b": b64([2.0]), "w": b64([1.0])}),
+    "entry-not-a-dict": entry_record(2, 7),
+}
+
+
+@pytest.mark.parametrize(
+    ("snapshot", "damage"),
+    [
+        # A body that is not JSON keeps the plain ids ([False], [True]) it
+        # has had since before columns, so its history stays comparable.
+        pytest.param(
+            snapshot,
+            damage,
+            id=str(snapshot) if damage == "not-json" else f"{snapshot}-{damage}",
+        )
+        for damage in sorted(DAMAGED)
+        for snapshot in (False, True)
+    ],
+)
 def test_undecodable_record_raises_before_anything_after_it_applies(
-    tmp_path, snapshot
+    tmp_path, snapshot, damage
 ):
     data_dir = tmp_path / "d"
     if snapshot:
         with DurableStore(data_dir) as store:
             store.snapshot({"default": DynamicIRS([0.5], seed=1)})
-    write_frames(
-        data_dir / "wal", [record(1, 1.0), b"not json, right checksum\n", record(3, 3.0)]
-    )
+    write_frames(data_dir / "wal", [record(1, 1.0), DAMAGED[damage], record(3, 3.0)])
     with WriteAheadLog(data_dir / "wal") as wal:
         assert wal.last_seq == 3  # the open scan reads frames only
         replay = wal.replay()
@@ -582,3 +650,153 @@ def test_undecodable_record_raises_before_anything_after_it_applies(
     # found before any record touches them.
     for structure in given.values():
         assert structure.export_sorted().tolist() == [0.5]
+
+
+# -- records written before columns -----------------------------------------
+
+#: A log as a release without column records wrote it: one scalar dict per
+#: update value.  It holds scalar and bulk inserts and deletes, a failed
+#: delete in each structure, weighted inserts on a weighted structure, a
+#: refused weighted insert on an unweighted one, and rid spans.
+LEGACY_RECORDS = [
+    {"q": 1, "ops": [
+        {"k": "i", "v": 4.0}, {"k": "i", "v": 5.0}, {"k": "i", "v": 6.0},
+        {"k": "d", "v": 1.0}, {"k": "d", "v": 2.0}, {"k": "d", "v": 99.0},
+    ], "r": [["a", 0, 1], ["b", 1, 2], ["c", 3, 1], ["d", 4, 2]]},
+    {"q": 2, "ops": [
+        {"k": "i", "v": 3.5, "w": 2.0, "s": "w"},
+        {"k": "i", "v": 4.5, "w": 0.5, "s": "w"},
+        {"k": "i", "v": 5.5, "w": 1.5, "s": "w"},
+        {"k": "i", "v": 7.0, "w": 1.0}, {"k": "i", "v": 8.0, "w": 1.0},
+        {"k": "d", "v": 1.0, "s": "w"}, {"k": "d", "v": 2.0, "s": "w"},
+        {"k": "d", "v": 42.0, "s": "w"},
+    ], "r": [["w1", 0, 3], ["refused", 3, 2], [9, 5, 1], ["w2", 6, 2]]},
+    {"q": 3, "ops": [{"k": "i", "v": 10.0}, {"k": "d", "v": 4.0}]},
+]
+#: The same updates as batches, as the server logs them.
+LEGACY_BATCHES = [
+    ([BatchOp.insert(4.0), BatchOp.insert_bulk([5.0, 6.0]), BatchOp.delete(1.0),
+      BatchOp.delete_bulk([2.0, 99.0])],
+     [("a", 0, 1), ("b", 1, 2), ("c", 3, 1), ("d", 4, 2)]),
+    ([BatchOp.insert(3.5, 2.0, "w"), BatchOp.insert_bulk([4.5, 5.5], [0.5, 1.5], "w"),
+      BatchOp.insert_bulk([7.0, 8.0], [1.0, 1.0]), BatchOp.delete(1.0, "w"),
+      BatchOp.delete_bulk([2.0, 42.0], "w")],
+     [("w1", 0, 3), ("refused", 3, 2), (9, 5, 1), ("w2", 6, 2)]),
+    ([BatchOp.insert(10.0), BatchOp.delete(4.0)], None),
+]
+#: SHA-256 of the segment the last release without columns wrote for
+#: LEGACY_BATCHES through ``DurableStore.log_batch``.
+LEGACY_SEGMENT_SHA256 = (
+    "d89321637e176327b556d360e8c7642cf31caf64099bbea98b2fe9d754a91409"
+)
+
+
+def legacy_payloads(records) -> list[bytes]:
+    return [
+        (json.dumps(body, separators=(",", ":")) + "\n").encode() for body in records
+    ]
+
+
+def legacy_structures() -> dict:
+    return {
+        "default": DynamicIRS([1.0, 2.0, 3.0], seed=1),
+        "w": WeightedDynamicIRS([1.0, 2.0], [1.0, 1.0], seed=2),
+    }
+
+
+def recovered(data_dir) -> tuple:
+    with DurableStore(data_dir) as store:
+        report = store.recover(legacy_structures())
+    return (
+        report.replayed_records,
+        report.replayed_ops,
+        report.dedup,
+        report.structures["default"].export_sorted().tolist(),
+        [a.tolist() for a in report.structures["w"].export_sorted_pairs()],
+    )
+
+
+def test_parent_format_log_recovers_unchanged(tmp_path):
+    write_frames(tmp_path / "old" / "wal", legacy_payloads(LEGACY_RECORDS))
+    old = segment_bytes(tmp_path / "old" / "wal")
+    assert hashlib.sha256(old).hexdigest() == LEGACY_SEGMENT_SHA256
+    with DurableStore(tmp_path / "new") as store:
+        for ops, rids in LEGACY_BATCHES:
+            store.log_batch(ops, rids=rids)
+    assert segment_bytes(tmp_path / "new" / "wal") != old
+    outcome = recovered(tmp_path / "old")
+    assert outcome == recovered(tmp_path / "new")
+    records, values, dedup, default, weighted = outcome
+    assert (records, values) == (3, 16)
+    assert default == [3.0, 5.0, 6.0, 10.0]
+    assert weighted == [[3.5, 4.5, 5.5], [2.0, 0.5, 1.5]]
+    assert {rid: ok for rid, (ok, _) in dedup.items()} == {
+        "a": True, "b": True, "c": True, "d": False,
+        "w1": True, "refused": False, 9: True, "w2": False,
+    }
+    assert dedup["d"][1] == {
+        "type": "key_not_found", "message": "'value not present: 99.0'",
+        "op_index": 1, "applied": 1,
+    }
+    assert dedup["refused"][1] == {
+        "type": "invalid_query",
+        "message": "structure 'default' does not accept weighted inserts",
+        "op_index": 0, "applied": 0,
+    }
+
+
+def test_mixed_log_replays_in_seq_order(tmp_path):
+    data_dir = tmp_path / "d"
+    write_frames(data_dir / "wal", legacy_payloads([
+        {"q": 1, "ops": [{"k": "i", "v": 5.0}]},
+        {"q": 2, "ops": [{"k": "d", "v": 5.0}, {"k": "d", "v": 6.0}],
+         "r": [["x", 1, 1]]},
+    ]))
+    with DurableStore(data_dir) as store:
+        assert store.log_batch([BatchOp.insert_bulk([6.0, 5.0])], rids=[("y", 0, 2)]) == 3
+        assert store.log_batch(
+            [BatchOp.delete(5.0), BatchOp.delete(7.0)], rids=[("z", 0, 2)]
+        ) == 4
+    raw = segment_bytes(data_dir / "wal")
+    bodies = []
+    while raw:
+        length = struct.unpack_from("<I", raw)[0]
+        bodies.append(json.loads(raw[8 : 8 + length]))
+        raw = raw[8 + length :]
+    # One segment: two records of scalar dicts, then two of columns.
+    assert [sorted({key for e in b["ops"] for key in e}) for b in bodies] == [
+        ["k", "v"], ["k", "v"], ["b", "k"], ["b", "k"],
+    ]
+    with DurableStore(data_dir) as store:
+        report = store.recover({"default": DynamicIRS([1.0], seed=1)})
+    assert (report.replayed_records, report.replayed_ops) == (4, 7)
+    # In seq order 6.0 is deleted before it is inserted and 5.0 after;
+    # replaying the columns first would leave [1.0] and apply "x".
+    assert report.structures["default"].export_sorted().tolist() == [1.0, 6.0]
+    assert report.dedup["x"][0] is False
+    assert report.dedup["y"] == (True, 2)
+    assert report.dedup["z"] == (False, {
+        "type": "key_not_found", "message": "'value not present: 7.0'",
+        "op_index": 1, "applied": 1,
+    })
+
+
+def test_column_values_round_trip_bit_exactly(tmp_path):
+    big = sys.float_info.max
+    edge = [-0.0, 0.0, 5e-324, -2.5e-310, big, -big, 1.0 / 3.0]
+    weights = [big, 5e-324, 1.0, 2.5e-310, 0.1, 3.0, 7.0]
+    with WriteAheadLog(wal_dir(tmp_path)) as wal:
+        wal.append([BatchOp.insert(edge[0]), BatchOp.insert_bulk(edge[1:])])
+        wal.append([BatchOp.insert_bulk(edge, weights, "w"), BatchOp.delete(-0.0)])
+        first, second = wal.replay()
+
+    def bits(values):
+        return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+    (inserts,) = first.ops
+    assert bits(inserts.values) == bits(edge) and inserts.weights is None
+    weighted, delete = second.ops
+    assert (weighted.structure, delete.kind) == ("w", "delete")
+    assert bits(weighted.values) == bits(edge)
+    assert bits(weighted.weights) == bits(weights)
+    assert bits(delete.values) == bits([-0.0])
