@@ -130,8 +130,7 @@ def per_stratum_loop(sampler, strata, t, *, seed):
 def sharded(dataset):
     s = ShardedIRS(dataset, num_shards=4, seed=196)
     s.sample_bulk(0.05, 0.95, 1_024)  # warm the shard snapshots
-    yield s
-    s.close()
+    return s
 
 
 @pytest.mark.parametrize("path", ["one-call", "per-stratum loop"])

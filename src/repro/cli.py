@@ -26,9 +26,8 @@ printing one mean per ``sample`` line.
 
 ``--shards N`` range-partitions the data into an N-shard
 :class:`~repro.shard.ShardedIRS` whose shards are the requested
-``--structure`` kind; ``--backend {serial,threads}`` picks the
-scatter-gather execution backend (results are identical across backends
-under a fixed ``--seed``).
+``--structure`` kind (results are reproducible under a fixed
+``--seed``).
 
 ``serve`` is the one stateful command: it builds the structure once and
 serves newline-delimited JSON requests against it — over TCP
@@ -67,7 +66,6 @@ import numpy as np
 
 from .batch import BatchQueryRunner
 from .core.kinds import KINDS, sort_planes
-from .shard import BACKEND_NAMES
 from .stats.estimators import mean_estimate
 
 __all__ = ["main", "build_structure", "read_floats"]
@@ -100,7 +98,6 @@ def build_structure(
     seed: int | None,
     block_size: int,
     shards: int = 1,
-    backend: str = "serial",
 ):
     """Construct the requested sampler over the data.
 
@@ -108,7 +105,7 @@ def build_structure(
     used by the weighted kinds only (unit weights when ``None``).  With
     ``shards > 1`` the points are range-partitioned into a
     :class:`~repro.shard.ShardedIRS` whose shards are the requested
-    structure kind, executing on the requested backend.
+    structure kind.
     """
     kind = KINDS.get(name)
     if kind is None:
@@ -124,7 +121,6 @@ def build_structure(
             weights=weights,
             seed=seed,
             shard_kind=name,
-            backend=backend,
             block_size=block_size,
         )
     values, weights = sort_planes(np.asarray(values, dtype=float), weights)
@@ -201,12 +197,6 @@ def _parser() -> argparse.ArgumentParser:
             type=int,
             default=1,
             help="range-partition into N shards (ShardedIRS facade)",
-        )
-        p.add_argument(
-            "--backend",
-            choices=BACKEND_NAMES,
-            default="serial",
-            help="shard execution backend (only meaningful with --shards > 1)",
         )
         if command == "batch":
             group = p.add_mutually_exclusive_group(required=True)
@@ -346,7 +336,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.seed,
         args.block_size,
         shards=args.shards,
-        backend=args.backend,
     )
     try:
         return _dispatch(args, structure)

@@ -86,13 +86,14 @@ def sample_bulk_many_by_rank(
     """
     from ..rng import seeded_ranks
 
-    queries = [(float(lo), float(hi), int(t)) for lo, hi, t in queries]
+    queries = [(float(lo), float(hi), t) for lo, hi, t in queries]
     if seeds is None:
         seeds = [None] * len(queries)
     elif len(seeds) != len(queries):
         raise InvalidQueryError("seeds must align with queries")
     for lo, hi, t in queries:
         validate_query(lo, hi, t)
+    queries = [(lo, hi, int(t)) for lo, hi, t in queries]
     if not queries:
         return []
     if len(queries) == 1:
@@ -130,13 +131,16 @@ def validate_query(lo: float, hi: float, t: int) -> None:
 
     ``lo <= hi`` and ``t >= 0`` are required.  ``t == 0`` is legal and must
     return an empty list even on an empty range, mirroring the convention of
-    the paper ("extract t samples", with t a nonnegative integer).
+    the paper ("extract t samples", with t a nonnegative integer).  ``t``
+    follows the rule :func:`validate_ranks` applies to ranks: a Python or
+    NumPy integer passes, a bool or a float (integral or not) does not, so
+    a count is never truncated.
     """
     if lo != lo or hi != hi:  # NaN check without importing math
         raise InvalidQueryError("interval endpoints must not be NaN")
     if lo > hi:
         raise InvalidQueryError(f"invalid interval: {lo!r} > {hi!r}")
-    if not isinstance(t, int) or isinstance(t, bool):
+    if isinstance(t, bool) or not isinstance(t, (int, _np.integer)):
         raise InvalidQueryError(f"sample count must be an int, got {t!r}")
     if t < 0:
         raise InvalidQueryError(f"sample count must be >= 0, got {t}")

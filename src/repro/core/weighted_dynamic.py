@@ -661,13 +661,14 @@ class WeightedDynamicIRS:
         """
         from ..errors import InvalidQueryError
 
-        queries = [(float(lo), float(hi), int(t)) for lo, hi, t in queries]
+        queries = [(float(lo), float(hi), t) for lo, hi, t in queries]
         if seeds is None:
             seeds = [None] * len(queries)
         elif len(seeds) != len(queries):
             raise InvalidQueryError("seeds must align with queries")
         for lo, hi, t in queries:
             validate_query(lo, hi, t)
+        queries = [(lo, hi, int(t)) for lo, hi, t in queries]
         if sum(t for _lo, _hi, t in queries) >= _FLAT_MIN and len(self._dir):
             self._ensure_flat()  # one shared build for the whole batch
         return [

@@ -23,8 +23,6 @@ __all__ = [
     "ConnectionLostError",
     "DeadlineExceededError",
     "RetriesExhaustedError",
-    "ShardExecutionError",
-    "ShardTimeoutError",
 ]
 
 
@@ -131,16 +129,3 @@ class RetriesExhaustedError(ReproError):
     and request-id-tagged updates are safe to retry again at a higher
     level because both are idempotent against the server.
     """
-
-
-class ShardExecutionError(ReproError):
-    """Base class for shard-task execution failures (a task timeout).
-
-    :class:`~repro.shard.ShardedIRS` catches this to fail over to the
-    serial backend: shard tasks are seed-pure, so the re-run returns
-    byte-identical samples.
-    """
-
-
-class ShardTimeoutError(ShardExecutionError, TimeoutError):
-    """A shard task missed its execution deadline on a parallel backend."""

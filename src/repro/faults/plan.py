@@ -9,7 +9,7 @@ the same visits, no matter how wall-clock time or thread scheduling
 varies between runs.
 
 Sites are dotted strings naming an injection point, e.g. ``"wal.fsync"``,
-``"device.torn"``, ``"shard.stall"``, ``"proxy.drop"``.  Each site keeps its
+``"device.torn"``, ``"proxy.drop"``.  Each site keeps its
 own visit counter, so the schedule at one seam is independent of how
 often the other seams are exercised — adding reads to a workload cannot
 shift which *writes* fail.

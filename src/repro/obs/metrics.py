@@ -11,7 +11,7 @@ Design constraints, in order:
    registry reads it when rendering, so instrumented hot loops pay
    literally nothing.
 2. **No dependencies.**  Pure stdlib; importable from any layer (storage,
-   shard executors, fault wrappers) without cycles.
+   the shard facade, fault wrappers) without cycles.
 3. **Prometheus text exposition.**  :meth:`MetricsRegistry.render`
    produces the v0.0.4 text format — ``# HELP``/``# TYPE`` per family,
    escaped label values, and for histograms the cumulative ``_bucket``

@@ -41,11 +41,11 @@ def derive_seed(root: int, *path: int) -> int:
     """Return a deterministic 64-bit seed for the stream at ``path``.
 
     The sharded engine needs one independent child stream per ``(call,
-    shard)`` task, derivable by any worker from plain integers — a task
-    shipped to another process carries ``(root, call, shard)``, not a
-    generator object.  Hashing the whole path through SHA-256 gives streams
-    that are (cryptographically) independent of each other and of the root
-    stream, and identical no matter which backend or worker runs the task.
+    shard)`` task, derivable from plain integers — a task carries
+    ``(root, call, shard)``, not a generator object.  Hashing the whole
+    path through SHA-256 gives streams that are (cryptographically)
+    independent of each other and of the root stream, and identical no
+    matter in which order the tasks run.
     """
     words = [value & 0xFFFFFFFFFFFFFFFF for value in (root, *path)]
     digest = hashlib.sha256(struct.pack(f"<{len(words)}Q", *words)).digest()

@@ -374,9 +374,8 @@ class ResilientClient(_ClientAPI):
     * transport failures (:class:`~repro.errors.ConnectionLostError`,
       timeouts) drop the connection, reconnect, and retry;
     * retryable server refusals (``overloaded``, ``unavailable``,
-      ``shutting_down``, ``shard_timeout``) retry after the backoff —
-      honoring the server's ``retry_after`` hint when the reply carries
-      one;
+      ``shutting_down``) retry after the backoff — honoring the server's
+      ``retry_after`` hint when the reply carries one;
     * anything else (a real typed error, a success) returns immediately.
 
     Reads are safe to repeat by construction — seeded replies are

@@ -19,8 +19,8 @@ Health is three-valued and ordered::
 ``overloaded`` means admission pressure reached 1.0 on some configured
 component (the gate's memory/rate ratios, or the queue itself);
 ``degraded`` means the server still answers but something it relies on
-has failed — a broken or failing WAL, a checkpoint error, a shard
-backend that failed over to serial; ``ok`` is everything else.
+has failed — a broken or failing WAL, or a checkpoint error; ``ok`` is
+everything else.
 """
 
 from __future__ import annotations
@@ -128,8 +128,6 @@ class ServerObservability:
                         ("structure",),
                     )
                     for key, help_ in (
-                        ("failovers", "Backend failovers to serial."),
-                        ("timeouts", "Task-deadline expiries."),
                         ("rebalances", "Shard rebalance passes."),
                         ("scatter_tasks", "Shard tasks dispatched."),
                     ):
@@ -203,9 +201,7 @@ class ServerObservability:
 
     def _sharded(self):
         for name, structure in self.server.structures.items():
-            if hasattr(structure, "num_shards") and hasattr(
-                structure, "last_failover"
-            ):
+            if hasattr(structure, "num_shards"):
                 yield name, structure
 
     def pressure(self) -> float:
@@ -234,37 +230,22 @@ class ServerObservability:
             )
         if server.last_snapshot_error is not None:
             checks["snapshot"] = f"error: {server.last_snapshot_error}"
-        failovers = {
-            name: s.last_failover
-            for name, s in self._sharded()
-            if s.last_failover is not None
-        }
-        if failovers:
-            checks["failover"] = failovers
-        if (
-            not wal_ok
-            or server.last_snapshot_error is not None
-            or failovers
-        ):
+        if not wal_ok or server.last_snapshot_error is not None:
             status = "degraded"
         if pressure >= 1.0:
             status = "overloaded"
         return {"status": status, "checks": checks}
 
     def structure_stats(self) -> dict:
-        """Executor stats per sharded structure (the ``stats`` op extra)."""
+        """Shard stats per sharded structure (the ``stats`` op extra)."""
         out = {}
         for name, s in self._sharded():
             extra = s.stats.extra
             out[name] = {
                 "kind": type(s).__name__,
                 "num_shards": s.num_shards,
-                "backend": s.backend_name,
-                "failovers": extra.get("failovers", 0),
-                "timeouts": extra.get("timeouts", 0),
                 "rebalances": extra.get("rebalances", 0),
                 "scatter_tasks": extra.get("scatter_tasks", 0),
-                "last_failover": s.last_failover,
                 "shard_sizes": [len(shard) for shard in s.shards],
             }
         return out

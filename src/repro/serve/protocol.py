@@ -40,7 +40,6 @@ from ..errors import (
     InvalidWeightError,
     KeyNotFoundError,
     ReproError,
-    ShardTimeoutError,
     StorageError,
 )
 
@@ -68,19 +67,14 @@ ERROR_TYPES: list[tuple[type, str]] = [
     (KeyNotFoundError, "key_not_found"),
     (InvalidQueryError, "invalid_query"),
     (CapacityError, "capacity"),
-    (ShardTimeoutError, "shard_timeout"),
     (StorageError, "storage"),
     (ReproError, "error"),
 ]
 
-#: Wire error codes that mean "the request did not take effect (or is safe
-#: to repeat) and a later attempt may succeed" — the retrying client's
-#: whitelist.  ``overloaded``/``shutting_down``/``unavailable`` are
-#: refusals issued *before* execution; ``shard_timeout`` comes from
-#: seed-pure read paths, so repeating it is harmless.
-RETRYABLE_CODES = frozenset(
-    {"overloaded", "shutting_down", "unavailable", "shard_timeout"}
-)
+#: Wire error codes that mean "the request did not take effect and a
+#: later attempt may succeed" — the retrying client's whitelist.  All
+#: three are refusals issued *before* execution.
+RETRYABLE_CODES = frozenset({"overloaded", "shutting_down", "unavailable"})
 
 
 class RequestError(ReproError):

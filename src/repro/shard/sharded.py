@@ -4,15 +4,15 @@ The facade range-partitions the key space across ``P`` shards (each shard
 one structure kind of :data:`~repro.core.kinds.KINDS`) and implements
 the full sampler API, so it drops into :class:`~repro.batch.
 BatchQueryRunner`, the CLI and the benchmarks unchanged.  The design
-splits each operation into a cheap *plan* on the facade and embarrassingly
-parallel per-shard work:
+splits each operation into a cheap *plan* on the facade and independent
+per-shard work:
 
 **Reads.**  ``sample_bulk`` first probes every shard's in-range count (or
 in-range weight mass) against per-shard *snapshots* — sorted NumPy arrays
 refreshed lazily after updates — with one vectorized ``searchsorted`` per
 shard.  ``t`` is then split across shards with a single multinomial draw
-(probabilities ``k_i / K``), the per-shard draws scatter to an execution
-backend, and the gathered block is permuted once.  This is *exactly* the
+(probabilities ``k_i / K``), the per-shard draws run as scatter tasks,
+and the gathered block is permuted once.  This is *exactly* the
 distribution of ``t`` i.i.d. uniform (resp. weight-proportional) draws
 from ``P ∩ [lo, hi]``: conditioning i.i.d. category counts on the shards
 gives precisely a multinomial split, uniformity within a shard is the
@@ -26,10 +26,10 @@ own (bulk) update paths.  A rebalancer splits oversized shards and merges
 small neighbors whenever the largest shard exceeds ``rebalance_factor ×``
 the mean, so skewed insert streams cannot concentrate the working set.
 
-**Execution** is pluggable (see :mod:`repro.shard.executors`): ``serial``
-or ``threads``.  Every task seeds its own generator from
-:func:`repro.rng.derive_seed`, so results are identical across backends
-and worker schedules under a fixed seed.
+**Execution** runs the planned shard tasks inline, one after another.
+Every task seeds its own generator from :func:`repro.rng.derive_seed`
+and writes a disjoint slice of the output, so a fixed seed reproduces
+results exactly.
 """
 
 from __future__ import annotations
@@ -47,19 +47,12 @@ from ..core.base import (
 )
 from ..core.kinds import KINDS, sort_planes
 from ..core.planes import resolve_dtype
-from ..errors import (
-    EmptyRangeError,
-    InvalidQueryError,
-    KeyNotFoundError,
-    ShardExecutionError,
-    ShardTimeoutError,
-)
+from ..errors import EmptyRangeError, InvalidQueryError, KeyNotFoundError
 from ..obs import trace as _trace
 from ..obs.metrics import Histogram as _Histogram
 from ..rng import RandomSource, derive_seed
 from ..rng import generator as rng_generator
 from ..types import QueryStats
-from .executors import SerialBackend, draw_from_snapshot, make_backend
 from .partition import cut_bounds, route_values, run_aligned_cuts
 
 try:
@@ -90,6 +83,32 @@ def _resolve_shard_dtype(values, dtype, shard_kind):
             )
         return _np.dtype(_np.float64)
     return resolve_dtype(values, dtype)
+
+
+def _draw_from_snapshot(values, cumw, lo: float, hi: float, t: int, seed: int):
+    """Draw ``t`` samples from one shard snapshot — the scatter task kernel.
+
+    ``values`` is the shard's sorted point array; ``cumw`` is either
+    ``None`` (uniform shard: one rank draw per sample) or the length
+    ``n + 1`` inclusive weight prefix with ``cumw[0] == 0`` (weighted
+    shard: one inverse-CDF bisect per sample, exact proportional to the
+    masses the prefix represents).  The generator is rebuilt from the
+    task's explicit seed, so the draw depends on nothing else.
+    """
+    rng = _np.random.default_rng(seed)
+    a = int(_np.searchsorted(values, lo, side="left"))
+    b = int(_np.searchsorted(values, hi, side="right"))
+    if cumw is None:
+        ranks = rng.integers(a, b, size=t)
+    else:
+        base = cumw[a]
+        mass = cumw[b] - base
+        u = rng.random(t) * mass + base
+        # side="right" maps u in [cumw[i], cumw[i+1]) to rank i; the clip
+        # guards the one-ulp case where u rounds up to exactly cumw[b].
+        ranks = _np.clip(_np.searchsorted(cumw, u, side="right") - 1, a, b - 1)
+    return values[ranks]
+
 
 #: Scalar updates between rebalance-skew checks (bulk ops always check).
 _REBALANCE_EVERY = 256
@@ -126,15 +145,10 @@ class ShardedIRS(DynamicRangeSampler):
     seed:
         Root seed.  Everything — shard-internal streams, the multinomial
         splits, every per-task generator — derives from it, so a fixed
-        seed reproduces results exactly on any backend.
+        seed reproduces results exactly.
     shard_kind:
         One of :data:`SHARD_KINDS` (the :data:`~repro.core.kinds.KINDS`
         names).
-    backend:
-        ``"serial"`` (default), ``"threads"``, or a backend instance
-        (see :mod:`repro.shard.executors`).
-    max_workers:
-        Worker cap for the ``threads`` backend.
     rebalance_factor:
         Skew bound: a shard larger than ``factor ×`` the mean size
         triggers a rebalance (split + merge pass).  Must be > 1.
@@ -149,15 +163,6 @@ class ShardedIRS(DynamicRangeSampler):
         widen exactly); update and query bounds are rounded through the
         plane dtype before routing so the facade and its shards always
         agree on range membership.
-    task_timeout:
-        Optional deadline (seconds) for one scatter's shard tasks on the
-        ``threads`` backend.  Expiry raises a typed
-        :class:`~repro.errors.ShardExecutionError` and the facade
-        *fails over*: the backend is swapped for the serial one, so the
-        next attempt (e.g. a client retry — the serve layer marks these
-        codes retryable) succeeds inline.  Tasks are seed-pure, so the
-        failover result is byte-identical to what the parallel run would
-        have produced.
     """
 
     def __init__(
@@ -168,12 +173,9 @@ class ShardedIRS(DynamicRangeSampler):
         weights: Iterable[float] | None = None,
         seed: int | None = None,
         shard_kind="dynamic",
-        backend="serial",
-        max_workers: int | None = None,
         rebalance_factor: float = 2.0,
         block_size: int = 1024,
         dtype=None,
-        task_timeout: float | None = None,
     ) -> None:
         if _np is None:  # pragma: no cover - numpy is installed in CI
             raise RuntimeError("ShardedIRS requires NumPy")
@@ -182,8 +184,7 @@ class ShardedIRS(DynamicRangeSampler):
             values = list(values)
         values, weights = sort_planes(round_to_plane(values, resolved), weights)
         self._init_common(
-            num_shards, seed, shard_kind, backend, max_workers,
-            rebalance_factor, block_size, task_timeout,
+            num_shards, seed, shard_kind, rebalance_factor, block_size
         )
         self._dtype = resolved
         self._build_partitions(values, weights)
@@ -197,12 +198,9 @@ class ShardedIRS(DynamicRangeSampler):
         weights=None,
         seed: int | None = None,
         shard_kind="dynamic",
-        backend="serial",
-        max_workers: int | None = None,
         rebalance_factor: float = 2.0,
         block_size: int = 1024,
         dtype=None,
-        task_timeout: float | None = None,
     ) -> "ShardedIRS":
         """O(n) constructor over already-sorted input (skips the sort)."""
         resolved = _resolve_shard_dtype(values, dtype, shard_kind)
@@ -220,16 +218,14 @@ class ShardedIRS(DynamicRangeSampler):
                 )
         self = cls.__new__(cls)
         self._init_common(
-            num_shards, seed, shard_kind, backend, max_workers,
-            rebalance_factor, block_size, task_timeout,
+            num_shards, seed, shard_kind, rebalance_factor, block_size
         )
         self._dtype = resolved
         self._build_partitions(values, weights)
         return self
 
     def _init_common(
-        self, num_shards, seed, shard_kind, backend, max_workers,
-        rebalance_factor, block_size, task_timeout=None,
+        self, num_shards, seed, shard_kind, rebalance_factor, block_size
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
@@ -248,16 +244,11 @@ class ShardedIRS(DynamicRangeSampler):
         self._ticket = 0  # per-query counter: the seed path of scatter tasks
         self._shard_ticket = 0  # per-shard-build counter (fresh shard seeds)
         self._update_clock = 0
-        if task_timeout is not None and not task_timeout > 0:
-            raise ValueError("task_timeout must be > 0 (or None)")
-        self._task_timeout = None if task_timeout is None else float(task_timeout)
-        self.last_failover: str | None = None
         self.stats = QueryStats()
-        # Per-task scatter latency (seconds), observed from the gather
-        # side after each scatter; adoptable into a metrics registry
-        # under a ``structure=`` label (see repro.serve.observe).
+        # Per-task scatter latency (seconds), observed as each task
+        # finishes; adoptable into a metrics registry under a
+        # ``structure=`` label (see repro.serve.observe).
         self.task_latency = _Histogram()
-        self._backend = make_backend(backend, max_workers)
 
     # -- construction ------------------------------------------------------------
 
@@ -349,11 +340,6 @@ class ShardedIRS(DynamicRangeSampler):
         return len(self._shards)
 
     @property
-    def backend_name(self) -> str:
-        """Name of the active execution backend (serial/threads)."""
-        return getattr(self._backend, "name", type(self._backend).__name__)
-
-    @property
     def shards(self) -> Sequence:
         """The shard structures, in key order (read-only by convention)."""
         return tuple(self._shards)
@@ -406,16 +392,6 @@ class ShardedIRS(DynamicRangeSampler):
             _np.concatenate(values).astype(self._dtype, copy=False),
             _np.concatenate(weights),
         )
-
-    def close(self) -> None:
-        """Release the backend's workers."""
-        self._backend.close()
-
-    def __enter__(self) -> "ShardedIRS":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- snapshots ---------------------------------------------------------------
 
@@ -573,11 +549,10 @@ class ShardedIRS(DynamicRangeSampler):
     def sample_bulk_many(self, queries: Sequence[tuple], *, seeds=None) -> list:
         """Execute many ``(lo, hi, t)`` queries in one scatter round.
 
-        All per-shard tasks from all queries go to the backend together,
-        so a batch amortizes worker dispatch across every query it
-        contains.  Results align with the input order; the per-query
-        sample distribution is identical to calling :meth:`sample_bulk`
-        per query.
+        The shard snapshots are probed once for every query together, and
+        all per-shard tasks from all queries run in one scatter.  Results
+        align with the input order; the per-query sample distribution is
+        identical to calling :meth:`sample_bulk` per query.
 
         ``seeds`` (optional) aligns an integer seed — or ``None`` — with
         each query.  A seeded query draws its multinomial split and gather
@@ -591,11 +566,10 @@ class ShardedIRS(DynamicRangeSampler):
         # Bounds are rounded through the plane dtype up front: the planner
         # probes float64 snapshots, and the coerced bounds make those
         # probes agree exactly with the shards' own range membership.
-        queries = [
-            (*self._round_range(lo, hi), int(ti)) for lo, hi, ti in queries
-        ]
+        queries = [(*self._round_range(lo, hi), ti) for lo, hi, ti in queries]
         for lo, hi, ti in queries:
             validate_query(lo, hi, ti)
+        queries = [(lo, hi, int(ti)) for lo, hi, ti in queries]
         if seeds is None:
             seeds = [None] * len(queries)
         elif len(seeds) != len(queries):
@@ -624,7 +598,7 @@ class ShardedIRS(DynamicRangeSampler):
         totals = counts.sum(axis=0)
         shares = masses if masses is not None else counts
         # Plan phase: one multinomial split per query, drawn in query order
-        # from the facade's side stream (backend-independent by design).
+        # from the facade's side stream.
         out_offsets: list[int] = []
         qgens: list = [None] * n_queries  # per-query seeded generators
         tasks_per_query = [0] * n_queries
@@ -643,7 +617,7 @@ class ShardedIRS(DynamicRangeSampler):
             if seeds[q] is None:
                 qgens[q] = None
                 # Facade stream: task seeds come from the entropy + a
-                # monotone per-query ticket (backend-independent).
+                # monotone per-query ticket.
                 self._ticket += 1
                 entropy, ticket = self._entropy, self._ticket
                 split = gen.multinomial(ti, share / total_share)
@@ -673,10 +647,9 @@ class ShardedIRS(DynamicRangeSampler):
             if tasks_per_query[q] > 1:
                 # One permutation restores positional i.i.d.-ness over the
                 # shard-ordered gather; drawn from the facade stream (or
-                # the query's own generator), so it is the same on every
-                # backend.  A single-shard query is already i.i.d. and
-                # skips it (the skip depends only on the split, so
-                # backend-independence is preserved).
+                # the query's own generator).  A single-shard query is
+                # already i.i.d. and skips it (the skip depends only on
+                # the split).
                 pgen = qgens[q] if qgens[q] is not None else gen
                 block = block[pgen.permutation(ti)]
             results.append(block)
@@ -688,16 +661,7 @@ class ShardedIRS(DynamicRangeSampler):
         return results
 
     def _scatter(self, snaps, queries, tasks_meta, total_samples, query_seeds):
-        """Run the planned tasks on the backend; return the gathered block.
-
-        A shard-execution fault (a task-deadline expiry, injected or
-        real) triggers *failover*: the parallel backend is replaced by a
-        fresh :class:`~repro.shard.executors.SerialBackend` and the typed
-        error propagates to the caller, whose retry then runs inline.
-        Failover is one-way for the structure's lifetime — a backend that
-        missed a deadline has forfeited the benefit of the doubt, and
-        serial execution is always correct (tasks are seed-pure, so
-        results are byte-identical).
+        """Run the planned tasks inline; return the gathered block.
 
         ``query_seeds`` aligns each query's *request* seed (or ``None``)
         with ``queries`` — the key the serving layer publishes trace ids
@@ -705,56 +669,19 @@ class ShardedIRS(DynamicRangeSampler):
         task's latency span lands on the request that caused it.
         """
         out = _np.empty(total_samples, dtype=float)
-        # Tasks may run on worker threads; list.append is atomic, so each
-        # task records (shard, query, start, duration, n) here and the
-        # gather side folds them into the histogram and the active trace.
-        timings: list = []
-
-        def run_task(task):
-            s, q, ts, seed, off = task
+        for s, q, ts, seed, off in tasks_meta:
             snap = snaps[s]
             lo, hi, _ = queries[q]
             t0 = time.perf_counter()
-            out[off : off + ts] = draw_from_snapshot(
+            out[off : off + ts] = _draw_from_snapshot(
                 snap.values, snap.cumw, lo, hi, ts, seed
             )
-            timings.append((s, q, t0, time.perf_counter() - t0, ts))
-
-        try:
-            self._run_backend(run_task, tasks_meta)
-        except ShardExecutionError as exc:
-            self._failover(exc)
-            raise
-        for s, q, t0, dt, ts in timings:
+            dt = time.perf_counter() - t0
             self.task_latency.observe(dt)
             rseed = query_seeds[q]
             trace_id = None if rseed is None else _trace.active_trace_id(rseed)
             _trace.record_task_span(trace_id, s, t0, dt, ts)
         return out
-
-    def _failover(self, exc: ShardExecutionError) -> None:
-        """Swap the backend for a serial one after a shard-execution fault."""
-        old, self._backend = self._backend, SerialBackend()
-        self.last_failover = f"{type(exc).__name__}: {exc}"
-        self.stats.extra["failovers"] = self.stats.extra.get("failovers", 0) + 1
-        if isinstance(exc, ShardTimeoutError):
-            self.stats.extra["timeouts"] = self.stats.extra.get("timeouts", 0) + 1
-        try:
-            old.close()
-        except Exception:  # pragma: no cover - best-effort teardown
-            pass
-
-    def _run_backend(self, fn, tasks) -> None:
-        """Invoke the backend, passing the task deadline only when set.
-
-        The two-argument call keeps custom backends with a plain
-        ``run(fn, tasks)`` signature working when no timeout is
-        configured.
-        """
-        if self._task_timeout is None:
-            self._backend.run(fn, tasks)
-        else:
-            self._backend.run(fn, tasks, self._task_timeout)
 
     # -- rank addressing (without-replacement support) ---------------------------
 

@@ -68,7 +68,6 @@ def snapshot_spec(sampler) -> dict:
         params = {
             "num_shards": sampler._target_shards,
             "shard_kind": sampler._shard_kind,
-            "backend": sampler.backend_name,
             "block_size": sampler._block_size,
             **dtype_param(sampler),
         }
@@ -88,26 +87,23 @@ def build_from_sorted(spec: dict, values, weights=None, *, seed=None):
 
     ``spec`` is a :func:`snapshot_spec` dict; ``values`` (and ``weights``
     for weighted kinds) are the decoded planes.  Unknown kinds raise
-    :class:`~repro.errors.StorageError`.  A sharded spec whose recorded
-    backend is not a :data:`~repro.shard.BACKEND_NAMES` name (a wrapper,
-    or one this version no longer has) rebuilds on ``serial``: results do
-    not depend on the backend.
+    :class:`~repro.errors.StorageError`.  A sharded spec ignores the
+    ``backend`` entry that manifests written by earlier versions record:
+    shard tasks always run inline, and results never depended on it.
     """
     kind = spec.get("kind")
     params = spec.get("params", {})
     dtype = params.get("dtype")
     block_size = int(params.get("block_size", 1024))
     if kind == "sharded":
-        from ..shard import BACKEND_NAMES, ShardedIRS
+        from ..shard import ShardedIRS
 
-        backend = params.get("backend")
         return ShardedIRS.from_sorted(
             values,
             num_shards=int(params.get("num_shards", 4)),
             weights=weights,
             seed=seed,
             shard_kind=params.get("shard_kind", "dynamic"),
-            backend=backend if backend in BACKEND_NAMES else "serial",
             block_size=block_size,
             dtype=dtype,
         )

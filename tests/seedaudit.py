@@ -274,7 +274,9 @@ def sharded_fingerprints() -> dict[str, str]:
             [_floats(sharded.sample(LO, HI, 8)) for _ in range(2)],
             _floats(sharded.sample_bulk(LO, HI, T, seed=derive_seed(ROOT_SEED, 5))),
         ]
-        sharded.close()
+        close = getattr(sharded, "close", None)
+        if close is not None:
+            close()
         out[f"sharded-{kind}/updates"] = _fingerprint(record)
     return out
 

@@ -53,7 +53,7 @@ TWIN_FACTORIES = {
         TWIN_DATA, [1.0 + i % 3 for i in range(len(TWIN_DATA))], seed=63
     ),
     "windowed": lambda: WindowedIRS(TWIN_DATA, window=300, seed=64),
-    "sharded": lambda: ShardedIRS(TWIN_DATA, num_shards=3, seed=65, backend="serial"),
+    "sharded": lambda: ShardedIRS(TWIN_DATA, num_shards=3, seed=65),
 }
 # Reads, and (as lists) runs of same-kind updates, in stream order.
 TWIN_STEPS = [

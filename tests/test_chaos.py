@@ -2,8 +2,8 @@
 
 The suite drives one deterministic client workload twice — once against a
 clean serving stack, once against a stack with a seeded
-:class:`~repro.faults.FaultPlan` injecting faults at every seam (shard
-executors, the WAL's fsync path, the TCP transport) — and asserts the
+:class:`~repro.faults.FaultPlan` injecting faults at every seam (the
+WAL's fsync path, the TCP transport) — and asserts the
 retrying client ends with *identical* replies and the server with
 *identical* state.  That is the whole resilience contract in one
 sentence: faults may cost retries and latency, never correctness, and no
@@ -17,10 +17,9 @@ import asyncio
 import pytest
 
 from repro import ShardedIRS
-from repro.faults import FaultPlan, FaultyBackend, FaultyFile, FaultyProxy
+from repro.faults import FaultPlan, FaultyFile, FaultyProxy
 from repro.rng import derive_seed
 from repro.serve import ReproServer, ResilientClient, RetryPolicy
-from repro.shard.executors import SerialBackend
 
 DATA = [float(i) for i in range(200)]
 
@@ -31,9 +30,8 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def build_structure(plan=None):
-    backend = SerialBackend() if plan is None else FaultyBackend(SerialBackend(), plan)
-    return ShardedIRS(DATA, num_shards=3, seed=11, backend=backend)
+def build_structure():
+    return ShardedIRS(DATA, num_shards=3, seed=11)
 
 
 def workload():
@@ -53,7 +51,7 @@ def workload():
 
 async def run_stack(tmp_path, tag, plan):
     """Run the workload against one stack; return (replies, final_state)."""
-    structure = build_structure(plan)
+    structure = build_structure()
     server = ReproServer(
         structure, seed=5, data_dir=str(tmp_path / tag), fsync="always"
     )
@@ -94,7 +92,7 @@ def chaos_plan(seed):
         },
         # Force at least one fault at each non-transport seam so the
         # equivalence assertion can never pass vacuously.
-        at={"shard.stall": {1}, "wal.fsync": {2}},
+        at={"wal.fsync": {2}},
     )
 
 
@@ -114,7 +112,6 @@ def test_chaos_equivalence_under_all_seams(tmp_path):
     plan = assert_equivalent(tmp_path, 2026)
     # The run must actually have injected something at each seam class,
     # or the equivalence assertion is vacuous.
-    assert plan.fired.get("shard.stall", 0) >= 1
     assert plan.fired.get("wal.fsync", 0) >= 1
     assert any(site.startswith("proxy.") for site in plan.fired)
 

@@ -207,16 +207,15 @@ def test_module_entry_point(data_file):
 
 
 class TestShardedCLI:
-    """The --shards / --backend flags build a ShardedIRS facade."""
+    """The --shards flag builds a ShardedIRS facade."""
 
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
-    def test_count_and_sample_sharded(self, capsys, data_file, backend):
+    def test_count_and_sample_sharded(self, capsys, data_file):
         assert main(["count", "--data", data_file, "--lo", "10", "--hi", "19",
-                     "--shards", "3", "--backend", backend]) == 0
+                     "--shards", "3"]) == 0
         assert capsys.readouterr().out.strip() == "10"
         assert main(["sample", "--data", data_file, "--lo", "10", "--hi", "19",
                      "-t", "5", "--seed", "7", "--structure", "dynamic",
-                     "--shards", "3", "--backend", backend]) == 0
+                     "--shards", "3"]) == 0
         values = [float(line) for line in capsys.readouterr().out.split()]
         assert len(values) == 5
         assert all(10.0 <= v <= 19.0 for v in values)
@@ -244,7 +243,6 @@ class TestShardedCLI:
             s = build_structure(name, values, None, seed=1, block_size=8,
                                 shards=4)
             assert s.count(0.0, 100.0) == 64
-            s.close()
 
     def test_weighted_dynamic_sharded_with_weights(
         self, capsys, data_file, weight_file

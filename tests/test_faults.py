@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 import asyncio
-import time
 
 import pytest
 
-from repro import DynamicIRS, ShardedIRS
+from repro import DynamicIRS
 from repro.em.device import BlockDevice
-from repro.errors import InjectedFaultError, ShardTimeoutError, StorageError
-from repro.faults import FaultPlan, FaultyBackend, FaultyDevice, FaultyFile
+from repro.errors import InjectedFaultError, StorageError
+from repro.faults import FaultPlan, FaultyDevice, FaultyFile
 from repro.serve import ReproServer, ServeClient
-from repro.shard.executors import SerialBackend, ThreadBackend
 from repro.store import WriteAheadLog
 
 DATA = [float(i) for i in range(120)]
@@ -190,78 +188,6 @@ def test_wal_silent_corruption_caught_by_checksum(tmp_path):
     wal.close()
     with pytest.raises(CorruptRecordError):
         WriteAheadLog(tmp_path / "wal")
-
-
-# -- the shard seam -----------------------------------------------------------
-
-
-def serial_sharded(seed=11, **kwargs):
-    return ShardedIRS(DATA, num_shards=3, seed=seed, **kwargs)
-
-
-def test_backend_stall_leaves_partial_then_fails_over():
-    plan = FaultPlan(8, at={"shard.stall": {0}})
-    faulty = serial_sharded(backend=FaultyBackend(SerialBackend(), plan))
-    clean = serial_sharded(backend="serial")
-    with pytest.raises(ShardTimeoutError):
-        faulty.sample_bulk(0.0, 119.0, 32, seed=7)
-    # The fault triggered failover: the wrapper is gone, serial is in.
-    assert faulty.backend_name == "serial"
-    assert "ShardTimeoutError" in faulty.last_failover
-    assert faulty.stats.extra["failovers"] == faulty.stats.extra["timeouts"] == 1
-    # Seed-pure tasks: the failed-over scatter overwrites the partial
-    # output with exactly what the healthy backend would have drawn.
-    assert list(faulty.sample_bulk(0.0, 119.0, 32, seed=7)) == list(
-        clean.sample_bulk(0.0, 119.0, 32, seed=7)
-    )
-
-
-def test_thread_backend_timeout_raises_typed_error():
-    backend = ThreadBackend(max_workers=2)
-    try:
-        done = []
-
-        def slow(task):
-            time.sleep(0.5)
-            done.append(task)
-
-        with pytest.raises(ShardTimeoutError):
-            backend.run(slow, [1, 2, 3, 4], 0.05)
-        # And without a timeout the same backend still works.
-        backend.run(done.append, [9, 9])
-    finally:
-        backend.close()
-
-
-def test_sharded_task_timeout_validation_and_passthrough():
-    with pytest.raises(ValueError):
-        ShardedIRS(DATA, num_shards=2, task_timeout=0.0)
-    # A generous timeout on a healthy threads backend changes nothing.
-    timed = ShardedIRS(DATA, num_shards=3, seed=11, backend="threads",
-                       task_timeout=30.0)
-    plain = ShardedIRS(DATA, num_shards=3, seed=11, backend="serial")
-    try:
-        assert list(timed.sample_bulk(1.0, 100.0, 24, seed=5)) == list(
-            plain.sample_bulk(1.0, 100.0, 24, seed=5)
-        )
-    finally:
-        timed.close()
-
-
-def test_server_absorbs_shard_fault_via_capture_and_failover():
-    # Inside a coalesced batch the first scatter fault is captured, the
-    # facade fails over, and the per-op replay answers from the serial
-    # backend — the client sees a correct reply, not an error.
-    plan = FaultPlan(13, at={"shard.stall": {0}})
-
-    async def main(structure):
-        async with ReproServer(structure, seed=5) as server:
-            return await ServeClient(server).sample(5.0, 110.0, 12, seed=77)
-
-    faulty = run(main(serial_sharded(backend=FaultyBackend(SerialBackend(), plan))))
-    clean = run(main(serial_sharded(backend="serial")))
-    assert plan.fired.get("shard.stall") == 1
-    assert faulty == clean
 
 
 # -- server-side degradation --------------------------------------------------

@@ -8,7 +8,6 @@ import json
 from promparse import parse
 
 from repro import DynamicIRS, ExternalIRS, ShardedIRS
-from repro.errors import ShardExecutionError
 from repro.faults import FaultPlan
 from repro.serve import ReproServer, ServeClient
 
@@ -106,7 +105,6 @@ def test_metrics_exposes_every_layer(tmp_path):
             assert count >= 10  # one span per shard task over 10 requests
             scatter = families["repro_shard_scatter_tasks_total"]
             assert scatter.value(structure="sharded") >= 10
-            assert families["repro_shard_failovers_total"].value(structure="sharded") == 0
             assert families["repro_shard_count"].value(structure="sharded") == 4
             assert len(families["repro_shard_size"].label_values("shard")) == 4
 
@@ -215,29 +213,6 @@ def test_healthz_degrades_on_wal_fsync_fault(tmp_path):
             assert families["repro_faults_fired_total"].value(site="wal.fsync") >= 1
             assert families["repro_serve_wal_failures_total"].value() >= 1
             assert families["repro_serve_health"].value() == 1
-
-    run(main())
-
-
-def test_healthz_degrades_on_shard_failover():
-    async def main():
-        sharded = ShardedIRS(DATA, num_shards=4, seed=2)
-        async with ReproServer(sharded, seed=5) as server:
-            await server.start_metrics()
-            _, _, body = await http_get(server.metrics_port, "/healthz")
-            assert json.loads(body)["status"] == "ok"
-
-            sharded._failover(ShardExecutionError("worker died"))
-
-            status, _, body = await http_get(server.metrics_port, "/healthz")
-            assert status == "503 Service Unavailable"
-            doc = json.loads(body)
-            assert doc["status"] == "degraded"
-            assert "ShardExecutionError" in doc["checks"]["failover"]["default"]
-
-            _, _, metrics = await http_get(server.metrics_port, "/metrics")
-            families = parse(metrics)
-            assert families["repro_shard_failovers_total"].value(structure="default") == 1
 
     run(main())
 

@@ -86,10 +86,7 @@ def test_stats_op_exposes_sharded_executor():
             block = snap["structures"]["sharded"]
             assert block["kind"] == "ShardedIRS"
             assert block["num_shards"] == 4
-            assert block["backend"]
             assert block["scatter_tasks"] >= 5
-            assert block["failovers"] == 0 and block["timeouts"] == 0
-            assert block["last_failover"] is None
             assert len(block["shard_sizes"]) == 4
             assert sum(block["shard_sizes"]) == len(DATA)
             # Plain structures don't get an executor block.

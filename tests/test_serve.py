@@ -253,7 +253,6 @@ def test_serves_sharded_structure():
             assert len(samples) == 64
             assert all(lo <= s <= hi for s in samples)
             assert await client.count(lo, hi) == sharded.count(lo, hi)
-        sharded.close()
 
     run(main())
 

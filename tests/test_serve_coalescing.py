@@ -391,7 +391,6 @@ def test_run_seeded_queries_reproducible_any_grouping():
     for q, want in zip(queries, first.samples):
         got = second.samples[len(queries) - 1 - queries.index(q)]
         assert list(got) == list(want)
-    sharded.close()
 
 
 def test_seeded_query_requires_bulk_capable_sampler():

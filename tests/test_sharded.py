@@ -3,18 +3,22 @@
 Covers the partition/routing invariants, exact equivalence of sharded vs
 unsharded ``count``/``report``, chi-square uniformity of ``sample_bulk``
 across shard boundaries, weighted proportionality, update routing with
-cross-shard atomicity, the skew-triggered rebalancer, and the rank
-machinery behind without-replacement sampling.
+cross-shard atomicity, the skew-triggered rebalancer, the rank
+machinery behind without-replacement sampling, recovery of manifests
+that record a backend, and the batch runner over the facade.
 """
 
 from __future__ import annotations
 
 import inspect
+import json
 
 import numpy as np
 import pytest
 
 from repro import (
+    BatchOp,
+    BatchQueryRunner,
     DynamicIRS,
     EmptyRangeError,
     InvalidQueryError,
@@ -24,8 +28,11 @@ from repro import (
     WeightedStaticIRS,
     sample_without_replacement,
 )
+from repro.cli import main as cli_main
+from repro.rng import derive_seed
 from repro.shard import run_aligned_cuts
 from repro.stats import chi_square_gof, uniformity_test
+from repro.store import DurableStore
 from repro.workloads import duplicate_heavy, hotspot_points, uniform_points
 
 P_PASS = 1e-4
@@ -384,14 +391,105 @@ class TestMassProbes:
         weights = [1.0 + (i % 5) for i in range(600)]
         queries = [(0.0, 10.0), (5.0, 5.0), (-2.0, 0.5), (25.0, 99.0)]
         for kind in ("weighted", "weighted-dynamic"):
-            with ShardedIRS(
+            s = ShardedIRS(
                 values, num_shards=4, weights=weights, seed=7, shard_kind=kind
-            ) as s:
-                masses = s.peek_weights(queries)
-                for (lo, hi), m in zip(queries, masses):
-                    assert float(m) == pytest.approx(s.range_weight(lo, hi), rel=1e-12)
+            )
+            masses = s.peek_weights(queries)
+            for (lo, hi), m in zip(queries, masses):
+                assert float(m) == pytest.approx(s.range_weight(lo, hi), rel=1e-12)
 
     def test_peek_weights_requires_weighted_shards(self):
-        with ShardedIRS([1.0, 2.0], num_shards=2, seed=8) as s:
-            with pytest.raises(InvalidQueryError):
-                s.peek_weights([(0.0, 1.0)])
+        s = ShardedIRS([1.0, 2.0], num_shards=2, seed=8)
+        with pytest.raises(InvalidQueryError):
+            s.peek_weights([(0.0, 1.0)])
+
+
+class TestSeeds:
+    def test_derive_seed_is_stable_and_distinct(self):
+        assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
+        assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
+        assert derive_seed(1, 2, 3) != derive_seed(2, 2, 3)
+        assert 0 <= derive_seed(2**64 - 1, -1, 5) < 2**64
+
+    def test_snapshot_refresh_after_updates(self, data):
+        s = ShardedIRS(data, num_shards=4, seed=74)
+        before = s.sample_bulk(0.0, 1.0, 200)
+        assert len(before) == 200
+        s.insert_bulk([5.0] * 50)  # new region beyond the old max
+        samples = s.sample_bulk(4.0, 6.0, 100)
+        assert np.all(samples == 5.0)
+
+
+class TestRecordedBackendRecovery:
+    """Manifests from earlier versions record a ``backend``; it is ignored."""
+
+    @pytest.mark.parametrize(
+        "recorded", ["serial", "threads", "processes", "faulty-serial"]
+    )
+    def test_recovers_whatever_backend_is_recorded(self, data, tmp_path, recorded):
+        original = ShardedIRS(data, num_shards=4, seed=83)
+        with DurableStore(tmp_path / "d") as store:
+            store.snapshot({"s": original})
+            _seq, manifest = store.snapshots.latest()
+        assert "backend" not in manifest["structures"]["s"]["params"]
+        # The plane CRCs do not cover the manifest, so the field can be
+        # added the way an earlier version wrote it.
+        (path,) = (tmp_path / "d").rglob("manifest.json")
+        doc = json.loads(path.read_text())
+        doc["structures"]["s"]["params"]["backend"] = recorded
+        path.write_text(json.dumps(doc))
+        with DurableStore(tmp_path / "d") as store:
+            _seq, manifest = store.snapshots.latest()
+            assert manifest["structures"]["s"]["params"]["backend"] == recorded
+            recovered = store.recover({}, seed=1).structures["s"]
+        fresh = ShardedIRS(data, num_shards=4, seed=84)
+        for seed in (5, 6):
+            assert (
+                recovered.sample_bulk(0.1, 0.9, 500, seed=seed).tobytes()
+                == fresh.sample_bulk(0.1, 0.9, 500, seed=seed).tobytes()
+            )
+
+    def test_cli_refuses_backend_flag(self, tmp_path):
+        points = tmp_path / "points.txt"
+        points.write_text("0.1 0.4 0.6 0.9")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sample", "--data", str(points), "--lo", "0", "--hi", "1",
+                      "--shards", "2", "--backend", "serial"])
+        assert exc.value.code == 2
+
+
+class TestRunnerIntegration:
+    def test_runner_uses_scatter_many(self, data):
+        s = ShardedIRS(data, num_shards=4, seed=78)
+        runner = BatchQueryRunner(s)
+        result = runner.run([(0.1, 0.5, 64), (0.5, 0.9, 32), (0.0, 1.0, 16)])
+        assert [len(r) for r in result.samples] == [64, 32, 16]
+        assert result.stats.queries == 3
+        assert s.stats.extra.get("scatter_tasks", 0) > 0
+
+    def test_run_counts_uses_peek(self, data):
+        s = ShardedIRS(data, num_shards=4, seed=79)
+        runner = BatchQueryRunner(s)
+        queries = [(0.1, 0.5), (0.6, 0.7), (2.0, 3.0)]
+        assert runner.run_counts(queries) == [s.count(lo, hi) for lo, hi in queries]
+
+    def test_mixed_stream_against_sharded(self, data):
+        s = ShardedIRS(data, num_shards=4, seed=80)
+        runner = BatchQueryRunner(s)
+        ops = [
+            BatchOp.insert(0.31),
+            BatchOp.insert(0.91),
+            BatchOp.sample(0.0, 1.0, 32),
+            BatchOp.delete(0.31),
+            BatchOp.delete(0.91),
+        ]
+        result = runner.run_mixed(ops)
+        assert len(result.samples[2]) == 32
+        assert result.stats.extra["updates"] == 4
+        assert len(s) == len(data)
+
+    def test_weighted_insert_rejected_on_plain_sharded(self, data):
+        s = ShardedIRS(data, num_shards=2, seed=81)
+        runner = BatchQueryRunner(s)
+        with pytest.raises(InvalidQueryError):
+            runner.run_mixed([BatchOp.insert(0.5, weight=2.0)])
