@@ -3,8 +3,9 @@
 The PR-5 refactor rewrote ``WeightedDynamicIRS`` from the chunk-treap
 directory onto the shared array-backed engine (DESIGN.md §8): bulk
 sampling resolves every middle draw with cumulative ``searchsorted``
-passes (a flattened global weight table when warm) instead of one treap
-descent per sample, and bulk updates ride the same splice-and-repair pass
+passes (chunk by the weight prefix, then point in the tables of only the
+chunks drawn) instead of one treap descent per sample, and bulk updates
+ride the same splice-and-repair pass
 as the unweighted structure.  This series records the weighted paths next
 to their unweighted counterparts (the "within 2–3× of unweighted" target)
 and next to the **frozen PR-4 treap baseline** below.
@@ -67,7 +68,7 @@ def dataset():
 def weighted(dataset):
     data, weights = dataset
     w = WeightedDynamicIRS.from_sorted(data, weights, seed=162)
-    w.sample_bulk(*WIDE, 1024)  # warm the flat table + per-chunk views
+    w.sample_bulk(*WIDE, 1024)  # warm the weight prefix + per-chunk views
     return w
 
 
@@ -165,11 +166,12 @@ def test_unweighted_insert_bulk(benchmark, rec, dataset):
 
 @pytest.mark.benchmark(group="F16 weighted bulk sampling")
 def test_update_query_alternation(benchmark, rec, dataset):
-    """Flat-table invalidation pressure: insert → bulk query, repeatedly.
+    """Cache invalidation pressure: insert → bulk query, repeatedly.
 
-    Exercises the grouped two-pass fallback (the flat global table is
-    stale on every query); recorded so a regression that silently rebuilds
-    the O(n) table per transition shows up as a cliff in this row.
+    Every insert drops the weight prefix, so each query rebuilds it
+    (``O(n / log n)``) and takes cumulative tables of only the chunks its
+    draws land in; recorded so a regression that silently does ``O(n)``
+    work per transition shows up as a cliff in this row.
     """
     data, weights = dataset
 

@@ -201,7 +201,7 @@ def main() -> int:
     d_ref = DynamicIRS(data, seed=28)
     lo, hi = 0.1, 0.9
     t_bulk, t_scalar = 16_384, 2_048
-    wd.sample_bulk(lo, hi, 512)  # warm the flat table + per-chunk views
+    wd.sample_bulk(lo, hi, 512)  # warm the weight prefix + per-chunk views
     d_ref.sample_bulk(lo, hi, 512)
     bulk_sps = t_bulk / time_callable(lambda: wd.sample_bulk(lo, hi, t_bulk), repeat=3)
     scalar_sps = t_scalar / time_callable(lambda: wd.sample(lo, hi, t_scalar), repeat=3)

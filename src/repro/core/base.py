@@ -20,6 +20,7 @@ __all__ = [
     "RangeSampler",
     "DynamicRangeSampler",
     "validate_query",
+    "validate_count",
     "validate_ranks",
     "validate_point",
     "round_to_plane",
@@ -131,15 +132,23 @@ def validate_query(lo: float, hi: float, t: int) -> None:
 
     ``lo <= hi`` and ``t >= 0`` are required.  ``t == 0`` is legal and must
     return an empty list even on an empty range, mirroring the convention of
-    the paper ("extract t samples", with t a nonnegative integer).  ``t``
-    follows the rule :func:`validate_ranks` applies to ranks: a Python or
-    NumPy integer passes, a bool or a float (integral or not) does not, so
-    a count is never truncated.
+    the paper ("extract t samples", with t a nonnegative integer); ``t``
+    must pass :func:`validate_count`.
     """
     if lo != lo or hi != hi:  # NaN check without importing math
         raise InvalidQueryError("interval endpoints must not be NaN")
     if lo > hi:
         raise InvalidQueryError(f"invalid interval: {lo!r} > {hi!r}")
+    validate_count(t)
+
+
+def validate_count(t) -> None:
+    """Raise :class:`InvalidQueryError` unless ``t`` is a sample count ``>= 0``.
+
+    The rule :func:`validate_ranks` applies to ranks: a Python or NumPy
+    integer passes, a bool or a float (integral or not) does not, so a
+    count is never truncated.
+    """
     if isinstance(t, bool) or not isinstance(t, (int, _np.integer)):
         raise InvalidQueryError(f"sample count must be an int, got {t!r}")
     if t < 0:

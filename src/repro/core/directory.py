@@ -47,9 +47,9 @@ The engine provides:
   chunks framed since the last count change add up to the directory's
   size — then it builds the whole prefix once and keeps it (ski rental,
   with the directory's own size as the price of buying).  The weight
-  prefix of a weighted directory keeps scalar changes as bounded
-  *pending per-chunk deltas* that its readers fold in; a bulk pass drops
-  it, since the seeded weighted draws read its float bits;
+  prefix of a weighted directory is a plain memo too, which every
+  weighted row change empties: the weighted draws read its float bits,
+  so it is only ever a fresh ``cumsum`` over ``wtotals``;
 * every update, none of them a Python loop over chunks: a scalar insert
   or delete shifts one row in place; a bulk insert merges the sorted
   batch into all touched rows in one pass; a bulk delete finds every
@@ -59,10 +59,6 @@ The engine provides:
   balanced pieces — the scalar split, the merge of an under-full chunk,
   the bulk split, the removal of an emptied chunk and the normalization
   after a bulk delete.
-
-``mutations`` is a monotone version stamp bumped by every mutating call;
-samplers key their own derived caches (e.g. the weighted sampler's
-flattened global cumulative-weight array) off it.
 """
 
 from __future__ import annotations
@@ -73,11 +69,6 @@ from ..errors import KeyNotFoundError
 from . import kernels
 
 __all__ = ["ChunkDirectory", "build_sizes"]
-
-#: Scalar weight changes ride on the cached weight prefix as per-chunk
-#: deltas up to this many entries; beyond it the cache is dropped and the
-#: next reader re-runs the cumsum.
-_PENDING_CAP = 64
 
 
 def build_sizes(n: int, s: int, cap: int):
@@ -153,8 +144,7 @@ class ChunkDirectory:
     The owning sampler holds the chunk *policy* (how to draw from a plan);
     the directory holds the chunk *storage and geometry*: the slab rows,
     their key extents, counts (and masses), and every repair pass that
-    keeps the ``[s, 2s]`` size invariant.  All mutating entry points bump
-    :attr:`mutations` so samplers can invalidate derived caches.
+    keeps the ``[s, 2s]`` size invariant.
     """
 
     __slots__ = (
@@ -170,16 +160,13 @@ class ChunkDirectory:
         "mins",
         "counts",
         "wtotals",
-        "mutations",
         "_prefix",
         "_framed",
         "_wprefix",
-        "_wpending",
     )
 
     def __init__(self, dtype, weighted: bool = False) -> None:
         self.weighted = weighted
-        self.mutations = 0
         self.load(_np.empty(0, dtype=dtype), _np.empty(0), 1, 2)
 
     # -- (re)construction --------------------------------------------------
@@ -395,28 +382,19 @@ class ChunkDirectory:
         """Drop both prefix caches (chunk indices or many rows changed)."""
         self._prefix = self._wprefix = None
         self._framed = 0
-        self._wpending = {}
-        self.mutations += 1
 
-    def note_delta(self, i: int, dcount: int, dweight: float = 0.0) -> None:
-        """Record a scalar count/weight change of chunk ``i``.
+    def note_delta(self, dcount: int, dweight: float = 0.0) -> None:
+        """Record a scalar count/weight change of one chunk.
 
         A count change empties the count prefix and restarts the count of
-        framed chunks (:meth:`frame`).  A weight change only shifts the
-        weight prefix from ``i`` on, so it rides on that cache as a pending
-        per-chunk delta that readers fold in, until past ``_PENDING_CAP``
-        entries the cache is dropped.
+        framed chunks (:meth:`frame`); a weight change empties the weight
+        prefix.
         """
-        self.mutations += 1
         if dcount:
             self._prefix = None
             self._framed = 0
-        if dweight and self._wprefix is not None:
-            wpending = self._wpending
-            wpending[i] = wpending.get(i, 0.0) + dweight
-            if len(wpending) > _PENDING_CAP:
-                self._wprefix = None
-                wpending.clear()
+        if dweight:
+            self._wprefix = None
 
     def points_between(self, a: int, b: int) -> int:
         """Points in chunks strictly between indices ``a`` and ``b``.
@@ -448,47 +426,29 @@ class ChunkDirectory:
     # -- lazy weight prefix (weighted directories only) --------------------
 
     def ensure_wprefix(self):
-        """Return the inclusive prefix-sum over chunk masses (cached)."""
+        """Return the inclusive prefix sum over chunk masses (cached).
+
+        A plain memo, like :meth:`ensure_prefix`: one ``cumsum(wtotals)``
+        when the cache is empty, and every weighted row change empties it.
+        Callers must not mutate the array.
+        """
         if self._wprefix is None:
             self._wprefix = _np.cumsum(self.wtotals)
-            self._wpending.clear()
         return self._wprefix
-
-    def folded_wprefix(self):
-        """Return the weight prefix with pending deltas folded in.
-
-        When no deltas are pending this is the cached array itself
-        (callers must not mutate it); otherwise a query-local copy.
-        """
-        wprefix = self.ensure_wprefix()
-        if self._wpending:
-            wprefix = wprefix.copy()
-            for j, delta in self._wpending.items():
-                wprefix[j:] += delta
-        return wprefix
 
     def weight_between(self, a: int, b: int) -> float:
         """Mass of chunks strictly between indices ``a`` and ``b``."""
         if b - a <= 1:
             return 0.0
         wprefix = self.ensure_wprefix()
-        total = float(wprefix[b - 1] - wprefix[a])
-        if self._wpending:
-            for j, delta in self._wpending.items():
-                if a < j < b:
-                    total += delta
-        return total
+        return float(wprefix[b - 1] - wprefix[a])
 
     @property
     def total_weight(self) -> float:
         """Sum of all chunk masses (0.0 for an empty directory)."""
         if not len(self):
             return 0.0
-        wprefix = self.ensure_wprefix()
-        total = float(wprefix[-1])
-        for delta in self._wpending.values():
-            total += delta
-        return total
+        return float(self.ensure_wprefix()[-1])
 
     # -- scalar updates ------------------------------------------------------
 
@@ -543,7 +503,7 @@ class ChunkDirectory:
             wrow[pos] = weight
         self.counts[i] = c + 1
         self._refresh(i, row, c + 1)
-        self.note_delta(i, 1, weight)
+        self.note_delta(1, weight)
 
     def delete(self, value: float, s: int) -> float:
         """Delete the first stored occurrence of ``value``; return its weight.
@@ -564,7 +524,7 @@ class ChunkDirectory:
             wrow[j:c] = wrow[j + 1 : c + 1]
             wrow[c] = 0.0
         self.counts[i] = c
-        self.note_delta(i, -1, -weight)
+        self.note_delta(-1, -weight)
         if c == 0:
             self.recut([i], [i], row[:0], _np.empty(0), [0])
             return weight
@@ -577,13 +537,13 @@ class ChunkDirectory:
         """Re-weight the point at offset ``j`` of chunk ``i`` in place.
 
         Returns the old weight; the chunk's mass is recomputed and the
-        difference rides on the weight prefix as a pending delta.
+        weight prefix drops.
         """
         r = self.row_of[i]
         old = float(self.wslab[r, j])
         self.wslab[r, j] = weight
         self._refresh(i, self.slab[r], int(self.counts[i]))
-        self.note_delta(i, 0, weight - old)
+        self.note_delta(0, weight - old)
         return old
 
     def _repair_underfull(self, i: int, s: int) -> None:
@@ -626,8 +586,7 @@ class ChunkDirectory:
         self.counts[j] = cj - 1
         self._refresh(i, self.slab[ri], ci + 1)
         self._refresh(j, self.slab[rj], cj - 1)
-        self.note_delta(i, 1, moved)
-        self.note_delta(j, -1, -moved)
+        self.note_delta(1, moved)
 
     # -- bulk updates --------------------------------------------------------
 
@@ -880,16 +839,9 @@ class ChunkDirectory:
             assert self._prefix.tolist() == ends.tolist(), "count prefix cache stale"
         # The weight cache is read only when it is already there: installing
         # it here (``total_weight`` would) would hide a reader that skipped
-        # ``ensure_wprefix``.
+        # ``ensure_wprefix``.  The weighted draws read its bits, so it must
+        # be exactly the sequential sum.
         if self.weighted and self._wprefix is not None:
-            folded_w = self.folded_wprefix()
-            expect_w = _np.cumsum(masses)
-            assert bool(
-                (_np.abs(folded_w - expect_w) <= 1e-6 * _np.maximum(1.0, expect_w)).all()
-            ), "weight prefix cache (with pending deltas) stale"
-            total = float(expect_w[-1]) if k else 0.0
-            assert abs(self.total_weight - total) <= 1e-6 * max(1.0, total), (
-                "total weight stale"
+            assert self._wprefix.tolist() == _np.cumsum(self.wtotals).tolist(), (
+                "weight prefix cache stale"
             )
-        elif self.weighted:
-            assert not self._wpending, "pending weight deltas without a cache"

@@ -153,12 +153,12 @@ def rejection_split(codes, counts, window_lo, cap, needed):
 
 
 def flat_pick(vals, gcum, targets, lo, hi):
-    """Fused weighted draw against the flattened global cumulative table.
+    """Fused weighted draw against one cumulative table.
 
     For each mass position in ``targets``: ``bisect_right`` into ``gcum``,
-    clamp into ``[lo, hi]`` (the flat index window of the query's middle
-    chunks), gather the value.  Returns float64 regardless of the value
-    plane's dtype.
+    clamp into ``[lo, hi]`` (the index window of the query's run), gather
+    the value.  The weighted samplers draw a boundary row's run with it.
+    Returns float64 regardless of the value plane's dtype.
     """
     idx = _np.searchsorted(gcum, targets, side="right")
     return vals[_np.clip(idx, lo, hi)].astype(_np.float64, copy=False)

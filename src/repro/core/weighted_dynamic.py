@@ -26,9 +26,8 @@ values stored as rows of the shared slab of
 :class:`~repro.core.directory.ChunkDirectory`: a value slab (float32 or
 float64, chosen at construction) and an aligned float64 weight slab, one
 row per chunk.  The directory adds a per-chunk total-mass array
-(``wtotals``) with a lazily cached cumulative-weight prefix (scalar
-changes ride on it as pending per-chunk deltas; a bulk pass drops it,
-because the seeded draws read its float bits).  ``count`` reads count
+(``wtotals``) with a lazily cached cumulative-weight prefix, a plain memo
+that every weighted row change empties.  ``count`` reads count
 geometry only, never a weight, and ``peek_counts`` and ``report``
 resolve ranks in the directory's rank frames.  A sampling query:
 
@@ -49,11 +48,10 @@ drivers.  Query bounds and stored values are coerced through the
 value-plane dtype on entry, so every comparison runs against exactly the
 stored representation.
 
-``sample_bulk`` vectorizes both passes, and for heavy batches flattens the
-rows' tables into one *global* cumulative-weight array (cached across
-queries, invalidated by the directory's mutation stamp) so every middle
-draw is one fused cumulative-search kernel call — no per-sample descent
-of any kind.
+``sample_bulk`` runs both searches once for a whole batch: one
+``searchsorted`` routes the sorted middle draws to chunks, and one more
+places them in the cumulative tables of only the chunks they land in —
+no per-sample descent, and no table over all ``n`` points.
 """
 
 from __future__ import annotations
@@ -77,9 +75,6 @@ __all__ = ["WeightedDynamicIRS"]
 _MIN_CHUNK = 8
 #: Batches at or below this size take the scalar update loop.
 _BULK_CUTOFF = 16
-#: Middle-draw batches at least this large amortize (re)building the
-#: flattened global cumulative-weight array when it is stale.
-_FLAT_MIN = 2048
 
 
 class WeightedDynamicIRS:
@@ -143,8 +138,6 @@ class WeightedDynamicIRS:
         self._bulk_gen = None  # lazily-spawned NumPy side stream (sample_bulk)
         self._dtype = _np.dtype(dtype)
         self._dir = ChunkDirectory(self._dtype, weighted=True)
-        self._flat = None  # (values, global cum, offsets, chunk bases)
-        self._flat_stamp = -1
 
     def _coerced_weights(self, n: int, weights):
         """Materialize and validate a float64 weight plane of length ``n``."""
@@ -261,10 +254,10 @@ class WeightedDynamicIRS:
     def update_weight(self, value: float, weight: float) -> float:
         """Re-weight one occurrence of ``value``; returns the old weight.
 
-        ``O(log n)`` — one directory search, one in-row bisect, one weight
-        written in place and one pending weight delta; the chunk list's
-        shape is untouched, so no structural repair can trigger.  Raises
-        :class:`~repro.errors.KeyNotFoundError` if absent.
+        ``O(log n)`` — one directory search, one in-row bisect and one
+        weight written in place (the weight prefix drops); the chunk
+        list's shape is untouched, so no structural repair can trigger.
+        Raises :class:`~repro.errors.KeyNotFoundError` if absent.
         """
         self._check_weight(weight)
         i, j = self._dir.locate(round_to_plane(value, self._dtype))
@@ -452,7 +445,7 @@ class WeightedDynamicIRS:
             return out
         a_idx = _np.searchsorted(directory.maxes, los, side="left")
         b_idx = _np.searchsorted(directory.mins, his, side="right") - 1
-        wprefix = directory.folded_wprefix()
+        wprefix = directory.ensure_wprefix()
         for i in range(q):
             a, b = int(a_idx[i]), int(b_idx[i])
             if a >= k or b < a:
@@ -520,7 +513,7 @@ class WeightedDynamicIRS:
                 # round-off at a boundary (probability ~ulp) stays exact
                 # to the same fidelity as the boundary draws themselves.
                 if wprefix is None:
-                    wprefix = directory.folded_wprefix()
+                    wprefix = directory.ensure_wprefix()
                     base_mid = float(wprefix[a])
                 target = base_mid + (u - w_left)
                 ci = int(_np.searchsorted(wprefix, target, side="right"))
@@ -544,9 +537,10 @@ class WeightedDynamicIRS:
         overrides the side stream (seed-addressable draws).  The three-way
         mass split is resolved vectorized: one batch of uniform mass
         positions, boundary parts gathered against the boundary rows'
-        cumulative tables, and middle draws resolved by the two-pass
-        cumulative-``searchsorted`` scheme of :meth:`_middle_bulk` — zero
-        per-sample descents of any kind.
+        cumulative tables, and middle draws resolved by the two batched
+        cumulative searches of :meth:`_middle_bulk` (chunk, then point in
+        the tables of only the chunks drawn) — zero per-sample descents of
+        any kind.
         """
         validate_query(lo, hi, t)
         if t == 0:
@@ -586,76 +580,50 @@ class WeightedDynamicIRS:
             out[right_mask] = kernels.flat_pick(
                 directory.row(b), cum, residual, 0, rb - 1
             )
-        n_mid = int(mid_mask.sum())
-        if n_mid:
-            out[mid_mask] = self._middle_bulk(a, b, u[mid_mask] - w_left, n_mid)
+        if mid_mask.any():
+            out[mid_mask] = self._middle_bulk(a, b, u[mid_mask] - w_left)
         return out
 
-    def _middle_bulk(self, a: int, b: int, residuals, count: int):
-        """Resolve middle-mass positions with two vectorized passes.
+    def _middle_bulk(self, a: int, b: int, residuals):
+        """Resolve middle-mass positions: the two searches for a whole batch.
 
-        With the flattened global cumulative-weight array warm (or a batch
-        large enough to amortize rebuilding it), every draw is **one**
-        fused cumulative-search kernel call against the global table,
-        clamped into the middle window.  Otherwise: pass 1 routes all
-        draws to chunks with one ``searchsorted`` over the directory
-        weight prefix; pass 2 gathers the drawn rows, takes their
-        cumulative tables and bisects each draw's own row with one
-        ``k × cap`` compare — ``O(t log n)`` total with both passes in C,
-        never a per-sample descent.
+        The targets ``wprefix[a] + residuals`` are sorted once and routed
+        to chunks by one ``searchsorted`` over the weight prefix, clamped
+        into the middle window ``[a + 1, b - 1]``.  Only the distinct
+        chunks they land in get cumulative tables, each row shifted by its
+        chunk's base mass ``wprefix[c - 1]``, and one more ``searchsorted``
+        over those rows, flattened in chunk order, places every target.
+        The rows are sorted end to end: a row's last live cell
+        ``fl(cum_last + base)`` — which its zero-weight padding repeats —
+        is bit for bit the next chunk's base ``fl(base + wtotals[c])``.
+        So every pick is the one a search over the whole directory's
+        shifted table would give, clamped into the window: a target routed
+        below or above it takes the window's first or last point.
+        ``O(t log t)`` plus the touched rows, never ``O(n)``.
         """
         directory = self._dir
-        if self._flat_stamp == directory.mutations or count >= _FLAT_MIN:
-            vals, gcum, offsets, base = self._ensure_flat()
-            o1 = int(offsets[a + 1])
-            o2 = int(offsets[b])
-            return kernels.flat_pick(vals, gcum, base[a + 1] + residuals, o1, o2 - 1)
-        wprefix = directory.folded_wprefix()
-        targets = float(wprefix[a]) + residuals
+        wprefix = directory.ensure_wprefix()
+        order = residuals.argsort()
+        targets = wprefix[a] + residuals[order]
         ci = kernels.search_right(wprefix, targets)
-        ci = _np.clip(ci, a + 1, b - 1)
-        inner = targets - wprefix[ci - 1]
-        rows = directory.row_of[ci]
-        counts = directory.counts[ci]
+        _np.clip(ci, a + 1, b - 1, out=ci)
+        chunks = ci[_np.flatnonzero(_np.diff(ci, prepend=-1))]
+        rows = directory.row_of[chunks]
         cum = kernels.cum_table(directory.wslab[rows])
-        idx = kernels.search_rows(cum, counts, inner, True)
-        return directory.slab[rows, _np.minimum(idx, counts - 1)].astype(float)
-
-    def _ensure_flat(self):
-        """Return the flattened ``(values, global cum, offsets, bases)``.
-
-        One array per plane over *all* points, rebuilt only when the
-        directory's mutation stamp moved: ``values`` is the full sorted
-        point array (structure dtype), ``global cum`` the strictly
-        increasing global cumulative weight (each row's sequential table
-        shifted by the chunk's cumulative base mass), ``offsets[i]`` the
-        flat position of chunk ``i``'s first point, and ``bases[i]`` the
-        total mass before chunk ``i``.  ``O(n)`` to build, cached across
-        queries.
-        """
-        directory = self._dir
-        if self._flat is not None and self._flat_stamp == directory.mutations:
-            return self._flat
-        counts = directory.counts
-        rows = directory.row_of
-        live = _np.arange(directory.cap) < counts[:, None]
-        vals = directory.slab[rows][live]
-        cums = kernels.cum_table(directory.wslab[rows])[live]
-        offsets = _np.concatenate(([0], _np.cumsum(counts)))
-        base = _np.concatenate(([0.0], _np.cumsum(directory.wtotals)))
-        gcum = cums + _np.repeat(base[:-1], counts)
-        self._flat = (vals, gcum, offsets, base)
-        self._flat_stamp = directory.mutations
-        return self._flat
+        cum += wprefix[chunks - 1, None]
+        idx = kernels.search_right(cum.ravel(), targets)
+        touched, off = _np.divmod(_np.minimum(idx, cum.size - 1), directory.cap)
+        _np.minimum(off, directory.counts[chunks[touched]] - 1, out=off)
+        out = _np.empty(residuals.size)
+        out[order] = directory.slab[rows[touched], off]
+        return out
 
     def sample_bulk_many(self, queries, *, seeds=None) -> list:
         """Answer many ``(lo, hi, t)`` queries in one batched pass.
 
         Results align with the input order; per-query distribution — and,
         for seeded queries (``seeds[i] is not None``), the exact draws —
-        are identical to calling :meth:`sample_bulk` per query.  The
-        batch's heavy middle draws all share one flattened global
-        cumulative-weight array (built at most once per call), which is
+        are identical to calling :meth:`sample_bulk` per query, which is
         what lets the batch engine and the serving layer coalesce weighted
         read runs without falling back to scalar loops.
         """
@@ -669,8 +637,6 @@ class WeightedDynamicIRS:
         for lo, hi, t in queries:
             validate_query(lo, hi, t)
         queries = [(lo, hi, int(t)) for lo, hi, t in queries]
-        if sum(t for _lo, _hi, t in queries) >= _FLAT_MIN and len(self._dir):
-            self._ensure_flat()  # one shared build for the whole batch
         return [
             self.sample_bulk(lo, hi, t, seed=seed)
             for (lo, hi, t), seed in zip(queries, seeds)

@@ -21,11 +21,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-try:  # pragma: no cover - numpy is installed in CI
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
+from ..core.base import validate_count
 from ..errors import EmptyRangeError, InvalidQueryError
 from ..rng import derive_seed, generator
 
@@ -63,7 +61,8 @@ def sample_stratified(sampler, strata: Sequence, t: int, *, seed=None) -> list:
         partition — overlapping strata are legal (an item then counts
         toward every stratum containing it).
     t:
-        Total sample budget, allocated proportionally to each stratum's
+        Total sample budget (a Python or NumPy integer ``>= 0``; a bool or
+        a float raises), allocated proportionally to each stratum's
         in-range count (weighted structures: in-range mass) by one
         multinomial draw, so the per-stratum counts sum to ``t`` exactly.
     seed:
@@ -88,14 +87,11 @@ def sample_stratified(sampler, strata: Sequence, t: int, *, seed=None) -> list:
         if lo > hi:
             raise InvalidQueryError(f"invalid stratum: {lo!r} > {hi!r}")
         bounds.append((lo, hi))
-    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-        raise InvalidQueryError(f"sample count must be a non-negative int: {t!r}")
+    validate_count(t)
     if not bounds:
         if t > 0:
             raise InvalidQueryError("cannot allocate samples across zero strata")
         return []
-    if _np is None:  # pragma: no cover - numpy is installed in CI
-        raise InvalidQueryError("stratified sampling requires numpy")
     gen = generator(seed) if seed is not None else _np.random.default_rng()
     shares = _np.asarray(_stratum_shares(sampler, bounds), dtype=float)
     total_share = float(shares.sum())

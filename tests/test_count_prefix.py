@@ -176,9 +176,7 @@ def test_weighted_count_leaves_weight_prefix_cold(dtype):
     lo, hi = QUERIES[0]
     w.range_weight(lo, hi)
     assert w._dir._wprefix is not None
-    stamp = w._dir.mutations
     _insert_bulk(w, np.random.default_rng(6).random(64).tolist())
-    assert w._dir.mutations > stamp, "a bulk pass bumps the mutations stamp"
     assert w._dir._wprefix is None, "a bulk pass drops the weight prefix"
     w.check_invariants()
     assert w._dir._wprefix is None, "checking must not warm the weight prefix"

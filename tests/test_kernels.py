@@ -159,8 +159,8 @@ def test_structures_reach_kernels_through_the_module(monkeypatch):
     """
     calls = Counter()
     names = (
-        "search_left_scalar", "search_right_scalar", "search_rows",
-        "merge_slots", "rejection_split",
+        "search_left_scalar", "search_right_scalar", "search_right",
+        "search_rows", "merge_slots", "rejection_split",
     )
     for name in names:
 
@@ -181,7 +181,7 @@ def test_structures_reach_kernels_through_the_module(monkeypatch):
         (lambda: dynamic.insert_bulk(batch), {"merge_slots"}),
         (lambda: weighted.insert_bulk(batch), {"merge_slots"}),
         (lambda: dynamic.sample_bulk(0.01, 0.99, 64), {"rejection_split"}),
-        (lambda: weighted.sample_bulk(0.01, 0.99, 64), {"search_rows"}),
+        (lambda: weighted.sample_bulk(0.01, 0.99, 64), {"search_right"}),
     ):
         calls.clear()
         op()

@@ -162,7 +162,7 @@ def test_framed_chunks_reaching_the_directory_size_buy_the_prefix_once(
 
     def counting(self):
         if self._prefix is None:
-            builds.append(self.mutations)
+            builds.append(len(self))
         return ensure(self)
 
     monkeypatch.setattr(ChunkDirectory, "ensure_prefix", counting)

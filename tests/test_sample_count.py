@@ -13,9 +13,12 @@ import pytest
 
 from repro import InvalidQueryError, ShardedIRS, WindowedIRS
 from repro.core.kinds import KINDS
+from repro.scenarios import sample_stratified
 
 DATA = np.arange(200, dtype=float)
 LO, HI = 10.0, 150.0
+#: Two strata inside ``[LO, HI]``; a stratified call's blocks are pooled.
+STRATA = [(LO, 60.0), (61.0, HI)]
 
 
 def _kind(name):
@@ -54,6 +57,17 @@ PATHS = {
         lambda s, t: s.sample_bulk_many(
             [(LO, HI, t), (LO, HI, 3)], seeds=[5, 6]
         )[0],
+    ),
+    "sample_stratified": (
+        "sample_bulk", lambda s, t: np.concatenate(sample_stratified(s, STRATA, t))
+    ),
+    "sample_stratified-seeded": (
+        "sample_bulk",
+        lambda s, t: np.concatenate(sample_stratified(s, STRATA, t, seed=3)),
+    ),
+    "method-sample_stratified": (
+        "sample_stratified",
+        lambda s, t: np.concatenate(s.sample_stratified(STRATA, t, seed=3)),
     ),
 }
 

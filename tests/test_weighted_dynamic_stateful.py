@@ -120,7 +120,7 @@ class WeightedDynamicMachine(RuleBasedStateMachine):
             sum(w for _v, w in expected), abs=1e-9
         )
         # The vectorized probes must agree with the scalar answers exactly
-        # (counts) / to float tolerance (masses), pending deltas included.
+        # (counts) / to float tolerance (masses), right after any update.
         assert int(self.structure.peek_counts([(lo, hi)])[0]) == len(expected)
         assert float(self.structure.peek_weights([(lo, hi)])[0]) == pytest.approx(
             sum(w for _v, w in expected), abs=1e-9
@@ -151,8 +151,8 @@ class WeightedDynamicMachine(RuleBasedStateMachine):
 
     @invariant()
     def structure_invariants_hold(self):
-        # Every step, so a stale prefix cache (deferred bulk steps and
-        # pending deltas included) fails on the step that left it.
+        # Every step, so a stale prefix cache fails on the step that
+        # left it.
         if hasattr(self, "structure"):
             self.structure.check_invariants()
 
