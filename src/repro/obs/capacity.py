@@ -83,10 +83,18 @@ def _buffered_points(structure) -> int:
 
 
 def resident_bytes(structure) -> int:
-    """Price a structure, recursing through sharded containers."""
+    """Price a structure, recursing through sharded containers.
+
+    A sharded facade also holds one float64 read snapshot per shard, plus
+    its weight prefix on weighted kinds; those arrays are priced too.
+    """
     shards = getattr(structure, "shards", None)
     if shards is not None and not callable(shards):
-        return sum(structure_bytes(s) for s in shards)
+        snaps = sum(
+            a.nbytes for snap in structure._snaps
+            for a in (snap.values, snap.cumw) if a is not None
+        )
+        return sum(structure_bytes(s) for s in shards) + snaps
     return structure_bytes(structure)
 
 

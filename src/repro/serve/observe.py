@@ -274,7 +274,7 @@ class ServerObservability:
             if self._published.get(key) != value:
                 self._published[key] = value
                 gauge.set(value)
-        # Per-shard size children track splits/merges/rebalances lazily:
+        # Per-shard size children track updates and rebalances lazily:
         # refresh only when the shard count or a size moved.
         sizes_family = getattr(self, "_shard_sizes", None)
         if sizes_family is not None:

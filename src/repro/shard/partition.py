@@ -9,9 +9,9 @@ the routing rule authoritative:
 * **run alignment** — cuts never land inside a run of equal values, so a
   shard's max is *strictly* below the next cut and routing a value always
   finds every copy of it in one shard (deletes need this);
-* **build/route agreement** — the initial slices are produced by the same
-  rule that later routes updates, so the partition invariant holds from
-  construction onward.
+* **build/route agreement** — the initial slices, and every rebalance's
+  re-cut, are produced by the same rule that later routes updates, so the
+  partition invariant holds from construction onward.
 """
 
 from __future__ import annotations

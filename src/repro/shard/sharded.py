@@ -22,9 +22,10 @@ concatenate (shards are disjoint and key-ordered).
 
 **Writes.**  Updates route by the partition bounds — one vectorized
 ``searchsorted`` for a bulk batch — and land on the shard structures'
-own (bulk) update paths.  A rebalancer splits oversized shards and merges
-small neighbors whenever the largest shard exceeds ``rebalance_factor ×``
-the mean, so skewed insert streams cannot concentrate the working set.
+own (bulk) update paths.  Whenever the largest shard exceeds twice the
+mean, a rebalance re-cuts the whole point set into ``P`` run-aligned
+shards with the constructor's own cut, so skewed insert streams cannot
+concentrate the working set.
 
 **Execution** runs the planned shard tasks inline, one after another.
 Every task seeds its own generator from :func:`repro.rng.derive_seed`
@@ -112,6 +113,8 @@ def _draw_from_snapshot(values, cumw, lo: float, hi: float, t: int, seed: int):
 
 #: Scalar updates between rebalance-skew checks (bulk ops always check).
 _REBALANCE_EVERY = 256
+#: Skew bound: a shard larger than this many times the mean triggers a re-cut.
+_REBALANCE_FACTOR = 2.0
 
 
 class _Snapshot:
@@ -138,8 +141,7 @@ class ShardedIRS(DynamicRangeSampler):
         Initial point set (any iterable of floats; duplicates allowed).
     num_shards:
         Target shard count ``P``.  Heavy duplication can force fewer
-        shards (cuts never split a run of equal values); rebalancing may
-        temporarily run more.
+        shards (cuts never split a run of equal values).
     weights:
         Optional per-point weights; requires a weighted ``shard_kind``.
     seed:
@@ -149,9 +151,6 @@ class ShardedIRS(DynamicRangeSampler):
     shard_kind:
         One of :data:`SHARD_KINDS` (the :data:`~repro.core.kinds.KINDS`
         names).
-    rebalance_factor:
-        Skew bound: a shard larger than ``factor ×`` the mean size
-        triggers a rebalance (split + merge pass).  Must be > 1.
     block_size:
         Block size forwarded to ``external`` shards.
     dtype:
@@ -173,20 +172,15 @@ class ShardedIRS(DynamicRangeSampler):
         weights: Iterable[float] | None = None,
         seed: int | None = None,
         shard_kind="dynamic",
-        rebalance_factor: float = 2.0,
         block_size: int = 1024,
         dtype=None,
     ) -> None:
         if _np is None:  # pragma: no cover - numpy is installed in CI
             raise RuntimeError("ShardedIRS requires NumPy")
-        resolved = _resolve_shard_dtype(values, dtype, shard_kind)
+        self._init_common(values, num_shards, seed, shard_kind, block_size, dtype)
         if not isinstance(values, _np.ndarray):
             values = list(values)
-        values, weights = sort_planes(round_to_plane(values, resolved), weights)
-        self._init_common(
-            num_shards, seed, shard_kind, rebalance_factor, block_size
-        )
-        self._dtype = resolved
+        values, weights = sort_planes(round_to_plane(values, self._dtype), weights)
         self._build_partitions(values, weights)
 
     @classmethod
@@ -198,14 +192,14 @@ class ShardedIRS(DynamicRangeSampler):
         weights=None,
         seed: int | None = None,
         shard_kind="dynamic",
-        rebalance_factor: float = 2.0,
         block_size: int = 1024,
         dtype=None,
     ) -> "ShardedIRS":
         """O(n) constructor over already-sorted input (skips the sort)."""
-        resolved = _resolve_shard_dtype(values, dtype, shard_kind)
+        self = cls.__new__(cls)
+        self._init_common(values, num_shards, seed, shard_kind, block_size, dtype)
         values = round_to_plane(
-            values if isinstance(values, _np.ndarray) else list(values), resolved
+            values if isinstance(values, _np.ndarray) else list(values), self._dtype
         )
         if values.size > 1 and bool((values[1:] < values[:-1]).any()):
             raise ValueError("from_sorted requires nondecreasing input")
@@ -216,27 +210,20 @@ class ShardedIRS(DynamicRangeSampler):
                     f"values and weights differ in length: "
                     f"{len(values)} != {len(weights)}"
                 )
-        self = cls.__new__(cls)
-        self._init_common(
-            num_shards, seed, shard_kind, rebalance_factor, block_size
-        )
-        self._dtype = resolved
         self._build_partitions(values, weights)
         return self
 
     def _init_common(
-        self, num_shards, seed, shard_kind, rebalance_factor, block_size
+        self, values, num_shards, seed, shard_kind, block_size, dtype
     ) -> None:
+        self._dtype = _resolve_shard_dtype(values, dtype, shard_kind)
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        if not rebalance_factor > 1.0:
-            raise ValueError("rebalance_factor must be > 1")
         self._target_shards = num_shards
         self._shard_kind = shard_kind
         self._kind = KINDS[shard_kind]
         self._block_size = block_size
         self._weighted = self._kind.weighted
-        self._rebalance_factor = float(rebalance_factor)
         self._rng = RandomSource(seed)
         self._entropy = self._rng._rng.getrandbits(64)
         self._stuck_largest: int | None = None  # rebalance damping marker
@@ -267,8 +254,15 @@ class ShardedIRS(DynamicRangeSampler):
             block_size=self._block_size, adopt=False,
         )
 
-    def _build_partitions(self, values, weights) -> None:
-        """Cut sorted input into run-aligned slices and build the shards."""
+    def _build_partitions(self, values, weights, bounds=None) -> None:
+        """Cut sorted input into slices and build the shards and snapshots.
+
+        The cut is run-aligned at the target shard count unless ``bounds``
+        gives the cut values, as a snapshot manifest records them: slice
+        ``i + 1`` then starts at the first value ``>= bounds[i]`` (the
+        routing rule), so recovery rebuilds the live partition exactly,
+        shards that deletes emptied included.
+        """
         if not self._weighted and weights is not None:
             raise InvalidQueryError(
                 f"shard_kind {self._shard_kind!r} does not accept weights"
@@ -277,8 +271,15 @@ class ShardedIRS(DynamicRangeSampler):
             # Weighted kinds without explicit weights default to unit mass,
             # matching the flat constructors' CLI convention.
             weights = _np.ones(len(values), dtype=float)
-        cuts = run_aligned_cuts(values, self._target_shards)
-        self._bounds: list[float] = cut_bounds(values, cuts)
+        if bounds is None:
+            cuts = run_aligned_cuts(values, self._target_shards)
+            bounds = cut_bounds(values, cuts)
+        else:
+            # Bounds are plane values, so the cast is exact; searching in
+            # float64 would copy a float32 plane first.
+            probe = _np.asarray(bounds, dtype=values.dtype)
+            cuts = _np.searchsorted(values, probe, side="left").tolist()
+        self._bounds: list[float] = [float(b) for b in bounds]
         edges = [0, *cuts, len(values)]
         self._shards = []
         self._snaps: list[_Snapshot] = []
@@ -685,13 +686,23 @@ class ShardedIRS(DynamicRangeSampler):
 
     # -- rank addressing (without-replacement support) ---------------------------
 
+    def _require_rank_addressable(self) -> None:
+        if self._weighted:
+            raise InvalidQueryError(
+                f"shard_kind {self._shard_kind!r} is not rank-addressable"
+            )
+
     def select_in_range(self, lo: float, hi: float, ranks: list[int]) -> list[float]:
         """Return the values at the given in-range ranks (0 = smallest).
 
         The facade's in-range rank space is the concatenation of the
         shards' in-range rank spaces in key order; each shard resolves its
-        ranks with its own rank machinery in one call.
+        ranks with its own rank machinery in one call.  Weighted shard
+        kinds are not rank-addressable, as their flat structures are not:
+        they raise :class:`~repro.errors.InvalidQueryError`, and so do
+        both without-replacement paths that resolve ranks here.
         """
+        self._require_rank_addressable()
         validate_query(lo, hi, 0)
         lo, hi = self._round_range(lo, hi)
         window = list(self._window(lo, hi))
@@ -733,6 +744,7 @@ class ShardedIRS(DynamicRangeSampler):
         """
         from ..core.without_replacement import sample_ranks_without_replacement
 
+        self._require_rank_addressable()
         validate_query(lo, hi, t)
         total = self.count(lo, hi)
         if self._require_nonempty(total, t):
@@ -895,14 +907,12 @@ class ShardedIRS(DynamicRangeSampler):
     # -- rebalancing -------------------------------------------------------------
 
     def _maybe_rebalance(self) -> None:
-        target = max(1, self._target_shards)
+        target = self._target_shards
         if self._n < 16 * target:
             return
-        # The trigger uses the same target mean as the split threshold in
-        # _rebalance, so the two cannot permanently disagree.
         mean = self._n / target
         largest = max(len(s) for s in self._shards)
-        if largest <= self._rebalance_factor * mean:
+        if largest <= _REBALANCE_FACTOR * mean:
             self._stuck_largest = None
             return
         if self._stuck_largest is not None and largest <= 1.25 * self._stuck_largest:
@@ -912,116 +922,25 @@ class ShardedIRS(DynamicRangeSampler):
             # the offender grows another 25%.
             return
         self._rebalance()
-        largest = max((len(s) for s in self._shards), default=0)
-        mean = self._n / target
-        self._stuck_largest = (
-            largest if largest > self._rebalance_factor * mean else None
-        )
+        largest = max(len(s) for s in self._shards)
+        self._stuck_largest = largest if largest > _REBALANCE_FACTOR * mean else None
 
     def _rebalance(self) -> None:
-        """Split oversized shards, then fold small neighbors back to ``P``.
+        """Re-cut the whole point set into ``P`` run-aligned shards.
 
-        Cost is ``O(touched shards)``: only shards that are split, merged
-        away, or emptied are exported and rebuilt — untouched shards keep
-        their structure and their snapshot.  An oversized shard is cut
-        into mean-sized run-aligned pieces rebuilt via the shard factory;
-        afterwards the smallest adjacent pairs are merged while that keeps
-        them under the skew bound and the shard count is above target.
-        Bounds are re-derived from the first element of each shard, which
-        run alignment keeps strictly above its left neighbor's maximum.
+        The sorted export goes through :meth:`_build_partitions`, the
+        constructor's own cut, so a rebalanced facade equals
+        :meth:`from_sorted` over its export.  Weighted shards export
+        their stored weights (not differences of the snapshot prefix,
+        which carry ulp drift).  Cost is ``O(n)``; it leaves every shard
+        within one run of the mean, so ``Ω(n / P)`` updates separate two
+        rebalances — global rebuilding, ``O(P)`` amortized per update.
         """
-        mean = max(1, self._n // max(1, self._target_shards))
-        # A piece is ``[size, original_index | None, values, weights]``;
-        # kept shards stay unmaterialized (values is None) unless a merge
-        # actually needs their arrays.
-        pieces: list[list] = []
-
-        def materialize(piece: list) -> list:
-            if piece[2] is None:
-                # Export from the shard itself (not the snapshot's cumsum):
-                # a weight rebuilt as a prefix difference carries ulp drift.
-                piece[2], piece[3] = self._export_shard(piece[1])
-                piece[1] = None
-            return piece
-
-        for i in range(len(self._shards)):
-            size = len(self._shards[i])
-            if size == 0:
-                # Shards emptied by deletes vanish here (their key interval
-                # folds into a neighbor's).
-                continue
-            if size > self._rebalance_factor * mean:
-                values, weights = self._export_shard(i)
-                cuts = run_aligned_cuts(values, -(-size // mean))
-                edges = [0, *cuts, size]
-                for lo_edge, hi_edge in zip(edges, edges[1:]):
-                    pieces.append(
-                        [
-                            hi_edge - lo_edge,
-                            None,
-                            values[lo_edge:hi_edge],
-                            weights[lo_edge:hi_edge] if weights is not None else None,
-                        ]
-                    )
-            else:
-                pieces.append([size, i, None, None])
-        if not pieces:  # everything deleted: keep one empty shard
-            pieces = [
-                [
-                    0,
-                    None,
-                    _np.empty(0, dtype=float),
-                    _np.empty(0, dtype=float) if self._weighted else None,
-                ]
-            ]
-        # Merge pass: fold the smallest adjacent pair while above target
-        # and the merged shard stays within the skew bound.
-        while len(pieces) > self._target_shards:
-            best, best_size = -1, None
-            for j in range(len(pieces) - 1):
-                size = pieces[j][0] + pieces[j + 1][0]
-                if best_size is None or size < best_size:
-                    best, best_size = j, size
-            if best_size > self._rebalance_factor * mean:
-                # Merging the cheapest pair would itself violate the skew
-                # bound: accept running above the target count instead.
-                break
-            left = materialize(pieces[best])
-            right = materialize(pieces[best + 1])
-            merged = [
-                best_size,
-                None,
-                _np.concatenate([left[2], right[2]]),
-                _np.concatenate([left[3], right[3]])
-                if left[3] is not None
-                else None,
-            ]
-            pieces[best : best + 2] = [merged]
-        shards = []
-        snaps: list[_Snapshot] = []
-        dirty: list[bool] = []
-        bounds: list[float] = []
-        for j, (_size, original, values, weights) in enumerate(pieces):
-            if original is not None:
-                shards.append(self._shards[original])
-                # Refreshing (only if stale) keeps a clean snapshot and
-                # yields the shard's min for the bound.
-                snap = self._refresh(original)
-                snaps.append(snap)
-                dirty.append(False)
-                if j > 0:
-                    bounds.append(float(snap.values[0]))
-            else:
-                shards.append(self._make_shard(values, weights))
-                snaps.append(self._snapshot_from_arrays(values, weights))
-                dirty.append(False)
-                if j > 0:
-                    bounds.append(float(values[0]))
-        self._shards = shards
-        self._snaps = snaps
-        self._dirty = dirty
-        self._bounds = bounds
-        self._bounds_arr = _np.asarray(bounds, dtype=float)
+        if self._weighted:
+            values, weights = self.export_sorted_pairs()
+        else:
+            values, weights = self.export_sorted(), None
+        self._build_partitions(values, weights)
         self.stats.extra["rebalances"] = self.stats.extra.get("rebalances", 0) + 1
 
     # -- validation (used by tests) ----------------------------------------------

@@ -59,8 +59,11 @@ def snapshot_spec(sampler) -> dict:
     The spec records the sampler's *kind* (a :data:`~repro.core.kinds.
     KINDS` name, or ``sharded`` for a :class:`~repro.shard.ShardedIRS`),
     whether it carries a weight plane, and the kind's rebuild parameters.
-    Any other sampler raises :class:`~repro.errors.StorageError`: with no
-    row to rebuild it from, its snapshot could not be recovered.
+    A sharded spec also records the partition's cut values (``bounds``):
+    seeded sharded draws depend on the partition, so recovery must rebuild
+    the live one rather than cut afresh.  Any other sampler raises
+    :class:`~repro.errors.StorageError`: with no row to rebuild it from,
+    its snapshot could not be recovered.
     """
     from ..shard import ShardedIRS
 
@@ -69,6 +72,7 @@ def snapshot_spec(sampler) -> dict:
             "num_shards": sampler._target_shards,
             "shard_kind": sampler._shard_kind,
             "block_size": sampler._block_size,
+            "bounds": list(sampler.bounds),
             **dtype_param(sampler),
         }
         return {"kind": "sharded", "weighted": sampler._weighted, "params": params}
@@ -87,9 +91,12 @@ def build_from_sorted(spec: dict, values, weights=None, *, seed=None):
 
     ``spec`` is a :func:`snapshot_spec` dict; ``values`` (and ``weights``
     for weighted kinds) are the decoded planes.  Unknown kinds raise
-    :class:`~repro.errors.StorageError`.  A sharded spec ignores the
-    ``backend`` entry that manifests written by earlier versions record:
-    shard tasks always run inline, and results never depended on it.
+    :class:`~repro.errors.StorageError`.  A sharded spec rebuilds the
+    recorded partition: its shards are cut at the recorded ``bounds``, so
+    seeded replies match the live facade's; a manifest without them (an
+    earlier version's) is cut afresh.  It ignores the ``backend`` entry
+    that earlier manifests record: shard tasks always run inline, and
+    results never depended on it.
     """
     kind = spec.get("kind")
     params = spec.get("params", {})
@@ -98,15 +105,13 @@ def build_from_sorted(spec: dict, values, weights=None, *, seed=None):
     if kind == "sharded":
         from ..shard import ShardedIRS
 
-        return ShardedIRS.from_sorted(
-            values,
-            num_shards=int(params.get("num_shards", 4)),
-            weights=weights,
-            seed=seed,
-            shard_kind=params.get("shard_kind", "dynamic"),
-            block_size=block_size,
-            dtype=dtype,
+        facade = ShardedIRS.__new__(ShardedIRS)
+        facade._init_common(
+            values, int(params.get("num_shards", 4)), seed,
+            params.get("shard_kind", "dynamic"), block_size, dtype,
         )
+        facade._build_partitions(values, weights, params.get("bounds"))
+        return facade
     row = KINDS.get(kind) if isinstance(kind, str) else None
     if row is None:
         raise StorageError(f"cannot rebuild snapshot of unknown kind {kind!r}")

@@ -29,10 +29,20 @@ def test_structure_bytes_weighted_two_planes():
     assert structure_bytes(s) == len(DATA) * 2 * POINT_BYTES
 
 
-def test_resident_bytes_recurses_shards():
-    s = ShardedIRS(DATA, num_shards=4, seed=1)
+@pytest.mark.parametrize(
+    "kind, dtype, snapshot_bytes",
+    [
+        # One float64 read snapshot per shard ...
+        ("dynamic", "float32", len(DATA) * POINT_BYTES),
+        # ... plus its n + 1 weight prefix on a weighted kind.
+        ("weighted-dynamic", None, (2 * len(DATA) + 4) * POINT_BYTES),
+    ],
+    ids=["dynamic-f4", "weighted-dynamic"],
+)
+def test_resident_bytes_recurses_shards(kind, dtype, snapshot_bytes):
+    s = ShardedIRS(DATA, num_shards=4, seed=1, shard_kind=kind, dtype=dtype)
     total = resident_bytes(s)
-    assert total == sum(structure_bytes(shard) for shard in s.shards)
+    assert total == sum(structure_bytes(shard) for shard in s.shards) + snapshot_bytes
     assert total >= len(DATA) * POINT_BYTES
 
 

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import DynamicIRS, StaticIRS, WeightedDynamicIRS
+from repro import DynamicIRS, ShardedIRS, StaticIRS, WeightedDynamicIRS
 from repro.batch import BatchOp, BatchQueryRunner
 from repro.errors import EmptyRangeError, InvalidQueryError, KeyNotFoundError
 from repro.serve import ReproServer, ServeClient
@@ -208,7 +208,19 @@ def test_rank_addressing_after_scalar_updates(dtype):
 # -- (b) a durable server's seeded replies survive a restart ---------------------
 
 
-def test_served_seeded_sample_identical_across_restart(tmp_path):
+_RESTART_BUILDS = {
+    "dynamic": lambda values: DynamicIRS(values, seed=1),
+    # Seeded sharded draws depend on the partition, which the manifest
+    # records: recovery must rebuild the live cut, not cut afresh.
+    "sharded": lambda values: ShardedIRS(values, num_shards=3, seed=1),
+    "sharded-weighted-dynamic": lambda values: ShardedIRS(
+        values, num_shards=3, seed=1, shard_kind="weighted-dynamic"
+    ),
+}
+
+
+@pytest.mark.parametrize("build", _RESTART_BUILDS.values(), ids=_RESTART_BUILDS)
+def test_served_seeded_sample_identical_across_restart(tmp_path, build):
     data_dir = str(tmp_path / "srv")
     rng = random.Random(2)
     batches = [[rng.random() * 100 for _ in range(64)] for _ in range(40)]
@@ -217,16 +229,14 @@ def test_served_seeded_sample_identical_across_restart(tmp_path):
     ).encode()
 
     async def before_restart():
-        async with ReproServer(
-            DynamicIRS(DATA, seed=1), seed=5, data_dir=data_dir
-        ) as server:
+        async with ReproServer(build(DATA), seed=5, data_dir=data_dir) as server:
             client = ServeClient(server)
             for values in batches:
                 await client.insert_bulk(values)
             return await server.submit(request)
 
     async def after_restart():
-        async with ReproServer(DynamicIRS(seed=1), seed=5, data_dir=data_dir) as server:
+        async with ReproServer(build(()), seed=5, data_dir=data_dir) as server:
             assert len(server._runner.structures["default"]) == len(DATA) + 40 * 64
             return await server.submit(request)
 

@@ -3,9 +3,10 @@
 Covers the partition/routing invariants, exact equivalence of sharded vs
 unsharded ``count``/``report``, chi-square uniformity of ``sample_bulk``
 across shard boundaries, weighted proportionality, update routing with
-cross-shard atomicity, the skew-triggered rebalancer, the rank
-machinery behind without-replacement sampling, recovery of manifests
-that record a backend, and the batch runner over the facade.
+cross-shard atomicity, the skew-triggered re-cut, the rank machinery
+behind without-replacement sampling (and its refusal on weighted
+shards), recovery of the recorded partition and of manifests that
+record a backend, and the batch runner over the facade.
 """
 
 from __future__ import annotations
@@ -87,8 +88,6 @@ class TestPartition:
             ShardedIRS([1.0], num_shards=0)
         with pytest.raises(ValueError):
             ShardedIRS([1.0], shard_kind="nope")
-        with pytest.raises(ValueError):
-            ShardedIRS([1.0], rebalance_factor=1.0)
         with pytest.raises(ValueError):
             ShardedIRS([1.0, 2.0], weights=[1.0])
         with pytest.raises(InvalidQueryError):
@@ -316,8 +315,8 @@ class TestRebalance:
 
     def test_rebalance_survives_emptied_shard(self):
         # Deleting everything a shard held must not break the next
-        # rebalance (bounds are re-derived from shard minima, and an
-        # emptied shard has none — its interval folds into a neighbor).
+        # rebalance (the re-cut runs over the whole export, so the
+        # emptied shard's interval folds into a neighbor's).
         data = [5.0] * 500 + [6.0] * 10 + [7.0] * 500
         s = ShardedIRS(data, num_shards=4, seed=66)
         s.delete_bulk([6.0] * 10)
@@ -337,6 +336,30 @@ class TestRebalance:
             s.insert_bulk([6.5 + i * 1e-6] * 4)
         s.check_invariants()
         assert s.stats.extra.get("rebalances", 0) <= 3
+
+    @pytest.mark.parametrize("kind", ["dynamic", "weighted-dynamic"])
+    def test_rebalance_recuts_like_from_sorted(self, kind):
+        # A rebalance re-cuts the whole point set with the constructor's
+        # cut: bounds, shard sizes and seeded draws all equal a fresh
+        # from_sorted facade over the same export.
+        s = ShardedIRS(uniform_points(2000, seed=51), num_shards=4, seed=52,
+                       shard_kind=kind)
+        s.insert_bulk(hotspot_points(8000, hot_fraction=1.0, seed=53))
+        assert s.stats.extra.get("rebalances", 0) == 1
+        if kind == "dynamic":
+            values, weights = s.export_sorted(), None
+        else:
+            values, weights = s.export_sorted_pairs()
+        twin = ShardedIRS.from_sorted(
+            values, num_shards=4, weights=weights, seed=99, shard_kind=kind
+        )
+        assert s.bounds == twin.bounds
+        assert [len(sh) for sh in s.shards] == [len(sh) for sh in twin.shards]
+        for seed in (5, 6):
+            assert (
+                s.sample_bulk(0.1, 0.9, 500, seed=seed).tobytes()
+                == twin.sample_bulk(0.1, 0.9, 500, seed=seed).tobytes()
+            )
 
     def test_hotspot_points_shape(self):
         pts = hotspot_points(1000, hot_lo=0.2, hot_hi=0.25, hot_fraction=0.8, seed=1)
@@ -383,6 +406,23 @@ class TestRankMachinery:
     def test_too_many_distinct_requested(self, sharded):
         with pytest.raises(InvalidQueryError):
             sharded.sample_without_replacement(0.45, 0.46, 10_000)
+
+    @pytest.mark.parametrize("kind", ["weighted", "weighted-dynamic"])
+    def test_weighted_facade_is_not_rank_addressable(self, data, kind):
+        # The flat weighted kinds refuse rank addressing; a facade over
+        # them refuses it too, instead of resolving ranks through report.
+        s = ShardedIRS(data, num_shards=3, seed=1, shard_kind=kind)
+        for call in (
+            lambda: s.select_in_range(0.2, 0.8, [0, 1]),
+            lambda: s.sample_without_replacement(0.2, 0.8, 3),
+            lambda: s.sample_without_replacement_bulk(0.2, 0.8, 3, seed=4),
+        ):
+            with pytest.raises(InvalidQueryError, match="rank-addressable"):
+                call()
+        result = BatchQueryRunner(s).run_mixed(
+            [BatchOp.sample_wr(0.2, 0.8, 3, seed=4)], capture_errors=True
+        )
+        assert isinstance(result.errors[0], InvalidQueryError)
 
 
 class TestMassProbes:
@@ -456,6 +496,48 @@ class TestRecordedBackendRecovery:
             cli_main(["sample", "--data", str(points), "--lo", "0", "--hi", "1",
                       "--shards", "2", "--backend", "serial"])
         assert exc.value.code == 2
+
+
+class TestRecordedBounds:
+    """A manifest records the partition, and recovery rebuilds it."""
+
+    def _checkpoint(self, facade, path):
+        with DurableStore(path) as store:
+            store.snapshot({"s": facade})
+        (manifest,) = path.rglob("manifest.json")
+        return manifest
+
+    def _recover(self, path):
+        with DurableStore(path) as store:
+            return store.recover({}, seed=1).structures["s"]
+
+    def test_recovery_keeps_the_live_partition(self, data, tmp_path):
+        live = ShardedIRS(data, num_shards=4, seed=85)
+        live.insert_bulk([0.01 + i * 1e-5 for i in range(800)])
+        live.delete_bulk([v for v in data if live.bounds[1] <= v < live.bounds[2]])
+        assert live.stats.extra.get("rebalances", 0) == 0
+        self._checkpoint(live, tmp_path / "d")
+        recovered = self._recover(tmp_path / "d")
+        recovered.check_invariants()
+        assert recovered.bounds == live.bounds
+        assert [len(sh) for sh in recovered.shards] == [len(sh) for sh in live.shards]
+        assert len(recovered.shards[2]) == 0
+        for seed in (5, 6):
+            assert (
+                recovered.sample_bulk(0.0, 1.0, 500, seed=seed).tobytes()
+                == live.sample_bulk(0.0, 1.0, 500, seed=seed).tobytes()
+            )
+
+    def test_manifest_without_bounds_is_cut_afresh(self, data, tmp_path):
+        live = ShardedIRS(data, num_shards=4, seed=86)
+        live.insert_bulk([0.01 + i * 1e-5 for i in range(800)])
+        path = self._checkpoint(live, tmp_path / "d")
+        doc = json.loads(path.read_text())
+        del doc["structures"]["s"]["params"]["bounds"]
+        path.write_text(json.dumps(doc))
+        recovered = self._recover(tmp_path / "d")
+        fresh = ShardedIRS.from_sorted(live.export_sorted(), num_shards=4)
+        assert recovered.bounds == fresh.bounds != live.bounds
 
 
 class TestRunnerIntegration:
