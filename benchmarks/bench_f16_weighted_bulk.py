@@ -4,7 +4,8 @@ The PR-5 refactor rewrote ``WeightedDynamicIRS`` from the chunk-treap
 directory onto the shared array-backed engine (DESIGN.md §8): bulk
 sampling resolves every middle draw with cumulative ``searchsorted``
 passes (chunk by the weight prefix, then point in the tables of only the
-chunks drawn) instead of one treap descent per sample, and bulk updates
+chunks drawn; a window of at most two cells per draw is one table and
+one guided search) instead of one treap descent per sample, and bulk updates
 ride the same splice-and-repair pass
 as the unweighted structure.  This series records the weighted paths next
 to their unweighted counterparts (the "within 2–3× of unweighted" target)
@@ -168,10 +169,11 @@ def test_unweighted_insert_bulk(benchmark, rec, dataset):
 def test_update_query_alternation(benchmark, rec, dataset):
     """Cache invalidation pressure: insert → bulk query, repeatedly.
 
-    Every insert drops the weight prefix, so each query rebuilds it
-    (``O(n / log n)``) and takes cumulative tables of only the chunks its
-    draws land in; recorded so a regression that silently does ``O(n)``
-    work per transition shows up as a cliff in this row.
+    Every insert marks the weight prefix stale from its chunk on, so each
+    query re-folds the prefix after that chunk (about half the chunks
+    here) and takes cumulative tables of only the chunks its draws land
+    in; recorded so a regression that silently does ``O(n)`` work per
+    transition shows up as a cliff in this row.
     """
     data, weights = dataset
 

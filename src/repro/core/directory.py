@@ -47,9 +47,11 @@ The engine provides:
   chunks framed since the last count change add up to the directory's
   size — then it builds the whole prefix once and keeps it (ski rental,
   with the directory's own size as the price of buying).  The weight
-  prefix of a weighted directory is a plain memo too, which every
-  weighted row change empties: the weighted draws read its float bits,
-  so it is only ever a fresh ``cumsum`` over ``wtotals``;
+  prefix of a weighted directory is a memo over ``wtotals`` that a
+  re-cut or a bulk pass empties and a scalar write marks stale from its
+  chunk on; the weighted draws read its float bits, so a read re-folds
+  the stale suffix from the entry before it, which gives the bits of a
+  fresh ``cumsum``;
 * every update, none of them a Python loop over chunks: a scalar insert
   or delete shifts one row in place; a bulk insert merges the sorted
   batch into all touched rows in one pass; a bulk delete finds every
@@ -163,6 +165,7 @@ class ChunkDirectory:
         "_prefix",
         "_framed",
         "_wprefix",
+        "_wstale",
     )
 
     def __init__(self, dtype, weighted: bool = False) -> None:
@@ -381,20 +384,20 @@ class ChunkDirectory:
     def invalidate_prefix(self) -> None:
         """Drop both prefix caches (chunk indices or many rows changed)."""
         self._prefix = self._wprefix = None
-        self._framed = 0
+        self._framed = self._wstale = 0
 
-    def note_delta(self, dcount: int, dweight: float = 0.0) -> None:
-        """Record a scalar count/weight change of one chunk.
+    def note_delta(self, i: int, dcount: int, dweight: float = 0.0) -> None:
+        """Record a scalar count/weight change of chunk ``i``.
 
         A count change empties the count prefix and restarts the count of
-        framed chunks (:meth:`frame`); a weight change empties the weight
-        prefix.
+        framed chunks (:meth:`frame`); a weight change marks the weight
+        prefix stale from chunk ``i`` on (:meth:`ensure_wprefix`).
         """
         if dcount:
             self._prefix = None
             self._framed = 0
         if dweight:
-            self._wprefix = None
+            self._wstale = min(self._wstale, i)
 
     def points_between(self, a: int, b: int) -> int:
         """Points in chunks strictly between indices ``a`` and ``b``.
@@ -428,13 +431,26 @@ class ChunkDirectory:
     def ensure_wprefix(self):
         """Return the inclusive prefix sum over chunk masses (cached).
 
-        A plain memo, like :meth:`ensure_prefix`: one ``cumsum(wtotals)``
-        when the cache is empty, and every weighted row change empties it.
-        Callers must not mutate the array.
+        One ``cumsum(wtotals)`` when the cache is empty; a re-cut or a bulk
+        pass empties it.  A scalar write only marks it stale from the
+        lowest chunk whose mass changed (:meth:`note_delta`), and the next
+        call re-folds that suffix in place from the entry before it.
+        ``cumsum`` is a left fold, so the bits are those of a fresh
+        ``cumsum``, and a read after a write pays for the chunks after
+        the write, not for all of them.  Callers must not mutate the array,
+        nor keep it across a write (the re-fold rewrites it in place).
         """
-        if self._wprefix is None:
-            self._wprefix = _np.cumsum(self.wtotals)
-        return self._wprefix
+        wprefix = self._wprefix
+        if wprefix is None:
+            wprefix = self._wprefix = _np.cumsum(self.wtotals)
+        elif self._wstale < wprefix.size:
+            i = self._wstale
+            tail = self.wtotals[i:].copy()
+            if i:
+                tail[0] += wprefix[i - 1]
+            _np.cumsum(tail, out=wprefix[i:])
+        self._wstale = wprefix.size
+        return wprefix
 
     def weight_between(self, a: int, b: int) -> float:
         """Mass of chunks strictly between indices ``a`` and ``b``."""
@@ -503,7 +519,7 @@ class ChunkDirectory:
             wrow[pos] = weight
         self.counts[i] = c + 1
         self._refresh(i, row, c + 1)
-        self.note_delta(1, weight)
+        self.note_delta(i, 1, weight)
 
     def delete(self, value: float, s: int) -> float:
         """Delete the first stored occurrence of ``value``; return its weight.
@@ -524,7 +540,7 @@ class ChunkDirectory:
             wrow[j:c] = wrow[j + 1 : c + 1]
             wrow[c] = 0.0
         self.counts[i] = c
-        self.note_delta(-1, -weight)
+        self.note_delta(i, -1, -weight)
         if c == 0:
             self.recut([i], [i], row[:0], _np.empty(0), [0])
             return weight
@@ -537,13 +553,13 @@ class ChunkDirectory:
         """Re-weight the point at offset ``j`` of chunk ``i`` in place.
 
         Returns the old weight; the chunk's mass is recomputed and the
-        weight prefix drops.
+        weight prefix goes stale from chunk ``i`` on.
         """
         r = self.row_of[i]
         old = float(self.wslab[r, j])
         self.wslab[r, j] = weight
         self._refresh(i, self.slab[r], int(self.counts[i]))
-        self.note_delta(0, weight - old)
+        self.note_delta(i, 0, weight - old)
         return old
 
     def _repair_underfull(self, i: int, s: int) -> None:
@@ -586,7 +602,7 @@ class ChunkDirectory:
         self.counts[j] = cj - 1
         self._refresh(i, self.slab[ri], ci + 1)
         self._refresh(j, self.slab[rj], cj - 1)
-        self.note_delta(1, moved)
+        self.note_delta(min(i, j), 1, moved)
 
     # -- bulk updates --------------------------------------------------------
 
@@ -838,10 +854,13 @@ class ChunkDirectory:
         if self._prefix is not None:
             assert self._prefix.tolist() == ends.tolist(), "count prefix cache stale"
         # The weight cache is read only when it is already there: installing
-        # it here (``total_weight`` would) would hide a reader that skipped
-        # ``ensure_wprefix``.  The weighted draws read its bits, so it must
-        # be exactly the sequential sum.
+        # or re-folding it here (``total_weight`` would) would hide a reader
+        # that skipped ``ensure_wprefix``.  The weighted draws read its bits,
+        # so its head before the stale mark must be exactly the sequential
+        # sum.
         if self.weighted and self._wprefix is not None:
-            assert self._wprefix.tolist() == _np.cumsum(self.wtotals).tolist(), (
-                "weight prefix cache stale"
-            )
+            assert self._wprefix.size == k, "weight prefix cache misaligned"
+            head = min(self._wstale, k)
+            assert (
+                self._wprefix[:head].tolist() == _np.cumsum(self.wtotals)[:head].tolist()
+            ), "weight prefix cache stale"

@@ -95,10 +95,13 @@ _BULK_CUTOFF = 16
 def _narrow(width: int, t: int) -> bool:
     """Whether a middle run of ``width`` chunks is resolved by rank.
 
-    A prefix-sum table over the run costs ``O(width)`` once and makes
-    every middle sample one C-level bisect, so it is used whenever the
-    run fits the query's ``O(log n + t)`` budget — the run is narrow or
-    ``width <= 2t`` (the table is amortized by the samples themselves).
+    A prefix-sum table over the run costs ``O(width)`` once; a large bulk
+    draw places its middle samples in it with one guided search,
+    ``O(1)`` expected each (:func:`~repro.core.kernels.search_guided`),
+    and a smaller one with one C-level bisect each.  So it is used
+    whenever the run fits the query's ``O(log n + t)`` budget: the run is
+    narrow or ``width <= 2t`` (the table is amortized by the samples
+    themselves).
     Wider middles are sampled by ``O(1)``-expected rejection over the
     ``(chunk, slot)`` grid of the index window.  The rule decides how many
     draws the scalar and bulk streams consume, so it depends only on the
@@ -562,12 +565,19 @@ class DynamicIRS(DynamicRangeSampler):
         stats: QueryStats,
     ):
         """Resolve middle-run ranks (narrow runs) or draw fresh middle
-        points by rejection (wide runs) for :meth:`sample_bulk`."""
+        points by rejection (wide runs) for :meth:`sample_bulk`.
+
+        A narrow run's count prefix has at most ``max(_NARROW, 2 *
+        count)`` cells, and :func:`~repro.core.kernels.search_guided`
+        places the ranks in it in draw order, ``O(1)`` expected each
+        from ``_GUIDED_MIN`` ranks on: the picks are those of a plain
+        ``bisect_right`` per rank.
+        """
         directory = self._dir
         slab, row_of, counts = directory.slab, directory.row_of, directory.counts
         if _narrow(mid_hi - mid_lo + 1, count):
             cum = _np.cumsum(counts[mid_lo : mid_hi + 1])
-            idx = kernels.search_right(cum, mid_ranks)
+            idx = kernels.search_guided(cum, mid_ranks, 0)
             offsets = mid_ranks - (cum[idx] - counts[mid_lo + idx])
             return slab[row_of[mid_lo + idx], offsets]
         # Rejection: the in-range rank of a middle sample is irrelevant

@@ -1,6 +1,7 @@
 """Kernels: the chunk directory's hot loops as pure NumPy array functions.
 
-Searches over sorted planes and over slab rows, the bulk merge and
+Searches over sorted planes and over slab rows, the guided search that
+places a large batch of draws in a cumulative table, the bulk merge and
 take-out passes over the touched rows of a batch, the middle-rejection
 and rank-resolution sampling passes, and the weighted cumulative draw
 (DESIGN.md §13).  Every op is a deterministic pure function of its array
@@ -33,6 +34,7 @@ __all__ = [
     "search_left_scalar",
     "search_right_scalar",
     "search_right",
+    "search_guided",
     "search_rows",
     "merge_slots",
     "interleave",
@@ -64,6 +66,57 @@ def search_right_scalar(arr, value) -> int:
 def search_right(arr, targets):
     """Vectorized ``bisect_right``: one int64 index per target."""
     return _np.searchsorted(arr, targets, side="right").astype(_np.int64, copy=False)
+
+
+#: Below this many targets :func:`search_guided` is one plain search: the
+#: guide's fixed build cost only pays for itself above it.
+_GUIDED_MIN = 1024
+
+
+def search_guided(table, targets, base):
+    """:func:`search_right` for a large batch, in ``O(1)`` expected per target.
+
+    Indexed search (Chen and Asau 1974; Devroye 1986, §III.2.4): equal-
+    width buckets over ``[base, table[-1]]``, one per cell, and each
+    bucket's first cell.  The bucket map ``int((v - base) * scale)`` is
+    monotone, so a cell in an earlier bucket than a target is at or below
+    it and a cell in a later bucket is above it: a target's index is its
+    bucket's first cell plus the cells of that bucket at or below it,
+    which two forward steps find (three copies of the last cell after the
+    table keep a scan inside the array).  A target with more than two
+    cells of its bucket at or below it, or at or past the last cell, gets
+    one plain search, and so does every target when the table's span is
+    degenerate or there are fewer than ``_GUIDED_MIN``.
+    ``table`` is nondecreasing with every cell ``>= base``; the result is
+    ``searchsorted(table, targets, side="right")`` exactly, for any
+    non-NaN targets.
+    """
+    n = table.size
+    span = float(table[-1]) - float(base) if n else 0.0
+    scale = n / span if span > 0.0 else 0.0
+    if targets.size < _GUIDED_MIN or not 0.0 < scale < _np.inf:
+        return _np.searchsorted(table, targets, side="right").astype(
+            _np.int64, copy=False
+        )
+    counts = _np.bincount(_buckets(table, base, scale, n), minlength=n + 1)
+    first = counts.cumsum() - counts
+    ext = _np.concatenate((table, _np.full(3, table[-1])))
+    pos = first.take(_buckets(targets, base, scale, n))
+    pos += ext.take(pos) <= targets
+    pos += ext.take(pos) <= targets
+    left = _np.flatnonzero(ext.take(pos) <= targets)
+    if left.size:
+        pos[left] = _np.searchsorted(table, targets[left], side="right")
+    return pos.astype(_np.int64, copy=False)
+
+
+def _buckets(values, base, scale, n):
+    """Bucket of each value: ``(v - base) * scale`` truncated into ``[0, n]``."""
+    x = _np.subtract(values, base, dtype=_np.float64)
+    x *= scale
+    _np.minimum(x, n, out=x)
+    _np.maximum(x, 0.0, out=x)
+    return x.astype(_np.intp)
 
 
 def search_rows(block, counts, targets, right: bool):

@@ -26,8 +26,9 @@ values stored as rows of the shared slab of
 :class:`~repro.core.directory.ChunkDirectory`: a value slab (float32 or
 float64, chosen at construction) and an aligned float64 weight slab, one
 row per chunk.  The directory adds a per-chunk total-mass array
-(``wtotals``) with a lazily cached cumulative-weight prefix, a plain memo
-that every weighted row change empties.  ``count`` reads count
+(``wtotals``) with a lazily cached cumulative-weight prefix, which a
+re-cut or a bulk pass empties and a scalar write marks stale from its
+chunk on, for the next read to re-fold.  ``count`` reads count
 geometry only, never a weight, and ``peek_counts`` and ``report``
 resolve ranks in the directory's rank frames.  A sampling query:
 
@@ -48,10 +49,13 @@ drivers.  Query bounds and stored values are coerced through the
 value-plane dtype on entry, so every comparison runs against exactly the
 stored representation.
 
-``sample_bulk`` runs both searches once for a whole batch: one
-``searchsorted`` routes the sorted middle draws to chunks, and one more
-places them in the cumulative tables of only the chunks they land in —
-no per-sample descent, and no table over all ``n`` points.
+``sample_bulk`` runs both searches once for a whole batch.  A middle
+window of at most two cells per middle draw is one shifted cumulative
+table, and one guided search places the draws in it, ``O(1)`` expected
+each; over a wider window one ``searchsorted`` routes the sorted middle
+draws to chunks, and one more places them in the cumulative tables of
+only the chunks they land in — no per-sample descent, and no table over
+all ``n`` points.
 """
 
 from __future__ import annotations
@@ -255,8 +259,9 @@ class WeightedDynamicIRS:
         """Re-weight one occurrence of ``value``; returns the old weight.
 
         ``O(log n)`` — one directory search, one in-row bisect and one
-        weight written in place (the weight prefix drops); the chunk
-        list's shape is untouched, so no structural repair can trigger.
+        weight written in place (the weight prefix goes stale from its
+        chunk on); the chunk list's shape is untouched, so no structural
+        repair can trigger.
         Raises :class:`~repro.errors.KeyNotFoundError` if absent.
         """
         self._check_weight(weight)
@@ -537,10 +542,10 @@ class WeightedDynamicIRS:
         overrides the side stream (seed-addressable draws).  The three-way
         mass split is resolved vectorized: one batch of uniform mass
         positions, boundary parts gathered against the boundary rows'
-        cumulative tables, and middle draws resolved by the two batched
-        cumulative searches of :meth:`_middle_bulk` (chunk, then point in
-        the tables of only the chunks drawn) — zero per-sample descents of
-        any kind.
+        cumulative tables, and middle draws resolved by :meth:`_middle_bulk`
+        (one guided search over a narrow window's table; over a wide one,
+        chunk, then point in the tables of only the chunks drawn) — zero
+        per-sample descents of any kind.
         """
         validate_query(lo, hi, t)
         if t == 0:
@@ -585,24 +590,41 @@ class WeightedDynamicIRS:
         return out
 
     def _middle_bulk(self, a: int, b: int, residuals):
-        """Resolve middle-mass positions: the two searches for a whole batch.
+        """Resolve middle-mass positions for a whole batch.
 
-        The targets ``wprefix[a] + residuals`` are sorted once and routed
-        to chunks by one ``searchsorted`` over the weight prefix, clamped
-        into the middle window ``[a + 1, b - 1]``.  Only the distinct
-        chunks they land in get cumulative tables, each row shifted by its
-        chunk's base mass ``wprefix[c - 1]``, and one more ``searchsorted``
-        over those rows, flattened in chunk order, places every target.
+        Each target ``wprefix[a] + residuals`` is placed in the shifted
+        cumulative table of the middle window ``[a + 1, b - 1]``: each
+        chunk's sequential row table plus its base mass ``wprefix[c - 1]``.
         The rows are sorted end to end: a row's last live cell
         ``fl(cum_last + base)`` — which its zero-weight padding repeats —
         is bit for bit the next chunk's base ``fl(base + wtotals[c])``.
-        So every pick is the one a search over the whole directory's
-        shifted table would give, clamped into the window: a target routed
-        below or above it takes the window's first or last point.
-        ``O(t log t)`` plus the touched rows, never ``O(n)``.
+        So the first cell above a target is the one a search over the
+        whole directory's shifted table would give, clamped into the
+        window: a target below or above it takes the window's first or
+        last point.
+
+        A window of at most ``2m`` cells for ``m`` targets is one table
+        over its live cells, searched in draw order by
+        :func:`~repro.core.kernels.search_guided`: ``O(m)`` expected from
+        ``_GUIDED_MIN`` targets on, with no sort and no scatter.  A
+        wider one sorts the targets once and routes them to chunks with
+        one ``searchsorted`` over the weight prefix; only the distinct
+        chunks they land in get tables, and one more ``searchsorted``
+        over those rows, flattened in chunk order, places every target:
+        ``O(m log m)`` plus the touched rows.  Never ``O(n)``.
         """
         directory = self._dir
         wprefix = directory.ensure_wprefix()
+        cap = directory.cap
+        if (b - a - 1) * cap <= 2 * residuals.size:
+            rows = directory.row_of[a + 1 : b]
+            live = _np.arange(cap) < directory.counts[a + 1 : b, None]
+            cum = kernels.cum_table(directory.wslab[rows])
+            cum += wprefix[a : b - 1, None]
+            table = cum[live]
+            idx = kernels.search_guided(table, wprefix[a] + residuals, wprefix[a])
+            _np.minimum(idx, table.size - 1, out=idx)
+            return directory.slab[rows][live].take(idx).astype(float, copy=False)
         order = residuals.argsort()
         targets = wprefix[a] + residuals[order]
         ci = kernels.search_right(wprefix, targets)
@@ -612,7 +634,7 @@ class WeightedDynamicIRS:
         cum = kernels.cum_table(directory.wslab[rows])
         cum += wprefix[chunks - 1, None]
         idx = kernels.search_right(cum.ravel(), targets)
-        touched, off = _np.divmod(_np.minimum(idx, cum.size - 1), directory.cap)
+        touched, off = _np.divmod(_np.minimum(idx, cum.size - 1), cap)
         _np.minimum(off, directory.counts[chunks[touched]] - 1, out=off)
         out = _np.empty(residuals.size)
         out[order] = directory.slab[rows[touched], off]

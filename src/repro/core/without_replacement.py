@@ -146,6 +146,9 @@ def sample_without_replacement_bulk(
         if total == 0 and t > 0:
             from ..errors import EmptyRangeError
 
+            # Resolving no ranks lets a facade that is not rank-addressable
+            # (weighted shards) refuse first, as its flat kinds do.
+            sampler.select_in_range(lo, hi, [])
             raise EmptyRangeError("no points inside the query range")
         ranks = sample_ranks_without_replacement_bulk(gen, 0, total, t)
         return _np.asarray(sampler.select_in_range(lo, hi, ranks), dtype=float)

@@ -11,7 +11,9 @@ built twin and a sorted model.
 
 ``WeightedDynamicIRS.count`` answers from count geometry alone: it must
 never rebuild the weight prefix, and it must agree with ``DynamicIRS``
-over awkward bounds.
+over awkward bounds.  A weighted scalar write keeps the cached weight
+prefix and marks it stale from its chunk on; the next read re-folds it
+in place to the bits of a fresh ``cumsum``.
 """
 
 from __future__ import annotations
@@ -187,6 +189,59 @@ def test_weighted_count_leaves_weight_prefix_cold(dtype):
     _insert(w, 0.5)
     assert w.count(lo, hi) == expected + 1
     assert w._dir._wprefix is None
+
+
+def _chunk_value(w, i):
+    """A stored value inside chunk ``i`` (values are distinct)."""
+    return float(w._dir.row(i)[1])
+
+
+def _delete_down_to_s(w, i):
+    """Delete from chunk ``i`` until it holds exactly ``s`` points."""
+    while int(w._dir.counts[i]) > w._s:
+        w.delete(_chunk_value(w, i))
+
+
+SCALAR_WRITES = {
+    "insert": lambda w, i: w.insert(_chunk_value(w, i) + 0.1 / N, 1.5),
+    "delete": lambda w, i: w.delete(_chunk_value(w, i)),
+    "borrow": lambda w, i: w.delete(_chunk_value(w, i)),
+    "update-weight": lambda w, i: w.update_weight(_chunk_value(w, i), 3.0),
+}
+
+
+@dtypes
+@pytest.mark.parametrize("write", sorted(SCALAR_WRITES))
+@pytest.mark.parametrize("read", ["range_weight", "sample_bulk"])
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+def test_weighted_scalar_write_refolds_the_weight_prefix_in_place(
+    dtype, write, read, at
+):
+    """A scalar write keeps the weight prefix; the next read re-folds its suffix.
+
+    The read keeps the cached array and its bits are a fresh ``cumsum``;
+    ``check_invariants`` between the write and the read checks the clean
+    head only and re-folds nothing.  The first chunk's write re-folds the
+    whole prefix, the last chunk's only its tail.
+    """
+    w = _build(WeightedDynamicIRS, dtype)
+    d = w._dir
+    i = {"first": 0, "middle": len(d) // 2, "last": len(d) - 1}[at]
+    if write == "borrow":
+        _delete_down_to_s(w, i)  # the next delete leaves chunk i under s
+    w.range_weight(-np.inf, np.inf)
+    cached, k = d._wprefix, len(d)
+    assert cached is not None
+    SCALAR_WRITES[write](w, i)
+    assert len(d) == k, "the write re-cut a chunk"
+    w.check_invariants()
+    assert d._wprefix is cached
+    if write == "borrow":
+        assert int(d.counts[i]) == w._s, "the delete did not borrow"
+    getattr(w, read)(0.2, 0.6, *((4096,) if read == "sample_bulk" else ()))
+    assert d._wprefix is cached, "the read rebuilt the weight prefix"
+    assert cached.tobytes() == np.cumsum(d.wtotals).tobytes()
+    w.check_invariants()
 
 
 def _awkward_values(dtype):

@@ -154,13 +154,15 @@ def test_structures_reach_kernels_through_the_module(monkeypatch):
     """Every call site looks its kernel up on the module at call time.
 
     Wrapping a module attribute (as a per-layer tracer does) must reach
-    the structures' scalar updates and wide bulk samples; a kernel bound
-    to a name at import time would bypass the wrapper.
+    the structures' scalar updates and bulk samples; a kernel bound to a
+    name at import time would bypass the wrapper.  A narrow middle with at
+    least ``_GUIDED_MIN`` draws reaches ``search_guided`` and never
+    ``search_right``.
     """
     calls = Counter()
     names = (
         "search_left_scalar", "search_right_scalar", "search_right",
-        "search_rows", "merge_slots", "rejection_split",
+        "search_guided", "search_rows", "merge_slots", "rejection_split",
     )
     for name in names:
 
@@ -175,17 +177,23 @@ def test_structures_reach_kernels_through_the_module(monkeypatch):
         data, _rng(42).uniform(0.5, 2.0, data.size), seed=2
     )
     batch = _rng(43).uniform(0, 1, 64)
-    for op, expected in (
-        (lambda: dynamic.insert(0.5), {"search_left_scalar", "search_right_scalar"}),
-        (lambda: weighted.insert(0.5, 1.0), {"search_left_scalar"}),
-        (lambda: dynamic.insert_bulk(batch), {"merge_slots"}),
-        (lambda: weighted.insert_bulk(batch), {"merge_slots"}),
-        (lambda: dynamic.sample_bulk(0.01, 0.99, 64), {"rejection_split"}),
-        (lambda: weighted.sample_bulk(0.01, 0.99, 64), {"search_right"}),
+    t = 2 * kernels._GUIDED_MIN
+    scalar = {"search_left_scalar", "search_right_scalar"}
+    guided = ({"search_guided"}, {"search_right"})
+    for op, (expected, unexpected) in (
+        (lambda: dynamic.insert(0.5), (scalar, set())),
+        (lambda: weighted.insert(0.5, 1.0), ({"search_left_scalar"}, set())),
+        (lambda: dynamic.insert_bulk(batch), ({"merge_slots"}, set())),
+        (lambda: weighted.insert_bulk(batch), ({"merge_slots"}, set())),
+        (lambda: dynamic.sample_bulk(0.01, 0.99, 64), ({"rejection_split"}, set())),
+        (lambda: weighted.sample_bulk(0.01, 0.99, 64), ({"search_right"}, set())),
+        (lambda: dynamic.sample_bulk(0.4, 0.6, t), guided),
+        (lambda: weighted.sample_bulk(0.4, 0.41, t), guided),
     ):
         calls.clear()
         op()
         assert expected <= set(calls)
+        assert not unexpected & set(calls)
 
 
 # -- dtype-generic storage planes ------------------------------------------------

@@ -26,6 +26,7 @@ from repro import (
     KeyNotFoundError,
     ShardedIRS,
     StaticIRS,
+    WeightedDynamicIRS,
     WeightedStaticIRS,
     sample_without_replacement,
 )
@@ -423,6 +424,22 @@ class TestRankMachinery:
             [BatchOp.sample_wr(0.2, 0.8, 3, seed=4)], capture_errors=True
         )
         assert isinstance(result.errors[0], InvalidQueryError)
+
+    @pytest.mark.parametrize("kind", ["weighted", "weighted-dynamic"])
+    def test_weighted_facade_refuses_an_empty_range_like_its_flat_kind(self, kind):
+        # The refusal of rank addressing comes before the range is found
+        # empty, as on the flat weighted structure.
+        values = np.arange(60.0)
+        op = BatchOp.sample_wr(100.0, 200.0, 3, seed=4)
+        for structure in (
+            ShardedIRS(values, num_shards=3, seed=1, shard_kind=kind),
+            WeightedDynamicIRS(values, seed=1),
+        ):
+            result = BatchQueryRunner(structure).run_mixed([op], capture_errors=True)
+            assert isinstance(result.errors[0], InvalidQueryError)
+        flat = DynamicIRS(values, seed=1)
+        result = BatchQueryRunner(flat).run_mixed([op], capture_errors=True)
+        assert isinstance(result.errors[0], EmptyRangeError)
 
 
 class TestMassProbes:

@@ -1,16 +1,19 @@
 """The weighted middle draw against a cumulative table over every point.
 
 ``WeightedDynamicIRS._middle_bulk`` places a batch of middle-mass
-positions with two searches: chunk by the weight prefix, then point in
-the cumulative tables of only the chunks the draws land in.  Its picks
-must be the ones a single ``searchsorted`` over a table of *every*
-point's cumulative weight gives (each row's sequential table shifted by
-the mass of the chunks before it), clamped into the middle window — bit
-for bit, on both value planes, over duplicate-heavy values, weights
-spanning ``e^±30``, states after every update path, and targets on exact
-cumulative boundaries or outside the window.  The oracle builds that
-``O(n)`` table here; the structure never does, and the last test pins
-that a bulk read right after a weighted write does no ``O(n)`` work.
+positions in one guided search over the window's table when the window
+holds at most two cells per draw, and otherwise with two searches: chunk
+by the weight prefix, then point in the cumulative tables of only the
+chunks the draws land in.  Its picks must be the ones a single
+``searchsorted`` over a table of *every* point's cumulative weight gives
+(each row's sequential table shifted by the mass of the chunks before
+it), clamped into the middle window — bit for bit, on both value planes,
+over duplicate-heavy values, weights spanning ``e^±30`` or spiked by a
+few huge ones, states after every update path, windows on both sides of
+the two-cells-per-draw rule, and targets on exact cumulative boundaries
+or outside the window.  The oracle builds that ``O(n)`` table here; the
+structure never does, and the last test pins that a bulk read right
+after a weighted write does no ``O(n)`` work.
 """
 
 from __future__ import annotations
@@ -150,6 +153,62 @@ def test_middle_picks_match_the_flat_table(dtype, values_kind, state):
     w.range_weight(-np.inf, np.inf)  # warm the weight prefix before the writes
     STATES[state](w, rng)
     _assert_matches_oracle(w, rng)
+
+
+SKEWS = {
+    "e30": lambda rng, n: np.exp(rng.uniform(-30.0, 30.0, n)),
+    # A huge weight every 97 points crowds the window table's cells into
+    # a few of the guide's buckets, so most targets take the plain search.
+    "spikes": lambda rng, n: np.where(np.arange(n) % 97, 1.0, 1e9) * rng.uniform(
+        0.5, 2.0, n
+    ),
+}
+
+
+def _sized_residuals(w, a, b, rng, m):
+    """Exactly ``m`` residuals: boundary and outside ones, then uniform ones."""
+    special = _residuals(w, a, b, rng, m=0)
+    if special.size >= m:
+        return rng.choice(special, m, replace=False)
+    fill = _residuals(w, a, b, rng, m)[: m - special.size]
+    return rng.permutation(np.concatenate((special, fill)))
+
+
+@dtypes
+@pytest.mark.parametrize("skew", sorted(SKEWS))
+@pytest.mark.parametrize("state", ["fresh", "scalar-delete", "bulk-insert"])
+def test_window_table_picks_match_the_flat_table(dtype, skew, state, monkeypatch):
+    """A window of at most ``2m`` cells is one guided table; a wider one is not.
+
+    Each window is drawn at exactly ``2m`` cells (the table) and at one
+    target fewer (the touched rows); the whole window holds more than
+    ``2 * _GUIDED_MIN`` cells, so its table builds the guide.
+    """
+    rng = np.random.default_rng([13, len(skew), len(state)])
+    w = WeightedDynamicIRS(
+        rng.uniform(-1e3, 1e3, 3000), SKEWS[skew](rng, 3000), seed=1, dtype=dtype
+    )
+    STATES[state](w, rng)
+    tabled = []
+
+    def recorded(table, targets, base, _fn=kernels.search_guided):
+        tabled.append(table.size)
+        return _fn(table, targets, base)
+
+    monkeypatch.setattr(kernels, "search_guided", recorded)
+    d = w._dir
+    k = len(d)
+    assert (k - 2) * d.cap > 2 * kernels._GUIDED_MIN
+    for a, b in _windows(k, rng):
+        cells = (b - a - 1) * d.cap  # even: cap is 2s
+        for m, table in ((cells // 2, True), (cells // 2 - 1, False)):
+            residuals = _sized_residuals(w, a, b, rng, m)
+            tabled.clear()
+            got = w._middle_bulk(a, b, residuals)
+            assert got.dtype == np.float64
+            assert got.tobytes() == _flat_oracle(w, a, b, residuals).tobytes(), (a, b, m)
+            assert bool(tabled) == table, (a, b, m)
+    w.check_invariants()
 
 
 def test_middle_picks_after_interleaved_writes_and_reads():
