@@ -14,13 +14,10 @@ import math
 from array import array
 from typing import Sequence
 
+import numpy as _np
+
 from ..errors import InvalidWeightError
 from ..rng import RandomSource
-
-try:  # NumPy is optional at runtime; bulk draws use it when present.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is installed in CI
-    _np = None
 
 __all__ = ["AliasTable"]
 

@@ -35,17 +35,14 @@ from dataclasses import FrozenInstanceError, dataclass, field, fields
 from operator import attrgetter
 from typing import Mapping, Sequence
 
+import numpy as _np
+
 from ..core.base import RangeSampler
 from ..core.without_replacement import sample_without_replacement_bulk
 from ..errors import InvalidQueryError, KeyNotFoundError, ReproError
 from ..scenarios.estimate import adaptive_estimate
 from ..scenarios.stratified import sample_stratified
 from ..types import QueryStats
-
-try:  # NumPy is optional at runtime; scalar fallbacks return lists.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is installed in CI
-    _np = None
 
 __all__ = [
     "BatchQuery",
@@ -914,8 +911,6 @@ class BatchQueryRunner:
         for samples in result.samples:
             if len(samples) == 0:
                 means.append(float("nan"))
-            elif _np is not None:
+            else:
                 means.append(float(_np.mean(samples)))
-            else:  # pragma: no cover - numpy is installed in CI
-                means.append(sum(samples) / len(samples))
         return means

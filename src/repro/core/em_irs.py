@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as _np
+
 from ..em.btree import EMBTree
 from ..em.device import BlockDevice, IOStats
 from ..em.pool import BufferPool
@@ -39,11 +41,6 @@ from ..rng import RandomSource
 from ..rng import generator as _generator
 from ..types import QueryStats
 from .base import RangeSampler, validate_point, validate_query
-
-try:  # NumPy is optional at runtime; bulk sampling uses it when present.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is installed in CI
-    _np = None
 
 __all__ = ["ExternalIRS"]
 
@@ -225,10 +222,7 @@ class ExternalIRS(RangeSampler):
         the device stats like any other scan.  The shard engine calls this
         once per snapshot, not per query.
         """
-        values = list(self.file.scan(0, self.file.n))
-        if _np is None:  # pragma: no cover
-            return values
-        return _np.asarray(values, dtype=float)
+        return _np.asarray(list(self.file.scan(0, self.file.n)), dtype=float)
 
     @property
     def buffer_blocks(self) -> int:
@@ -288,8 +282,6 @@ class ExternalIRS(RangeSampler):
         reads per query, issued in ascending block order so the pool sees a
         sequential pass rather than ``t`` random probes.
         """
-        if _np is None:  # pragma: no cover - numpy is installed in CI
-            return self.sample(lo, hi, t)
         validate_query(lo, hi, t)
         a, b = self.tree.rank_range(lo, hi)
         if self._require_nonempty(b - a, t):

@@ -24,16 +24,13 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import Iterable
 
+import numpy as _np
+
 from ..alias.walker import AliasTable
 from ..errors import EmptyRangeError, InvalidWeightError
 from ..rng import RandomSource
 from ..rng import generator as _generator
 from .base import RangeSampler, coerce_query_bounds, validate_point, validate_query
-
-try:  # NumPy is optional at runtime; bulk sampling uses it when present.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is installed in CI
-    _np = None
 
 __all__ = ["WeightedStaticIRS"]
 
@@ -186,8 +183,6 @@ class WeightedStaticIRS(RangeSampler):
         so :meth:`repro.batch.BatchQueryRunner.run_counts` and the shard
         planner never fall back to scalar loops on weighted structures.
         """
-        if _np is None:  # pragma: no cover - numpy is installed in CI
-            return [self.count(lo, hi) for lo, hi in queries]
         los, his = coerce_query_bounds(queries)
         arr = self.export_sorted()
         return _np.searchsorted(arr, his, side="right") - _np.searchsorted(
@@ -202,8 +197,6 @@ class WeightedStaticIRS(RangeSampler):
         results bit-identical to per-query :meth:`total_weight` (the NumPy
         prefix is converted from, not recomputed beside, the scalar one).
         """
-        if _np is None:  # pragma: no cover - numpy is installed in CI
-            return [self.total_weight(lo, hi) for lo, hi in queries]
         los, his = coerce_query_bounds(queries)
         arr = self.export_sorted()
         if self._np_prefix is None:
@@ -222,16 +215,12 @@ class WeightedStaticIRS(RangeSampler):
 
     def export_sorted(self):
         """Return the sorted points as a NumPy array (shard-engine hook)."""
-        if _np is None:  # pragma: no cover
-            return list(self._values)
         if self._np_values is None:
             self._np_values = _np.asarray(self._values, dtype=float)
         return self._np_values
 
     def export_sorted_pairs(self):
         """Return ``(values, weights)`` sorted by value (shard-engine hook)."""
-        if _np is None:  # pragma: no cover
-            return list(self._values), list(self._weights)
         return self.export_sorted(), _np.asarray(self._weights, dtype=float)
 
     def weight_at_rank(self, rank: int) -> float:
@@ -317,8 +306,6 @@ class WeightedStaticIRS(RangeSampler):
         accounting differs from the scalar path; an explicit ``seed``
         overrides the side stream (seed-addressable draws).
         """
-        if _np is None:  # pragma: no cover
-            return self.sample_ranks(lo, hi, t)
         validate_query(lo, hi, t)
         if t == 0:
             return _np.empty(0, dtype=_np.int64)
@@ -344,8 +331,6 @@ class WeightedStaticIRS(RangeSampler):
 
     def sample_bulk(self, lo: float, hi: float, t: int, *, seed=None):
         """Vectorized :meth:`sample` returning a NumPy float array."""
-        if _np is None:  # pragma: no cover
-            return self.sample(lo, hi, t)
         ranks = self.sample_ranks_bulk(lo, hi, t, seed=seed)
         if self._np_values is None:  # t == 0 short-circuits the lazy build
             self._np_values = _np.asarray(self._values, dtype=float)

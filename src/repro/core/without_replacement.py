@@ -1,40 +1,30 @@
 """Sampling *without replacement* on top of the IRS structures.
 
 The paper's primary queries sample with replacement; the without-replacement
-variant asks for a uniformly random ``t``-subset of ``P ∩ q``.  Two exact
-strategies are provided:
-
-* **rank-based (Floyd)** — for any *rank-addressable* structure: Robert
-  Floyd's algorithm draws a uniform ``t``-subset of the rank interval with
-  exactly ``t`` primitive draws and ``O(t)`` expected set operations, then a
-  Fisher–Yates pass randomizes the order.  Duplicated values are handled
-  correctly because ranks, not values, are deduplicated.  Dispatch is by
-  capability, not by type: a structure exposing ``rank_range`` +
-  ``value_at_rank`` (:class:`~repro.core.static_irs.StaticIRS`) resolves
-  global ranks directly, and one exposing ``count`` + ``select_in_range``
-  (:class:`~repro.core.dynamic_irs.DynamicIRS`, whose array directory is
-  rank-addressable, and :class:`~repro.shard.ShardedIRS`, which routes
-  in-range ranks across its shards) resolves in-range ranks — so the
-  generic path's no-duplicates restriction does not apply to any of them.
-
-* **generic** — for any other :class:`~repro.core.base.RangeSampler`:
-  if ``t`` exceeds half the population, report the range and take a partial
-  Fisher–Yates prefix (``O(K)``, but then ``K < 2t``); otherwise draw with
-  replacement and reject repeats, which needs ``O(t)`` expected draws.  The
-  rejection path distinguishes points *by value*, so it requires the range to
-  contain no duplicate values and raises otherwise.
+variant asks for a uniformly random ``t``-subset of ``P ∩ q``.  It is
+answered exactly on any *rank-addressable* structure: Robert Floyd's
+algorithm draws a uniform ``t``-subset of the rank interval with exactly
+``t`` primitive draws and ``O(t)`` expected set operations, then a
+Fisher–Yates pass randomizes the order.  Duplicated values are handled
+correctly because ranks, not values, are deduplicated.  Dispatch is by
+capability, not by type: a structure exposing ``rank_range`` +
+``value_at_rank`` (:class:`~repro.core.static_irs.StaticIRS`) resolves
+global ranks directly, and one exposing ``count`` + ``select_in_range``
+(:class:`~repro.core.dynamic_irs.DynamicIRS`, whose array directory is
+rank-addressable, and :class:`~repro.shard.ShardedIRS`, which routes
+in-range ranks across its shards) resolves in-range ranks.  Every other
+structure (the weighted planes, whose "without replacement" has no single
+canonical law, and the external-memory and baseline samplers) raises
+:class:`~repro.errors.InvalidQueryError`.
 """
 
 from __future__ import annotations
 
-from ..errors import InvalidQueryError
+import numpy as _np
+
+from ..errors import EmptyRangeError, InvalidQueryError
 from ..rng import RandomSource, generator
 from .base import RangeSampler, validate_query
-
-try:  # pragma: no cover - numpy is installed in CI
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = [
     "sample_ranks_without_replacement",
@@ -93,8 +83,6 @@ def sample_ranks_without_replacement_bulk(
         )
     if t == 0:
         return []
-    if _np is None:  # pragma: no cover - numpy is installed in CI
-        raise InvalidQueryError("bulk without-replacement sampling requires numpy")
     js = _np.arange(hi_rank - t, hi_rank, dtype=_np.int64)
     draws = gen.integers(lo_rank, js + 1)  # inclusive bound j, exact per element
     chosen: set[int] = set()
@@ -128,14 +116,10 @@ def sample_without_replacement_bulk(
     :class:`~repro.errors.InvalidQueryError`.
     """
     validate_query(lo, hi, t)
-    if _np is None:  # pragma: no cover - numpy is installed in CI
-        raise InvalidQueryError("bulk without-replacement sampling requires numpy")
     gen = generator(seed) if seed is not None else _np.random.default_rng()
     if hasattr(sampler, "rank_range") and hasattr(sampler, "value_at_rank"):
         a, b = sampler.rank_range(lo, hi)
         if b - a == 0 and t > 0:
-            from ..errors import EmptyRangeError
-
             raise EmptyRangeError("no points inside the query range")
         ranks = sample_ranks_without_replacement_bulk(gen, a, b, t)
         return _np.asarray(
@@ -144,8 +128,6 @@ def sample_without_replacement_bulk(
     if hasattr(sampler, "select_in_range"):
         total = sampler.count(lo, hi)
         if total == 0 and t > 0:
-            from ..errors import EmptyRangeError
-
             # Resolving no ranks lets a facade that is not rank-addressable
             # (weighted shards) refuse first, as its flat kinds do.
             sampler.select_in_range(lo, hi, [])
@@ -164,12 +146,15 @@ def sample_without_replacement(
     hi: float,
     t: int,
     rng: RandomSource | None = None,
-    assume_distinct: bool = False,
 ) -> list[float]:
     """Return a uniform ``t``-subset of ``P ∩ [lo, hi]`` (random order).
 
-    See the module docstring for strategy selection.  ``rng`` defaults to a
-    fresh seeded source; pass the structure's own source for reproducibility.
+    Floyd's algorithm over the structure's ranks (see the module
+    docstring); a structure that is not rank-addressable raises
+    :class:`~repro.errors.InvalidQueryError`, as
+    :func:`sample_without_replacement_bulk` does.  ``rng`` defaults to a
+    fresh seeded source; pass the structure's own source for
+    reproducibility.
     """
     if rng is None:
         rng = RandomSource()
@@ -178,33 +163,9 @@ def sample_without_replacement(
         ranks = sample_ranks_without_replacement(rng, a, b, t)
         return [sampler.value_at_rank(r) for r in ranks]
     if hasattr(sampler, "select_in_range"):
-        total = sampler.count(lo, hi)
-        if t > total:
-            raise InvalidQueryError(
-                f"cannot draw {t} distinct samples from {total} points"
-            )
-        ranks = sample_ranks_without_replacement(rng, 0, total, t)
+        ranks = sample_ranks_without_replacement(rng, 0, sampler.count(lo, hi), t)
         return sampler.select_in_range(lo, hi, ranks)
-    population = sampler.count(lo, hi)
-    if t > population:
-        raise InvalidQueryError(
-            f"cannot draw {t} distinct samples from {population} points"
-        )
-    if t == 0:
-        return []
-    if 2 * t >= population or not assume_distinct:
-        # Partial Fisher–Yates over the reported range: exact for multisets.
-        pool = sampler.report(lo, hi)
-        for i in range(t):
-            j = rng.randint(i, len(pool) - 1)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:t]
-    # Rejection path: expected < 2 draws per kept sample while t <= K/2.
-    seen: set[float] = set()
-    out: list[float] = []
-    while len(out) < t:
-        for value in sampler.sample(lo, hi, t - len(out)):
-            if value not in seen:
-                seen.add(value)
-                out.append(value)
-    return out
+    raise InvalidQueryError(
+        f"{type(sampler).__name__} is not rank-addressable; "
+        "without-replacement needs rank_range+value_at_rank or select_in_range"
+    )

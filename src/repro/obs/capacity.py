@@ -59,7 +59,7 @@ def structure_bytes(structure) -> int:
             pool, "capacity", 0
         )
         frames = len(getattr(pool, "_frames", ()))
-        return (frames * block + _buffered_points(structure)) * POINT_BYTES
+        return frames * block * POINT_BYTES
     nbytes = getattr(structure, "plane_nbytes", None)
     if nbytes is not None:
         return int(nbytes)
@@ -70,16 +70,6 @@ def structure_bytes(structure) -> int:
 
 def _is_weighted(structure) -> bool:
     return hasattr(structure, "total_weight") or hasattr(structure, "weight")
-
-
-def _buffered_points(structure) -> int:
-    buffers = getattr(structure, "_buffers", None)
-    if not buffers:
-        return 0
-    try:
-        return sum(len(b) for b in buffers.values())
-    except (AttributeError, TypeError):
-        return 0
 
 
 def resident_bytes(structure) -> int:

@@ -26,6 +26,8 @@ import random
 import struct
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 __all__ = [
     "RandomSource",
     "ScriptedSource",
@@ -62,13 +64,7 @@ def generator(seed: int):
     before, or how a batch was composed.  The serving layer
     (:mod:`repro.serve`) leans on this to make replies byte-identical
     under a fixed root seed no matter how requests coalesce into batches.
-
-    Raises :class:`RuntimeError` when NumPy is not installed.
     """
-    try:
-        import numpy as np
-    except ImportError as exc:  # pragma: no cover - numpy is in CI
-        raise RuntimeError("generator() requires NumPy") from exc
     # Philox keyed directly: a counter-based bit generator whose key IS the
     # seed, skipping the SeedSequence entropy-pool setup that dominates
     # default_rng(seed) construction.  At one generator per served request
@@ -94,8 +90,6 @@ def splitmix64(words):
     input word, so a batch of queries with distinct seeds can draw all
     their randomness in a handful of array ops.
     """
-    import numpy as np
-
     z = words.astype(np.uint64, copy=True)
     z ^= z >> np.uint64(30)
     z *= np.uint64(_SM64_MIX1)
@@ -124,8 +118,6 @@ def seeded_ranks(seeds, starts, widths, counts):
     should any of its draws be rejected, it takes the general path, so
     its ranks are the general path's either way.
     """
-    import numpy as np
-
     # Fold arbitrary Python ints into the uint64 counter domain (the same
     # masking generator() applies) — np.asarray would raise OverflowError
     # on negative or >64-bit seeds instead of wrapping.
@@ -184,8 +176,6 @@ def _one_query_ranks(seed: int, start: int, width: int, count: int):
     The same words, bits and bound as the general path, with the seed,
     width and limit as scalars instead of per-draw arrays.
     """
-    import numpy as np
-
     if count <= 0 or width <= 0:
         return None  # the general path's own answers
     with np.errstate(over="ignore"):
@@ -297,14 +287,7 @@ class RandomSource:
         are reproducible under the structure's seed but are **not** counted
         in :attr:`draws` per element — tests that assert draw accounting
         must use the scalar paths.
-
-        Raises :class:`RuntimeError` when NumPy is not installed; callers
-        that want a graceful fallback should check for NumPy themselves.
         """
-        try:
-            import numpy as np
-        except ImportError as exc:  # pragma: no cover - numpy is in CI
-            raise RuntimeError("spawn_numpy() requires NumPy") from exc
         return np.random.default_rng(self._rng.getrandbits(64))
 
 

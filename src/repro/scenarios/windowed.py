@@ -268,24 +268,12 @@ class WindowedIRS:
     def sample_bulk_many(self, queries, *, seeds=None) -> list:
         """Answer many ``(lo, hi, t)`` queries against the live window.
 
-        Delegates to the inner structure's amortized many-path when it has
-        one; otherwise runs the per-query bulk loop — either way the result
-        obeys the library invariant that ``sample_bulk_many(queries,
+        Delegates to the inner structure's amortized many-path, so the
+        result obeys the library invariant that ``sample_bulk_many(queries,
         seeds=)`` equals per-query ``sample_bulk(seed=)`` calls.
         """
         self._flush()
-        many = getattr(self._inner, "sample_bulk_many", None)
-        if many is not None:
-            return many(queries, seeds=seeds)
-        if seeds is not None and len(seeds) != len(queries):
-            raise InvalidQueryError(
-                f"got {len(seeds)} seeds for {len(queries)} queries"
-            )
-        out = []
-        for k, (lo, hi, t) in enumerate(queries):
-            seed = None if seeds is None else seeds[k]
-            out.append(self._inner.sample_bulk(lo, hi, t, seed=seed))
-        return out
+        return self._inner.sample_bulk_many(queries, seeds=seeds)
 
     def select_in_range(self, lo: float, hi: float, ranks: Sequence[int]):
         """Resolve in-range ranks against the live window (uniform mode).

@@ -27,7 +27,6 @@ from __future__ import annotations
 import base64
 import json
 import math
-from itertools import groupby
 
 import numpy as np
 
@@ -54,7 +53,6 @@ __all__ = [
     "error_response",
     "ok_response",
     "span_error_body",
-    "op_to_wire",
     "ops_to_wire",
     "op_from_wire",
 ]
@@ -193,86 +191,32 @@ def decode(line: bytes | str) -> dict:
     return message
 
 
-#: BatchOp kind <-> one-letter wire tag (kept stable: WAL records on disk
+#: Update kind <-> one-letter wire tag (kept stable: WAL records on disk
 #: outlive code versions).
-_OP_TAGS = {"insert": "i", "delete": "d", "sample": "s", "count": "c"}
+_OP_TAGS = {"insert": "i", "delete": "d"}
 _TAG_OPS = {tag: kind for kind, tag in _OP_TAGS.items()}
 
 #: A column's float64 byte order, whatever the host's.
 _COLUMN_DTYPE = np.dtype("<f8")
 
 
-def op_to_wire(op) -> dict:
-    """Serialize one scalar :class:`~repro.batch.BatchOp` to its wire dict.
+def _column_text(pieces: list) -> str:
+    """Base64 of a run's values as little-endian float64.
 
-    Compact stable keys, op-irrelevant fields omitted, round-trippable
-    through :func:`op_from_wire`: ``{"k": "i", "v": 2.5}`` inserts 2.5.
-    The dict is JSON-safe by construction — values were validated finite
-    at admission.  The write-ahead log writes updates as columns instead
-    (:func:`ops_to_wire`); a bulk op has no dict of its own.
+    ``pieces`` holds lists of scalar values and bulk arrays in run order;
+    empty pieces are skipped, and a lone piece converts without a
+    concatenation.
     """
-    tag = _OP_TAGS.get(op.kind)
-    if tag is None:
-        raise ValueError(f"unknown op kind: {op.kind!r}")
-    if op.values is not None:
-        raise ValueError("a bulk op logs as a column: use ops_to_wire")
-    wire: dict = {"k": tag}
-    if op.kind in ("insert", "delete"):
-        wire["v"] = op.value
-        if op.kind == "insert" and op.weight is not None:
-            wire["w"] = op.weight
+    pieces = [piece for piece in pieces if len(piece)]
+    if len(pieces) == 1:
+        column = np.asarray(pieces[0], dtype=_COLUMN_DTYPE)
     else:
-        wire["lo"] = op.lo
-        wire["hi"] = op.hi
-        if op.kind == "sample":
-            wire["t"] = op.t
-            if op.seed is not None:
-                wire["seed"] = op.seed
-    if op.structure != "default":
-        wire["s"] = op.structure
-    return wire
-
-
-def _column_key(op):
-    """The column an update op joins: ``(tag, structure, weighted)``.
-
-    ``None`` for an op that keeps its own dict (a read).
-    """
-    if op.kind == "insert":
-        weights = op.weight if op.values is None else op.weights
-        return "i", op.structure, weights is not None
-    if op.kind == "delete":
-        return "d", op.structure, False
-    return None
-
-
-def _column_text(run, scalar: str, bulk: str) -> str:
-    """Base64 of a run's ``scalar``/``bulk`` fields as little-endian float64.
-
-    Scalar ops between bulk ones gather into one list, converted once.
-    """
-    chunks: list = []
-    floats: list = []
-    for op in run:
-        array = getattr(op, bulk)
-        if array is None:
-            floats.append(getattr(op, scalar))
-        else:
-            if floats:
-                chunks.append(floats)
-                floats = []
-            chunks.append(array)
-    if floats:
-        chunks.append(floats)
-    if len(chunks) == 1:
-        column = np.asarray(chunks[0], dtype=_COLUMN_DTYPE)
-    else:
-        column = np.concatenate(chunks, dtype=_COLUMN_DTYPE)
+        column = np.concatenate(pieces, dtype=_COLUMN_DTYPE)
     return base64.b64encode(column.tobytes()).decode("ascii")
 
 
 def ops_to_wire(ops) -> list[dict]:
-    """Serialize ops to wire dicts, each run of updates as one column.
+    """Serialize update ops to wire dicts, each run of them as one column.
 
     This is the record body of the write-ahead log
     (:mod:`repro.store.wal`).  A *run* is consecutive ``insert`` ops (or
@@ -281,22 +225,40 @@ def ops_to_wire(ops) -> list[dict]:
     entry ``{"k": "i"|"d", "b": ..., "w": ..., "s": ...}``: ``b`` holds
     the base64 of the values as little-endian float64, ``w`` the same for
     the weights (weighted inserts only), ``s`` the structure (when not
-    ``"default"``).  Every other op keeps its :func:`op_to_wire` dict,
-    and a bulk op of no values logs nothing.  A run's bytes depend only
-    on its values, not on how they arrived: a bulk op logs exactly as the
-    scalar ops it stands for.
+    ``"default"``).  A bulk op of no values logs nothing, and a read op
+    raises ``ValueError``.  A run's bytes depend only on its values, not
+    on how they arrived: a bulk op logs exactly as the scalar ops it
+    stands for.
     """
-    wire: list[dict] = []
-    logged = [op for op in ops if op.values is None or len(op.values)]
-    for key, run in groupby(logged, key=_column_key):
-        if key is None:
-            wire.extend(op_to_wire(op) for op in run)
+    runs: list[tuple] = []
+    key = None
+    for op in ops:
+        bulk = op.values
+        if op.kind == "insert":
+            weight = op.weight if bulk is None else op.weights
+        elif op.kind == "delete":
+            weight = None
+        else:
+            raise ValueError(f"the log records updates only, not {op.kind!r}")
+        if bulk is not None and not len(bulk):
             continue
-        tag, structure, weighted = key
-        run = list(run)
-        entry = {"k": tag, "b": _column_text(run, "value", "values")}
+        if key != (op.kind, op.structure, weight is not None):
+            key = (op.kind, op.structure, weight is not None)
+            values, weights = [[]], [[]]
+            runs.append((key, values, weights))
+        if bulk is None:
+            values[-1].append(op.value)
+            if weight is not None:
+                weights[-1].append(weight)
+        else:
+            values += (bulk, [])
+            if weight is not None:
+                weights += (weight, [])
+    wire: list[dict] = []
+    for (kind, structure, weighted), values, weights in runs:
+        entry = {"k": _OP_TAGS[kind], "b": _column_text(values)}
         if weighted:
-            entry["w"] = _column_text(run, "weight", "weights")
+            entry["w"] = _column_text(weights)
         if structure != "default":
             entry["s"] = structure
         wire.append(entry)
@@ -313,12 +275,13 @@ def _column_floats(text) -> np.ndarray:
 
 
 def op_from_wire(wire: dict):
-    """Rebuild a :class:`~repro.batch.BatchOp` from its wire dict.
+    """Rebuild an update :class:`~repro.batch.BatchOp` from its wire dict.
 
     A column entry (``"b"``) becomes one bulk op; a scalar dict
     (``"v"``, the only update form records held before columns) one
-    scalar op.  A damaged entry raises ``ValueError`` or ``TypeError``
-    (``AttributeError`` if it is not a dict at all).
+    scalar op.  A damaged entry, or one of any other kind, raises
+    ``ValueError`` or ``TypeError`` (``AttributeError`` if it is not a
+    dict at all).
     """
     kind = _TAG_OPS.get(wire.get("k"))
     if kind is None:
@@ -331,18 +294,12 @@ def op_from_wire(wire: dict):
             if weights is not None:
                 weights = _column_floats(weights)
             return BatchOp.insert_bulk(values, weights, structure)
-        if kind == "delete" and "w" not in wire:
-            return BatchOp.delete_bulk(values, structure)
-        raise ValueError(f"no {kind} op has a column of this shape")
+        if "w" in wire:
+            raise ValueError("a delete column carries no weights")
+        return BatchOp.delete_bulk(values, structure)
     if kind == "insert":
         return BatchOp.insert(wire["v"], wire.get("w"), structure)
-    if kind == "delete":
-        return BatchOp.delete(wire["v"], structure)
-    if kind == "sample":
-        return BatchOp.sample(
-            wire["lo"], wire["hi"], wire["t"], structure, seed=wire.get("seed")
-        )
-    return BatchOp.count(wire["lo"], wire["hi"], structure)
+    return BatchOp.delete(wire["v"], structure)
 
 
 def require_number(message: dict, field: str, *, finite: bool = False) -> float:

@@ -18,10 +18,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is installed in CI
-    _np = None
+import numpy as _np
 
 __all__ = ["run_aligned_cuts", "route_values", "cut_bounds"]
 
@@ -46,11 +43,7 @@ def run_aligned_cuts(values, pieces: int) -> list[int]:
         # A cut landing inside a run of equal values is pushed past the
         # run's end so the run stays whole in the left slice.
         if values[cut] == values[cut - 1]:
-            if _np is not None and isinstance(values, _np.ndarray):
-                cut = int(_np.searchsorted(values, values[cut], side="right"))
-            else:  # pragma: no cover - numpy is installed in CI
-                while cut < n and values[cut] == values[cut - 1]:
-                    cut += 1
+            cut = int(_np.searchsorted(values, values[cut], side="right"))
         if cut >= n or (cuts and cut <= cuts[-1]):
             continue
         cuts.append(cut)

@@ -39,6 +39,8 @@ import time
 from bisect import bisect_right
 from typing import Iterable, Sequence
 
+import numpy as _np
+
 from ..core.base import (
     DynamicRangeSampler,
     round_to_plane,
@@ -55,11 +57,6 @@ from ..rng import RandomSource, derive_seed
 from ..rng import generator as rng_generator
 from ..types import QueryStats
 from .partition import cut_bounds, route_values, run_aligned_cuts
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is installed in CI
-    _np = None
 
 __all__ = ["ShardedIRS", "SHARD_KINDS"]
 
@@ -175,8 +172,6 @@ class ShardedIRS(DynamicRangeSampler):
         block_size: int = 1024,
         dtype=None,
     ) -> None:
-        if _np is None:  # pragma: no cover - numpy is installed in CI
-            raise RuntimeError("ShardedIRS requires NumPy")
         self._init_common(values, num_shards, seed, shard_kind, block_size, dtype)
         if not isinstance(values, _np.ndarray):
             values = list(values)

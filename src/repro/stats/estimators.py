@@ -14,10 +14,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-try:  # pragma: no cover - numpy is installed in CI
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 __all__ = [
     "mean_estimate",
@@ -57,19 +54,9 @@ class RunningMeanCI:
         k = len(samples)
         if k == 0:
             return
-        if _np is not None:
-            arr = _np.asarray(samples, dtype=float)
-            batch_mean = float(arr.mean())
-            batch_m2 = float(((arr - batch_mean) ** 2).sum())
-        else:  # pragma: no cover - numpy is installed in CI
-            total = 0.0
-            for x in samples:
-                total += float(x)
-            batch_mean = total / k
-            batch_m2 = 0.0
-            for x in samples:
-                d = float(x) - batch_mean
-                batch_m2 += d * d
+        arr = _np.asarray(samples, dtype=float)
+        batch_mean = float(arr.mean())
+        batch_m2 = float(((arr - batch_mean) ** 2).sum())
         delta = batch_mean - self._mean
         n = self.n + k
         self._m2 += batch_m2 + delta * delta * self.n * k / n

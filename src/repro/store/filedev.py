@@ -35,13 +35,10 @@ from __future__ import annotations
 import os
 import struct
 
+import numpy as _np
+
 from ..errors import BlockNotAllocatedError, CapacityError, StorageError
 from ..em.device import IOStats
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is installed in CI
-    _np = None
 
 __all__ = ["FileDevice"]
 
@@ -66,8 +63,6 @@ class FileDevice:
     """
 
     def __init__(self, path: str | os.PathLike, block_size: int) -> None:
-        if _np is None:  # pragma: no cover - numpy is installed in CI
-            raise StorageError("FileDevice requires NumPy")
         if block_size < 2:
             raise CapacityError(f"block size must be >= 2, got {block_size}")
         self.path = os.fspath(path)

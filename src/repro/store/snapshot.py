@@ -38,13 +38,10 @@ import json
 import os
 import zlib
 
+import numpy as _np
+
 from ..core.kinds import KINDS, dtype_param
 from ..errors import CorruptRecordError, StorageError
-
-try:  # NumPy is optional at runtime; plane codecs fall back to array('d').
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is installed in CI
-    _np = None
 
 __all__ = ["SnapshotStore", "snapshot_spec", "build_from_sorted"]
 
@@ -119,10 +116,8 @@ def build_from_sorted(spec: dict, values, weights=None, *, seed=None):
     # zero-copy when it already has the target dtype (the common case:
     # planes are stored in the structure's own dtype) — recovery then
     # allocates no second value plane.
-    adopt = (
-        _np is not None
-        and isinstance(values, _np.ndarray)
-        and (dtype is None or _np.dtype(dtype) == values.dtype)
+    adopt = isinstance(values, _np.ndarray) and (
+        dtype is None or _np.dtype(dtype) == values.dtype
     )
     return row.build(
         values, weights, seed=seed, dtype=dtype, block_size=block_size, adopt=adopt
@@ -137,25 +132,15 @@ def _plane_bytes(array) -> tuple[bytes, str]:
     it.  float32 planes are persisted as-is — the snapshot halves with
     the structure.
     """
-    if _np is not None:
-        arr = _np.asarray(array)
-        if arr.dtype == _np.float32:
-            return arr.astype("<f4", copy=False).tobytes(), "f4"
-        return _np.asarray(arr, dtype="<f8").tobytes(), "f8"
-    import array as _array  # pragma: no cover - numpy is installed in CI
-
-    return _array.array("d", [float(v) for v in array]).tobytes(), "f8"
+    arr = _np.asarray(array)
+    if arr.dtype == _np.float32:
+        return arr.astype("<f4", copy=False).tobytes(), "f4"
+    return _np.asarray(arr, dtype="<f8").tobytes(), "f8"
 
 
 def _plane_values(raw: bytes, code: str = "f8"):
-    """Decode one plane back to a float array (list without NumPy)."""
-    if _np is not None:
-        return _np.frombuffer(raw, dtype="<f4" if code == "f4" else "<f8")
-    import array as _array  # pragma: no cover - numpy is installed in CI
-
-    out = _array.array("d")
-    out.frombytes(raw)
-    return list(out)
+    """Decode one plane back to a float array."""
+    return _np.frombuffer(raw, dtype="<f4" if code == "f4" else "<f8")
 
 
 def _fsync_write(path: str, data: bytes) -> None:

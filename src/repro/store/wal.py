@@ -90,12 +90,13 @@ class WalRecord:
     """One replayed record: sequence number, decoded ops, and rid spans.
 
     ``ops`` holds one bulk op per column entry and one scalar op per
-    scalar dict (reads, and every update of a record written before
-    columns).  ``rids`` is ``None`` for records logged without request
-    ids (the pre-resilience format and rid-less batches), else a list of
-    ``(rid, start, n)`` tuples: the request with idempotency key ``rid``
-    contributed values ``start`` to ``start + n - 1`` of the record's
-    ops laid end to end, a bulk op contributing one per value.
+    scalar dict (every update of a record written before columns); the
+    log holds updates only.  ``rids`` is ``None`` for records logged
+    without request ids (the pre-resilience format and rid-less
+    batches), else a list of ``(rid, start, n)`` tuples: the request
+    with idempotency key ``rid`` contributed values ``start`` to
+    ``start + n - 1`` of the record's ops laid end to end, a bulk op
+    contributing one per value.
     """
 
     seq: int
@@ -272,10 +273,11 @@ class WriteAheadLog:
 
         The record is always *flushed to the OS* before return (a
         subsequent process ``kill -9`` cannot lose it); whether it is
-        also fsynced is the policy's call.  Ops may be
+        also fsynced is the policy's call.  Ops are updates, as
         :class:`~repro.batch.BatchOp` instances (bulk ones included) or
-        the tuple shorthands the batch runner accepts; each run of
-        updates logs as one column (see the module docstring).  ``rids``
+        the tuple shorthands the batch runner accepts; each run of them
+        logs as one column (see the module docstring), and a read op
+        raises ``ValueError`` before anything is written.  ``rids``
         optionally journals request idempotency keys as
         ``(rid, start, n)`` spans over the record's update values, where
         a bulk op contributes one per value.
@@ -294,11 +296,11 @@ class WriteAheadLog:
             )
         ops = [op if isinstance(op, BatchOp) else _normalize_op(op) for op in ops]
         seq = self.last_seq + 1
-        self._rotate_if_needed(seq)
         body = {"q": seq, "ops": ops_to_wire(ops)}
         if rids:
             body["r"] = [[rid, int(start), int(n)] for rid, start, n in rids]
         payload = _encode_line(body)
+        self._rotate_if_needed(seq)
         start = self._fh.tell()
         try:
             self._fh.write(_HEADER.pack(len(payload), zlib.crc32(payload)) + payload)

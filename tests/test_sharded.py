@@ -234,14 +234,26 @@ class TestUpdates:
         with pytest.raises(KeyNotFoundError):
             s.delete(9.0)
 
-    def test_delete_bulk_atomic_across_shards(self, data):
-        s = ShardedIRS(data, num_shards=4, seed=45)
-        before = s.values()
-        present_low = min(before)  # lives in shard 0
+    @pytest.mark.parametrize("kind", ["dynamic", "weighted-dynamic"])
+    def test_delete_bulk_atomic_across_shards(self, data, kind):
+        weighted = kind == "weighted-dynamic"
+        # Distinct weights: the rollback must give each point back its own.
+        weights = [1.0 + i / len(data) for i in range(len(data))] if weighted else None
+        s = ShardedIRS(data, num_shards=4, weights=weights, seed=45, shard_kind=kind)
+
+        def state():
+            if weighted:
+                planes = tuple(plane.tolist() for plane in s.export_sorted_pairs())
+            else:
+                planes = (s.values(), None)
+            return planes, len(s), s.bounds
+
+        before = state()
+        present_low = before[0][0][0]  # lives in shard 0
         with pytest.raises(KeyNotFoundError):
             s.delete_bulk([present_low, 99.0])  # 99.0 routes to the last shard
         s.check_invariants()
-        assert s.values() == before
+        assert state() == before
 
     def test_static_shards_reject_updates(self, data):
         s = ShardedIRS(data, num_shards=4, seed=46, shard_kind="static")
@@ -393,15 +405,16 @@ class TestRankMachinery:
         assert sorted(got) == sorted(s.report(lo, hi))
 
     def test_module_dispatch_uses_rank_path(self):
-        # The generic rejection path would raise on duplicate values; the
-        # capability dispatch must route ShardedIRS (and DynamicIRS) to
-        # Floyd over ranks instead.
+        # Fifty of 600 points over ten distinct values: a draw that
+        # rejected repeated values would never finish, while Floyd over
+        # ranks, where the capability dispatch routes ShardedIRS (and
+        # DynamicIRS), deduplicates ranks.
         dup = duplicate_heavy(600, distinct=10, seed=63)
         s = ShardedIRS(dup, num_shards=3, seed=64)
-        got = sample_without_replacement(s, 0.0, 1.0, 50, assume_distinct=True)
+        got = sample_without_replacement(s, 0.0, 1.0, 50)
         assert len(got) == 50
         d = DynamicIRS(dup, seed=65)
-        got_d = sample_without_replacement(d, 0.0, 1.0, 50, assume_distinct=True)
+        got_d = sample_without_replacement(d, 0.0, 1.0, 50)
         assert len(got_d) == 50
 
     def test_too_many_distinct_requested(self, sharded):

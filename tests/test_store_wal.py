@@ -539,6 +539,21 @@ def test_bulk_op_logs_the_bytes_of_its_scalar_ops(tmp_path):
     assert flat(record.ops) == flat(scalar) and record.rids == rids
 
 
+def test_a_read_op_is_refused_and_appends_no_record(tmp_path):
+    directory = tmp_path / "wal"
+    with WriteAheadLog(directory) as wal:
+        # Refused before the first segment is opened: none is created.
+        with pytest.raises(ValueError, match="updates only"):
+            wal.append([BatchOp.count(0.0, 1.0)])
+        assert wal.last_seq == 0 and os.listdir(directory) == []
+        wal.append(OPS_B)
+        before = (wal.last_seq, segment_bytes(directory))
+        with pytest.raises(ValueError, match="updates only"):
+            wal.append([BatchOp.insert(1.0), BatchOp.sample(0.0, 1.0, 4, seed=3)])
+        assert (wal.last_seq, segment_bytes(directory)) == before
+        assert wal.append([BatchOp.insert(1.0)]) == before[0] + 1
+
+
 def count_decoded_ops(monkeypatch) -> list:
     import repro.store.wal as wal_module
 
@@ -609,6 +624,8 @@ DAMAGED = {
         2, {"k": "s", "b": b64([2.0]), "lo": 0.0, "hi": 1.0, "t": 1}
     ),
     "count-tag": entry_record(2, {"k": "c", "b": b64([2.0]), "lo": 0.0, "hi": 1.0}),
+    # The log holds updates only; no server ever logged a read's dict.
+    "read-dict": entry_record(2, {"k": "s", "lo": 0.0, "hi": 1.0, "t": 1}),
     "delete-weights": entry_record(2, {"k": "d", "b": b64([2.0]), "w": b64([1.0])}),
     "entry-not-a-dict": entry_record(2, 7),
 }

@@ -8,8 +8,11 @@ import pytest
 
 from repro import (
     DynamicIRS,
+    ExternalIRS,
     InvalidQueryError,
     StaticIRS,
+    WeightedDynamicIRS,
+    WeightedStaticIRS,
     sample_ranks_without_replacement,
     sample_without_replacement,
 )
@@ -68,16 +71,14 @@ class TestWrapper:
         out = sample_without_replacement(s, 0.0, 5.0, 4, rng=RandomSource(8))
         assert sorted(out) == sorted(values)
 
-    def test_generic_report_path(self):
+    def test_select_path_takes_the_whole_range(self):
         d = DynamicIRS([float(i) for i in range(30)], seed=9)
         out = sample_without_replacement(d, 5.0, 14.0, 10, rng=RandomSource(10))
         assert sorted(out) == [float(i) for i in range(5, 15)]
 
-    def test_generic_rejection_path(self):
+    def test_select_path_returns_distinct_points(self):
         d = DynamicIRS([float(i) for i in range(1000)], seed=11)
-        out = sample_without_replacement(
-            d, 0.0, 999.0, 20, rng=RandomSource(12), assume_distinct=True
-        )
+        out = sample_without_replacement(d, 0.0, 999.0, 20, rng=RandomSource(12))
         assert len(out) == 20
         assert len(set(out)) == 20
 
@@ -90,7 +91,7 @@ class TestWrapper:
         d = DynamicIRS([1.0], seed=15)
         assert sample_without_replacement(d, 0.0, 5.0, 0, rng=RandomSource(16)) == []
 
-    def test_report_path_subsets_uniform(self):
+    def test_select_path_subsets_uniform(self):
         d = DynamicIRS([float(i) for i in range(5)], seed=17)
         rng = RandomSource(18)
         counts: Counter[frozenset] = Counter()
@@ -101,3 +102,19 @@ class TestWrapper:
         assert len(counts) == 10
         _stat, p = chi_square_gof(list(counts.values()), [1.0] * 10)
         assert p > 1e-4
+
+    @pytest.mark.parametrize("kind", ["weighted", "weighted-dynamic", "external"])
+    def test_structures_without_ranks_are_refused(self, kind):
+        # As the bulk twin refuses them: a subset drawn from these would
+        # ignore the weights (nearly all the mass sits on the last point),
+        # and a draw that rejects repeated values would never finish on
+        # ten distinct values with t = 20.
+        values = [float(i) for i in range(100)]
+        weights = [1e-9] * 99 + [1.0]
+        s = {
+            "weighted": lambda: WeightedStaticIRS(values, weights, seed=19),
+            "weighted-dynamic": lambda: WeightedDynamicIRS(values, weights, seed=19),
+            "external": lambda: ExternalIRS([v % 10 for v in values], seed=19),
+        }[kind]()
+        with pytest.raises(InvalidQueryError, match="rank-addressable"):
+            sample_without_replacement(s, 0.0, 99.0, 20, rng=RandomSource(20))
